@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import logging
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,11 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import ltl
-from .gateway import Backend, BackendSpec, ChatMessage, make_backend
+from .gateway import Backend, BackendSpec, ChatMessage, GatewayError, make_backend
 from .knowledge import (PASS, Effects, KnowledgeBase, Precondition,
                         ProductionRule, RuleValidationError, validate_rule)
-
-log = logging.getLogger(__name__)
 
 DUPLICATION_THRESHOLD = 0.9
 TOP_K = 5
@@ -89,46 +86,20 @@ def write_outcome_csv(report: dict[str, int], path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # embeddings
 
-class EmbeddingProvider:
-    dimension: int
-
-    def embed(self, text: str) -> np.ndarray:
-        """Unit-norm vector for the text."""
-        raise NotImplementedError
-
-
-class HashedTrigramEmbedding(EmbeddingProvider):
-    """Deterministic fallback: hashed character-trigram counts, L2-normalized."""
+class HashedTrigramEmbedding:
+    """Deterministic hashed character-trigram counts, L2-normalized."""
 
     def __init__(self, dimension: int = 256):
         self.dimension = dimension
 
     def embed(self, text: str) -> np.ndarray:
+        """Unit-norm vector for the text."""
         vec = np.zeros(self.dimension)
         padded = f"^{text}$"
         for i in range(max(1, len(padded) - 2)):
             gram = padded[i:i + 3]
             h = int.from_bytes(hashlib.md5(gram.encode()).digest()[:4], "big")
             vec[h % self.dimension] += 1.0
-        norm = np.linalg.norm(vec)
-        return vec / norm if norm > 0 else vec
-
-
-class RemoteEmbedding(EmbeddingProvider):
-    """External embedding service with the deterministic fallback on
-    transport failure."""
-
-    def __init__(self, fetch, dimension: int, fallback: EmbeddingProvider | None = None):
-        self.fetch = fetch
-        self.dimension = dimension
-        self.fallback = fallback or HashedTrigramEmbedding(dimension)
-
-    def embed(self, text: str) -> np.ndarray:
-        try:
-            vec = np.asarray(self.fetch(text), dtype=float)
-        except Exception as e:
-            log.warning("embedding service failed (%s); using deterministic fallback", e)
-            return self.fallback.embed(text)
         norm = np.linalg.norm(vec)
         return vec / norm if norm > 0 else vec
 
@@ -208,7 +179,7 @@ class RuleStore:
 
 
 def dedup_check(candidate: ProductionRule, store: RuleStore,
-                provider: EmbeddingProvider,
+                provider: HashedTrigramEmbedding,
                 threshold: float = DUPLICATION_THRESHOLD,
                 top_k: int = TOP_K) -> DuplicatedContent | None:
     """None means the candidate is novel. Exact body duplicates are
@@ -262,7 +233,7 @@ def _attempt_repair(rule: ProductionRule, error: str, kb: KnowledgeBase,
 # compile pipeline
 
 def compile_formula(formula: ltl.Ltl, kb: KnowledgeBase, store: RuleStore,
-                    provider: EmbeddingProvider,
+                    provider: HashedTrigramEmbedding,
                     repair: BackendSpec | Backend | None = None,
                     repair_rounds: int = REPAIR_ROUNDS,
                     initial_utility: float = 0.0,
@@ -296,7 +267,7 @@ def compile_formula(formula: ltl.Ltl, kb: KnowledgeBase, store: RuleStore,
             attempts += 1
             try:
                 repaired = _attempt_repair(rule, str(e), kb, repair_backend)
-            except Exception as gateway_error:
+            except GatewayError as gateway_error:
                 return FormatMismatch(f"repair backend failed: {gateway_error}")
             if repaired is None:
                 return FormatMismatch(f"unrepairable: {e}")

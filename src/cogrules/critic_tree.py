@@ -62,7 +62,6 @@ class CriticTreeConfig:
     critics: CriticEnsembleSpec
     templates: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_TEMPLATES))
     kb_atoms: tuple[str, ...] = ()
-    return_best_node: bool = False  # default-off alternative to root fallback
 
     def __post_init__(self):
         if self.num_critics < 1:
@@ -208,18 +207,8 @@ class CriticTree:
             level = next_level
 
         # depth budget exhausted without full approval
-        chosen = root
-        if self.cfg.return_best_node:
-            approved_counts = [(sum(v.approved for v in n.verdicts), -n.node_id, n)
-                               for n in trace.nodes if n.verdicts]
-            if approved_counts:
-                chosen = max(approved_counts)[2]
-        trace.returned = chosen.formula_text
-        trace.returned_node = chosen.node_id
+        trace.returned = root.formula_text
+        trace.returned_node = root.node_id
         trace.fallback = True
-        self._event(trace, "return", node=chosen.node_id, reason="fallback")
-        return chosen.formula_text, trace
-
-
-def run(text: str, initial: str, cfg: CriticTreeConfig) -> tuple[str, TreeTrace]:
-    return CriticTree(cfg).run(text, initial)
+        self._event(trace, "return", node=root.node_id, reason="fallback")
+        return root.formula_text, trace

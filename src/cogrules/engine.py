@@ -45,7 +45,6 @@ class WorldState:
 class Decision:
     longitudinal: str | None = None
     lateral: str | None = None
-    fired: list[tuple[str, int]] = field(default_factory=list)  # (rule name, step)
 
     def slot(self, name: str) -> str | None:
         return self.longitudinal if name == LONGITUDINAL else self.lateral
@@ -135,7 +134,6 @@ def decide(state: WorldState, rules: list[ProductionRule], sigma: float,
         if chosen.effects.lateral != PASS and decision.lateral is None:
             decision.lateral = chosen.effects.lateral
             filled.append(LATERAL)
-        decision.fired.append((chosen.name, state.t))
         trace.entries.append(TraceEntry(
             t=state.t, slot=slot, conflict=[r.name for r in candidates],
             probabilities=probs, chosen=chosen.name,

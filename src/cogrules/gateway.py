@@ -11,7 +11,7 @@ import json
 import os
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -63,15 +63,19 @@ class BackendSpec:
             raise ValueError("temperature must be >= 0")
 
 
-class TransportError(RuntimeError):
+class GatewayError(RuntimeError):
+    """A model call failed: transport, protocol or replay."""
+
+
+class TransportError(GatewayError):
     pass
 
 
-class ReplayMiss(RuntimeError):
+class ReplayMiss(GatewayError):
     pass
 
 
-class ProtocolError(RuntimeError):
+class ProtocolError(GatewayError):
     pass
 
 
@@ -115,10 +119,9 @@ class HttpBackend(Backend):
             if resp.status_code != 200:
                 raise ProtocolError(f"HTTP {resp.status_code}: {resp.text[:200]}")
             try:
-                content = resp.json()["choices"][0]["message"]["content"]
+                return ChatMessage("assistant", resp.json()["choices"][0]["message"]["content"])
             except (ValueError, KeyError, IndexError, TypeError) as e:
                 raise ProtocolError(f"malformed completion body: {e}") from e
-            return ChatMessage("assistant", content)
         raise TransportError(f"giving up after {self.spec.retries + 1} attempts: {last_err}")
 
 
@@ -218,7 +221,6 @@ class CriticSampler:
     """Seeded per-call backend selection over a heterogeneous ensemble."""
 
     def __init__(self, ensemble: CriticEnsembleSpec):
-        self.ensemble = ensemble
         self.rng = random.Random(ensemble.seed)
         self._backends = [(make_backend(spec), p) for spec, p in ensemble.members]
 
@@ -230,16 +232,3 @@ class CriticSampler:
             if x < acc:
                 return backend
         return self._backends[-1][0]
-
-    def sample_spec(self) -> BackendSpec:
-        x = self.rng.random()
-        acc = 0.0
-        for (spec, p) in self.ensemble.members:
-            acc += p
-            if x < acc:
-                return spec
-        return self.ensemble.members[-1][0]
-
-
-def sample_critic_backend(sampler: CriticSampler) -> Backend:
-    return sampler.sample()

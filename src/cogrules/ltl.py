@@ -244,14 +244,6 @@ def to_string(f: Ltl) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _flatten_and(f: Ltl, out: list[Ltl]) -> None:
-    if isinstance(f, And):
-        _flatten_and(f.left, out)
-        _flatten_and(f.right, out)
-    elif not isinstance(f, TrueConst):
-        out.append(f)
-
-
 _Pair = tuple[Ltl, str]  # (canonical node, its printed form)
 
 

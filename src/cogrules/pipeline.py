@@ -13,7 +13,8 @@ from pathlib import Path
 
 from . import compiler, ltl, metrics, scenarios, trainer
 from .critic_tree import CriticTree, CriticTreeConfig
-from .gateway import Backend, BackendSpec, ChatMessage, CriticEnsembleSpec, make_backend
+from .gateway import (Backend, BackendSpec, ChatMessage, CriticEnsembleSpec, GatewayError,
+                      make_backend)
 from .knowledge import KnowledgeBase
 from .trainer import TrainConfig
 
@@ -137,26 +138,26 @@ def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
     for i, record in enumerate(texts):
         segment_id = str(record.get("id", i))
         text = record["text"]
-        if "initial" in record:
-            initial = record["initial"]
-        elif initial_backend is not None:
-            initial = initial_backend.complete([ChatMessage("user", text)]).content.strip()
-        else:
+        if "initial" not in record and initial_backend is None:
             raise ValueError(f"segment {segment_id}: no initial translation source")
         try:
+            if "initial" in record:
+                initial = record["initial"]
+            else:
+                initial = initial_backend.complete([ChatMessage("user", text)]).content.strip()
             refined, _ = tree.run(text, initial)
             grounded_text = _ground_formula(refined, cfg, grounding_backend)
+        except GatewayError as e:
+            outcome = compiler.FormatMismatch(f"gateway failure: {e}")
+            outcomes.append(outcome)
+            results.append(SegmentResult(segment_id, "", outcome.tag, outcome.detail))
+            continue
+        try:
             formula = ltl.parse(grounded_text)
         except ltl.ParseError as e:
             outcome = compiler.FormatMismatch(f"unparseable formula: {e}")
             outcomes.append(outcome)
-            results.append(SegmentResult(segment_id, record.get("initial", ""),
-                                         outcome.tag, outcome.detail))
-            continue
-        except Exception as e:  # gateway faults
-            outcome = compiler.FormatMismatch(f"gateway failure: {e}")
-            outcomes.append(outcome)
-            results.append(SegmentResult(segment_id, "", outcome.tag, outcome.detail))
+            results.append(SegmentResult(segment_id, grounded_text, outcome.tag, outcome.detail))
             continue
         outcome = compiler.compile_formula(
             formula, cfg.kb, store, provider,
@@ -193,37 +194,24 @@ def run_experiment(cfg: PipelineConfig) -> dict:
     trainer.validate_episodes(episodes, cfg.kb)
 
     rules = list(store)
-    checkpoints = max(1, cfg.checkpoints)
-    epochs_per = max(1, cfg.train.epochs // checkpoints)
     js_curve = []
     curve = []
     if rules:
-        js_curve.append((0, metrics.mean_js(rules, episodes, cfg.train.sigma,
-                                            cfg.train.seed, cfg.eval_top_k,
-                                            cfg.eval_samples)))
-        trained = rules
-        done = 0
-        for ck in range(checkpoints):
-            span = min(epochs_per, cfg.train.epochs - done)
-            if span <= 0:
-                break
-            chunk_cfg = TrainConfig(
-                learning_rate=cfg.train.learning_rate, decay=cfg.train.decay,
-                sigma=cfg.train.sigma,
-                initial_utility=cfg.train.initial_utility,
-                reward_positive=cfg.train.reward_positive,
-                reward_negative=cfg.train.reward_negative,
-                epochs=span, seed=cfg.train.seed + ck)
-            trained, chunk_curve = trainer.train(trained, episodes, chunk_cfg,
-                                                 in_place=True, reset=(ck == 0))
-            for pt in chunk_curve:
-                curve.append(trainer.CurvePoint(done + pt.epoch, pt.agreement,
-                                                pt.mean_utility))
-            done += span
-            js_curve.append((done, metrics.mean_js(trained, episodes, cfg.train.sigma,
-                                                   cfg.train.seed + 1000 + ck,
-                                                   cfg.eval_top_k, cfg.eval_samples)))
-        rules = trained
+        def js_at(epochs_done, rules_now, seed):
+            js_curve.append((epochs_done, metrics.mean_js(
+                rules_now, episodes, cfg.train.sigma, seed, cfg.eval_top_k, cfg.eval_samples)))
+
+        # JS checkpoints at evenly spread epochs, the last at cfg.train.epochs;
+        # each one's seed depends only on its epoch, not on how many there are
+        checkpoints = max(1, cfg.checkpoints)
+        at = {cfg.train.epochs * (k + 1) // checkpoints for k in range(checkpoints)}
+
+        def observe(epochs_done, trained):
+            if epochs_done in at:
+                js_at(epochs_done, trained, cfg.train.seed + 1000 + epochs_done)
+
+        js_at(0, rules, cfg.train.seed)
+        rules, curve = trainer.train(rules, episodes, cfg.train, on_epoch=observe)
     agreement = trainer.evaluate_agreement(rules, episodes, cfg.train.sigma,
                                            cfg.train.seed, n_runs=1) if rules else \
         {"longitudinal": 0.0, "lateral": 0.0}

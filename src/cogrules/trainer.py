@@ -10,10 +10,11 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from .engine import LATERAL, LONGITUDINAL, SLOTS, ReasoningTrace, WorldState, decide
+from .engine import LONGITUDINAL, SLOTS, ReasoningTrace, WorldState, decide
 from .knowledge import KnowledgeBase, ProductionRule
 
 
@@ -63,6 +64,9 @@ class EpisodeSchemaError(ValueError):
 
 def validate_episodes(episodes: list[Episode], kb: KnowledgeBase) -> None:
     for ep in episodes:
+        times = [state.t for state, _ in ep.steps]
+        if times != sorted(times):  # a reward may not precede the firing it credits
+            raise EpisodeSchemaError("episode step times decrease")
         for state, ref in ep.steps:
             try:
                 state.validate(kb)
@@ -125,19 +129,12 @@ class CurvePoint:
     mean_utility: float
 
 
-def curve_to_csv(curve: list[CurvePoint], path: str | Path,
-                 extra: dict[int, float] | None = None) -> None:
+def curve_to_csv(curve: list[CurvePoint], path: str | Path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["epoch", "agreement", "mean_utility"]
-        if extra is not None:
-            header.append("mean_js")
-        writer.writerow(header)
+        writer.writerow(["epoch", "agreement", "mean_utility"])
         for pt in curve:
-            row = [pt.epoch, f"{pt.agreement:.6f}", f"{pt.mean_utility:.10f}"]
-            if extra is not None:
-                row.append(f"{extra.get(pt.epoch, float('nan')):.6f}")
-            writer.writerow(row)
+            writer.writerow([pt.epoch, f"{pt.agreement:.6f}", f"{pt.mean_utility:.10f}"])
 
 
 def _train_one_epoch(rules: list[ProductionRule], episodes: list[Episode],
@@ -149,48 +146,49 @@ def _train_one_epoch(rules: list[ProductionRule], episodes: list[Episode],
     rng.shuffle(order)
     for idx in order:
         episode = episodes[idx]
-        pending: dict[str, list[tuple[str, int]]] = {s: [] for s in SLOTS}
+        # per slot, the firings that filled it and still await a reward
+        pending = {s: ReasoningTrace() for s in SLOTS}
         for state, ref in episode.steps:
             decision, trace = decide(state, rules, cfg.sigma, rng)
             for entry in trace.entries:
                 for slot in entry.filled:
-                    pending[slot].append((entry.chosen, entry.t))
+                    pending[slot].entries.append(entry)
             for slot in SLOTS:
                 ref_action = ref.slot(slot)
                 if ref_action is None:
                     continue
-                produced = decision.slot(slot)
-                hit = produced == ref_action
+                hit = decision.slot(slot) == ref_action
                 compared += 1
                 agreed += hit
                 reward = cfg.reward_positive if hit else cfg.reward_negative
-                for name, fired_at in pending[slot]:
-                    r_i = reward - cfg.decay * (state.t - fired_at)
+                for name, r_i in reward_decompose(reward, pending[slot], state.t, cfg.decay):
                     rule = by_name[name]
                     rule.utility = utility_update(rule.utility, r_i, cfg.learning_rate)
-                pending[slot] = []
+                pending[slot].entries.clear()
     return agreed / compared if compared else 0.0
 
 
 def train(rules: list[ProductionRule], episodes: list[Episode],
           cfg: TrainConfig, kb: KnowledgeBase | None = None,
-          in_place: bool = False, reset: bool = True,
+          on_epoch: Callable[[int, list[ProductionRule]], None] | None = None,
           ) -> tuple[list[ProductionRule], list[CurvePoint]]:
-    """Returns trained copies of the rules (unless in_place) and the
-    per-epoch learning curve. reset=False resumes from current utilities."""
+    """Trains copies of the rules, reset to the initial utility, for
+    cfg.epochs epochs with one RNG seeded from cfg.seed. Returns the trained
+    copies and the per-epoch learning curve. After each epoch,
+    on_epoch(epochs_done, rules) may observe the rules; it must not change them."""
     if kb is not None:
         validate_episodes(episodes, kb)
-    if not in_place:
-        rules = copy.deepcopy(rules)
-    if reset:
-        for rule in rules:
-            rule.utility = cfg.initial_utility
+    rules = copy.deepcopy(rules)
+    for rule in rules:
+        rule.utility = cfg.initial_utility
     rng = random.Random(cfg.seed)
     curve: list[CurvePoint] = []
     for epoch in range(cfg.epochs):
         agreement = _train_one_epoch(rules, episodes, cfg, rng)
         mean_u = sum(r.utility for r in rules) / len(rules) if rules else 0.0
         curve.append(CurvePoint(epoch=epoch, agreement=agreement, mean_utility=mean_u))
+        if on_epoch is not None:
+            on_epoch(epoch + 1, rules)
     return rules, curve
 
 

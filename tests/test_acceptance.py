@@ -256,13 +256,15 @@ def test_05_learning_convergence_two_rule_fixture():
     episodes = [Episode(steps=[(WorldState.make({"x": True}, t),
                                 ReferenceAction("brake", "keep_lane"))
                                for t in range(20)]) for _ in range(20)]
-    cfg = TrainConfig(epochs=1, seed=5)  # defaults: alpha=2e-4, decay=0.01,
+    cfg = TrainConfig(epochs=5, seed=5)  # defaults: alpha=2e-4, decay=0.01,
     # sigma=sqrt(2), u0=0, R+=10, R-=0
     js_checkpoints = []
-    for epoch in range(5):
-        train(rules, episodes, cfg, in_place=True, reset=(epoch == 0))
-        js_checkpoints.append(mean_js(rules, episodes, SQRT2,
-                                      seed=100 + epoch, n_override=10_000))
+
+    def checkpoint(epochs_done, trained):
+        js_checkpoints.append(mean_js(trained, episodes, SQRT2,
+                                      seed=99 + epochs_done, n_override=10_000))
+
+    rules, _ = train(rules, episodes, cfg, on_epoch=checkpoint)
 
     by_name = {r.name: r for r in rules}
     probs = selection_probabilities(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cogrules import compiler, ltl
+from cogrules.gateway import ReplayMiss
 from cogrules.compiler import (DuplicatedContent, FormatMismatch,
                                HashedTrigramEmbedding, InferenceError,
                                RuleStore, Viable, compile_formula, dedup_check,
@@ -87,13 +88,6 @@ class TestEmbedding:
     def test_deterministic(self):
         p1, p2 = HashedTrigramEmbedding(), HashedTrigramEmbedding()
         assert np.array_equal(p1.embed("rule_name"), p2.embed("rule_name"))
-
-    def test_remote_falls_back_on_failure(self, caplog):
-        def broken(text):
-            raise ConnectionError("down")
-        provider = compiler.RemoteEmbedding(broken, dimension=256)
-        vec = provider.embed("name")
-        assert np.array_equal(vec, HashedTrigramEmbedding().embed("name"))
 
 
 class TestDedup:
@@ -208,6 +202,29 @@ class TestCompile:
                                   RuleStore(), HashedTrigramEmbedding(),
                                   repair=repair, repair_rounds=3)
         assert isinstance(outcome, FormatMismatch)
+
+    def test_repair_gateway_failure_is_format_mismatch(self, kb):
+        kb.groundings["slow"] = Grounding("speed_band", "=", "low")
+        kb.groundings["fast"] = Grounding("speed_band", "=", "high")
+
+        def missing(messages):
+            raise ReplayMiss("no recorded response")
+        outcome = compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
+                                  RuleStore(), HashedTrigramEmbedding(),
+                                  repair=scripted_spec(missing))
+        assert isinstance(outcome, FormatMismatch)
+        assert outcome.detail.startswith("repair backend failed: ")
+
+    def test_repair_programming_error_propagates(self, kb):
+        kb.groundings["slow"] = Grounding("speed_band", "=", "low")
+        kb.groundings["fast"] = Grounding("speed_band", "=", "high")
+
+        def broken(messages):
+            raise TypeError("bug in the backend")
+        with pytest.raises(TypeError):
+            compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
+                            RuleStore(), HashedTrigramEmbedding(),
+                            repair=scripted_spec(broken))
 
     def test_dedup_monotone_under_store_growth(self, kb):
         provider = HashedTrigramEmbedding()

@@ -128,6 +128,22 @@ class TestHttp:
         with pytest.raises(ProtocolError):
             complete(spec, msgs("x"))
 
+    @pytest.mark.parametrize("content", ["", None])
+    def test_empty_content_is_protocol_error(self, monkeypatch, content):
+        class Resp:
+            status_code = 200
+            text = ""
+            def json(self):
+                return {"choices": [{"message": {"content": content}}]}
+        monkeypatch.setattr(gateway.requests, "post", lambda *a, **k: Resp())
+        spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
+        with pytest.raises(ProtocolError):
+            complete(spec, msgs("x"))
+
+    def test_gateway_errors_share_one_base(self):
+        for cls in (gateway.TransportError, ProtocolError, ReplayMiss):
+            assert issubclass(cls, gateway.GatewayError)
+
     def test_non_http_never_touches_network(self, no_network):
         spec = scripted_spec(lambda m: "offline")
         assert complete(spec, msgs("x")).content == "offline"
@@ -153,11 +169,12 @@ class TestEnsemble:
         spec_a = scripted_spec(lambda m: "A")
         spec_b = scripted_spec(lambda m: "B")
         ensemble = CriticEnsembleSpec(members=[(spec_a, 0.5), (spec_b, 0.5)], seed=7)
-        seq1 = [CriticSampler(ensemble).sample_spec() for _ in range(1)]
         s1 = CriticSampler(ensemble)
         s2 = CriticSampler(ensemble)
-        assert [s1.sample_spec() for _ in range(200)] == \
-            [s2.sample_spec() for _ in range(200)]
+        picks1 = [s1.sample().complete(msgs("x")).content for _ in range(200)]
+        picks2 = [s2.sample().complete(msgs("x")).content for _ in range(200)]
+        assert picks1 == picks2
+        assert set(picks1) == {"A", "B"}
 
 
 class TestConcurrency:

@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from cogrules import pipeline
+from cogrules.gateway import ReplayMiss
 from cogrules.pipeline import formalize_corpus, load_config, run_experiment
-from conftest import highway_corpus, write_pipeline_config
+from conftest import highway_corpus, scripted_spec, write_pipeline_config
 
 
 def literal_config(tmp_path, **kw):
@@ -84,6 +85,50 @@ class TestFormalizeCorpus:
         cfg = literal_config(tmp_path)
         with pytest.raises(ValueError):
             formalize_corpus([{"id": "x", "text": "no column"}], cfg)
+
+    def test_replay_miss_is_format_mismatch(self, tmp_path):
+        cfg = literal_config(tmp_path)
+
+        def missing(messages):
+            raise ReplayMiss("no recorded response")
+        cfg.grounding = scripted_spec(missing)
+        outcomes, store, results = formalize_corpus(highway_corpus()[:1], cfg)
+        assert outcomes[0].tag == "FormatMismatch"
+        assert results[0].detail.startswith("gateway failure: ")
+        assert results[0].refined == ""
+        assert len(store) == 0
+
+    def test_initial_translation_miss_is_format_mismatch(self, tmp_path):
+        cfg = literal_config(tmp_path)
+
+        def missing(messages):
+            raise ReplayMiss("no recorded response")
+        cfg.initial_backend = scripted_spec(missing)
+        corpus = [{"id": "x", "text": "brake when the gap closes"}] + highway_corpus()
+        outcomes, store, results = formalize_corpus(corpus, cfg)
+        assert outcomes[0].tag == "FormatMismatch"
+        assert results[0].detail.startswith("gateway failure: ")
+        assert len(outcomes) == len(corpus)
+        assert len(store) == 4
+
+    def test_programming_error_propagates(self, tmp_path):
+        cfg = literal_config(tmp_path)
+
+        def broken(messages):
+            raise TypeError("bug in the backend")
+        cfg.grounding = scripted_spec(broken)
+        with pytest.raises(TypeError):
+            formalize_corpus(highway_corpus()[:1], cfg)
+
+    def test_unparseable_grounding_is_recorded_as_refined(self, tmp_path):
+        cfg = literal_config(tmp_path)
+        cfg.grounding = scripted_spec(lambda messages: "G (front_gap_closing ->")
+        corpus = [{"id": "s", "text": "brake when the gap closes",
+                   "initial": "G (front_gap_closing -> brake)"}]
+        outcomes, _, results = formalize_corpus(corpus, cfg)
+        assert outcomes[0].tag == "FormatMismatch"
+        assert results[0].detail.startswith("unparseable formula: ")
+        assert results[0].refined == "G (front_gap_closing ->"
 
     def test_segment_results_align_with_outcomes(self, tmp_path):
         cfg = literal_config(tmp_path)
@@ -168,3 +213,49 @@ class TestReplayTranscripts:
         first = (replay_dir / "out" / "manifest.json").read_bytes()
         run_experiment(load_config(path))
         assert (replay_dir / "out" / "manifest.json").read_bytes() == first
+
+
+def checkpointed_run(base, epochs, checkpoints):
+    """Runs the fixture in `base` with the given epochs and JS checkpoints."""
+    path = write_pipeline_config(base, epochs=epochs)
+    raw = json.loads(path.read_text())
+    raw["eval"]["checkpoints"] = checkpoints
+    path.write_text(json.dumps(raw, indent=2, sort_keys=True))
+    cfg = load_config(path)
+    manifest = run_experiment(cfg)
+    return cfg.out_dir, manifest
+
+
+def csv_rows(path):
+    return [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+
+
+class TestCheckpointsOnlyObserve:
+    @pytest.mark.parametrize("epochs,checkpoints",
+                             [(7, 5), (3, 5), (1, 5), (6, 1), (6, 3), (6, 6)])
+    def test_configured_epochs_are_trained(self, tmp_path, epochs, checkpoints):
+        out, _ = checkpointed_run(tmp_path, epochs, checkpoints)
+        assert [int(r[0]) for r in csv_rows(out / "curve.csv")] == list(range(epochs))
+        js_epochs = [int(r[0]) for r in csv_rows(out / "js_curve.csv")]
+        assert js_epochs[0] == 0 and js_epochs[-1] == epochs
+        assert len(js_epochs) == 1 + min(epochs, checkpoints)
+
+    def test_checkpoint_count_does_not_change_the_run(self, tmp_path):
+        runs = []
+        for checkpoints in (1, 3, 6):
+            base = tmp_path / f"ck{checkpoints}"
+            base.mkdir()
+            out, manifest = checkpointed_run(base, 6, checkpoints)
+            runs.append(((out / "rules.json").read_bytes(), (out / "curve.csv").read_bytes(),
+                         manifest["final_js"], dict(csv_rows(out / "js_curve.csv"))))
+        for rules, curve, final_js, js in runs[1:]:
+            assert (rules, curve, final_js) == runs[0][:3]
+            # a JS row is the same at its epoch whatever the checkpoint count
+            assert all(runs[-1][3][e] == v for e, v in js.items())
+
+    def test_same_config_object_twice_is_bit_identical(self, tmp_path):
+        cfg = literal_config(tmp_path, epochs=6)
+        run_experiment(cfg)
+        first = (cfg.out_dir / "manifest.json").read_bytes()
+        run_experiment(cfg)
+        assert (cfg.out_dir / "manifest.json").read_bytes() == first

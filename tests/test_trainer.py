@@ -143,6 +143,22 @@ class TestTrain:
         assert [(p.agreement, p.mean_utility) for p in c1] == \
             [(p.agreement, p.mean_utility) for p in c2]
 
+    def test_on_epoch_observes_every_epoch_without_changing_the_run(self):
+        agree = rule("agree", [("front_gap_closing", "=", True)], longitudinal="brake")
+        disagree = rule("disagree", [("front_gap_closing", "=", True)],
+                        longitudinal="accelerate")
+        episodes = [one_state_episode(10) for _ in range(4)]
+        cfg = TrainConfig(epochs=4, seed=3, learning_rate=0.1)
+        seen = []
+        observed, c1 = train([agree, disagree], episodes, cfg,
+                             on_epoch=lambda done, rules: seen.append(
+                                 (done, [r.utility for r in rules])))
+        plain, c2 = train([agree, disagree], episodes, cfg)
+        assert [done for done, _ in seen] == [1, 2, 3, 4]
+        assert seen[-1][1] == [r.utility for r in plain]
+        assert [r.utility for r in observed] == [r.utility for r in plain]
+        assert c1 == c2
+
     def test_bounded_utilities(self):
         rules = [rule("a", [("front_gap_closing", "=", True)], longitudinal="brake"),
                  rule("b", [("front_gap_closing", "=", True)], longitudinal="keep")]
@@ -204,6 +220,13 @@ class TestEpisodeIo:
         kb = scenario_kb("highway_cut_in")
         bad = Episode(steps=[(WorldState.make({"martian": True}, 0),
                               ReferenceAction("brake", None))])
+        with pytest.raises(EpisodeSchemaError):
+            validate_episodes([bad], kb)
+
+    def test_decreasing_step_times_rejected(self):
+        kb = scenario_kb("highway_cut_in")
+        bad = Episode(steps=[(WorldState.make({"front_gap_closing": True}, t),
+                              ReferenceAction("brake", None)) for t in (0, 2, 1)])
         with pytest.raises(EpisodeSchemaError):
             validate_episodes([bad], kb)
 
