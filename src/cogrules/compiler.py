@@ -21,7 +21,6 @@ from .knowledge import (PASS, Effects, KnowledgeBase, Precondition,
                         ProductionRule, RuleValidationError, validate_rule)
 
 DUPLICATION_THRESHOLD = 0.9
-TOP_K = 5
 REPAIR_ROUNDS = 3
 
 
@@ -87,13 +86,25 @@ def write_outcome_csv(report: dict[str, int], path: str | Path) -> None:
 # embeddings
 
 class HashedTrigramEmbedding:
-    """Deterministic hashed character-trigram counts, L2-normalized."""
+    """Deterministic hashed character-trigram counts, L2-normalized.
+
+    Each instance remembers the vectors it has computed, so a text is
+    embedded once per provider; build one provider per run."""
 
     def __init__(self, dimension: int = 256):
         self.dimension = dimension
+        self._memo: dict[str, np.ndarray] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        """Unit-norm vector for the text."""
+        """Unit-norm vector for the text; read-only, shared between calls."""
+        vec = self._memo.get(text)
+        if vec is None:
+            vec = self._embed(text)
+            vec.flags.writeable = False
+            self._memo[text] = vec
+        return vec
+
+    def _embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension)
         padded = f"^{text}$"
         for i in range(max(1, len(padded) - 2)):
@@ -151,20 +162,25 @@ def name_rule(preconditions: tuple[Precondition, ...], effects: Effects) -> str:
 # rule store and dedup
 
 class RuleStore:
-    """Ordered rule collection with atomic check-then-insert."""
+    """Ordered rule collection with atomic check-then-insert, indexed by
+    rule body; the first stored rule with a given body names it."""
 
     def __init__(self, rules: list[ProductionRule] | None = None):
-        self.rules: list[ProductionRule] = list(rules or [])
+        self.rules: list[ProductionRule] = []
+        self._by_body: dict[tuple, str] = {}
         self.lock = threading.Lock()
+        for rule in rules or []:
+            self.add(rule)
+
+    def add(self, rule: ProductionRule) -> None:
+        self.rules.append(rule)
+        self._by_body.setdefault(rule.body_key(), rule.name)
 
     def __len__(self) -> int:
         return len(self.rules)
 
     def __iter__(self):
         return iter(self.rules)
-
-    def names(self) -> list[str]:
-        return [r.name for r in self.rules]
 
     def to_json(self) -> list[dict]:
         return [r.to_json() for r in self.rules]
@@ -180,22 +196,21 @@ class RuleStore:
 
 def dedup_check(candidate: ProductionRule, store: RuleStore,
                 provider: HashedTrigramEmbedding,
-                threshold: float = DUPLICATION_THRESHOLD,
-                top_k: int = TOP_K) -> DuplicatedContent | None:
+                threshold: float = DUPLICATION_THRESHOLD) -> DuplicatedContent | None:
     """None means the candidate is novel. Exact body duplicates are
-    rejected regardless of embedding similarity; otherwise the top-k
-    most-similar stored names are compared against the cosine threshold."""
+    rejected regardless of embedding similarity; otherwise the most
+    similar stored name, ties broken by the smaller name, is compared
+    against the cosine threshold."""
     if len(store) == 0:
         return None
-    for existing in store:
-        if existing.body_key() == candidate.body_key():
-            return DuplicatedContent(existing=existing.name, similarity=1.0)
+    existing = store._by_body.get(candidate.body_key())
+    if existing is not None:
+        return DuplicatedContent(existing=existing, similarity=1.0)
     cand_vec = provider.embed(candidate.name)
-    sims = [(float(np.dot(cand_vec, provider.embed(r.name))), r.name) for r in store]
-    sims.sort(key=lambda s: (-s[0], s[1]))
-    for sim, name in sims[:top_k]:
-        if sim >= threshold:
-            return DuplicatedContent(existing=name, similarity=sim)
+    neg_sim, name = min((-float(np.dot(cand_vec, provider.embed(r.name))), r.name)
+                        for r in store)
+    if -neg_sim >= threshold:
+        return DuplicatedContent(existing=name, similarity=-neg_sim)
     return None
 
 
@@ -276,5 +291,5 @@ def compile_formula(formula: ltl.Ltl, kb: KnowledgeBase, store: RuleStore,
         dup = dedup_check(rule, store, provider, threshold=threshold)
         if dup is not None:
             return dup
-        store.rules.append(rule)
+        store.add(rule)
     return Viable(rule)

@@ -11,6 +11,7 @@ import json
 import os
 import random
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -91,7 +92,15 @@ class Backend:
         raise NotImplementedError
 
 
+# delay before the first retry; each further retry doubles it, up to the cap
+RETRY_BACKOFF_S = 0.5
+RETRY_BACKOFF_MAX_S = 8.0
+
+
 class HttpBackend(Backend):
+    """Retries a transport failure, a 5xx or a 429 up to `spec.retries`
+    times, sleeping with bounded exponential backoff before each retry."""
+
     def __init__(self, spec: BackendSpec):
         self.spec = spec
 
@@ -106,15 +115,17 @@ class HttpBackend(Backend):
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         last_err: Exception | None = None
-        for _ in range(self.spec.retries + 1):
+        for attempt in range(self.spec.retries + 1):
+            if attempt:
+                time.sleep(min(RETRY_BACKOFF_S * 2 ** (attempt - 1), RETRY_BACKOFF_MAX_S))
             try:
                 resp = requests.post(self.spec.endpoint, json=body, headers=headers,
                                      timeout=self.spec.timeout_ms / 1000.0)
             except requests.RequestException as e:
                 last_err = e
                 continue
-            if resp.status_code >= 500:
-                last_err = TransportError(f"server error {resp.status_code}")
+            if resp.status_code >= 500 or resp.status_code == 429:
+                last_err = TransportError(f"retryable HTTP {resp.status_code}")
                 continue
             if resp.status_code != 200:
                 raise ProtocolError(f"HTTP {resp.status_code}: {resp.text[:200]}")

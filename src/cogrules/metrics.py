@@ -79,9 +79,10 @@ class DecisionDistribution:
 
 def js_divergence(p: dict[str, float], q: dict[str, float]) -> float:
     """Jensen-Shannon divergence with base-2 logs; bounded by 1."""
-    support = set(p) | set(q)
+    # a fixed summation order keeps the float result independent of the
+    # process's string hash seed
     js = 0.0
-    for key in support:
+    for key in sorted(set(p) | set(q)):
         pi = p.get(key, 0.0)
         qi = q.get(key, 0.0)
         mi = (pi + qi) / 2

@@ -216,8 +216,7 @@ def run_experiment(cfg: PipelineConfig) -> dict:
                                            cfg.train.seed, n_runs=1) if rules else \
         {"longitudinal": 0.0, "lateral": 0.0}
 
-    store.rules = rules
-    store.save(out / "rules.json")
+    compiler.RuleStore(rules).save(out / "rules.json")
     compiler.write_outcome_csv(report, out / "outcomes.csv")
     trainer.curve_to_csv(curve, out / "curve.csv")
     (out / "js_curve.csv").write_text(

@@ -13,14 +13,24 @@ from cogrules.compiler import (DuplicatedContent, FormatMismatch,
 from cogrules.knowledge import (Effects, FeatureDomain, Grounding,
                                 KnowledgeBase, ProductionRule, validate_rule,
                                 RuleValidationError)
+from cogrules.pipeline import formalize_corpus, load_config
 from cogrules.scenarios import scenario_kb
-from conftest import scripted_spec
+from conftest import highway_corpus, scripted_spec, write_pipeline_config
 from oracles import dedup_oracle
 
 
 @pytest.fixture
 def kb():
     return scenario_kb("highway_cut_in")
+
+
+def random_rule(rng):
+    """A rule over 8 features with 1-3 equalities and one longitudinal action."""
+    feats = [f"f{i}" for i in range(8)]
+    pre = tuple(sorted({(rng.choice(feats), "=", rng.randrange(3))
+                        for _ in range(rng.randint(1, 3))}))
+    eff = Effects(longitudinal=rng.choice(["brake", "keep", "accelerate"]))
+    return ProductionRule(name=name_rule(pre, eff), preconditions=pre, effects=eff)
 
 
 def make_rule(preconditions, effects, name=None):
@@ -89,6 +99,32 @@ class TestEmbedding:
         p1, p2 = HashedTrigramEmbedding(), HashedTrigramEmbedding()
         assert np.array_equal(p1.embed("rule_name"), p2.embed("rule_name"))
 
+    def test_memoised_vector_is_read_only(self):
+        provider = HashedTrigramEmbedding()
+        vec = provider.embed("rule_name")
+        assert provider.embed("rule_name") is vec
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+        assert np.array_equal(vec, HashedTrigramEmbedding().embed("rule_name"))
+
+    def test_formalize_corpus_embeds_each_name_once(self, tmp_path, monkeypatch):
+        computed = []
+        original = HashedTrigramEmbedding._embed
+
+        def counting(self, text):
+            computed.append(text)
+            return original(self, text)
+        monkeypatch.setattr(HashedTrigramEmbedding, "_embed", counting)
+        cfg = load_config(write_pipeline_config(tmp_path))
+        corpus = highway_corpus()
+        # a second pass over the corpus makes every rule a repeat candidate
+        corpus += [dict(r, id=f"again-{i}") for i, r in enumerate(corpus)]
+        _, store, _ = formalize_corpus(corpus, cfg)
+        assert len(store) > 2
+        assert {r.name for r in store} <= set(computed)
+        assert len(computed) == len(set(computed))
+
 
 class TestDedup:
     def test_empty_store_passes(self):
@@ -106,16 +142,9 @@ class TestDedup:
     def test_matches_bruteforce_oracle(self):
         provider = HashedTrigramEmbedding()
         rng = random.Random(99)
-        feats = [f"f{i}" for i in range(8)]
-        def random_rule():
-            pre = tuple(sorted({(rng.choice(feats), "=", rng.randrange(3))
-                                for _ in range(rng.randint(1, 3))}))
-            eff = Effects(longitudinal=rng.choice(["brake", "keep", "accelerate"]))
-            return ProductionRule(name=name_rule(pre, eff), preconditions=pre,
-                                  effects=eff)
         for _ in range(200):
-            store_rules = [random_rule() for _ in range(rng.randint(0, 20))]
-            candidate = random_rule()
+            store_rules = [random_rule(rng) for _ in range(rng.randint(0, 20))]
+            candidate = random_rule(rng)
             got = dedup_check(candidate, RuleStore(store_rules), provider,
                               threshold=0.9)
             expected = dedup_oracle(
@@ -123,6 +152,68 @@ class TestDedup:
                 [(r.name, r.body_key()) for r in store_rules],
                 lambda t: provider.embed(t).tolist(), threshold=0.9)
             assert (got is not None) == expected
+
+    def test_reports_bruteforce_argmax(self):
+        # the criterion 7 generator; `existing` and `similarity` must be the
+        # first equal-body rule, else the stored name of highest cosine
+        # (smallest name on ties), computed here without the memo
+        provider = HashedTrigramEmbedding()
+        rng = random.Random(71)
+        duplicates = 0
+        for _ in range(1000):
+            store_rules = [random_rule(rng) for _ in range(rng.randint(0, 20))]
+            candidate = random_rule(rng)
+            threshold = rng.choice([0.9, 0.5, 0.99])
+            got = dedup_check(candidate, RuleStore(store_rules), provider,
+                              threshold=threshold)
+            same_body = [r.name for r in store_rules
+                         if r.body_key() == candidate.body_key()]
+            if same_body:
+                assert got == DuplicatedContent(same_body[0], 1.0)
+                continue
+            if not store_rules:
+                assert got is None
+                continue
+            fresh = HashedTrigramEmbedding()
+            sim, name = min(((float(np.dot(fresh.embed(candidate.name),
+                                           fresh.embed(r.name))), r.name)
+                             for r in store_rules), key=lambda s: (-s[0], s[1]))
+            if sim >= threshold:
+                duplicates += 1
+                assert got == DuplicatedContent(name, sim)
+            else:
+                assert got is None
+        assert duplicates > 0
+
+    def test_first_rule_with_equal_body_is_reported(self):
+        first = make_rule([("a", "=", 1)], {"longitudinal": "brake"}, name="zz_first")
+        second = make_rule([("a", "=", 1)], {"longitudinal": "brake"}, name="aa_second")
+        candidate = make_rule([("a", "=", 1)], {"longitudinal": "brake"})
+        store = RuleStore([first])
+        store.add(second)
+        for s in (store, RuleStore([first, second])):
+            assert dedup_check(candidate, s, HashedTrigramEmbedding()) == \
+                DuplicatedContent("zz_first", 1.0)
+
+    def test_grown_store_answers_like_one_built_at_once(self, kb):
+        provider = HashedTrigramEmbedding()
+        rng = random.Random(5)
+        atoms = sorted(kb.groundings)
+        actions = list(kb.longitudinal_actions) + list(kb.lateral_actions)
+
+        def random_formula():
+            pre = " & ".join(rng.sample(atoms, rng.randint(1, 3)))
+            return ltl.parse(f"G (({pre}) -> {rng.choice(actions)})")
+        grown = RuleStore()
+        for _ in range(40):
+            compile_formula(random_formula(), kb, grown, provider)
+        built = RuleStore(list(grown))
+        assert len(grown) > 5
+        for _ in range(200):
+            outcome = compile_formula(random_formula(), kb, RuleStore(), provider)
+            if isinstance(outcome, Viable):
+                assert dedup_check(outcome.rule, grown, provider) == \
+                    dedup_check(outcome.rule, built, HashedTrigramEmbedding())
 
 
 class TestValidate:

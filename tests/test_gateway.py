@@ -140,6 +140,63 @@ class TestHttp:
         with pytest.raises(ProtocolError):
             complete(spec, msgs("x"))
 
+    @staticmethod
+    def _serve(monkeypatch, statuses):
+        """requests.post answers with each status in turn; time.sleep only
+        records its delays. Returns (posted statuses, sleeps)."""
+        class Resp:
+            text = "busy"
+            def __init__(self, status):
+                self.status_code = status
+            def json(self):
+                return {"choices": [{"message": {"content": "ok"}}]}
+        replies = iter(statuses)
+        posted, sleeps = [], []
+
+        def post(*a, **k):
+            posted.append(next(replies))
+            return Resp(posted[-1])
+        monkeypatch.setattr(gateway.requests, "post", post)
+        monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+        return posted, sleeps
+
+    def test_rate_limit_then_success(self, monkeypatch):
+        posted, sleeps = self._serve(monkeypatch, [429, 200])
+        spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
+        assert complete(spec, msgs("x")).content == "ok"
+        assert posted == [429, 200]
+        assert sleeps == [gateway.RETRY_BACKOFF_S]
+
+    def test_backoff_doubles_up_to_cap(self, monkeypatch):
+        statuses = [503, 429, 500, 502, 429, 503, 504, 200]
+        posted, sleeps = self._serve(monkeypatch, statuses)
+        spec = BackendSpec(kind="http", endpoint="http://stub", model="m",
+                           retries=len(statuses) - 1)
+        assert complete(spec, msgs("x")).content == "ok"
+        assert posted == statuses
+        expected = [min(gateway.RETRY_BACKOFF_S * 2 ** i, gateway.RETRY_BACKOFF_MAX_S)
+                    for i in range(len(statuses) - 1)]
+        assert sleeps == expected
+        assert sleeps[-1] == gateway.RETRY_BACKOFF_MAX_S
+        assert all(b in (2 * a, gateway.RETRY_BACKOFF_MAX_S)
+                   for a, b in zip(sleeps, sleeps[1:]))
+
+    def test_persistent_server_errors_are_transport_error(self, monkeypatch):
+        posted, sleeps = self._serve(monkeypatch, [500, 503, 502, 200])
+        spec = BackendSpec(kind="http", endpoint="http://stub", model="m", retries=2)
+        with pytest.raises(gateway.TransportError):
+            complete(spec, msgs("x"))
+        assert posted == [500, 503, 502]
+        assert len(sleeps) == 2
+
+    def test_client_error_is_not_retried(self, monkeypatch):
+        posted, sleeps = self._serve(monkeypatch, [400, 200])
+        spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
+        with pytest.raises(ProtocolError):
+            complete(spec, msgs("x"))
+        assert posted == [400]
+        assert sleeps == []
+
     def test_gateway_errors_share_one_base(self):
         for cls in (gateway.TransportError, ProtocolError, ReplayMiss):
             assert issubclass(cls, gateway.GatewayError)

@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cogrules
 from cogrules.engine import ReasoningTrace, TraceEntry, WorldState
 from cogrules.knowledge import Effects, ProductionRule
 from cogrules.metrics import (DecisionDistribution, decision_distributions,
@@ -103,6 +108,22 @@ class TestJs:
             p, q = rand_dist(), rand_dist()
             assert js_divergence(p, q) == pytest.approx(js_oracle(p, q),
                                                         abs=1e-12)
+
+    def test_independent_of_string_hash_seed(self):
+        # str hashing, and so set iteration order, differs per process; the
+        # float sum must not follow it
+        script = ("import random; from cogrules.metrics import js_divergence; "
+                  "rng = random.Random(3); keys = [f'k{i}' for i in range(40)]; "
+                  "w = [rng.random() for _ in range(80)]; "
+                  "p = {k: x / sum(w[:40]) for k, x in zip(keys, w[:40])}; "
+                  "q = {k: x / sum(w[40:]) for k, x in zip(keys, w[40:])}; "
+                  "print(repr(js_divergence(p, q)))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cogrules.__file__).parents[1]))
+        values = {subprocess.run([sys.executable, "-c", script], check=True, timeout=60,
+                                 capture_output=True, text=True,
+                                 env=dict(env, PYTHONHASHSEED=seed)).stdout
+                  for seed in ("1", "2", "3")}
+        assert len(values) == 1
 
 
 def rule(name, preconditions, longitudinal="pass", lateral="pass", utility=0.0):

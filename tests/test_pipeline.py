@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cogrules
 from cogrules import pipeline
 from cogrules.gateway import ReplayMiss
 from cogrules.pipeline import formalize_corpus, load_config, run_experiment
@@ -171,6 +175,24 @@ class TestRunExperiment:
         first = (cfg.out_dir / "manifest.json").read_bytes()
         run_experiment(load_config(tmp_path / "config_literal.json"))
         assert (cfg.out_dir / "manifest.json").read_bytes() == first
+
+    def test_manifest_independent_of_string_hash_seed(self, tmp_path):
+        # str hashing, and so set iteration order, differs per process
+        script = ("import sys; from pathlib import Path; "
+                  "from conftest import write_pipeline_config; "
+                  "from cogrules.pipeline import load_config, run_experiment; "
+                  "run_experiment(load_config(write_pipeline_config(Path(sys.argv[1]))))")
+        search_path = os.pathsep.join([str(Path(cogrules.__file__).parents[1]),
+                                       str(Path(__file__).parent)])
+        manifests = []
+        for hash_seed in ("1", "2"):
+            base = tmp_path / f"hashseed{hash_seed}"
+            base.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=search_path)
+            subprocess.run([sys.executable, "-c", script, str(base)], env=env,
+                           check=True, timeout=300)
+            manifests.append((base / "out" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
 
     def test_supply_js_at_least_literal(self, tmp_path):
         lit = literal_config(tmp_path, out_dir="out_lit")
