@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
-from . import compiler, ltl, metrics, pipeline, scenarios, trainer
+from . import compiler, gateway, ltl, metrics, pipeline, scenarios, trainer
 from .knowledge import KnowledgeBase
 
 
@@ -190,7 +189,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ltl.ParseError, ValueError, FileNotFoundError, KeyError) as e:
+    except (ltl.ParseError, gateway.GatewayError, ValueError, FileNotFoundError,
+            KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -9,19 +9,19 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import ltl
-from .gateway import Backend, BackendSpec, ChatMessage, GatewayError, make_backend
+from .gateway import Backend, ChatMessage, GatewayError
 from .knowledge import (PASS, Effects, KnowledgeBase, Precondition,
                         ProductionRule, RuleValidationError, validate_rule)
 
 DUPLICATION_THRESHOLD = 0.9
 REPAIR_ROUNDS = 3
+EMBEDDING_DIMENSION = 256
 
 
 class GroundingError(ValueError):
@@ -91,8 +91,7 @@ class HashedTrigramEmbedding:
     Each instance remembers the vectors it has computed, so a text is
     embedded once per provider; build one provider per run."""
 
-    def __init__(self, dimension: int = 256):
-        self.dimension = dimension
+    def __init__(self):
         self._memo: dict[str, np.ndarray] = {}
 
     def embed(self, text: str) -> np.ndarray:
@@ -105,12 +104,12 @@ class HashedTrigramEmbedding:
         return vec
 
     def _embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension)
+        vec = np.zeros(EMBEDDING_DIMENSION)
         padded = f"^{text}$"
         for i in range(max(1, len(padded) - 2)):
             gram = padded[i:i + 3]
             h = int.from_bytes(hashlib.md5(gram.encode()).digest()[:4], "big")
-            vec[h % self.dimension] += 1.0
+            vec[h % EMBEDDING_DIMENSION] += 1.0
         norm = np.linalg.norm(vec)
         return vec / norm if norm > 0 else vec
 
@@ -162,13 +161,12 @@ def name_rule(preconditions: tuple[Precondition, ...], effects: Effects) -> str:
 # rule store and dedup
 
 class RuleStore:
-    """Ordered rule collection with atomic check-then-insert, indexed by
-    rule body; the first stored rule with a given body names it."""
+    """Ordered rule collection, indexed by rule body; the first stored
+    rule with a given body names it."""
 
     def __init__(self, rules: list[ProductionRule] | None = None):
         self.rules: list[ProductionRule] = []
         self._by_body: dict[tuple, str] = {}
-        self.lock = threading.Lock()
         for rule in rules or []:
             self.add(rule)
 
@@ -249,12 +247,12 @@ def _attempt_repair(rule: ProductionRule, error: str, kb: KnowledgeBase,
 
 def compile_formula(formula: ltl.Ltl, kb: KnowledgeBase, store: RuleStore,
                     provider: HashedTrigramEmbedding,
-                    repair: BackendSpec | Backend | None = None,
-                    repair_rounds: int = REPAIR_ROUNDS,
+                    repair: Backend | None = None,
                     initial_utility: float = 0.0,
-                    threshold: float = DUPLICATION_THRESHOLD,
                     provenance: dict | None = None) -> CompileOutcome:
-    """classify -> ground -> dry-run load -> dedup -> insert."""
+    """classify -> ground -> dry-run load -> dedup -> insert. With a
+    `repair` backend, a rule that fails to load gets up to REPAIR_ROUNDS
+    model-proposed corrections."""
     verdict = ltl.classify(formula)
     if isinstance(verdict, ltl.InferenceError):
         return InferenceError(verdict.reason)
@@ -266,30 +264,24 @@ def compile_formula(formula: ltl.Ltl, kb: KnowledgeBase, store: RuleStore,
                           preconditions=preconditions, effects=effects,
                           utility=initial_utility,
                           provenance=provenance or {"formula": ltl.to_string(formula)})
-    repair_backend: Backend | None = None
-    if isinstance(repair, BackendSpec):
-        repair_backend = make_backend(repair)
-    elif repair is not None:
-        repair_backend = repair
     attempts = 0
     while True:
         try:
             validate_rule(rule, kb)
             break
         except RuleValidationError as e:
-            if repair_backend is None or attempts >= repair_rounds:
+            if repair is None or attempts >= REPAIR_ROUNDS:
                 return FormatMismatch(str(e))
             attempts += 1
             try:
-                repaired = _attempt_repair(rule, str(e), kb, repair_backend)
+                repaired = _attempt_repair(rule, str(e), kb, repair)
             except GatewayError as gateway_error:
                 return FormatMismatch(f"repair backend failed: {gateway_error}")
             if repaired is None:
                 return FormatMismatch(f"unrepairable: {e}")
             rule = repaired
-    with store.lock:
-        dup = dedup_check(rule, store, provider, threshold=threshold)
-        if dup is not None:
-            return dup
-        store.add(rule)
+    dup = dedup_check(rule, store, provider)
+    if dup is not None:
+        return dup
+    store.add(rule)
     return Viable(rule)

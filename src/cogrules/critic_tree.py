@@ -6,14 +6,13 @@ depth budget runs out (fallback: the root revision).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from . import ltl
 from .gateway import (Backend, BackendSpec, ChatMessage, CriticEnsembleSpec,
                       CriticSampler, make_backend)
 
-DEFAULT_TEMPLATES = {
+TEMPLATES = {
     # minimal-knowledge prompt variant
     "revisor_system": (
         "You translate natural-language decision descriptions into linear "
@@ -60,7 +59,6 @@ class CriticTreeConfig:
     max_depth: int
     revisor: BackendSpec
     critics: CriticEnsembleSpec
-    templates: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_TEMPLATES))
     kb_atoms: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -78,7 +76,7 @@ class TreeTrace:
     fallback: bool = False
     revisor_calls: int = 0
     critic_calls: int = 0
-    events: list[dict] = field(default_factory=list)  # sequence-numbered audit log
+    events: list[dict] = field(default_factory=list)  # audit log, numbered from 0 per trace
 
     def to_json(self) -> dict:
         return {
@@ -103,9 +101,6 @@ class TreeTrace:
             "events": self.events,
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def parse_verdict(reply: str) -> CriticVerdict:
     """Protocol: 'APPROVED' or 'REVISE: <feedback>'. Anything else is a
@@ -124,11 +119,9 @@ class CriticTree:
         self.cfg = cfg
         self.revisor: Backend = make_backend(cfg.revisor)
         self.sampler = CriticSampler(cfg.critics)
-        self._seq = 0
 
     def _event(self, trace: TreeTrace, kind: str, **info) -> None:
-        trace.events.append({"seq": self._seq, "kind": kind, **info})
-        self._seq += 1
+        trace.events.append({"seq": len(trace.events), "kind": kind, **info})
 
     def _revise(self, context: list[ChatMessage], trace: TreeTrace) -> tuple[str, list[ChatMessage]]:
         reply = self.revisor.complete(context)
@@ -152,11 +145,11 @@ class CriticTree:
         return node
 
     def judge(self, node: TreeNode, text: str, trace: TreeTrace) -> list[CriticVerdict]:
-        t = self.cfg.templates
         atoms = ", ".join(self.cfg.kb_atoms) if self.cfg.kb_atoms else "(unrestricted)"
         messages = [
-            ChatMessage("system", t["critic_system"].format(atoms=atoms)),
-            ChatMessage("user", t["critic_user"].format(text=text, formula=node.formula_text)),
+            ChatMessage("system", TEMPLATES["critic_system"].format(atoms=atoms)),
+            ChatMessage("user", TEMPLATES["critic_user"].format(
+                text=text, formula=node.formula_text)),
         ]
         verdicts = []
         for _ in range(self.cfg.num_critics):
@@ -174,10 +167,10 @@ class CriticTree:
         if not text:
             raise ValueError("text must be nonempty")
         trace = TreeTrace(nodes=[])
-        t = self.cfg.templates
         root_context = [
-            ChatMessage("system", t["revisor_system"]),
-            ChatMessage("user", t["revisor_initial"].format(text=text, initial=initial)),
+            ChatMessage("system", TEMPLATES["revisor_system"]),
+            ChatMessage("user", TEMPLATES["revisor_initial"].format(
+                text=text, initial=initial)),
         ]
         root_formula, root_context = self._revise(root_context, trace)
         root = self._new_node(trace, root_formula, root_context, depth=0, parent=None)
@@ -198,7 +191,8 @@ class CriticTree:
                     if verdict.approved:
                         continue
                     child_context = node.context + [
-                        ChatMessage("user", t["feedback"].format(feedback=verdict.feedback))
+                        ChatMessage("user",
+                                    TEMPLATES["feedback"].format(feedback=verdict.feedback))
                     ]
                     formula, child_context = self._revise(child_context, trace)
                     child = self._new_node(trace, formula, child_context,

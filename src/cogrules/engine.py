@@ -57,18 +57,12 @@ class TraceEntry:
     conflict: list[str]
     probabilities: list[float]
     chosen: str
-    decision_so_far: dict
     filled: list[str] = field(default_factory=list)  # slots this firing set
 
 
 @dataclass
 class ReasoningTrace:
     entries: list[TraceEntry] = field(default_factory=list)
-
-    def to_json(self) -> list[dict]:
-        return [{"t": e.t, "slot": e.slot, "conflict": e.conflict,
-                 "probabilities": e.probabilities, "chosen": e.chosen,
-                 "decision": e.decision_so_far} for e in self.entries]
 
 
 def _holds(precondition, state: dict[str, Value]) -> bool:
@@ -136,8 +130,5 @@ def decide(state: WorldState, rules: list[ProductionRule], sigma: float,
             filled.append(LATERAL)
         trace.entries.append(TraceEntry(
             t=state.t, slot=slot, conflict=[r.name for r in candidates],
-            probabilities=probs, chosen=chosen.name,
-            decision_so_far={"longitudinal": decision.longitudinal,
-                             "lateral": decision.lateral},
-            filled=filled))
+            probabilities=probs, chosen=chosen.name, filled=filled))
     return decision, trace

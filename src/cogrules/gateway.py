@@ -1,7 +1,7 @@
-"""Chat-completion gateway: one `complete` entry point over HTTP
+"""Chat-completion gateway: backends with one `complete` method over HTTP
 (OpenAI-style /v1/chat/completions), deterministic JSONL replay, and
-in-process scripted backends, plus seeded sampling over a heterogeneous
-critic ensemble.
+in-process scripted functions, plus seeded sampling over a heterogeneous
+critic ensemble. Backends keep unlocked state and are meant for one thread.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import hashlib
 import json
 import os
 import random
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,7 +141,6 @@ class ReplayBackend(Backend):
 
     def __init__(self, spec: BackendSpec):
         self.spec = spec
-        self._lock = threading.Lock()
         self._queues: dict[str, list[str]] = {}
         path = Path(spec.transcript_path)
         for line in path.read_text().splitlines():
@@ -153,22 +151,19 @@ class ReplayBackend(Backend):
 
     def complete(self, messages: list[ChatMessage]) -> ChatMessage:
         h = request_hash(self.spec.model, messages)
-        with self._lock:
-            queue = self._queues.get(h)
-            if not queue:
-                preview = messages[-1].content[:120]
-                raise ReplayMiss(f"no recorded response for hash {h[:12]} ({preview!r})")
-            return ChatMessage("assistant", queue.pop(0))
+        queue = self._queues.get(h)
+        if not queue:
+            preview = messages[-1].content[:120]
+            raise ReplayMiss(f"no recorded response for hash {h[:12]} ({preview!r})")
+        return ChatMessage("assistant", queue.pop(0))
 
 
 class ScriptedBackend(Backend):
-    def __init__(self, spec: BackendSpec, fn: ScriptFn | None = None):
+    def __init__(self, spec: BackendSpec):
+        if spec.script not in SCRIPT_REGISTRY:
+            raise ValueError(f"unregistered script {spec.script!r}")
         self.spec = spec
-        if fn is None:
-            if spec.script not in SCRIPT_REGISTRY:
-                raise ValueError(f"unregistered script {spec.script!r}")
-            fn = SCRIPT_REGISTRY[spec.script]
-        self.fn = fn
+        self.fn = SCRIPT_REGISTRY[spec.script]
 
     def complete(self, messages: list[ChatMessage]) -> ChatMessage:
         return ChatMessage("assistant", self.fn(messages))
@@ -182,7 +177,6 @@ class RecordingBackend(Backend):
         self.inner = inner
         self.model = model
         self.path = Path(path)
-        self._lock = threading.Lock()
 
     def complete(self, messages: list[ChatMessage]) -> ChatMessage:
         reply = self.inner.complete(messages)
@@ -191,7 +185,7 @@ class RecordingBackend(Backend):
             "request": [{"role": m.role, "content": m.content} for m in messages],
             "response": reply.content,
         }
-        with self._lock, self.path.open("a") as fh:
+        with self.path.open("a") as fh:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
         return reply
 
@@ -207,14 +201,6 @@ def make_backend(spec: BackendSpec) -> Backend:
     if spec.record_path:
         backend = RecordingBackend(backend, spec.model, spec.record_path)
     return backend
-
-
-def complete(backend: BackendSpec | Backend, messages: list[ChatMessage]) -> ChatMessage:
-    if not messages:
-        raise ValueError("messages must be nonempty")
-    if isinstance(backend, BackendSpec):
-        backend = make_backend(backend)
-    return backend.complete(messages)
 
 
 @dataclass

@@ -8,7 +8,6 @@ preserves the surface form the user wrote.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 
@@ -475,29 +474,3 @@ def to_json(f: Ltl) -> dict:
         case And(l, r) | Or(l, r) | Implies(l, r) | Until(l, r):
             return {"op": _OP_NAMES[type(f)], "args": [to_json(l), to_json(r)]}
     raise TypeError(f"not a formula: {f!r}")
-
-
-_UNARY = {"not": Not, "next": Next, "finally": Finally, "globally": Globally}
-_BINARY = {"and": And, "or": Or, "implies": Implies, "until": Until}
-
-
-def from_json(obj: dict) -> Ltl:
-    op = obj["op"]
-    args = obj["args"]
-    if op == "true":
-        return TRUE
-    if op == "atom":
-        return Atom(args[0])
-    if op in _UNARY:
-        return _UNARY[op](from_json(args[0]))
-    if op in _BINARY:
-        return _BINARY[op](from_json(args[0]), from_json(args[1]))
-    raise ValueError(f"unknown op {op!r}")
-
-
-def dumps(f: Ltl) -> str:
-    return json.dumps(to_json(f), separators=(",", ":"))
-
-
-def loads(s: str) -> Ltl:
-    return from_json(json.loads(s))

@@ -6,7 +6,6 @@ decision, not a test fix.
 """
 
 import gc
-import json
 import math
 import random
 import time
@@ -231,7 +230,7 @@ def test_04_selection_update_and_decay_numerics():
         decay = rng.choice([0.01, 0.0, rng.uniform(0, 0.5)])
         entries = [TraceEntry(t=rng.randrange(0, reward_step + 1), slot="longitudinal",
                               conflict=["r"], probabilities=[1.0], chosen="r",
-                              decision_so_far={}, filled=["longitudinal"])
+                              filled=["longitudinal"])
                    for _ in range(rng.randrange(0, 6))]
         got = reward_decompose(reward, ReasoningTrace(entries=entries),
                                reward_step, decay)

@@ -58,6 +58,19 @@ class TestTranslateCompile:
         assert payload["formula"] == "G (front_gap_closing -> brake)"
         assert payload["trace"]["fallback"] is False
 
+    def test_translate_replay_miss_exit_one(self, tmp_path, capsys):
+        transcript = tmp_path / "empty.jsonl"
+        transcript.write_text("")
+        cfg = write_pipeline_config(tmp_path, backends="replay",
+                                    transcript_path=str(transcript))
+        code, out, err = run_cli(
+            capsys, "translate", "--config", str(cfg), "--seed", "3",
+            "--text", "Brake when the gap closes.",
+            "--initial", "G (front_gap_closing -> brake)")
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
     def test_compile_viable_writes_store(self, tmp_path, capsys):
         cfg = write_pipeline_config(tmp_path)
         out_dir = tmp_path / "compiled"

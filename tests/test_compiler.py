@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from cogrules import compiler, ltl
-from cogrules.gateway import ReplayMiss
+from cogrules.gateway import ReplayMiss, make_backend
 from cogrules.compiler import (DuplicatedContent, FormatMismatch,
                                HashedTrigramEmbedding, InferenceError,
                                RuleStore, Viable, compile_formula, dedup_check,
                                ground, name_rule, outcome_report)
-from cogrules.knowledge import (Effects, FeatureDomain, Grounding,
-                                KnowledgeBase, ProductionRule, validate_rule,
-                                RuleValidationError)
+from cogrules.knowledge import (Effects, Grounding, ProductionRule,
+                                RuleValidationError, validate_rule)
 from cogrules.pipeline import formalize_corpus, load_config
 from cogrules.scenarios import scenario_kb
 from conftest import highway_corpus, scripted_spec, write_pipeline_config
@@ -268,7 +267,7 @@ class TestCompile:
         kb.groundings["fast"] = Grounding("speed_band", "=", "high")
         fixed = {"preconditions": [["speed_band", "=", "low"]],
                  "effects": {"longitudinal": "brake", "lateral": "pass"}}
-        repair = scripted_spec(lambda m: json.dumps(fixed))
+        repair = make_backend(scripted_spec(lambda m: json.dumps(fixed)))
         outcome = compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
                                   RuleStore(), HashedTrigramEmbedding(),
                                   repair=repair)
@@ -288,11 +287,16 @@ class TestCompile:
         bad = {"preconditions": [["speed_band", "=", "low"],
                                  ["speed_band", "=", "high"]],
                "effects": {"longitudinal": "brake", "lateral": "pass"}}
-        repair = scripted_spec(lambda m: json.dumps(bad))
+        calls = []
+
+        def still_bad(messages):
+            calls.append(messages)
+            return json.dumps(bad)
         outcome = compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
                                   RuleStore(), HashedTrigramEmbedding(),
-                                  repair=repair, repair_rounds=3)
+                                  repair=make_backend(scripted_spec(still_bad)))
         assert isinstance(outcome, FormatMismatch)
+        assert len(calls) == compiler.REPAIR_ROUNDS
 
     def test_repair_gateway_failure_is_format_mismatch(self, kb):
         kb.groundings["slow"] = Grounding("speed_band", "=", "low")
@@ -302,7 +306,7 @@ class TestCompile:
             raise ReplayMiss("no recorded response")
         outcome = compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
                                   RuleStore(), HashedTrigramEmbedding(),
-                                  repair=scripted_spec(missing))
+                                  repair=make_backend(scripted_spec(missing)))
         assert isinstance(outcome, FormatMismatch)
         assert outcome.detail.startswith("repair backend failed: ")
 
@@ -315,7 +319,7 @@ class TestCompile:
         with pytest.raises(TypeError):
             compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
                             RuleStore(), HashedTrigramEmbedding(),
-                            repair=scripted_spec(broken))
+                            repair=make_backend(scripted_spec(broken)))
 
     def test_dedup_monotone_under_store_growth(self, kb):
         provider = HashedTrigramEmbedding()

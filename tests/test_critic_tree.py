@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cogrules.critic_tree import (CriticTree, CriticTreeConfig, CriticVerdict,
@@ -130,6 +132,16 @@ class TestInvariants:
     def test_trace_serializes(self):
         tree = make_tree(lambda m: "G (a -> b)", lambda m: "APPROVED")
         _, trace = tree.run("text", "G a")
-        payload = trace.dumps()
-        assert "G (a -> b)" in payload
-        assert trace.to_json()["revisor_calls"] == 1
+        payload = trace.to_json()
+        assert "G (a -> b)" in json.dumps(payload, sort_keys=True)
+        assert payload["revisor_calls"] == 1
+
+    def test_event_numbers_restart_with_each_trace(self):
+        def build():
+            return make_tree(lambda m: "G (a -> b)", lambda m: "APPROVED")
+        tree = build()
+        tree.run("first text", "G a")
+        _, second = tree.run("second text", "G b")
+        _, fresh = build().run("second text", "G b")
+        assert [e["seq"] for e in second.events] == list(range(len(second.events)))
+        assert second.to_json() == fresh.to_json()

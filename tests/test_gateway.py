@@ -1,5 +1,4 @@
 import json
-import threading
 
 import pytest
 
@@ -7,7 +6,7 @@ from cogrules import gateway
 from cogrules.gateway import (BackendSpec, ChatMessage, CriticEnsembleSpec,
                               CriticSampler, ProtocolError, RecordingBackend,
                               ReplayBackend, ReplayMiss, ScriptedBackend,
-                              complete, make_backend, request_hash)
+                              make_backend, request_hash)
 from conftest import scripted_spec
 
 
@@ -41,12 +40,7 @@ class TestSpecs:
 class TestScripted:
     def test_scripted_applies_function(self, no_network):
         spec = scripted_spec(lambda m: m[-1].content.upper())
-        assert complete(spec, msgs("hello")).content == "HELLO"
-
-    def test_empty_messages_rejected(self):
-        spec = scripted_spec(lambda m: "x")
-        with pytest.raises(ValueError):
-            complete(spec, [])
+        assert make_backend(spec).complete(msgs("hello")).content == "HELLO"
 
 
 def write_transcript(path, records):
@@ -115,7 +109,7 @@ class TestHttp:
         monkeypatch.setattr(gateway.requests, "post", lambda *a, **k: Resp())
         spec = BackendSpec(kind="http", endpoint="http://stub/v1/chat/completions",
                            model="m")
-        assert complete(spec, msgs("x")).content == "stubbed"
+        assert make_backend(spec).complete(msgs("x")).content == "stubbed"
 
     def test_malformed_reply_is_protocol_error(self, monkeypatch):
         class Resp:
@@ -126,7 +120,7 @@ class TestHttp:
         monkeypatch.setattr(gateway.requests, "post", lambda *a, **k: Resp())
         spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
         with pytest.raises(ProtocolError):
-            complete(spec, msgs("x"))
+            make_backend(spec).complete(msgs("x"))
 
     @pytest.mark.parametrize("content", ["", None])
     def test_empty_content_is_protocol_error(self, monkeypatch, content):
@@ -138,7 +132,7 @@ class TestHttp:
         monkeypatch.setattr(gateway.requests, "post", lambda *a, **k: Resp())
         spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
         with pytest.raises(ProtocolError):
-            complete(spec, msgs("x"))
+            make_backend(spec).complete(msgs("x"))
 
     @staticmethod
     def _serve(monkeypatch, statuses):
@@ -163,7 +157,7 @@ class TestHttp:
     def test_rate_limit_then_success(self, monkeypatch):
         posted, sleeps = self._serve(monkeypatch, [429, 200])
         spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
-        assert complete(spec, msgs("x")).content == "ok"
+        assert make_backend(spec).complete(msgs("x")).content == "ok"
         assert posted == [429, 200]
         assert sleeps == [gateway.RETRY_BACKOFF_S]
 
@@ -172,7 +166,7 @@ class TestHttp:
         posted, sleeps = self._serve(monkeypatch, statuses)
         spec = BackendSpec(kind="http", endpoint="http://stub", model="m",
                            retries=len(statuses) - 1)
-        assert complete(spec, msgs("x")).content == "ok"
+        assert make_backend(spec).complete(msgs("x")).content == "ok"
         assert posted == statuses
         expected = [min(gateway.RETRY_BACKOFF_S * 2 ** i, gateway.RETRY_BACKOFF_MAX_S)
                     for i in range(len(statuses) - 1)]
@@ -185,7 +179,7 @@ class TestHttp:
         posted, sleeps = self._serve(monkeypatch, [500, 503, 502, 200])
         spec = BackendSpec(kind="http", endpoint="http://stub", model="m", retries=2)
         with pytest.raises(gateway.TransportError):
-            complete(spec, msgs("x"))
+            make_backend(spec).complete(msgs("x"))
         assert posted == [500, 503, 502]
         assert len(sleeps) == 2
 
@@ -193,7 +187,7 @@ class TestHttp:
         posted, sleeps = self._serve(monkeypatch, [400, 200])
         spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
         with pytest.raises(ProtocolError):
-            complete(spec, msgs("x"))
+            make_backend(spec).complete(msgs("x"))
         assert posted == [400]
         assert sleeps == []
 
@@ -203,7 +197,7 @@ class TestHttp:
 
     def test_non_http_never_touches_network(self, no_network):
         spec = scripted_spec(lambda m: "offline")
-        assert complete(spec, msgs("x")).content == "offline"
+        assert make_backend(spec).complete(msgs("x")).content == "offline"
 
 
 class TestEnsemble:
@@ -232,23 +226,3 @@ class TestEnsemble:
         picks2 = [s2.sample().complete(msgs("x")).content for _ in range(200)]
         assert picks1 == picks2
         assert set(picks1) == {"A", "B"}
-
-
-class TestConcurrency:
-    def test_replay_cursor_thread_safe(self, tmp_path):
-        prompt = msgs("same")
-        h = request_hash("", prompt)
-        path = tmp_path / "t.jsonl"
-        write_transcript(path, [{"request_hash": h, "request": [], "response": str(i)}
-                                for i in range(64)])
-        backend = ReplayBackend(BackendSpec(kind="replay", transcript_path=str(path)))
-        results = []
-        def worker():
-            for _ in range(16):
-                results.append(backend.complete(prompt).content)
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sorted(results, key=int) == [str(i) for i in range(64)]

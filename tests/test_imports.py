@@ -1,0 +1,39 @@
+"""Every module-level import in the package and in its tests is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted([*(ROOT / "src" / "cogrules").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def imported_names(tree: ast.Module):
+    """(bound name, line) for each module-level import but `__future__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported_names(tree)
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_checker_reports_only_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import json\nimport os.path\nfrom pathlib import Path as P\n"
+              "def f(x: P):\n    return os.path.join(x)\n")
+    assert unused_imports(source) == ["line 2: json"]

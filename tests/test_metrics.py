@@ -190,8 +190,7 @@ class TestDecisionDistributions:
 class TestRsr:
     def entry(self):
         return TraceEntry(t=0, slot="longitudinal", conflict=["r"],
-                          probabilities=[1.0], chosen="r", decision_so_far={},
-                          filled=["longitudinal"])
+                          probabilities=[1.0], chosen="r", filled=["longitudinal"])
 
     def test_all_matched(self):
         traces = [ReasoningTrace(entries=[self.entry()]) for _ in range(4)]

@@ -6,7 +6,7 @@ import pytest
 from cogrules.engine import ReasoningTrace, TraceEntry, WorldState
 from cogrules.knowledge import Effects, ProductionRule
 from cogrules.scenarios import scenario_kb
-from cogrules.trainer import (CurvePoint, Episode, EpisodeSchemaError,
+from cogrules.trainer import (Episode, EpisodeSchemaError,
                               ReferenceAction, TrainConfig, episodes_from_jsonl,
                               episodes_to_jsonl, evaluate_agreement,
                               reward_decompose, train, utility_update,
@@ -23,7 +23,7 @@ def rule(name, preconditions, longitudinal="pass", lateral="pass", utility=0.0):
 
 def entry(name, t, slot="longitudinal"):
     return TraceEntry(t=t, slot=slot, conflict=[name], probabilities=[1.0],
-                      chosen=name, decision_so_far={}, filled=[slot])
+                      chosen=name, filled=[slot])
 
 
 class TestRewardDecompose:
