@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from . import compiler, gateway, ltl, metrics, pipeline, scenarios, trainer
+from .critic_tree import CriticTree
 from .knowledge import KnowledgeBase
 
 
@@ -39,8 +40,8 @@ def cmd_classify(args) -> int:
 def cmd_translate(args) -> int:
     cfg = pipeline.load_config(args.config, {"seed": args.seed})
     cfg.critic_tree.critics.seed = args.seed
-    from .critic_tree import CriticTree
-    formula, trace = CriticTree(cfg.critic_tree).run(args.text, args.initial)
+    tree = CriticTree(cfg.critic_tree, gateway.Session())
+    formula, trace = tree.run(args.text, args.initial)
     _emit({"formula": formula, "trace": trace.to_json()})
     return 0
 

@@ -6,11 +6,12 @@ depth budget runs out (fallback: the root revision).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from . import ltl
-from .gateway import (Backend, BackendSpec, ChatMessage, CriticEnsembleSpec,
-                      CriticSampler, make_backend)
+from .engine import pick
+from .gateway import Backend, BackendSpec, ChatMessage, CriticEnsembleSpec, Session
 
 TEMPLATES = {
     # minimal-knowledge prompt variant
@@ -115,10 +116,12 @@ def parse_verdict(reply: str) -> CriticVerdict:
 
 
 class CriticTree:
-    def __init__(self, cfg: CriticTreeConfig):
+    def __init__(self, cfg: CriticTreeConfig, session: Session):
         self.cfg = cfg
-        self.revisor: Backend = make_backend(cfg.revisor)
-        self.sampler = CriticSampler(cfg.critics)
+        self.revisor: Backend = session.backend(cfg.revisor)
+        self.critics = [session.backend(spec) for spec, _ in cfg.critics.members]
+        self.weights = [p for _, p in cfg.critics.members]
+        self.rng = random.Random(cfg.critics.seed)  # one draw per critic call
 
     def _event(self, trace: TreeTrace, kind: str, **info) -> None:
         trace.events.append({"seq": len(trace.events), "kind": kind, **info})
@@ -153,7 +156,7 @@ class CriticTree:
         ]
         verdicts = []
         for _ in range(self.cfg.num_critics):
-            critic = self.sampler.sample()
+            critic = self.critics[pick(self.weights, self.rng)]
             reply = critic.complete(messages)
             trace.critic_calls += 1
             verdict = parse_verdict(reply.content)

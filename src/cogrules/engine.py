@@ -91,18 +91,24 @@ def selection_probabilities(utilities: list[float], sigma: float) -> list[float]
     return [e / z for e in exps]
 
 
+def pick(weights: list[float], rng: random.Random) -> int:
+    """Index drawn with the given probabilities from one `rng.random()`;
+    the last index when rounding leaves the draw past the cumulative sum."""
+    x = rng.random()
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if x < acc:
+            return i
+    return len(weights) - 1
+
+
 def select(conflict: list[ProductionRule], sigma: float,
            rng: random.Random) -> tuple[ProductionRule, list[float]]:
     if not conflict:
         raise ValueError("conflict set must be nonempty")
     probs = selection_probabilities([r.utility for r in conflict], sigma)
-    x = rng.random()
-    acc = 0.0
-    for rule, p in zip(conflict, probs):
-        acc += p
-        if x < acc:
-            return rule, probs
-    return conflict[-1], probs
+    return conflict[pick(probs, rng)], probs
 
 
 def decide(state: WorldState, rules: list[ProductionRule], sigma: float,

@@ -1,7 +1,7 @@
 """Chat-completion gateway: backends with one `complete` method over HTTP
 (OpenAI-style /v1/chat/completions), deterministic JSONL replay, and
-in-process scripted functions, plus seeded sampling over a heterogeneous
-critic ensemble. Backends keep unlocked state and are meant for one thread.
+in-process scripted functions, all built by one `Session` per run.
+Backends keep unlocked state and are meant for one thread.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,17 +136,12 @@ class HttpBackend(Backend):
 
 class ReplayBackend(Backend):
     """Serves recorded responses keyed by request hash, in recorded order
-    for repeated identical requests. Misses fail loudly."""
+    for repeated identical requests. Misses fail loudly. `queues` is the
+    transcript's parse, shared with every replay backend of the session."""
 
-    def __init__(self, spec: BackendSpec):
+    def __init__(self, spec: BackendSpec, queues: dict[str, list[str]]):
         self.spec = spec
-        self._queues: dict[str, list[str]] = {}
-        path = Path(spec.transcript_path)
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            self._queues.setdefault(rec["request_hash"], []).append(rec["response"])
+        self._queues = queues
 
     def complete(self, messages: list[ChatMessage]) -> ChatMessage:
         h = request_hash(self.spec.model, messages)
@@ -190,17 +184,36 @@ class RecordingBackend(Backend):
         return reply
 
 
-def make_backend(spec: BackendSpec) -> Backend:
-    backend: Backend
-    if spec.kind == "http":
-        backend = HttpBackend(spec)
-    elif spec.kind == "replay":
-        backend = ReplayBackend(spec)
-    else:
-        backend = ScriptedBackend(spec)
-    if spec.record_path:
-        backend = RecordingBackend(backend, spec.model, spec.record_path)
-    return backend
+class Session:
+    """Builds every backend of one run. Each transcript is read once, and
+    all replay backends over it pop from the same queues, so a run replays
+    its calls in the order they were recorded, even when roles share a
+    model name."""
+
+    def __init__(self):
+        self._transcripts: dict[Path, dict[str, list[str]]] = {}
+
+    def _queues(self, path: Path) -> dict[str, list[str]]:
+        if path not in self._transcripts:
+            queues: dict[str, list[str]] = {}
+            for line in path.read_text().splitlines():
+                if line.strip():
+                    rec = json.loads(line)
+                    queues.setdefault(rec["request_hash"], []).append(rec["response"])
+            self._transcripts[path] = queues
+        return self._transcripts[path]
+
+    def backend(self, spec: BackendSpec) -> Backend:
+        backend: Backend
+        if spec.kind == "http":
+            backend = HttpBackend(spec)
+        elif spec.kind == "replay":
+            backend = ReplayBackend(spec, self._queues(Path(spec.transcript_path).resolve()))
+        else:
+            backend = ScriptedBackend(spec)
+        if spec.record_path:
+            backend = RecordingBackend(backend, spec.model, spec.record_path)
+        return backend
 
 
 @dataclass
@@ -212,20 +225,3 @@ class CriticEnsembleSpec:
         total = sum(p for _, p in self.members)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"selection probabilities sum to {total}, expected 1")
-
-
-class CriticSampler:
-    """Seeded per-call backend selection over a heterogeneous ensemble."""
-
-    def __init__(self, ensemble: CriticEnsembleSpec):
-        self.rng = random.Random(ensemble.seed)
-        self._backends = [(make_backend(spec), p) for spec, p in ensemble.members]
-
-    def sample(self) -> Backend:
-        x = self.rng.random()
-        acc = 0.0
-        for backend, p in self._backends:
-            acc += p
-            if x < acc:
-                return backend
-        return self._backends[-1][0]

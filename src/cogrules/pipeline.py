@@ -13,8 +13,7 @@ from pathlib import Path
 
 from . import compiler, ltl, metrics, scenarios, trainer
 from .critic_tree import CriticTree, CriticTreeConfig
-from .gateway import (Backend, BackendSpec, ChatMessage, CriticEnsembleSpec, GatewayError,
-                      make_backend)
+from .gateway import Backend, BackendSpec, ChatMessage, CriticEnsembleSpec, GatewayError, Session
 from .knowledge import KnowledgeBase
 from .trainer import TrainConfig
 
@@ -128,9 +127,10 @@ def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
     """Each record needs 'text' and either an 'initial' column or a
     configured initial-translation backend. Per-segment failures become
     outcomes, never aborting the corpus."""
-    tree = CriticTree(cfg.critic_tree)
-    grounding_backend = make_backend(cfg.grounding) if cfg.grounding else None
-    initial_backend = make_backend(cfg.initial_backend) if cfg.initial_backend else None
+    session = Session()
+    tree = CriticTree(cfg.critic_tree, session)
+    grounding_backend = session.backend(cfg.grounding) if cfg.grounding else None
+    initial_backend = session.backend(cfg.initial_backend) if cfg.initial_backend else None
     provider = compiler.HashedTrigramEmbedding()
     store = compiler.RuleStore()
     outcomes = []
@@ -213,7 +213,7 @@ def run_experiment(cfg: PipelineConfig) -> dict:
         js_at(0, rules, cfg.train.seed)
         rules, curve = trainer.train(rules, episodes, cfg.train, on_epoch=observe)
     agreement = trainer.evaluate_agreement(rules, episodes, cfg.train.sigma,
-                                           cfg.train.seed, n_runs=1) if rules else \
+                                           cfg.train.seed) if rules else \
         {"longitudinal": 0.0, "lateral": 0.0}
 
     compiler.RuleStore(rules).save(out / "rules.json")

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass, field
 
 from .knowledge import FeatureDomain, Grounding, KnowledgeBase, Value
-from .engine import WorldState
+from .engine import WorldState, pick
 from .trainer import Episode, ReferenceAction
 
 HIGHWAY = "highway_cut_in"
@@ -94,15 +94,6 @@ class ReferencePolicy:
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("mixture weights must sum to 1")
 
-    def pick_table(self, rng: random.Random) -> int:
-        x = rng.random()
-        acc = 0.0
-        for i, w in enumerate(self.weights):
-            acc += w
-            if x < acc:
-                return i
-        return len(self.tables) - 1
-
 
 @dataclass
 class ScenarioSpec:
@@ -163,7 +154,7 @@ def generate(spec: ScenarioSpec, policy: ReferencePolicy,
     kb = scenario_kb(spec.archetype)
     episodes = []
     for _ in range(n_episodes):
-        table_idx = policy.pick_table(rng)
+        table_idx = pick(policy.weights, rng)
         table = policy.tables[table_idx]
         hi = max(0, min(spec.trigger_high, spec.episode_length - 1))
         lo = min(spec.trigger_low, hi)

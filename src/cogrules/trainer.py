@@ -193,19 +193,18 @@ def train(rules: list[ProductionRule], episodes: list[Episode],
 
 
 def evaluate_agreement(rules: list[ProductionRule], episodes: list[Episode],
-                       sigma: float, seed: int, n_runs: int = 1) -> dict[str, float]:
-    """Frozen-utility agreement rate per slot, averaged over seeded runs."""
+                       sigma: float, seed: int) -> dict[str, float]:
+    """Frozen-utility agreement rate per slot over one seeded pass."""
     rng = random.Random(seed)
     agreed = {s: 0 for s in SLOTS}
     compared = {s: 0 for s in SLOTS}
-    for _ in range(n_runs):
-        for episode in episodes:
-            for state, ref in episode.steps:
-                decision, _ = decide(state, rules, sigma, rng)
-                for slot in SLOTS:
-                    ref_action = ref.slot(slot)
-                    if ref_action is None:
-                        continue
-                    compared[slot] += 1
-                    agreed[slot] += decision.slot(slot) == ref_action
+    for episode in episodes:
+        for state, ref in episode.steps:
+            decision, _ = decide(state, rules, sigma, rng)
+            for slot in SLOTS:
+                ref_action = ref.slot(slot)
+                if ref_action is None:
+                    continue
+                compared[slot] += 1
+                agreed[slot] += decision.slot(slot) == ref_action
     return {s: (agreed[s] / compared[s] if compared[s] else 0.0) for s in SLOTS}

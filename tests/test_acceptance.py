@@ -15,7 +15,7 @@ from cogrules.cli import main as cli_main
 from cogrules.compiler import HashedTrigramEmbedding, RuleStore, dedup_check
 from cogrules.critic_tree import CriticTree, CriticTreeConfig
 from cogrules.engine import WorldState, selection_probabilities
-from cogrules.gateway import CriticEnsembleSpec
+from cogrules.gateway import CriticEnsembleSpec, Session
 from cogrules.knowledge import Effects, ProductionRule
 from cogrules.metrics import js_divergence, ltl_bleu, mean_js
 from cogrules.pipeline import formalize_corpus, load_config, run_experiment
@@ -130,7 +130,7 @@ def _tree(revisor_fn, critic_fn, num_critics, max_depth):
     cfg = CriticTreeConfig(num_critics=num_critics, max_depth=max_depth,
                            revisor=scripted_spec(revisor_fn),
                            critics=single_critic_ensemble(critic_fn))
-    return CriticTree(cfg)
+    return CriticTree(cfg, Session())
 
 
 def test_03_revision_tree_traces_and_degenerate_contrast():
@@ -185,7 +185,7 @@ def test_03_revision_tree_traces_and_degenerate_contrast():
             (scripted_spec(lambda m: "REVISE: operator is wrong"), 0.5),
             (scripted_spec(lambda m: "REVISE: vocabulary is wrong"), 0.5),
         ], seed=0))
-    _, w_trace = CriticTree(wide_cfg).run("text", "G a")
+    _, w_trace = CriticTree(wide_cfg, Session()).run("text", "G a")
 
     d_distinct = {n.formula_text for n in d_trace.nodes}
     w_distinct = {n.formula_text for n in w_trace.nodes}

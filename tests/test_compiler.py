@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cogrules import compiler, ltl
-from cogrules.gateway import ReplayMiss, make_backend
+from cogrules.gateway import ReplayMiss, Session
 from cogrules.compiler import (DuplicatedContent, FormatMismatch,
                                HashedTrigramEmbedding, InferenceError,
                                RuleStore, Viable, compile_formula, dedup_check,
@@ -267,7 +267,7 @@ class TestCompile:
         kb.groundings["fast"] = Grounding("speed_band", "=", "high")
         fixed = {"preconditions": [["speed_band", "=", "low"]],
                  "effects": {"longitudinal": "brake", "lateral": "pass"}}
-        repair = make_backend(scripted_spec(lambda m: json.dumps(fixed)))
+        repair = Session().backend(scripted_spec(lambda m: json.dumps(fixed)))
         outcome = compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
                                   RuleStore(), HashedTrigramEmbedding(),
                                   repair=repair)
@@ -294,7 +294,7 @@ class TestCompile:
             return json.dumps(bad)
         outcome = compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
                                   RuleStore(), HashedTrigramEmbedding(),
-                                  repair=make_backend(scripted_spec(still_bad)))
+                                  repair=Session().backend(scripted_spec(still_bad)))
         assert isinstance(outcome, FormatMismatch)
         assert len(calls) == compiler.REPAIR_ROUNDS
 
@@ -306,7 +306,7 @@ class TestCompile:
             raise ReplayMiss("no recorded response")
         outcome = compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
                                   RuleStore(), HashedTrigramEmbedding(),
-                                  repair=make_backend(scripted_spec(missing)))
+                                  repair=Session().backend(scripted_spec(missing)))
         assert isinstance(outcome, FormatMismatch)
         assert outcome.detail.startswith("repair backend failed: ")
 
@@ -319,7 +319,7 @@ class TestCompile:
         with pytest.raises(TypeError):
             compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
                             RuleStore(), HashedTrigramEmbedding(),
-                            repair=make_backend(scripted_spec(broken)))
+                            repair=Session().backend(scripted_spec(broken)))
 
     def test_dedup_monotone_under_store_growth(self, kb):
         provider = HashedTrigramEmbedding()

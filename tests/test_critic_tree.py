@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from cogrules.critic_tree import (CriticTree, CriticTreeConfig, CriticVerdict,
                                   parse_verdict)
+from cogrules.gateway import BackendSpec, CriticEnsembleSpec, Session
 from conftest import scripted_spec, single_critic_ensemble
 
 
@@ -12,7 +14,7 @@ def make_tree(revisor_fn, critic_fn, num_critics=1, max_depth=1, **kwargs):
         num_critics=num_critics, max_depth=max_depth,
         revisor=scripted_spec(revisor_fn),
         critics=single_critic_ensemble(critic_fn), **kwargs)
-    return CriticTree(cfg)
+    return CriticTree(cfg, Session())
 
 
 class TestVerdictProtocol:
@@ -145,3 +147,58 @@ class TestInvariants:
         _, fresh = build().run("second text", "G b")
         assert [e["seq"] for e in second.events] == list(range(len(second.events)))
         assert second.to_json() == fresh.to_json()
+
+
+class TestEnsemble:
+    """Each critic call goes to a member drawn from the seeded weights."""
+
+    @staticmethod
+    def picks(weights, seed, calls):
+        picked = []
+
+        def member(i):
+            return scripted_spec(lambda m: picked.append(i) or "APPROVED")
+        cfg = CriticTreeConfig(
+            num_critics=calls, max_depth=0, revisor=scripted_spec(lambda m: "G a"),
+            critics=CriticEnsembleSpec(
+                members=[(member(i), w) for i, w in enumerate(weights)], seed=seed))
+        CriticTree(cfg, Session()).run("text", "G a")
+        return picked
+
+    def test_degenerate_distribution(self):
+        assert self.picks([1.0], seed=1, calls=50) == [0] * 50
+
+    def test_even_split_frequency(self):
+        picked = self.picks([0.5, 0.5], seed=123, calls=10_000)
+        assert abs(picked.count(0) / len(picked) - 0.5) <= 0.02
+
+    def test_same_seed_same_sequence(self):
+        picked = self.picks([0.5, 0.5], seed=7, calls=200)
+        assert picked == self.picks([0.5, 0.5], seed=7, calls=200)
+        assert set(picked) == {0, 1}
+
+
+class TestReplay:
+    def test_members_sharing_a_model_replay_in_recorded_order(self, tmp_path):
+        """Both critics have model "" and one transcript, so their verdicts
+        share request hashes; replay must return them in recorded order."""
+        transcript = str(tmp_path / "transcript.jsonl")
+
+        def tree(revisor, approve, reject):
+            cfg = CriticTreeConfig(
+                num_critics=2, max_depth=1, revisor=revisor,
+                critics=CriticEnsembleSpec(members=[(approve, 0.5), (reject, 0.5)], seed=3))
+            return CriticTree(cfg, Session())
+
+        def recorded(fn):
+            return dataclasses.replace(scripted_spec(fn), record_path=transcript)
+        _, trace = tree(recorded(lambda m: f"G (a -> b{len(m)})"),
+                        recorded(lambda m: "APPROVED"),
+                        recorded(lambda m: "REVISE: wrong atom")).run("text", "G a")
+        expected = trace.to_json()
+        assert [[v["approved"] for v in n["verdicts"]] for n in expected["nodes"]] == \
+            [[True, False], [True, False], []]
+
+        replay = BackendSpec(kind="replay", transcript_path=transcript)
+        _, replayed = tree(replay, replay, replay).run("text", "G a")
+        assert replayed.to_json() == expected

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cogrules.engine import (Decision, WorldState, decide, match, select,
+from cogrules.engine import (Decision, WorldState, decide, match, pick, select,
                              selection_probabilities)
 from cogrules.knowledge import Effects, ProductionRule
 
@@ -81,6 +81,29 @@ class TestSelect:
         picks = sum(select(rules, SQRT2, rng)[0].name == "r1"
                     for _ in range(10_000))
         assert abs(picks / 10_000 - 0.5) <= 0.02
+
+
+class FixedDraw:
+    def __init__(self, x):
+        self.x = x
+
+    def random(self):
+        return self.x
+
+
+class TestPick:
+    def test_draw_on_a_boundary_goes_to_the_next_index(self):
+        assert pick([0.25, 0.75], FixedDraw(0.249)) == 0
+        assert pick([0.25, 0.75], FixedDraw(0.25)) == 1
+
+    def test_draw_past_the_cumulative_sum_falls_back_to_last(self):
+        assert pick([0.3, 0.3], FixedDraw(0.99)) == 1
+
+    def test_one_draw_per_pick(self):
+        rng = random.Random(5)
+        picks = [pick([0.5, 0.5], rng) for _ in range(3)]
+        ref = random.Random(5)
+        assert picks == [0 if ref.random() < 0.5 else 1 for _ in range(3)]
 
 
 class TestDecide:

@@ -4,9 +4,8 @@ import pytest
 
 from cogrules import gateway
 from cogrules.gateway import (BackendSpec, ChatMessage, CriticEnsembleSpec,
-                              CriticSampler, ProtocolError, RecordingBackend,
-                              ReplayBackend, ReplayMiss, ScriptedBackend,
-                              make_backend, request_hash)
+                              ProtocolError, RecordingBackend, ReplayMiss,
+                              ScriptedBackend, Session, request_hash)
 from conftest import scripted_spec
 
 
@@ -40,7 +39,7 @@ class TestSpecs:
 class TestScripted:
     def test_scripted_applies_function(self, no_network):
         spec = scripted_spec(lambda m: m[-1].content.upper())
-        assert make_backend(spec).complete(msgs("hello")).content == "HELLO"
+        assert Session().backend(spec).complete(msgs("hello")).content == "HELLO"
 
 
 def write_transcript(path, records):
@@ -55,13 +54,13 @@ class TestReplay:
         path = tmp_path / "t.jsonl"
         write_transcript(path, [{"request_hash": request_hash("", prompt),
                                  "request": [], "response": "G (a -> b)"}])
-        backend = ReplayBackend(BackendSpec(kind="replay", transcript_path=str(path)))
+        backend = Session().backend(BackendSpec(kind="replay", transcript_path=str(path)))
         assert backend.complete(prompt).content == "G (a -> b)"
 
     def test_miss_fails_loudly(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_transcript(path, [])
-        backend = ReplayBackend(BackendSpec(kind="replay", transcript_path=str(path)))
+        backend = Session().backend(BackendSpec(kind="replay", transcript_path=str(path)))
         with pytest.raises(ReplayMiss):
             backend.complete(msgs("never recorded"))
 
@@ -71,7 +70,7 @@ class TestReplay:
         path = tmp_path / "t.jsonl"
         write_transcript(path, [{"request_hash": h, "request": [], "response": "first"},
                                 {"request_hash": h, "request": [], "response": "second"}])
-        backend = ReplayBackend(BackendSpec(kind="replay", transcript_path=str(path)))
+        backend = Session().backend(BackendSpec(kind="replay", transcript_path=str(path)))
         assert backend.complete(prompt).content == "first"
         assert backend.complete(prompt).content == "second"
         with pytest.raises(ReplayMiss):
@@ -84,9 +83,27 @@ class TestReplay:
         path = tmp_path / "t.jsonl"
         write_transcript(path, records)
         spec = BackendSpec(kind="replay", transcript_path=str(path))
-        run1 = [ReplayBackend(spec).complete(p).content for p in prompts]
-        run2 = [ReplayBackend(spec).complete(p).content for p in prompts]
-        assert run1 == run2 == [f"r{i}" for i in range(5)]
+
+        def run():
+            backend = Session().backend(spec)
+            return [backend.complete(p).content for p in prompts]
+        assert run() == run() == [f"r{i}" for i in range(5)]
+
+    def test_one_session_replays_one_stream(self, tmp_path):
+        """Backends of one session over one transcript pop from the same
+        queues, so two roles sharing a model get the recorded order."""
+        prompt = msgs("judge")
+        h = request_hash("", prompt)
+        path = tmp_path / "t.jsonl"
+        write_transcript(path, [{"request_hash": h, "request": [], "response": "APPROVED"},
+                                {"request_hash": h, "request": [], "response": "REVISE: no"}])
+        spec = BackendSpec(kind="replay", transcript_path=str(path))
+        session = Session()
+        first, second = session.backend(spec), session.backend(spec)
+        assert first.complete(prompt).content == "APPROVED"
+        assert second.complete(prompt).content == "REVISE: no"
+        with pytest.raises(ReplayMiss):
+            first.complete(prompt)
 
 
 class TestRecording:
@@ -95,7 +112,7 @@ class TestRecording:
         path = tmp_path / "rec.jsonl"
         rec = RecordingBackend(inner, model="", path=path)
         out1 = rec.complete(msgs("one")).content
-        replay = ReplayBackend(BackendSpec(kind="replay", transcript_path=str(path)))
+        replay = Session().backend(BackendSpec(kind="replay", transcript_path=str(path)))
         assert replay.complete(msgs("one")).content == out1
 
 
@@ -109,7 +126,7 @@ class TestHttp:
         monkeypatch.setattr(gateway.requests, "post", lambda *a, **k: Resp())
         spec = BackendSpec(kind="http", endpoint="http://stub/v1/chat/completions",
                            model="m")
-        assert make_backend(spec).complete(msgs("x")).content == "stubbed"
+        assert Session().backend(spec).complete(msgs("x")).content == "stubbed"
 
     def test_malformed_reply_is_protocol_error(self, monkeypatch):
         class Resp:
@@ -120,7 +137,7 @@ class TestHttp:
         monkeypatch.setattr(gateway.requests, "post", lambda *a, **k: Resp())
         spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
         with pytest.raises(ProtocolError):
-            make_backend(spec).complete(msgs("x"))
+            Session().backend(spec).complete(msgs("x"))
 
     @pytest.mark.parametrize("content", ["", None])
     def test_empty_content_is_protocol_error(self, monkeypatch, content):
@@ -132,7 +149,7 @@ class TestHttp:
         monkeypatch.setattr(gateway.requests, "post", lambda *a, **k: Resp())
         spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
         with pytest.raises(ProtocolError):
-            make_backend(spec).complete(msgs("x"))
+            Session().backend(spec).complete(msgs("x"))
 
     @staticmethod
     def _serve(monkeypatch, statuses):
@@ -157,7 +174,7 @@ class TestHttp:
     def test_rate_limit_then_success(self, monkeypatch):
         posted, sleeps = self._serve(monkeypatch, [429, 200])
         spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
-        assert make_backend(spec).complete(msgs("x")).content == "ok"
+        assert Session().backend(spec).complete(msgs("x")).content == "ok"
         assert posted == [429, 200]
         assert sleeps == [gateway.RETRY_BACKOFF_S]
 
@@ -166,7 +183,7 @@ class TestHttp:
         posted, sleeps = self._serve(monkeypatch, statuses)
         spec = BackendSpec(kind="http", endpoint="http://stub", model="m",
                            retries=len(statuses) - 1)
-        assert make_backend(spec).complete(msgs("x")).content == "ok"
+        assert Session().backend(spec).complete(msgs("x")).content == "ok"
         assert posted == statuses
         expected = [min(gateway.RETRY_BACKOFF_S * 2 ** i, gateway.RETRY_BACKOFF_MAX_S)
                     for i in range(len(statuses) - 1)]
@@ -179,7 +196,7 @@ class TestHttp:
         posted, sleeps = self._serve(monkeypatch, [500, 503, 502, 200])
         spec = BackendSpec(kind="http", endpoint="http://stub", model="m", retries=2)
         with pytest.raises(gateway.TransportError):
-            make_backend(spec).complete(msgs("x"))
+            Session().backend(spec).complete(msgs("x"))
         assert posted == [500, 503, 502]
         assert len(sleeps) == 2
 
@@ -187,7 +204,7 @@ class TestHttp:
         posted, sleeps = self._serve(monkeypatch, [400, 200])
         spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
         with pytest.raises(ProtocolError):
-            make_backend(spec).complete(msgs("x"))
+            Session().backend(spec).complete(msgs("x"))
         assert posted == [400]
         assert sleeps == []
 
@@ -197,32 +214,4 @@ class TestHttp:
 
     def test_non_http_never_touches_network(self, no_network):
         spec = scripted_spec(lambda m: "offline")
-        assert make_backend(spec).complete(msgs("x")).content == "offline"
-
-
-class TestEnsemble:
-    def test_degenerate_distribution(self):
-        spec_a = scripted_spec(lambda m: "A")
-        sampler = CriticSampler(CriticEnsembleSpec(members=[(spec_a, 1.0)], seed=1))
-        assert all(sampler.sample().complete(msgs("x")).content == "A"
-                   for _ in range(50))
-
-    def test_even_split_frequency(self):
-        spec_a = scripted_spec(lambda m: "A")
-        spec_b = scripted_spec(lambda m: "B")
-        sampler = CriticSampler(CriticEnsembleSpec(
-            members=[(spec_a, 0.5), (spec_b, 0.5)], seed=123))
-        picks = [sampler.sample().complete(msgs("x")).content for _ in range(10_000)]
-        freq_a = picks.count("A") / len(picks)
-        assert abs(freq_a - 0.5) <= 0.02
-
-    def test_same_seed_same_sequence(self):
-        spec_a = scripted_spec(lambda m: "A")
-        spec_b = scripted_spec(lambda m: "B")
-        ensemble = CriticEnsembleSpec(members=[(spec_a, 0.5), (spec_b, 0.5)], seed=7)
-        s1 = CriticSampler(ensemble)
-        s2 = CriticSampler(ensemble)
-        picks1 = [s1.sample().complete(msgs("x")).content for _ in range(200)]
-        picks2 = [s2.sample().complete(msgs("x")).content for _ in range(200)]
-        assert picks1 == picks2
-        assert set(picks1) == {"A", "B"}
+        assert Session().backend(spec).complete(msgs("x")).content == "offline"

@@ -236,6 +236,27 @@ class TestReplayTranscripts:
         run_experiment(load_config(path))
         assert (replay_dir / "out" / "manifest.json").read_bytes() == first
 
+    def test_each_run_reads_its_transcript_once(self, tmp_path, monkeypatch):
+        transcript = tmp_path / "transcript.jsonl"
+        run_experiment(load_config(write_pipeline_config(
+            tmp_path, record_path=str(transcript), out_dir="out_rec")))
+        replay_dir = tmp_path / "replay"
+        replay_dir.mkdir()
+        cfg = load_config(write_pipeline_config(replay_dir, backends="replay",
+                                                transcript_path=str(transcript)))
+        reads = []
+        path_open = Path.open
+
+        def counting_open(self, *a, **k):
+            if self.resolve() == transcript.resolve():
+                reads.append(self)
+            return path_open(self, *a, **k)
+        monkeypatch.setattr(Path, "open", counting_open)
+        run_experiment(cfg)
+        assert len(reads) == 1
+        run_experiment(cfg)  # a second run on the same config reads it again
+        assert len(reads) == 2
+
 
 def checkpointed_run(base, epochs, checkpoints):
     """Runs the fixture in `base` with the given epochs and JS checkpoints."""

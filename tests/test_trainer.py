@@ -201,8 +201,8 @@ class TestEvaluate:
                       longitudinal="brake"),
                  rule("disagree", [("front_gap_closing", "=", True)],
                       longitudinal="accelerate")]
-        episodes = [one_state_episode(100) for _ in range(10)]
-        agreement = evaluate_agreement(rules, episodes, SQRT2, seed=2, n_runs=10)
+        episodes = [one_state_episode(100) for _ in range(100)]
+        agreement = evaluate_agreement(rules, episodes, SQRT2, seed=2)
         assert abs(agreement["longitudinal"] - 0.5) <= 0.03
 
 
