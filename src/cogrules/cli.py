@@ -105,7 +105,7 @@ def cmd_eval(args) -> int:
     agreement = trainer.evaluate_agreement(rules, episodes, cfg.sigma, args.seed)
     result = {"agreement": agreement}
     if rules:
-        result["mean_js"] = metrics.mean_js(rules, episodes, cfg.sigma, args.seed)
+        result["mean_js"] = metrics.mean_js(rules, episodes, cfg.sigma)
     _emit(result)
     return 0
 

@@ -81,11 +81,11 @@ def match(state: WorldState, rules: list[ProductionRule]) -> list[ProductionRule
 
 
 def selection_probabilities(utilities: list[float], sigma: float) -> list[float]:
-    """Softmax over the conflict set with log-sum-exp stabilization."""
+    """Softmax over a conflict set, empty or not, with log-sum-exp stabilization."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     scaled = [u / sigma for u in utilities]
-    m = max(scaled)
+    m = max(scaled, default=0.0)
     exps = [math.exp(s - m) for s in scaled]
     z = sum(exps)
     return [e / z for e in exps]
@@ -111,6 +111,11 @@ def select(conflict: list[ProductionRule], sigma: float,
     return conflict[pick(probs, rng)], probs
 
 
+def slot_candidates(matched: list[ProductionRule], slot: str) -> list[ProductionRule]:
+    """The rules that compete for `slot`: those with an effect there, in order."""
+    return [r for r in matched if getattr(r.effects, slot) != PASS]
+
+
 def decide(state: WorldState, rules: list[ProductionRule], sigma: float,
            rng: random.Random) -> tuple[Decision, ReasoningTrace]:
     """Up to two resolution steps per cycle, longitudinal first. A winning
@@ -122,8 +127,7 @@ def decide(state: WorldState, rules: list[ProductionRule], sigma: float,
     for slot in SLOTS:
         if decision.slot(slot) is not None:
             continue
-        candidates = [r for r in matched
-                      if (r.effects.longitudinal if slot == LONGITUDINAL else r.effects.lateral) != PASS]
+        candidates = slot_candidates(matched, slot)
         if not candidates:
             continue
         chosen, probs = select(candidates, sigma, rng)
@@ -138,3 +142,30 @@ def decide(state: WorldState, rules: list[ProductionRule], sigma: float,
             t=state.t, slot=slot, conflict=[r.name for r in candidates],
             probabilities=probs, chosen=chosen.name, filled=filled))
     return decision, trace
+
+
+def action_pair_key(longitudinal: str | None, lateral: str | None) -> str:
+    return f"{longitudinal or 'none'}/{lateral or 'none'}"
+
+
+def decision_distribution(state: WorldState, rules: list[ProductionRule],
+                          sigma: float) -> dict[str, float]:
+    """The action-pair distribution `decide` samples from, in closed form
+    (ACT-R's Boltzmann conflict resolution, slot by slot): the longitudinal
+    softmax, where a winner with a lateral effect fixes the pair and any other
+    winner, or no winner, is paired with the lateral softmax (or `none`)."""
+    matched = match(state, rules)
+
+    def softmax(slot):
+        candidates = slot_candidates(matched, slot)
+        return zip(candidates, selection_probabilities([r.utility for r in candidates], sigma))
+
+    laterals = [(r.effects.lateral, p) for r, p in softmax(LATERAL)] or [(None, 1.0)]
+    winners = [(r.effects.longitudinal, r.effects.lateral, p)
+               for r, p in softmax(LONGITUDINAL)] or [(None, PASS, 1.0)]
+    dist: dict[str, float] = {}
+    for longitudinal, fixed, p in winners:
+        for lateral, q in laterals if fixed == PASS else [(fixed, 1.0)]:
+            key = action_pair_key(longitudinal, lateral)
+            dist[key] = dist.get(key, 0.0) + p * q
+    return dist

@@ -150,9 +150,6 @@ class _Parser:
         self.n = len(self.tokens)
         self.i = 0
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < self.n else None
-
     def offset(self) -> int:
         if self.i < self.n:
             self.tokens = tokenize(self.text)  # error path: recover offsets

@@ -8,10 +8,10 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 
 from . import ltl
-from .engine import ReasoningTrace, WorldState, decide
+from .engine import (ReasoningTrace, WorldState, action_pair_key, decide,
+                     decision_distribution)
 from .knowledge import ProductionRule
 from .trainer import Episode
 
@@ -63,20 +63,6 @@ def ltl_bleu(prediction: list[str], reference: list[str], max_n: int = 4) -> flo
     return bleu
 
 
-@dataclass
-class DecisionDistribution:
-    state_key: str
-    probabilities: dict[str, float]  # action-pair key -> probability
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("sample count must be >= 1")
-        total = sum(self.probabilities.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total}")
-
-
 def js_divergence(p: dict[str, float], q: dict[str, float]) -> float:
     """Jensen-Shannon divergence with base-2 logs; bounded by 1."""
     # a fixed summation order keeps the float result independent of the
@@ -93,18 +79,10 @@ def js_divergence(p: dict[str, float], q: dict[str, float]) -> float:
     return js
 
 
-def js_between(p: DecisionDistribution, q: DecisionDistribution) -> float:
-    return js_divergence(p.probabilities, q.probabilities)
-
-
-def action_pair_key(longitudinal: str | None, lateral: str | None) -> str:
-    return f"{longitudinal or 'none'}/{lateral or 'none'}"
-
-
 def reference_distributions(episodes: list[Episode],
-                            top_k: int = 10) -> list[tuple[WorldState, DecisionDistribution]]:
-    """Group reference samples by state; keep the top_k most frequent
-    states (ties broken by state key)."""
+                            top_k: int = 10) -> list[tuple[WorldState, Counter]]:
+    """Reference action-pair counts of the top_k most frequent states
+    (ties broken by state key), most frequent first."""
     by_state: dict[str, tuple[WorldState, Counter]] = {}
     for episode in episodes:
         for state, ref in episode.steps:
@@ -113,44 +91,39 @@ def reference_distributions(episodes: list[Episode],
                 by_state[key] = (state, Counter())
             by_state[key][1][action_pair_key(ref.longitudinal, ref.lateral)] += 1
     ranked = sorted(by_state.items(), key=lambda kv: (-sum(kv[1][1].values()), kv[0]))
-    out = []
-    for key, (state, counts) in ranked[:top_k]:
-        n = sum(counts.values())
-        out.append((state, DecisionDistribution(
-            state_key=key,
-            probabilities={a: c / n for a, c in counts.items()}, n=n)))
-    return out
+    return [entry for _, entry in ranked[:top_k]]
 
 
 def decision_distributions(rules: list[ProductionRule], episodes: list[Episode],
-                           sigma: float, seed: int, top_k: int = 10,
-                           n_override: int | None = None,
-                           ) -> list[tuple[DecisionDistribution, DecisionDistribution]]:
-    """(model, reference) distribution pairs for the top_k most sampled
-    states; the model is executed n times per state (its reference sample
-    count unless overridden)."""
+                           sigma: float, top_k: int = 10,
+                           ) -> list[tuple[dict[str, float], dict[str, float]]]:
+    """(exact model, observed reference) action-pair distributions for the
+    top_k most frequent states."""
     if not episodes:
         raise ValueError("episodes must be nonempty")
-    refs = reference_distributions(episodes, top_k)
-    rng = random.Random(seed)
     pairs = []
-    for state, ref_dist in refs:
-        n = n_override if n_override is not None else ref_dist.n
-        counts: Counter = Counter()
-        for _ in range(n):
-            decision, _ = decide(state, rules, sigma, rng)
-            counts[action_pair_key(decision.longitudinal, decision.lateral)] += 1
-        model = DecisionDistribution(
-            state_key=ref_dist.state_key,
-            probabilities={a: c / n for a, c in counts.items()}, n=n)
-        pairs.append((model, ref_dist))
+    for state, counts in reference_distributions(episodes, top_k):
+        n = sum(counts.values())
+        pairs.append((decision_distribution(state, rules, sigma),
+                      {a: c / n for a, c in counts.items()}))
     return pairs
 
 
 def mean_js(rules: list[ProductionRule], episodes: list[Episode], sigma: float,
-            seed: int, top_k: int = 10, n_override: int | None = None) -> float:
-    pairs = decision_distributions(rules, episodes, sigma, seed, top_k, n_override)
-    return sum(js_between(m, r) for m, r in pairs) / len(pairs)
+            top_k: int = 10) -> float:
+    pairs = decision_distributions(rules, episodes, sigma, top_k)
+    return sum(js_divergence(m, r) for m, r in pairs) / len(pairs)
+
+
+def sampled_distribution(state: WorldState, rules: list[ProductionRule], sigma: float,
+                         n: int, rng: random.Random) -> dict[str, float]:
+    """Frequencies of n `decide` calls: the Monte Carlo estimate of
+    `engine.decision_distribution`, kept as its reference."""
+    counts: Counter = Counter()
+    for _ in range(n):
+        decision, _ = decide(state, rules, sigma, rng)
+        counts[action_pair_key(decision.longitudinal, decision.lateral)] += 1
+    return {a: c / n for a, c in counts.items()}
 
 
 def rsr(traces: list[ReasoningTrace]) -> float:

@@ -47,19 +47,16 @@ class PipelineConfig:
     grounding: BackendSpec | None = None
     initial_backend: BackendSpec | None = None
     eval_top_k: int = 10
-    eval_samples: int | None = None
     checkpoints: int = 5
     raw: dict = field(default_factory=dict)  # source JSON, for the manifest hash
 
     def __post_init__(self):
         if self.prompt_mode not in (LITERAL, SUPPLY):
             raise ValueError(f"unknown prompt mode {self.prompt_mode!r}")
-
-
-def _backend_spec(obj: dict | None) -> BackendSpec | None:
-    if obj is None:
-        return None
-    return BackendSpec(**obj)
+        if self.eval_top_k < 1:
+            raise ValueError("eval.top_k must be >= 1")
+        if self.checkpoints < 1:
+            raise ValueError("eval.checkpoints must be >= 1")
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
@@ -71,6 +68,12 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     def resolve(p):
         return (base / p) if p and not Path(p).is_absolute() else (Path(p) if p else None)
 
+    def backend_spec(obj: dict | None) -> BackendSpec | None:
+        if obj is None:
+            return None
+        paths = {k: str(resolve(obj[k])) for k in ("transcript_path", "record_path") if obj.get(k)}
+        return BackendSpec(**{**obj, **paths})
+
     kb_section = raw["kb"]
     if isinstance(kb_section, str) and kb_section in scenarios.ARCHETYPES:
         kb = scenarios.scenario_kb(kb_section)
@@ -79,9 +82,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     ct = raw["critic_tree"]
     critic_cfg = CriticTreeConfig(
         num_critics=ct["num_critics"], max_depth=ct["max_depth"],
-        revisor=BackendSpec(**ct["revisor"]),
+        revisor=backend_spec(ct["revisor"]),
         critics=CriticEnsembleSpec(
-            members=[(BackendSpec(**m[0]), m[1]) for m in ct["critics"]["members"]],
+            members=[(backend_spec(m[0]), m[1]) for m in ct["critics"]["members"]],
             seed=ct["critics"].get("seed", raw.get("seed", 0))),
         kb_atoms=kb.atom_vocabulary)
     scenario_spec = None
@@ -97,10 +100,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         episodes_path=resolve(raw.get("episodes")),
         scenario=scenario_spec,
         n_episodes=raw.get("n_episodes", 70),
-        grounding=_backend_spec(raw.get("grounding")),
-        initial_backend=_backend_spec(raw.get("initial_backend")),
+        grounding=backend_spec(raw.get("grounding")),
+        initial_backend=backend_spec(raw.get("initial_backend")),
         eval_top_k=raw.get("eval", {}).get("top_k", 10),
-        eval_samples=raw.get("eval", {}).get("samples"),
         checkpoints=raw.get("eval", {}).get("checkpoints", 5),
         raw=raw)
 
@@ -197,24 +199,17 @@ def run_experiment(cfg: PipelineConfig) -> dict:
     js_curve = []
     curve = []
     if rules:
-        def js_at(epochs_done, rules_now, seed):
-            js_curve.append((epochs_done, metrics.mean_js(
-                rules_now, episodes, cfg.train.sigma, seed, cfg.eval_top_k, cfg.eval_samples)))
-
-        # JS checkpoints at evenly spread epochs, the last at cfg.train.epochs;
-        # each one's seed depends only on its epoch, not on how many there are
-        checkpoints = max(1, cfg.checkpoints)
-        at = {cfg.train.epochs * (k + 1) // checkpoints for k in range(checkpoints)}
+        # JS before training and at evenly spread epochs, the last at cfg.train.epochs
+        at = {0} | {cfg.train.epochs * (k + 1) // cfg.checkpoints for k in range(cfg.checkpoints)}
 
         def observe(epochs_done, trained):
             if epochs_done in at:
-                js_at(epochs_done, trained, cfg.train.seed + 1000 + epochs_done)
+                js_curve.append((epochs_done, metrics.mean_js(
+                    trained, episodes, cfg.train.sigma, cfg.eval_top_k)))
 
-        js_at(0, rules, cfg.train.seed)
+        observe(0, rules)
         rules, curve = trainer.train(rules, episodes, cfg.train, on_epoch=observe)
-    agreement = trainer.evaluate_agreement(rules, episodes, cfg.train.sigma,
-                                           cfg.train.seed) if rules else \
-        {"longitudinal": 0.0, "lateral": 0.0}
+    agreement = trainer.evaluate_agreement(rules, episodes, cfg.train.sigma, cfg.train.seed)
 
     compiler.RuleStore(rules).save(out / "rules.json")
     compiler.write_outcome_csv(report, out / "outcomes.csv")

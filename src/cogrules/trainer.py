@@ -30,6 +30,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         if not (0 < self.learning_rate <= 1):
             raise ValueError("learning rate must be in (0, 1]")
         if self.decay < 0:

@@ -117,7 +117,7 @@ def write_pipeline_config(base: Path, *, prompt_mode="literal", seed=11,
                      "trigger_low": 3, "trigger_high": 10, "seed": 7},
         "n_episodes": 40,
         "train": {"epochs": epochs, "seed": seed, "learning_rate": 0.05},
-        "eval": {"top_k": 8, "samples": 300, "checkpoints": 3},
+        "eval": {"top_k": 8, "checkpoints": 3},
         "out_dir": out_dir,
     }
     name = f"config_{prompt_mode}.json"

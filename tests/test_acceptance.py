@@ -260,8 +260,7 @@ def test_05_learning_convergence_two_rule_fixture():
     js_checkpoints = []
 
     def checkpoint(epochs_done, trained):
-        js_checkpoints.append(mean_js(trained, episodes, SQRT2,
-                                      seed=99 + epochs_done, n_override=10_000))
+        js_checkpoints.append(mean_js(trained, episodes, SQRT2))
 
     rules, _ = train(rules, episodes, cfg, on_epoch=checkpoint)
 

@@ -173,3 +173,40 @@ class TestRunAll:
         run_cli(capsys, "run-all", "--config", str(cfg))
         after = {p for p in tmp_path.iterdir()}
         assert after - before == {tmp_path / "out"}
+
+    def test_replay_run_all_from_another_directory(self, tmp_path, capsys, monkeypatch):
+        # transcript and record paths resolve against the config's directory,
+        # like corpus, episodes and kb, not against the working directory
+        config_dir = tmp_path / "config"
+        config_dir.mkdir()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        record = write_pipeline_config(config_dir, record_path="transcript.jsonl")
+        assert run_cli(capsys, "run-all", "--config", str(record))[0] == 0
+        assert (config_dir / "transcript.jsonl").exists()
+        replay = write_pipeline_config(config_dir, backends="replay",
+                                       transcript_path="transcript.jsonl", out_dir="out_replay")
+        code, _, err = run_cli(capsys, "run-all", "--config", str(replay))
+        assert code == 0, err
+        manifest = config_dir / "out_replay" / "manifest.json"
+        from_elsewhere = manifest.read_bytes()
+        monkeypatch.chdir(config_dir)
+        assert run_cli(capsys, "run-all", "--config", replay.name)[0] == 0
+        assert manifest.read_bytes() == from_elsewhere
+        assert list(elsewhere.iterdir()) == []
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("eval", "top_k", 0), ("eval", "top_k", -1), ("eval", "checkpoints", 0),
+        ("train", "epochs", -1)])
+    def test_run_all_rejects_a_value_it_cannot_honour(self, tmp_path, capsys,
+                                                      section, key, value):
+        path = write_pipeline_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw[section][key] = value
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "run-all", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "out").exists()

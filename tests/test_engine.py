@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from cogrules.engine import (Decision, WorldState, decide, match, pick, select,
-                             selection_probabilities)
+from cogrules.engine import (Decision, WorldState, decide, decision_distribution, match,
+                             pick, select, selection_probabilities)
 from cogrules.knowledge import Effects, ProductionRule
 
 SQRT2 = math.sqrt(2)
@@ -184,3 +184,51 @@ class TestDecide:
         for entry in trace.entries:
             assert abs(sum(entry.probabilities) - 1.0) <= 1e-9
             assert entry.chosen in entry.conflict
+
+
+class TestDecisionDistribution:
+    STATE = WorldState.make({"a": True})
+
+    def dist(self, rules):
+        return decision_distribution(self.STATE, rules, SQRT2)
+
+    def test_two_effect_winner_fixes_the_pair(self):
+        # the only longitudinal candidate carries a lateral effect, so the
+        # far likelier lateral-only rule never gets to resolve
+        rules = [rule("both", [("a", "=", True)], longitudinal="brake", lateral="keep_lane"),
+                 rule("lat", [("a", "=", True)], lateral="change_left", utility=10.0)]
+        assert self.dist(rules) == {"brake/keep_lane": 1.0}
+
+    def test_other_winner_pairs_with_the_lateral_softmax(self):
+        # "lon" wins half the time and then the lateral step, which the
+        # two-effect loser still enters, splits evenly
+        rules = [rule("both", [("a", "=", True)], longitudinal="brake", lateral="keep_lane"),
+                 rule("lat", [("a", "=", True)], lateral="change_left"),
+                 rule("lon", [("a", "=", True)], longitudinal="keep")]
+        assert self.dist(rules) == {"brake/keep_lane": 0.5, "keep/keep_lane": 0.25,
+                                    "keep/change_left": 0.25}
+
+    def test_lateral_only_conflict_set(self):
+        rules = [rule("l1", [("a", "=", True)], lateral="keep_lane"),
+                 rule("l2", [("a", "=", True)], lateral="change_left")]
+        assert self.dist(rules) == {"none/keep_lane": 0.5, "none/change_left": 0.5}
+
+    def test_empty_conflict_set_is_none_none(self):
+        assert self.dist([rule("r", [("a", "=", False)], longitudinal="brake")]) == \
+            {"none/none": 1.0}
+        assert self.dist([]) == {"none/none": 1.0}
+        assert selection_probabilities([], SQRT2) == []
+
+    def test_equal_utilities_give_exact_halves(self):
+        rules = [rule("ra", [("a", "=", True)], longitudinal="brake"),
+                 rule("rb", [("a", "=", True)], longitudinal="keep")]
+        assert self.dist(rules) == {"brake/none": 0.5, "keep/none": 0.5}
+
+    def test_sums_to_one(self):
+        rng = random.Random(13)
+        effects = [("brake", "pass"), ("keep", "pass"), ("pass", "keep_lane"),
+                   ("pass", "change_left"), ("brake", "keep_lane"), ("keep", "change_left")]
+        for _ in range(500):
+            rules = [rule(f"r{i}", [("a", "=", rng.random() < 0.8)], *rng.choice(effects),
+                          utility=rng.uniform(-50, 50)) for i in range(rng.randint(0, 12))]
+            assert abs(sum(self.dist(rules).values()) - 1.0) <= 1e-9

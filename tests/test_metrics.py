@@ -8,12 +8,15 @@ from pathlib import Path
 import pytest
 
 import cogrules
-from cogrules.engine import ReasoningTrace, TraceEntry, WorldState
+from cogrules.compiler import RuleStore
+from cogrules.engine import ReasoningTrace, TraceEntry, WorldState, decision_distribution
 from cogrules.knowledge import Effects, ProductionRule
-from cogrules.metrics import (DecisionDistribution, decision_distributions,
-                              js_divergence, ltl_bleu, ltl_match_accuracy,
-                              ltl_tokens, mean_js, rsr)
-from cogrules.trainer import Episode, ReferenceAction
+from cogrules.metrics import (decision_distributions, js_divergence, ltl_bleu,
+                              ltl_match_accuracy, ltl_tokens, mean_js,
+                              reference_distributions, rsr, sampled_distribution)
+from cogrules.pipeline import load_config, run_experiment
+from cogrules.trainer import Episode, ReferenceAction, episodes_from_jsonl
+from conftest import write_pipeline_config
 from oracles import bleu_oracle, js_oracle
 
 SQRT2 = math.sqrt(2)
@@ -139,32 +142,39 @@ def repeated_state_episode(n, features=None, ref=("brake", None)):
 
 
 class TestDecisionDistributions:
-    def test_single_state_runs_n_times(self):
+    def test_single_state_one_pair(self):
         r = rule("r", [("x", "=", True)], longitudinal="brake")
         episodes = [repeated_state_episode(50)]
-        pairs = decision_distributions([r], episodes, SQRT2, seed=0)
+        pairs = decision_distributions([r], episodes, SQRT2)
         assert len(pairs) == 1
-        model, ref = pairs[0]
-        assert model.n == ref.n == 50
-        assert model.probabilities == {"brake/none": 1.0}
+        assert pairs[0] == ({"brake/none": 1.0}, {"brake/none": 1.0})
+        [(_, counts)] = reference_distributions(episodes)
+        assert counts == {"brake/none": 50}
 
     def test_deterministic_agent_point_mass(self):
         r = rule("r", [("x", "=", True)], longitudinal="brake",
                  lateral="keep_lane")
-        pairs = decision_distributions([r], [repeated_state_episode(10)], SQRT2,
-                                       seed=5)
+        pairs = decision_distributions([r], [repeated_state_episode(10)], SQRT2)
         model, _ = pairs[0]
-        assert model.probabilities == {"brake/keep_lane": 1.0}
+        assert model == {"brake/keep_lane": 1.0}
+
+    def test_model_side_is_exact(self):
+        rules = [rule("a", [("x", "=", True)], longitudinal="brake"),
+                 rule("b", [("x", "=", True)], longitudinal="keep")]
+        pairs = decision_distributions(rules, [repeated_state_episode(40)], SQRT2)
+        model, reference = pairs[0]
+        assert model == {"brake/none": 0.5, "keep/none": 0.5}
+        assert reference == {"brake/none": 1.0}
 
     def test_perfect_imitator_near_zero_js(self):
         r = rule("r", [("x", "=", True)], longitudinal="brake")
         episodes = [repeated_state_episode(100)]
-        assert mean_js([r], episodes, SQRT2, seed=1) == pytest.approx(0.0)
+        assert mean_js([r], episodes, SQRT2) == pytest.approx(0.0)
 
     def test_fewer_than_topk_states_uses_all(self):
         r = rule("r", [("x", "=", True)], longitudinal="brake")
         episodes = [repeated_state_episode(5)]
-        pairs = decision_distributions([r], episodes, SQRT2, seed=2, top_k=10)
+        pairs = decision_distributions([r], episodes, SQRT2, top_k=10)
         assert len(pairs) == 1
 
     def test_topk_selection_by_frequency(self):
@@ -173,18 +183,56 @@ class TestDecisionDistributions:
             feats = {"x": True, "band": i}
             episodes.append(repeated_state_episode(12 - i, features=feats))
         r = rule("r", [("x", "=", True)], longitudinal="brake")
-        pairs = decision_distributions([r], episodes, SQRT2, seed=3, top_k=10)
-        assert len(pairs) == 10
-        counts = [ref.n for _, ref in pairs]
+        assert len(decision_distributions([r], episodes, SQRT2, top_k=10)) == 10
+        refs = reference_distributions(episodes, top_k=10)
+        assert [dict(state.features)["band"] for state, _ in refs] == list(range(10))
+        counts = [sum(c.values()) for _, c in refs]
         assert counts == sorted(counts, reverse=True)
 
-    def test_seed_determinism(self):
-        rules = [rule("a", [("x", "=", True)], longitudinal="brake"),
-                 rule("b", [("x", "=", True)], longitudinal="keep")]
-        episodes = [repeated_state_episode(40)]
-        p1 = decision_distributions(rules, episodes, SQRT2, seed=7)
-        p2 = decision_distributions(rules, episodes, SQRT2, seed=7)
-        assert [m.probabilities for m, _ in p1] == [m.probabilities for m, _ in p2]
+
+def random_rule_set(rng):
+    """Rules over two bool features with random effects (never both pass)
+    and utilities, so conflict sets mix one- and two-effect rules."""
+    pairs = [(lon, lat) for lon in ("pass", "brake", "keep", "accelerate")
+             for lat in ("pass", "keep_lane", "change_left") if (lon, lat) != ("pass", "pass")]
+    rules = []
+    for i in range(rng.randint(3, 8)):
+        # the last choice does not match the tested state
+        pre = rng.choice([[("x", "=", True)], [("y", "=", False)],
+                          [("x", "=", True), ("y", "!=", True)], [("y", "=", True)]])
+        lon, lat = rng.choice(pairs)
+        rules.append(rule(f"r{i}", pre, lon, lat, utility=rng.uniform(-3, 3)))
+    return rules
+
+
+class TestClosedFormAgainstSampling:
+    """The exact distribution against 10^5 `decide` draws: every action pair
+    within 5 binomial sigma (at most 0.008), and nothing sampled that the
+    exact form gives probability 0."""
+
+    DRAWS = 100_000
+
+    def check(self, state, rules, seed):
+        exact = decision_distribution(state, rules, SQRT2)
+        sampled = sampled_distribution(state, rules, SQRT2, self.DRAWS, random.Random(seed))
+        assert set(sampled) <= set(exact)
+        for key, p in exact.items():
+            sigma = math.sqrt(p * (1 - p) / self.DRAWS)
+            assert abs(sampled.get(key, 0.0) - p) <= 5 * sigma, (key, p, sampled)
+
+    def test_random_rule_sets(self):
+        rng = random.Random(21)
+        state = WorldState.make({"x": True, "y": False})
+        for seed in range(3):
+            self.check(state, random_rule_set(rng), seed)
+
+    def test_trained_fixture_rules(self, tmp_path):
+        cfg = load_config(write_pipeline_config(tmp_path))
+        run_experiment(cfg)
+        rules = list(RuleStore.load(cfg.out_dir / "rules.json"))
+        episodes = episodes_from_jsonl(cfg.out_dir / "episodes.jsonl")
+        for seed, (state, _) in enumerate(reference_distributions(episodes, cfg.eval_top_k)):
+            self.check(state, rules, seed)
 
 
 class TestRsr:
@@ -204,13 +252,3 @@ class TestRsr:
         traces = [ReasoningTrace(entries=[self.entry()]) for _ in range(3)]
         traces.append(ReasoningTrace())
         assert rsr(traces) == 0.75
-
-
-class TestDistributionType:
-    def test_probabilities_must_normalize(self):
-        with pytest.raises(ValueError):
-            DecisionDistribution(state_key="s", probabilities={"a": 0.5}, n=10)
-
-    def test_sample_count_positive(self):
-        with pytest.raises(ValueError):
-            DecisionDistribution(state_key="s", probabilities={"a": 1.0}, n=0)

@@ -1,0 +1,52 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps package functions by
+name from outside. These checks fail as soon as a wrapped name is renamed
+or moved, instead of only in a benchmark smoke run."""
+
+import math
+import random
+from pathlib import Path
+
+from cogrules import compiler, critic_tree, engine, gateway, ltl, metrics, pipeline, trainer
+from cogrules.engine import WorldState
+from cogrules.knowledge import Effects, ProductionRule
+from cogrules.trainer import Episode, ReferenceAction
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PATCHED = (ltl, gateway.ReplayBackend, critic_tree.CriticTree, compiler,
+           compiler.HashedTrigramEmbedding, engine, trainer, metrics, pipeline)
+
+
+def install_tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    tracer = tracing.Tracer("t")
+    return tracer, tracing.install(tracer)
+
+
+def test_install_then_uninstall_restores_every_name(monkeypatch):
+    before = [dict(vars(owner)) for owner in PATCHED]
+    _, uninstall = install_tracer(monkeypatch)
+    try:
+        assert metrics.decide is not before[PATCHED.index(metrics)]["decide"]
+        assert engine.match is not before[PATCHED.index(engine)]["match"]
+    finally:
+        uninstall()
+    assert [dict(vars(owner)) for owner in PATCHED] == before
+
+
+def test_wrapped_names_are_the_ones_called(monkeypatch):
+    rules = [ProductionRule(name=n, preconditions=(("x", "=", True),),
+                            effects=Effects(longitudinal=n)) for n in ("brake", "keep")]
+    state = WorldState.make({"x": True})
+    episodes = [Episode(steps=[(state, ReferenceAction("brake"))])]
+    tracer, uninstall = install_tracer(monkeypatch)
+    try:
+        metrics.mean_js(rules, episodes, math.sqrt(2))
+        # the exact JS matches each state once and samples nothing
+        assert tracer.counts["metrics.decide_calls"] == 0
+        _, _, calls = tracer.totals()
+        assert calls["metrics.mean_js"] == 1 and calls["engine.match"] == 1
+        metrics.sampled_distribution(state, rules, math.sqrt(2), 3, random.Random(0))
+        assert tracer.counts["metrics.decide_calls"] == 3
+    finally:
+        uninstall()
