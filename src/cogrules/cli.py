@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import compiler, gateway, ltl, metrics, pipeline, scenarios, trainer
 from .critic_tree import CriticTree
+from .engine import RuleSet
 from .knowledge import KnowledgeBase
 
 
@@ -100,12 +101,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     store = compiler.RuleStore.load(args.rules)
     episodes = trainer.episodes_from_jsonl(args.episodes)
-    rules = list(store)
+    rules = RuleSet(store)
     cfg = trainer.TrainConfig(seed=args.seed)
     agreement = trainer.evaluate_agreement(rules, episodes, cfg.sigma, args.seed)
     result = {"agreement": agreement}
-    if rules:
-        result["mean_js"] = metrics.mean_js(rules, episodes, cfg.sigma)
+    if rules.rules:
+        result["mean_js"] = metrics.mean_js(
+            rules, metrics.reference_distributions(episodes), cfg.sigma)
     _emit(result)
     return 0
 

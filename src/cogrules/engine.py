@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .knowledge import PASS, KnowledgeBase, ProductionRule, Value
@@ -73,7 +74,8 @@ def _holds(precondition, state: dict[str, Value]) -> bool:
 
 
 def match(state: WorldState, rules: list[ProductionRule]) -> list[ProductionRule]:
-    """Conflict set: rules whose every precondition holds, name-ordered."""
+    """Conflict set: rules whose every precondition holds, name-ordered.
+    A full scan; `RuleSet` narrows the rules it is given."""
     feats = state.as_dict()
     hits = [r for r in rules if all(_holds(p, feats) for p in r.preconditions)]
     hits.sort(key=lambda r: r.name)
@@ -116,18 +118,57 @@ def slot_candidates(matched: list[ProductionRule], slot: str) -> list[Production
     return [r for r in matched if getattr(r.effects, slot) != PASS]
 
 
-def decide(state: WorldState, rules: list[ProductionRule], sigma: float,
+CACHE_STATES = 4096  # distinct states whose candidates a RuleSet keeps
+
+
+class RuleSet:
+    """A rule list compiled for repeated matching. Preconditions must not
+    change once it is built; utilities may, since it keeps rule objects.
+
+    Each rule is filed under one of its `=` preconditions (RETE's alpha
+    memory); rules without one are always tried. A state's pool is those
+    plus the buckets of its own (feature, value) pairs, which `match`
+    verifies. The per-slot candidates of up to CACHE_STATES states are
+    cached, keyed on the features alone; the cache is emptied when full."""
+
+    def __init__(self, rules: Iterable[ProductionRule]):
+        self.rules = list(rules)
+        self._always: list[int] = []
+        self._index: dict[tuple[str, Value], list[int]] = {}
+        for i, rule in enumerate(self.rules):
+            key = next(((f, v) for f, cmp, v in rule.preconditions if cmp == "="), None)
+            if key is None:
+                self._always.append(i)
+            else:
+                self._index.setdefault(key, []).append(i)
+        self._cache: dict[tuple, tuple[list[ProductionRule], ...]] = {}
+
+    def candidates(self, state: WorldState) -> tuple[list[ProductionRule], ...]:
+        """`slot_candidates(match(state, self.rules), slot)` for each slot
+        in SLOTS order."""
+        found = self._cache.get(state.features)
+        if found is None:
+            positions = set(self._always)
+            for pair in state.features:
+                positions.update(self._index.get(pair, ()))
+            matched = match(state, [self.rules[i] for i in sorted(positions)])
+            found = tuple(slot_candidates(matched, slot) for slot in SLOTS)
+            if len(self._cache) >= CACHE_STATES:
+                self._cache.clear()
+            self._cache[state.features] = found
+        return found
+
+
+def decide(state: WorldState, rules: RuleSet, sigma: float,
            rng: random.Random) -> tuple[Decision, ReasoningTrace]:
     """Up to two resolution steps per cycle, longitudinal first. A winning
     rule applies all its non-pass effects, so a rule carrying both effects
     fills both slots in one firing."""
-    matched = match(state, rules)
     decision = Decision()
     trace = ReasoningTrace()
-    for slot in SLOTS:
+    for slot, candidates in zip(SLOTS, rules.candidates(state)):
         if decision.slot(slot) is not None:
             continue
-        candidates = slot_candidates(matched, slot)
         if not candidates:
             continue
         chosen, probs = select(candidates, sigma, rng)
@@ -148,21 +189,20 @@ def action_pair_key(longitudinal: str | None, lateral: str | None) -> str:
     return f"{longitudinal or 'none'}/{lateral or 'none'}"
 
 
-def decision_distribution(state: WorldState, rules: list[ProductionRule],
+def decision_distribution(state: WorldState, rules: RuleSet,
                           sigma: float) -> dict[str, float]:
     """The action-pair distribution `decide` samples from, in closed form
     (ACT-R's Boltzmann conflict resolution, slot by slot): the longitudinal
     softmax, where a winner with a lateral effect fixes the pair and any other
     winner, or no winner, is paired with the lateral softmax (or `none`)."""
-    matched = match(state, rules)
+    longitudinal_candidates, lateral_candidates = rules.candidates(state)
 
-    def softmax(slot):
-        candidates = slot_candidates(matched, slot)
+    def softmax(candidates):
         return zip(candidates, selection_probabilities([r.utility for r in candidates], sigma))
 
-    laterals = [(r.effects.lateral, p) for r, p in softmax(LATERAL)] or [(None, 1.0)]
+    laterals = [(r.effects.lateral, p) for r, p in softmax(lateral_candidates)] or [(None, 1.0)]
     winners = [(r.effects.longitudinal, r.effects.lateral, p)
-               for r, p in softmax(LONGITUDINAL)] or [(None, PASS, 1.0)]
+               for r, p in softmax(longitudinal_candidates)] or [(None, PASS, 1.0)]
     dist: dict[str, float] = {}
     for longitudinal, fixed, p in winners:
         for lateral, q in laterals if fixed == PASS else [(fixed, 1.0)]:

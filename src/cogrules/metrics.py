@@ -10,9 +10,8 @@ import random
 from collections import Counter
 
 from . import ltl
-from .engine import (ReasoningTrace, WorldState, action_pair_key, decide,
+from .engine import (ReasoningTrace, RuleSet, WorldState, action_pair_key, decide,
                      decision_distribution)
-from .knowledge import ProductionRule
 from .trainer import Episode
 
 
@@ -82,40 +81,40 @@ def js_divergence(p: dict[str, float], q: dict[str, float]) -> float:
 def reference_distributions(episodes: list[Episode],
                             top_k: int = 10) -> list[tuple[WorldState, Counter]]:
     """Reference action-pair counts of the top_k most frequent states
-    (ties broken by state key), most frequent first."""
-    by_state: dict[str, tuple[WorldState, Counter]] = {}
+    (ties broken by state key), most frequent first. The episodes do not
+    change during a run, so a run computes this once."""
+    by_state: dict[tuple, tuple[WorldState, Counter]] = {}
     for episode in episodes:
         for state, ref in episode.steps:
-            key = state.key()
-            if key not in by_state:
-                by_state[key] = (state, Counter())
-            by_state[key][1][action_pair_key(ref.longitudinal, ref.lateral)] += 1
-    ranked = sorted(by_state.items(), key=lambda kv: (-sum(kv[1][1].values()), kv[0]))
-    return [entry for _, entry in ranked[:top_k]]
+            entry = by_state.get(state.features)
+            if entry is None:
+                entry = by_state[state.features] = (state, Counter())
+            entry[1][action_pair_key(ref.longitudinal, ref.lateral)] += 1
+    ranked = sorted(by_state.values(), key=lambda e: (-sum(e[1].values()), e[0].key()))
+    return ranked[:top_k]
 
 
-def decision_distributions(rules: list[ProductionRule], episodes: list[Episode],
-                           sigma: float, top_k: int = 10,
-                           ) -> list[tuple[dict[str, float], dict[str, float]]]:
-    """(exact model, observed reference) action-pair distributions for the
-    top_k most frequent states."""
-    if not episodes:
-        raise ValueError("episodes must be nonempty")
+def decision_distributions(rules: RuleSet, references: list[tuple[WorldState, Counter]],
+                           sigma: float) -> list[tuple[dict[str, float], dict[str, float]]]:
+    """(exact model, observed reference) action-pair distributions for each
+    state of `references`, the output of `reference_distributions`."""
+    if not references:
+        raise ValueError("references must be nonempty")
     pairs = []
-    for state, counts in reference_distributions(episodes, top_k):
+    for state, counts in references:
         n = sum(counts.values())
         pairs.append((decision_distribution(state, rules, sigma),
                       {a: c / n for a, c in counts.items()}))
     return pairs
 
 
-def mean_js(rules: list[ProductionRule], episodes: list[Episode], sigma: float,
-            top_k: int = 10) -> float:
-    pairs = decision_distributions(rules, episodes, sigma, top_k)
+def mean_js(rules: RuleSet, references: list[tuple[WorldState, Counter]],
+            sigma: float) -> float:
+    pairs = decision_distributions(rules, references, sigma)
     return sum(js_divergence(m, r) for m, r in pairs) / len(pairs)
 
 
-def sampled_distribution(state: WorldState, rules: list[ProductionRule], sigma: float,
+def sampled_distribution(state: WorldState, rules: RuleSet, sigma: float,
                          n: int, rng: random.Random) -> dict[str, float]:
     """Frequencies of n `decide` calls: the Monte Carlo estimate of
     `engine.decision_distribution`, kept as its reference."""

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from . import compiler, ltl, metrics, scenarios, trainer
 from .critic_tree import CriticTree, CriticTreeConfig
+from .engine import RuleSet
 from .gateway import Backend, BackendSpec, ChatMessage, CriticEnsembleSpec, GatewayError, Session
 from .knowledge import KnowledgeBase
 from .trainer import TrainConfig
@@ -201,15 +202,17 @@ def run_experiment(cfg: PipelineConfig) -> dict:
     if rules:
         # JS before training and at evenly spread epochs, the last at cfg.train.epochs
         at = {0} | {cfg.train.epochs * (k + 1) // cfg.checkpoints for k in range(cfg.checkpoints)}
+        references = metrics.reference_distributions(episodes, cfg.eval_top_k)
 
         def observe(epochs_done, trained):
             if epochs_done in at:
                 js_curve.append((epochs_done, metrics.mean_js(
-                    trained, episodes, cfg.train.sigma, cfg.eval_top_k)))
+                    trained, references, cfg.train.sigma)))
 
-        observe(0, rules)
+        observe(0, RuleSet(rules))
         rules, curve = trainer.train(rules, episodes, cfg.train, on_epoch=observe)
-    agreement = trainer.evaluate_agreement(rules, episodes, cfg.train.sigma, cfg.train.seed)
+    agreement = trainer.evaluate_agreement(
+        RuleSet(rules), episodes, cfg.train.sigma, cfg.train.seed)
 
     compiler.RuleStore(rules).save(out / "rules.json")
     compiler.write_outcome_csv(report, out / "outcomes.csv")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .engine import LONGITUDINAL, SLOTS, ReasoningTrace, WorldState, decide
+from .engine import LONGITUDINAL, SLOTS, ReasoningTrace, RuleSet, WorldState, decide
 from .knowledge import KnowledgeBase, ProductionRule
 
 
@@ -139,10 +139,10 @@ def curve_to_csv(curve: list[CurvePoint], path: str | Path) -> None:
             writer.writerow([pt.epoch, f"{pt.agreement:.6f}", f"{pt.mean_utility:.10f}"])
 
 
-def _train_one_epoch(rules: list[ProductionRule], episodes: list[Episode],
+def _train_one_epoch(rules: RuleSet, episodes: list[Episode],
                      cfg: TrainConfig, rng: random.Random) -> float:
     """One pass over the episodes; returns the per-slot agreement rate."""
-    by_name = {r.name: r for r in rules}
+    by_name = {r.name: r for r in rules.rules}
     agreed = compared = 0
     order = list(range(len(episodes)))
     rng.shuffle(order)
@@ -172,29 +172,31 @@ def _train_one_epoch(rules: list[ProductionRule], episodes: list[Episode],
 
 def train(rules: list[ProductionRule], episodes: list[Episode],
           cfg: TrainConfig, kb: KnowledgeBase | None = None,
-          on_epoch: Callable[[int, list[ProductionRule]], None] | None = None,
+          on_epoch: Callable[[int, RuleSet], None] | None = None,
           ) -> tuple[list[ProductionRule], list[CurvePoint]]:
     """Trains copies of the rules, reset to the initial utility, for
-    cfg.epochs epochs with one RNG seeded from cfg.seed. Returns the trained
-    copies and the per-epoch learning curve. After each epoch,
-    on_epoch(epochs_done, rules) may observe the rules; it must not change them."""
+    cfg.epochs epochs with one RNG seeded from cfg.seed and one RuleSet over
+    the copies. Returns the trained copies and the per-epoch learning curve.
+    After each epoch, on_epoch(epochs_done, rule_set) may observe the rules;
+    it must not change them."""
     if kb is not None:
         validate_episodes(episodes, kb)
     rules = copy.deepcopy(rules)
     for rule in rules:
         rule.utility = cfg.initial_utility
+    rule_set = RuleSet(rules)
     rng = random.Random(cfg.seed)
     curve: list[CurvePoint] = []
     for epoch in range(cfg.epochs):
-        agreement = _train_one_epoch(rules, episodes, cfg, rng)
+        agreement = _train_one_epoch(rule_set, episodes, cfg, rng)
         mean_u = sum(r.utility for r in rules) / len(rules) if rules else 0.0
         curve.append(CurvePoint(epoch=epoch, agreement=agreement, mean_utility=mean_u))
         if on_epoch is not None:
-            on_epoch(epoch + 1, rules)
+            on_epoch(epoch + 1, rule_set)
     return rules, curve
 
 
-def evaluate_agreement(rules: list[ProductionRule], episodes: list[Episode],
+def evaluate_agreement(rules: RuleSet, episodes: list[Episode],
                        sigma: float, seed: int) -> dict[str, float]:
     """Frozen-utility agreement rate per slot over one seeded pass."""
     rng = random.Random(seed)

@@ -17,7 +17,7 @@ from cogrules.critic_tree import CriticTree, CriticTreeConfig
 from cogrules.engine import WorldState, selection_probabilities
 from cogrules.gateway import CriticEnsembleSpec, Session
 from cogrules.knowledge import Effects, ProductionRule
-from cogrules.metrics import js_divergence, ltl_bleu, mean_js
+from cogrules.metrics import js_divergence, ltl_bleu, mean_js, reference_distributions
 from cogrules.pipeline import formalize_corpus, load_config, run_experiment
 from cogrules.trainer import (Episode, ReferenceAction, TrainConfig,
                               reward_decompose, train, utility_update)
@@ -260,7 +260,7 @@ def test_05_learning_convergence_two_rule_fixture():
     js_checkpoints = []
 
     def checkpoint(epochs_done, trained):
-        js_checkpoints.append(mean_js(trained, episodes, SQRT2))
+        js_checkpoints.append(mean_js(trained, reference_distributions(episodes), SQRT2))
 
     rules, _ = train(rules, episodes, cfg, on_epoch=checkpoint)
 

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from cogrules.engine import (Decision, WorldState, decide, decision_distribution, match,
-                             pick, select, selection_probabilities)
+from cogrules.engine import (CACHE_STATES, SLOTS, Decision, RuleSet, WorldState, decide,
+                             decision_distribution, match, pick, select,
+                             selection_probabilities, slot_candidates)
 from cogrules.knowledge import Effects, ProductionRule
 
 SQRT2 = math.sqrt(2)
@@ -110,7 +111,7 @@ class TestDecide:
     def test_single_rule_both_effects_fires_once(self):
         r = rule("r1", [("a", "=", True)], longitudinal="brake",
                  lateral="keep_lane")
-        decision, trace = decide(WorldState.make({"a": True}), [r], SQRT2,
+        decision, trace = decide(WorldState.make({"a": True}), RuleSet([r]), SQRT2,
                                  random.Random(0))
         assert decision.longitudinal == "brake"
         assert decision.lateral == "keep_lane"
@@ -119,22 +120,22 @@ class TestDecide:
 
     def test_no_match_empty_decision(self):
         r = rule("r1", [("a", "=", True)], longitudinal="brake")
-        decision, trace = decide(WorldState.make({"a": False}), [r], SQRT2,
+        decision, trace = decide(WorldState.make({"a": False}), RuleSet([r]), SQRT2,
                                  random.Random(0))
         assert decision == Decision()
         assert trace.entries == []
 
     def test_lateral_only_slot(self):
         r = rule("r1", [("a", "=", True)], lateral="change_left")
-        decision, trace = decide(WorldState.make({"a": True}), [r], SQRT2,
+        decision, trace = decide(WorldState.make({"a": True}), RuleSet([r]), SQRT2,
                                  random.Random(0))
         assert decision.longitudinal is None
         assert decision.lateral == "change_left"
         assert trace.entries[0].slot == "lateral"
 
     def test_competing_longitudinal_rules_monte_carlo(self):
-        rules = [rule("ra", [("a", "=", True)], longitudinal="brake"),
-                 rule("rb", [("a", "=", True)], longitudinal="keep")]
+        rules = RuleSet([rule("ra", [("a", "=", True)], longitudinal="brake"),
+                         rule("rb", [("a", "=", True)], longitudinal="keep")])
         rng = random.Random(21)
         state = WorldState.make({"a": True})
         picks = sum(decide(state, rules, SQRT2, rng)[0].longitudinal == "brake"
@@ -142,8 +143,8 @@ class TestDecide:
         assert abs(picks / 10_000 - 0.5) <= 0.02
 
     def test_argmax_dominance(self):
-        rules = [rule("hi", [("a", "=", True)], longitudinal="brake", utility=20.0),
-                 rule("lo", [("a", "=", True)], longitudinal="keep", utility=0.0)]
+        rules = RuleSet([rule("hi", [("a", "=", True)], longitudinal="brake", utility=20.0),
+                         rule("lo", [("a", "=", True)], longitudinal="keep", utility=0.0)])
         rng = random.Random(31)
         state = WorldState.make({"a": True})
         picks = sum(decide(state, rules, SQRT2, rng)[0].longitudinal == "brake"
@@ -151,9 +152,9 @@ class TestDecide:
         assert picks / 10_000 > 0.999
 
     def test_deterministic_per_seed(self):
-        rules = [rule("ra", [("a", "=", True)], longitudinal="brake"),
-                 rule("rb", [("a", "=", True)], longitudinal="keep",
-                      lateral="change_left")]
+        rules = RuleSet([rule("ra", [("a", "=", True)], longitudinal="brake"),
+                         rule("rb", [("a", "=", True)], longitudinal="keep",
+                              lateral="change_left")])
         state = WorldState.make({"a": True})
         runs = []
         for _ in range(2):
@@ -165,8 +166,8 @@ class TestDecide:
         assert runs[0] == runs[1]
 
     def test_trace_justifies_every_action(self):
-        rules = [rule("ra", [("a", "=", True)], longitudinal="brake"),
-                 rule("rb", [("a", "=", True)], lateral="change_left")]
+        rules = RuleSet([rule("ra", [("a", "=", True)], longitudinal="brake"),
+                         rule("rb", [("a", "=", True)], lateral="change_left")])
         rng = random.Random(3)
         state = WorldState.make({"a": True})
         for _ in range(50):
@@ -179,7 +180,7 @@ class TestDecide:
     def test_trace_probabilities_normalized(self):
         rules = [rule(f"r{i}", [("a", "=", True)], longitudinal="keep",
                       utility=float(i)) for i in range(7)]
-        _, trace = decide(WorldState.make({"a": True}), rules, SQRT2,
+        _, trace = decide(WorldState.make({"a": True}), RuleSet(rules), SQRT2,
                           random.Random(0))
         for entry in trace.entries:
             assert abs(sum(entry.probabilities) - 1.0) <= 1e-9
@@ -190,7 +191,7 @@ class TestDecisionDistribution:
     STATE = WorldState.make({"a": True})
 
     def dist(self, rules):
-        return decision_distribution(self.STATE, rules, SQRT2)
+        return decision_distribution(self.STATE, RuleSet(rules), SQRT2)
 
     def test_two_effect_winner_fixes_the_pair(self):
         # the only longitudinal candidate carries a lateral effect, so the
@@ -232,3 +233,93 @@ class TestDecisionDistribution:
             rules = [rule(f"r{i}", [("a", "=", rng.random() < 0.8)], *rng.choice(effects),
                           utility=rng.uniform(-50, 50)) for i in range(rng.randint(0, 12))]
             assert abs(sum(self.dist(rules).values()) - 1.0) <= 1e-9
+
+
+def random_precondition(rng, cmp):
+    """A precondition over the rule-side features; `ghost` never occurs in
+    a state."""
+    feature = rng.choice(("b0", "b1", "b2", "lane", "n", "ghost"))
+    value = {"lane": rng.choice(("left", "mid", "right")),
+             "n": rng.randrange(4)}.get(feature, rng.random() < 0.5)
+    return feature, cmp, value
+
+
+def random_rules(rng, size):
+    """Rules with no preconditions, all `!=` ones, all `=` ones and mixed
+    ones; names may repeat, so the name order's ties are covered too."""
+    effects = [("brake", "pass"), ("keep", "pass"), ("pass", "keep_lane"),
+               ("pass", "change_left"), ("brake", "keep_lane"), ("pass", "pass")]
+    rules = []
+    for i in range(size):
+        kind = rng.choice(("none", "!=", "=", "mixed"))
+        n_pre = 0 if kind == "none" else rng.randint(1, 3)
+        pres = [random_precondition(rng, rng.choice(("=", "!=")) if kind == "mixed" else kind)
+                for _ in range(n_pre)]
+        rules.append(rule(f"r{rng.randrange(size)}", pres, *rng.choice(effects),
+                          utility=rng.uniform(-5, 5)))
+    return rules
+
+
+def random_state(rng, idx):
+    """Each rule-side feature present with probability 0.8, plus `idx`,
+    which no rule tests, to make the state distinct."""
+    feats = {"idx": idx}
+    for name in ("b0", "b1", "b2", "lane", "n"):
+        if rng.random() < 0.8:
+            feats[name] = random_precondition(rng, "=")[2] if name in ("lane", "n") \
+                else rng.random() < 0.5
+    return WorldState.make(feats, t=rng.randrange(100))
+
+
+def brute_force(state, rules):
+    matched = match(state, rules)
+    return tuple([id(r) for r in slot_candidates(matched, slot)] for slot in SLOTS)
+
+
+class TestRuleSet:
+    """`RuleSet.candidates` against the brute-force `match` scan."""
+
+    def candidates(self, rule_set, state):
+        return tuple([id(r) for r in found] for found in rule_set.candidates(state))
+
+    def test_random_rule_sets_equal_brute_force(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            rules = random_rules(rng, rng.randint(0, 40))
+            rule_set = RuleSet(rules)
+            states = [random_state(rng, rng.randrange(8)) for _ in range(40)]
+            for state in states + states:  # misses, then hits
+                assert self.candidates(rule_set, state) == brute_force(state, rules)
+
+    def test_eviction_keeps_candidates_exact(self):
+        rng = random.Random(43)
+        rules = random_rules(rng, 40)
+        rule_set = RuleSet(rules)
+        states = [random_state(rng, i) for i in range(CACHE_STATES + 300)]
+        for state in states + states[:300]:  # the early states again, after eviction
+            assert self.candidates(rule_set, state) == brute_force(state, rules)
+
+    def test_cache_never_exceeds_its_bound(self):
+        rng = random.Random(47)
+        rule_set = RuleSet(random_rules(rng, 10))
+        for i in range(CACHE_STATES * 2 + 5):
+            rule_set.candidates(WorldState.make({"idx": i, "b0": i % 2 == 0}))
+            assert len(rule_set._cache) <= CACHE_STATES
+
+    def test_cache_is_keyed_on_features_not_time(self):
+        rule_set = RuleSet([rule("r", [("a", "=", True)], longitudinal="brake")])
+        first = rule_set.candidates(WorldState.make({"a": True}, t=0))
+        assert rule_set.candidates(WorldState.make({"a": True}, t=9)) is first
+        assert len(rule_set._cache) == 1
+
+    def test_utility_change_after_caching_is_seen(self):
+        rules = [rule("ra", [("a", "=", True)], longitudinal="brake"),
+                 rule("rb", [("a", "=", True)], longitudinal="keep")]
+        rule_set = RuleSet(rules)
+        state = WorldState.make({"a": True})
+        assert decision_distribution(state, rule_set, SQRT2) == \
+            {"brake/none": 0.5, "keep/none": 0.5}
+        rules[0].utility = 10.0
+        expected = selection_probabilities([10.0, 0.0], SQRT2)
+        assert decision_distribution(state, rule_set, SQRT2) == \
+            {"brake/none": expected[0], "keep/none": expected[1]}

@@ -9,7 +9,7 @@ import pytest
 
 import cogrules
 from cogrules.compiler import RuleStore
-from cogrules.engine import ReasoningTrace, TraceEntry, WorldState, decision_distribution
+from cogrules.engine import ReasoningTrace, RuleSet, TraceEntry, WorldState, decision_distribution
 from cogrules.knowledge import Effects, ProductionRule
 from cogrules.metrics import (decision_distributions, js_divergence, ltl_bleu,
                               ltl_match_accuracy, ltl_tokens, mean_js,
@@ -145,7 +145,7 @@ class TestDecisionDistributions:
     def test_single_state_one_pair(self):
         r = rule("r", [("x", "=", True)], longitudinal="brake")
         episodes = [repeated_state_episode(50)]
-        pairs = decision_distributions([r], episodes, SQRT2)
+        pairs = decision_distributions(RuleSet([r]), reference_distributions(episodes), SQRT2)
         assert len(pairs) == 1
         assert pairs[0] == ({"brake/none": 1.0}, {"brake/none": 1.0})
         [(_, counts)] = reference_distributions(episodes)
@@ -154,14 +154,16 @@ class TestDecisionDistributions:
     def test_deterministic_agent_point_mass(self):
         r = rule("r", [("x", "=", True)], longitudinal="brake",
                  lateral="keep_lane")
-        pairs = decision_distributions([r], [repeated_state_episode(10)], SQRT2)
+        pairs = decision_distributions(
+            RuleSet([r]), reference_distributions([repeated_state_episode(10)]), SQRT2)
         model, _ = pairs[0]
         assert model == {"brake/keep_lane": 1.0}
 
     def test_model_side_is_exact(self):
         rules = [rule("a", [("x", "=", True)], longitudinal="brake"),
                  rule("b", [("x", "=", True)], longitudinal="keep")]
-        pairs = decision_distributions(rules, [repeated_state_episode(40)], SQRT2)
+        pairs = decision_distributions(
+            RuleSet(rules), reference_distributions([repeated_state_episode(40)]), SQRT2)
         model, reference = pairs[0]
         assert model == {"brake/none": 0.5, "keep/none": 0.5}
         assert reference == {"brake/none": 1.0}
@@ -169,12 +171,14 @@ class TestDecisionDistributions:
     def test_perfect_imitator_near_zero_js(self):
         r = rule("r", [("x", "=", True)], longitudinal="brake")
         episodes = [repeated_state_episode(100)]
-        assert mean_js([r], episodes, SQRT2) == pytest.approx(0.0)
+        assert mean_js(RuleSet([r]), reference_distributions(episodes), SQRT2) == \
+            pytest.approx(0.0)
 
     def test_fewer_than_topk_states_uses_all(self):
         r = rule("r", [("x", "=", True)], longitudinal="brake")
         episodes = [repeated_state_episode(5)]
-        pairs = decision_distributions([r], episodes, SQRT2, top_k=10)
+        pairs = decision_distributions(
+            RuleSet([r]), reference_distributions(episodes, top_k=10), SQRT2)
         assert len(pairs) == 1
 
     def test_topk_selection_by_frequency(self):
@@ -183,8 +187,8 @@ class TestDecisionDistributions:
             feats = {"x": True, "band": i}
             episodes.append(repeated_state_episode(12 - i, features=feats))
         r = rule("r", [("x", "=", True)], longitudinal="brake")
-        assert len(decision_distributions([r], episodes, SQRT2, top_k=10)) == 10
         refs = reference_distributions(episodes, top_k=10)
+        assert len(decision_distributions(RuleSet([r]), refs, SQRT2)) == 10
         assert [dict(state.features)["band"] for state, _ in refs] == list(range(10))
         counts = [sum(c.values()) for _, c in refs]
         assert counts == sorted(counts, reverse=True)
@@ -213,6 +217,7 @@ class TestClosedFormAgainstSampling:
     DRAWS = 100_000
 
     def check(self, state, rules, seed):
+        rules = RuleSet(rules)
         exact = decision_distribution(state, rules, SQRT2)
         sampled = sampled_distribution(state, rules, SQRT2, self.DRAWS, random.Random(seed))
         assert set(sampled) <= set(exact)

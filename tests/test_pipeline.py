@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cogrules
-from cogrules import pipeline
+from cogrules import engine, pipeline
 from cogrules.gateway import ReplayMiss
 from cogrules.pipeline import formalize_corpus, load_config, run_experiment
 from conftest import highway_corpus, scripted_spec, write_pipeline_config
@@ -175,6 +175,45 @@ class TestRunExperiment:
         first = (cfg.out_dir / "manifest.json").read_bytes()
         run_experiment(load_config(tmp_path / "config_literal.json"))
         assert (cfg.out_dir / "manifest.json").read_bytes() == first
+
+    # sha256 of the fixture's artifacts, recorded when every decide still
+    # scanned the whole rule list; a change to the order of random draws,
+    # or to what a draw selects, moves them
+    GOLDEN = {
+        "literal": {
+            "rules.json": "4372848edf5d5d2dd47939f6af87c21a164343da69277fd9f6c6b90cff3c46c2",
+            "curve.csv": "dd2c9c3ea53a78269a4c2841f9514dcc6e9a0d1996abcc7e1785ab0cb013fc0b",
+            "js_curve.csv": "2ba5dbff8ead33838cbc203acd2dcd90767451b5dbbe5ab2c709dfe53c13bec6",
+        },
+        "supply": {
+            "rules.json": "689acf5112ea3ef2adeb156c38d433a711227b24fd54774e16a8e1a287115d80",
+            "curve.csv": "c670c3029f36390faa1ee21ac254ebb30cc69ed993e80388051a6b42f36704ee",
+            "js_curve.csv": "79c781d91cecb63977cb129d78d63e4f7ac32ce4a2f67bc1ae1447a2f7b6f465",
+        },
+    }
+
+    @pytest.mark.parametrize("mode", sorted(GOLDEN))
+    def test_fixture_artifacts_match_recorded_digests(self, tmp_path, mode):
+        cfg = load_config(write_pipeline_config(tmp_path, prompt_mode=mode))
+        run_experiment(cfg)
+        assert {name: pipeline._sha256(cfg.out_dir / name) for name in self.GOLDEN[mode]} \
+            == self.GOLDEN[mode]
+
+    def test_second_run_matches_from_a_cold_cache(self, tmp_path, monkeypatch):
+        # every RuleSet, and so its cache, ends with its run
+        matched = []
+        scan = engine.match
+
+        def counting_match(state, rules):
+            matched.append(state.features)
+            return scan(state, rules)
+        monkeypatch.setattr(engine, "match", counting_match)
+        cfg = literal_config(tmp_path, epochs=6)
+        run_experiment(cfg)
+        first, first_matches = (cfg.out_dir / "manifest.json").read_bytes(), list(matched)
+        run_experiment(cfg)
+        assert (cfg.out_dir / "manifest.json").read_bytes() == first
+        assert first_matches and matched == first_matches * 2
 
     def test_manifest_independent_of_string_hash_seed(self, tmp_path):
         # str hashing, and so set iteration order, differs per process

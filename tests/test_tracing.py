@@ -7,7 +7,7 @@ import random
 from pathlib import Path
 
 from cogrules import compiler, critic_tree, engine, gateway, ltl, metrics, pipeline, trainer
-from cogrules.engine import WorldState
+from cogrules.engine import RuleSet, WorldState
 from cogrules.knowledge import Effects, ProductionRule
 from cogrules.trainer import Episode, ReferenceAction
 
@@ -35,13 +35,13 @@ def test_install_then_uninstall_restores_every_name(monkeypatch):
 
 
 def test_wrapped_names_are_the_ones_called(monkeypatch):
-    rules = [ProductionRule(name=n, preconditions=(("x", "=", True),),
-                            effects=Effects(longitudinal=n)) for n in ("brake", "keep")]
+    rules = RuleSet([ProductionRule(name=n, preconditions=(("x", "=", True),),
+                                    effects=Effects(longitudinal=n)) for n in ("brake", "keep")])
     state = WorldState.make({"x": True})
     episodes = [Episode(steps=[(state, ReferenceAction("brake"))])]
     tracer, uninstall = install_tracer(monkeypatch)
     try:
-        metrics.mean_js(rules, episodes, math.sqrt(2))
+        metrics.mean_js(rules, metrics.reference_distributions(episodes), math.sqrt(2))
         # the exact JS matches each state once and samples nothing
         assert tracer.counts["metrics.decide_calls"] == 0
         _, _, calls = tracer.totals()

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cogrules.engine import ReasoningTrace, TraceEntry, WorldState
+from cogrules.engine import ReasoningTrace, RuleSet, TraceEntry, WorldState
 from cogrules.knowledge import Effects, ProductionRule
 from cogrules.scenarios import scenario_kb
 from cogrules.trainer import (Episode, EpisodeSchemaError,
@@ -151,8 +151,8 @@ class TestTrain:
         cfg = TrainConfig(epochs=4, seed=3, learning_rate=0.1)
         seen = []
         observed, c1 = train([agree, disagree], episodes, cfg,
-                             on_epoch=lambda done, rules: seen.append(
-                                 (done, [r.utility for r in rules])))
+                             on_epoch=lambda done, rule_set: seen.append(
+                                 (done, [r.utility for r in rule_set.rules])))
         plain, c2 = train([agree, disagree], episodes, cfg)
         assert [done for done, _ in seen] == [1, 2, 3, 4]
         assert seen[-1][1] == [r.utility for r in plain]
@@ -188,12 +188,12 @@ class TestTrain:
 class TestEvaluate:
     def test_perfect_imitation(self):
         r = rule("r", [("front_gap_closing", "=", True)], longitudinal="brake")
-        agreement = evaluate_agreement([r], [one_state_episode(20)], SQRT2,
+        agreement = evaluate_agreement(RuleSet([r]), [one_state_episode(20)], SQRT2,
                                        seed=0)
         assert agreement["longitudinal"] == 1.0
 
     def test_empty_rule_set(self):
-        agreement = evaluate_agreement([], [one_state_episode(20)], SQRT2, seed=0)
+        agreement = evaluate_agreement(RuleSet([]), [one_state_episode(20)], SQRT2, seed=0)
         assert agreement["longitudinal"] == 0.0
 
     def test_equal_utility_coin_flip(self):
@@ -202,7 +202,7 @@ class TestEvaluate:
                  rule("disagree", [("front_gap_closing", "=", True)],
                       longitudinal="accelerate")]
         episodes = [one_state_episode(100) for _ in range(100)]
-        agreement = evaluate_agreement(rules, episodes, SQRT2, seed=2)
+        agreement = evaluate_agreement(RuleSet(rules), episodes, SQRT2, seed=2)
         assert abs(agreement["longitudinal"] - 0.5) <= 0.03
 
 
