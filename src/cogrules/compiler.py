@@ -1,6 +1,6 @@
 """Compile convertible temporal-logic formulas into grounded production
 rules: grounding through the knowledge base, deterministic naming,
-embedding-based duplicate rejection, an optional error-guided repair
+trigram-count duplicate rejection, an optional error-guided repair
 loop, and the four-way outcome taxonomy.
 """
 
@@ -9,10 +9,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import sys
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from types import MappingProxyType
 
 from . import ltl
 from .gateway import Backend, ChatMessage, GatewayError
@@ -22,6 +25,10 @@ from .knowledge import (PASS, Effects, KnowledgeBase, Precondition,
 DUPLICATION_THRESHOLD = 0.9
 REPAIR_ROUNDS = 3
 EMBEDDING_DIMENSION = 256
+# bits per stored rule in RuleStore's packed postings, the width of an
+# array("Q") item; a field holds the dot product of any two names shorter
+# than 2**32 characters
+POSTING_BITS = 64
 
 
 class GroundingError(ValueError):
@@ -86,32 +93,31 @@ def write_outcome_csv(report: dict[str, int], path: str | Path) -> None:
 # embeddings
 
 class HashedTrigramEmbedding:
-    """Deterministic hashed character-trigram counts, L2-normalized.
+    """Deterministic hashed character-trigram counts: bucket -> count, for
+    the buckets that occur.
 
     Each instance remembers the vectors it has computed, so a text is
     embedded once per provider; build one provider per run."""
 
     def __init__(self):
-        self._memo: dict[str, np.ndarray] = {}
+        self._memo: dict[str, Mapping[int, int]] = {}
 
-    def embed(self, text: str) -> np.ndarray:
-        """Unit-norm vector for the text; read-only, shared between calls."""
+    def embed(self, text: str) -> Mapping[int, int]:
+        """Sparse trigram counts of the text; read-only, shared between calls."""
         vec = self._memo.get(text)
         if vec is None:
-            vec = self._embed(text)
-            vec.flags.writeable = False
-            self._memo[text] = vec
+            vec = self._memo[text] = MappingProxyType(self._embed(text))
         return vec
 
-    def _embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(EMBEDDING_DIMENSION)
+    def _embed(self, text: str) -> dict[int, int]:
+        counts: dict[int, int] = {}
         padded = f"^{text}$"
         for i in range(max(1, len(padded) - 2)):
             gram = padded[i:i + 3]
             h = int.from_bytes(hashlib.md5(gram.encode()).digest()[:4], "big")
-            vec[h % EMBEDDING_DIMENSION] += 1.0
-        norm = np.linalg.norm(vec)
-        return vec / norm if norm > 0 else vec
+            bucket = h % EMBEDDING_DIMENSION
+            counts[bucket] = counts.get(bucket, 0) + 1
+        return counts
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +168,19 @@ def name_rule(preconditions: tuple[Precondition, ...], effects: Effects) -> str:
 
 class RuleStore:
     """Ordered rule collection, indexed by rule body; the first stored
-    rule with a given body names it."""
+    rule with a given body names it.
+
+    `dedup_check` also keeps an inverted index of the rule names' trigram
+    counts here, and each indexed name's squared norm. A bucket's postings
+    are one integer, the sum of count << (POSTING_BITS * position), so a
+    single multiply-add per candidate bucket adds that bucket's share to
+    every stored rule's dot product."""
 
     def __init__(self, rules: list[ProductionRule] | None = None):
         self.rules: list[ProductionRule] = []
         self._by_body: dict[tuple, str] = {}
+        self._postings: dict[int, int] = {}
+        self._norms2: list[int] = []
         for rule in rules or []:
             self.add(rule)
 
@@ -196,19 +210,33 @@ def dedup_check(candidate: ProductionRule, store: RuleStore,
                 provider: HashedTrigramEmbedding,
                 threshold: float = DUPLICATION_THRESHOLD) -> DuplicatedContent | None:
     """None means the candidate is novel. Exact body duplicates are
-    rejected regardless of embedding similarity; otherwise the most
-    similar stored name, ties broken by the smaller name, is compared
-    against the cosine threshold."""
+    rejected regardless of name similarity; otherwise the stored name of
+    highest cosine with the candidate's name, ties broken by the smaller
+    name, is compared against the threshold. The cosine is exact:
+    dot / sqrt(|a|^2 |b|^2) over integer trigram counts."""
     if len(store) == 0:
         return None
     existing = store._by_body.get(candidate.body_key())
     if existing is not None:
         return DuplicatedContent(existing=existing, similarity=1.0)
+    postings, norms2 = store._postings, store._norms2
+    for position in range(len(norms2), len(store)):
+        vec = provider.embed(store.rules[position].name)
+        for bucket, count in vec.items():
+            postings[bucket] = postings.get(bucket, 0) + (count << (POSTING_BITS * position))
+        norms2.append(sum(c * c for c in vec.values()))
     cand_vec = provider.embed(candidate.name)
-    neg_sim, name = min((-float(np.dot(cand_vec, provider.embed(r.name))), r.name)
-                        for r in store)
-    if -neg_sim >= threshold:
-        return DuplicatedContent(existing=name, similarity=-neg_sim)
+    packed = sum(count * postings.get(bucket, 0) for bucket, count in cand_vec.items())
+    dots = array("Q", packed.to_bytes(POSTING_BITS // 8 * len(norms2), sys.byteorder))
+    # cosines with one candidate rank exactly as dot^2 / |b|^2, in integers
+    best_dot, best_norm2, name = 0, 1, None
+    for dot, norm2, rule in zip(dots, norms2, store.rules):
+        lhs, rhs = dot * dot * best_norm2, best_dot * best_dot * norm2
+        if lhs > rhs or (lhs == rhs and (name is None or rule.name < name)):
+            best_dot, best_norm2, name = dot, norm2, rule.name
+    similarity = best_dot / math.sqrt(sum(c * c for c in cand_vec.values()) * best_norm2)
+    if similarity >= threshold:
+        return DuplicatedContent(existing=name, similarity=similarity)
     return None
 
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import requests
-
 
 @dataclass(frozen=True)
 class ChatMessage:
@@ -103,6 +101,8 @@ class HttpBackend(Backend):
         self.spec = spec
 
     def complete(self, messages: list[ChatMessage]) -> ChatMessage:
+        import requests  # loaded only by runs that make HTTP calls
+
         body = {
             "model": self.spec.model,
             "messages": [{"role": m.role, "content": m.content} for m in messages],

@@ -199,20 +199,22 @@ def run_experiment(cfg: PipelineConfig) -> dict:
     rules = list(store)
     js_curve = []
     curve = []
+    trained_set = None
     if rules:
         # JS before training and at evenly spread epochs, the last at cfg.train.epochs
         at = {0} | {cfg.train.epochs * (k + 1) // cfg.checkpoints for k in range(cfg.checkpoints)}
         references = metrics.reference_distributions(episodes, cfg.eval_top_k)
 
-        def observe(epochs_done, trained):
+        def observe(epochs_done, rule_set):
+            nonlocal trained_set
+            trained_set = rule_set  # agreement reuses its cached matches
             if epochs_done in at:
                 js_curve.append((epochs_done, metrics.mean_js(
-                    trained, references, cfg.train.sigma)))
+                    rule_set, references, cfg.train.sigma)))
 
-        observe(0, RuleSet(rules))
         rules, curve = trainer.train(rules, episodes, cfg.train, on_epoch=observe)
     agreement = trainer.evaluate_agreement(
-        RuleSet(rules), episodes, cfg.train.sigma, cfg.train.seed)
+        trained_set or RuleSet([]), episodes, cfg.train.sigma, cfg.train.seed)
 
     compiler.RuleStore(rules).save(out / "rules.json")
     compiler.write_outcome_csv(report, out / "outcomes.csv")

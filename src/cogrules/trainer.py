@@ -177,8 +177,10 @@ def train(rules: list[ProductionRule], episodes: list[Episode],
     """Trains copies of the rules, reset to the initial utility, for
     cfg.epochs epochs with one RNG seeded from cfg.seed and one RuleSet over
     the copies. Returns the trained copies and the per-epoch learning curve.
-    After each epoch, on_epoch(epochs_done, rule_set) may observe the rules;
-    it must not change them."""
+    on_epoch(epochs_done, rule_set) is called once before the first epoch,
+    with epochs_done 0, and after each epoch. It may observe the rules, and
+    keep the RuleSet to reuse its cache after training; it must not change
+    them."""
     if kb is not None:
         validate_episodes(episodes, kb)
     rules = copy.deepcopy(rules)
@@ -187,6 +189,8 @@ def train(rules: list[ProductionRule], episodes: list[Episode],
     rule_set = RuleSet(rules)
     rng = random.Random(cfg.seed)
     curve: list[CurvePoint] = []
+    if on_epoch is not None:
+        on_epoch(0, rule_set)
     for epoch in range(cfg.epochs):
         agreement = _train_one_epoch(rule_set, episodes, cfg, rng)
         mean_u = sum(r.utility for r in rules) / len(rules) if rules else 0.0

@@ -6,8 +6,9 @@ import re
 from pathlib import Path
 
 import pytest
+import requests
 
-from cogrules import gateway, ltl
+from cogrules import ltl
 from cogrules.gateway import BackendSpec, CriticEnsembleSpec, register_script
 
 _counter = itertools.count()
@@ -131,5 +132,5 @@ def no_network(monkeypatch):
     """Fail the test if anything touches the HTTP layer."""
     def guard(*args, **kwargs):
         raise AssertionError("network access attempted")
-    monkeypatch.setattr(gateway.requests, "post", guard)
-    monkeypatch.setattr(gateway.requests, "get", guard, raising=False)
+    monkeypatch.setattr(requests, "post", guard)
+    monkeypatch.setattr(requests, "get", guard, raising=False)

@@ -12,7 +12,8 @@ import time
 
 from cogrules import ltl
 from cogrules.cli import main as cli_main
-from cogrules.compiler import HashedTrigramEmbedding, RuleStore, dedup_check
+from cogrules.compiler import (EMBEDDING_DIMENSION, HashedTrigramEmbedding, RuleStore,
+                               dedup_check)
 from cogrules.critic_tree import CriticTree, CriticTreeConfig
 from cogrules.engine import WorldState, selection_probabilities
 from cogrules.gateway import CriticEnsembleSpec, Session
@@ -329,7 +330,8 @@ def test_07_dedup_matches_bruteforce_oracle():
                           threshold=threshold)
         expected = dedup_oracle(candidate.name, candidate.body_key(),
                                 [(r.name, r.body_key()) for r in store_rules],
-                                lambda t: provider.embed(t).tolist(),
+                                lambda t: [provider.embed(t).get(i, 0)
+                                           for i in range(EMBEDDING_DIMENSION)],
                                 threshold=threshold)
         assert (got is not None) == expected
     _ok(7, "1000 candidate/store configurations agree")

@@ -1,13 +1,15 @@
+import hashlib
 import json
+import math
 import random
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from cogrules import compiler, ltl
 from cogrules.gateway import ReplayMiss, Session
-from cogrules.compiler import (DuplicatedContent, FormatMismatch,
-                               HashedTrigramEmbedding, InferenceError,
+from cogrules.compiler import (EMBEDDING_DIMENSION, DuplicatedContent,
+                               FormatMismatch, HashedTrigramEmbedding, InferenceError,
                                RuleStore, Viable, compile_formula, dedup_check,
                                ground, name_rule, outcome_report)
 from cogrules.knowledge import (Effects, Grounding, ProductionRule,
@@ -88,24 +90,44 @@ class TestNaming:
             name_rule(pre, Effects(longitudinal="keep"))
 
 
+def dense(provider, text):
+    """The provider's trigram counts as a list over every bucket."""
+    counts = provider.embed(text)
+    return [counts.get(i, 0) for i in range(EMBEDDING_DIMENSION)]
+
+
+def exact_cosine(a, b):
+    """dot / sqrt(|a|^2 |b|^2) over sparse integer counts."""
+    dot = sum(c * b.get(k, 0) for k, c in a.items())
+    return dot / math.sqrt(sum(c * c for c in a.values()) * sum(c * c for c in b.values()))
+
+
 class TestEmbedding:
-    def test_unit_norm(self):
+    def test_hashed_trigram_counts(self):
         provider = HashedTrigramEmbedding()
-        for text in ["abc", "if_a_eq_1__then_long_brake", "x"]:
-            assert abs(np.linalg.norm(provider.embed(text)) - 1.0) < 1e-12
+        for text in ["abc", "if_a_eq_1__then_long_brake", "x", "", "aaaa"]:
+            padded = f"^{text}$"
+            expected = {}
+            for i in range(max(1, len(padded) - 2)):
+                digest = hashlib.md5(padded[i:i + 3].encode()).digest()
+                bucket = int.from_bytes(digest[:4], "big") % EMBEDDING_DIMENSION
+                expected[bucket] = expected.get(bucket, 0) + 1
+            vec = provider.embed(text)
+            assert dict(vec) == expected
+            assert all(type(c) is int for c in vec.values())
+            assert sum(vec.values()) == max(1, len(text))
 
     def test_deterministic(self):
         p1, p2 = HashedTrigramEmbedding(), HashedTrigramEmbedding()
-        assert np.array_equal(p1.embed("rule_name"), p2.embed("rule_name"))
+        assert p1.embed("rule_name") == p2.embed("rule_name")
 
     def test_memoised_vector_is_read_only(self):
         provider = HashedTrigramEmbedding()
         vec = provider.embed("rule_name")
         assert provider.embed("rule_name") is vec
-        assert not vec.flags.writeable
-        with pytest.raises(ValueError):
-            vec[0] = 1.0
-        assert np.array_equal(vec, HashedTrigramEmbedding().embed("rule_name"))
+        with pytest.raises(TypeError):
+            vec[0] = 1
+        assert vec == HashedTrigramEmbedding().embed("rule_name")
 
     def test_formalize_corpus_embeds_each_name_once(self, tmp_path, monkeypatch):
         computed = []
@@ -149,13 +171,14 @@ class TestDedup:
             expected = dedup_oracle(
                 candidate.name, candidate.body_key(),
                 [(r.name, r.body_key()) for r in store_rules],
-                lambda t: provider.embed(t).tolist(), threshold=0.9)
+                lambda t: dense(provider, t), threshold=0.9)
             assert (got is not None) == expected
 
     def test_reports_bruteforce_argmax(self):
         # the criterion 7 generator; `existing` and `similarity` must be the
         # first equal-body rule, else the stored name of highest cosine
-        # (smallest name on ties), computed here without the memo
+        # (smallest name on ties), ranked here in exact fractions, without
+        # the memo or the index
         provider = HashedTrigramEmbedding()
         rng = random.Random(71)
         duplicates = 0
@@ -174,15 +197,35 @@ class TestDedup:
                 assert got is None
                 continue
             fresh = HashedTrigramEmbedding()
-            sim, name = min(((float(np.dot(fresh.embed(candidate.name),
-                                           fresh.embed(r.name))), r.name)
-                             for r in store_rules), key=lambda s: (-s[0], s[1]))
+            cand = fresh.embed(candidate.name)
+
+            def squared_cosine(rule):
+                vec = fresh.embed(rule.name)
+                dot = sum(c * vec.get(k, 0) for k, c in cand.items())
+                return Fraction(dot * dot, sum(c * c for c in cand.values())
+                                * sum(c * c for c in vec.values()))
+            best = min(store_rules, key=lambda r: (-squared_cosine(r), r.name))
+            name, sim = best.name, exact_cosine(cand, fresh.embed(best.name))
             if sim >= threshold:
                 duplicates += 1
                 assert got == DuplicatedContent(name, sim)
             else:
                 assert got is None
         assert duplicates > 0
+
+    def test_equal_count_vectors_tie_exactly(self):
+        # both padded names hold the same multiset of trigrams, so their
+        # count vectors are equal whatever the hashing; the smaller wins
+        provider = HashedTrigramEmbedding()
+        assert provider.embed("ababba") == provider.embed("abbaba")
+        later = make_rule([("a", "=", 1)], {"longitudinal": "brake"}, name="abbaba")
+        smaller = make_rule([("a", "=", 2)], {"longitudinal": "brake"}, name="ababba")
+        candidate = make_rule([("a", "=", 3)], {"longitudinal": "brake"}, name="abab")
+        sim = exact_cosine(provider.embed("abab"), provider.embed("ababba"))
+        assert 0.5 < sim < 1.0
+        for rules in ([later, smaller], [smaller, later]):
+            assert dedup_check(candidate, RuleStore(rules), provider, threshold=0.5) == \
+                DuplicatedContent("ababba", sim)
 
     def test_first_rule_with_equal_body_is_reported(self):
         first = make_rule([("a", "=", 1)], {"longitudinal": "brake"}, name="zz_first")

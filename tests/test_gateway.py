@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import requests
 
 from cogrules import gateway
 from cogrules.gateway import (BackendSpec, ChatMessage, CriticEnsembleSpec,
@@ -123,7 +124,7 @@ class TestHttp:
             text = ""
             def json(self):
                 return {"choices": [{"message": {"content": "stubbed"}}]}
-        monkeypatch.setattr(gateway.requests, "post", lambda *a, **k: Resp())
+        monkeypatch.setattr(requests, "post", lambda *a, **k: Resp())
         spec = BackendSpec(kind="http", endpoint="http://stub/v1/chat/completions",
                            model="m")
         assert Session().backend(spec).complete(msgs("x")).content == "stubbed"
@@ -134,7 +135,7 @@ class TestHttp:
             text = ""
             def json(self):
                 return {"unexpected": True}
-        monkeypatch.setattr(gateway.requests, "post", lambda *a, **k: Resp())
+        monkeypatch.setattr(requests, "post", lambda *a, **k: Resp())
         spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
         with pytest.raises(ProtocolError):
             Session().backend(spec).complete(msgs("x"))
@@ -146,7 +147,7 @@ class TestHttp:
             text = ""
             def json(self):
                 return {"choices": [{"message": {"content": content}}]}
-        monkeypatch.setattr(gateway.requests, "post", lambda *a, **k: Resp())
+        monkeypatch.setattr(requests, "post", lambda *a, **k: Resp())
         spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
         with pytest.raises(ProtocolError):
             Session().backend(spec).complete(msgs("x"))
@@ -167,7 +168,7 @@ class TestHttp:
         def post(*a, **k):
             posted.append(next(replies))
             return Resp(posted[-1])
-        monkeypatch.setattr(gateway.requests, "post", post)
+        monkeypatch.setattr(requests, "post", post)
         monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
         return posted, sleeps
 

@@ -1,6 +1,9 @@
-"""Every module-level import in the package and in its tests is used."""
+"""Every module-level import in the package and in its tests is used, and
+importing the command line loads no heavy third-party package."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,13 @@ def test_checker_reports_only_unused_names():
               "import json\nimport os.path\nfrom pathlib import Path as P\n"
               "def f(x: P):\n    return os.path.join(x)\n")
     assert unused_imports(source) == ["line 2: json"]
+
+
+def test_cli_and_pipeline_import_neither_numpy_nor_requests():
+    # numpy is not a dependency, and only HTTP backends load requests
+    script = ("import sys, cogrules.pipeline, cogrules.cli; "
+              "print(sorted({'numpy', 'requests'} & set(sys.modules)))")
+    env = {"PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cogrules
-from cogrules import engine, pipeline
+from cogrules import engine, pipeline, trainer
 from cogrules.gateway import ReplayMiss
 from cogrules.pipeline import formalize_corpus, load_config, run_experiment
 from conftest import highway_corpus, scripted_spec, write_pipeline_config
@@ -214,6 +214,24 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert (cfg.out_dir / "manifest.json").read_bytes() == first
         assert first_matches and matched == first_matches * 2
+
+    def test_agreement_reuses_the_trained_rule_set(self, tmp_path, monkeypatch):
+        # every state that agreement visits was matched, and cached, in training
+        evaluations, matched = [], []
+        scan, evaluate = engine.match, trainer.evaluate_agreement
+
+        def counting_match(state, rules):
+            matched.append(len(evaluations))
+            return scan(state, rules)
+
+        def recording_evaluate(*args):
+            evaluations.append(args[0])
+            return evaluate(*args)
+        monkeypatch.setattr(engine, "match", counting_match)
+        monkeypatch.setattr(trainer, "evaluate_agreement", recording_evaluate)
+        run_experiment(literal_config(tmp_path, epochs=2))
+        assert len(evaluations) == 1 and evaluations[0].rules
+        assert matched and 1 not in matched
 
     def test_manifest_independent_of_string_hash_seed(self, tmp_path):
         # str hashing, and so set iteration order, differs per process

@@ -154,7 +154,8 @@ class TestTrain:
                              on_epoch=lambda done, rule_set: seen.append(
                                  (done, [r.utility for r in rule_set.rules])))
         plain, c2 = train([agree, disagree], episodes, cfg)
-        assert [done for done, _ in seen] == [1, 2, 3, 4]
+        assert [done for done, _ in seen] == [0, 1, 2, 3, 4]
+        assert seen[0][1] == [cfg.initial_utility] * 2
         assert seen[-1][1] == [r.utility for r in plain]
         assert [r.utility for r in observed] == [r.utility for r in plain]
         assert c1 == c2
