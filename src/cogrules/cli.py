@@ -86,8 +86,9 @@ def cmd_train(args) -> int:
     kb = KnowledgeBase.load(args.kb)
     store = compiler.RuleStore.load(args.rules)
     episodes = trainer.episodes_from_jsonl(args.episodes)
+    trainer.validate_episodes(episodes, kb)
     cfg = trainer.TrainConfig(epochs=args.epochs, seed=args.seed)
-    trained, curve = trainer.train(list(store), episodes, cfg, kb=kb)
+    trained, curve = trainer.train(list(store), episodes, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     compiler.RuleStore(trained).save(out_dir / "rules_trained.json")
@@ -102,12 +103,11 @@ def cmd_eval(args) -> int:
     store = compiler.RuleStore.load(args.rules)
     episodes = trainer.episodes_from_jsonl(args.episodes)
     rules = RuleSet(store)
-    cfg = trainer.TrainConfig(seed=args.seed)
-    agreement = trainer.evaluate_agreement(rules, episodes, cfg.sigma, args.seed)
-    result = {"agreement": agreement}
+    sigma = trainer.TrainConfig().sigma
+    result = {"agreement": trainer.evaluate_agreement(rules, episodes, sigma)}
     if rules.rules:
         result["mean_js"] = metrics.mean_js(
-            rules, metrics.reference_distributions(episodes), cfg.sigma)
+            rules, metrics.reference_distributions(episodes), sigma)
     _emit(result)
     return 0
 
@@ -175,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate trained rules against episodes")
     p.add_argument("--rules", required=True)
     p.add_argument("--episodes", required=True)
-    p.add_argument("--seed", type=int, required=True)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("run-all", help="full pipeline from a config file")

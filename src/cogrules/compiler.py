@@ -1,7 +1,6 @@
 """Compile convertible temporal-logic formulas into grounded production
 rules: grounding through the knowledge base, deterministic naming,
-trigram-count duplicate rejection, an optional error-guided repair
-loop, and the four-way outcome taxonomy.
+trigram-count duplicate rejection, and the four-way outcome taxonomy.
 """
 
 from __future__ import annotations
@@ -18,12 +17,10 @@ from pathlib import Path
 from types import MappingProxyType
 
 from . import ltl
-from .gateway import Backend, ChatMessage, GatewayError
 from .knowledge import (PASS, Effects, KnowledgeBase, Precondition,
                         ProductionRule, RuleValidationError, validate_rule)
 
 DUPLICATION_THRESHOLD = 0.9
-REPAIR_ROUNDS = 3
 EMBEDDING_DIMENSION = 256
 # bits per stored rule in RuleStore's packed postings, the width of an
 # array("Q") item; a field holds the dot product of any two names shorter
@@ -241,46 +238,13 @@ def dedup_check(candidate: ProductionRule, store: RuleStore,
 
 
 # ---------------------------------------------------------------------------
-# repair loop
-
-REPAIR_PROMPT = (
-    "The following production rule failed to load:\n{rule}\n"
-    "Error: {error}\n"
-    "Valid features: {features}\nLongitudinal actions: {long}\nLateral actions: {lat}\n"
-    "Reply with a corrected rule as JSON with keys 'preconditions' "
-    "(list of [feature, comparator, value]) and 'effects' "
-    "(object with 'longitudinal' and 'lateral', 'pass' allowed).")
-
-
-def _attempt_repair(rule: ProductionRule, error: str, kb: KnowledgeBase,
-                    backend: Backend) -> ProductionRule | None:
-    prompt = REPAIR_PROMPT.format(
-        rule=json.dumps(rule.to_json(), sort_keys=True), error=error,
-        features=", ".join(sorted(kb.features)),
-        long=", ".join(kb.longitudinal_actions), lat=", ".join(kb.lateral_actions))
-    reply = backend.complete([ChatMessage("user", prompt)]).content
-    try:
-        obj = json.loads(reply)
-        preconditions = tuple(tuple(p) for p in obj["preconditions"])
-        effects = Effects(**obj["effects"])
-    except (ValueError, KeyError, TypeError):
-        return None
-    return ProductionRule(name=name_rule(preconditions, effects),
-                          preconditions=preconditions, effects=effects,
-                          utility=rule.utility, provenance=rule.provenance)
-
-
-# ---------------------------------------------------------------------------
 # compile pipeline
 
 def compile_formula(formula: ltl.Ltl, kb: KnowledgeBase, store: RuleStore,
                     provider: HashedTrigramEmbedding,
-                    repair: Backend | None = None,
                     initial_utility: float = 0.0,
                     provenance: dict | None = None) -> CompileOutcome:
-    """classify -> ground -> dry-run load -> dedup -> insert. With a
-    `repair` backend, a rule that fails to load gets up to REPAIR_ROUNDS
-    model-proposed corrections."""
+    """classify -> ground -> dry-run load -> dedup -> insert."""
     verdict = ltl.classify(formula)
     if isinstance(verdict, ltl.InferenceError):
         return InferenceError(verdict.reason)
@@ -292,22 +256,10 @@ def compile_formula(formula: ltl.Ltl, kb: KnowledgeBase, store: RuleStore,
                           preconditions=preconditions, effects=effects,
                           utility=initial_utility,
                           provenance=provenance or {"formula": ltl.to_string(formula)})
-    attempts = 0
-    while True:
-        try:
-            validate_rule(rule, kb)
-            break
-        except RuleValidationError as e:
-            if repair is None or attempts >= REPAIR_ROUNDS:
-                return FormatMismatch(str(e))
-            attempts += 1
-            try:
-                repaired = _attempt_repair(rule, str(e), kb, repair)
-            except GatewayError as gateway_error:
-                return FormatMismatch(f"repair backend failed: {gateway_error}")
-            if repaired is None:
-                return FormatMismatch(f"unrepairable: {e}")
-            rule = repaired
+    try:
+        validate_rule(rule, kb)
+    except RuleValidationError as e:
+        return FormatMismatch(str(e))
     dup = dedup_check(rule, store, provider)
     if dup is not None:
         return dup

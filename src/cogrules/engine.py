@@ -55,8 +55,6 @@ class Decision:
 class TraceEntry:
     t: int
     slot: str  # the slot this resolution step was run for
-    conflict: list[str]
-    probabilities: list[float]
     chosen: str
     filled: list[str] = field(default_factory=list)  # slots this firing set
 
@@ -106,11 +104,10 @@ def pick(weights: list[float], rng: random.Random) -> int:
 
 
 def select(conflict: list[ProductionRule], sigma: float,
-           rng: random.Random) -> tuple[ProductionRule, list[float]]:
+           rng: random.Random) -> ProductionRule:
     if not conflict:
         raise ValueError("conflict set must be nonempty")
-    probs = selection_probabilities([r.utility for r in conflict], sigma)
-    return conflict[pick(probs, rng)], probs
+    return conflict[pick(selection_probabilities([r.utility for r in conflict], sigma), rng)]
 
 
 def slot_candidates(matched: list[ProductionRule], slot: str) -> list[ProductionRule]:
@@ -171,7 +168,7 @@ def decide(state: WorldState, rules: RuleSet, sigma: float,
             continue
         if not candidates:
             continue
-        chosen, probs = select(candidates, sigma, rng)
+        chosen = select(candidates, sigma, rng)
         filled = []
         if chosen.effects.longitudinal != PASS and decision.longitudinal is None:
             decision.longitudinal = chosen.effects.longitudinal
@@ -179,9 +176,8 @@ def decide(state: WorldState, rules: RuleSet, sigma: float,
         if chosen.effects.lateral != PASS and decision.lateral is None:
             decision.lateral = chosen.effects.lateral
             filled.append(LATERAL)
-        trace.entries.append(TraceEntry(
-            t=state.t, slot=slot, conflict=[r.name for r in candidates],
-            probabilities=probs, chosen=chosen.name, filled=filled))
+        trace.entries.append(TraceEntry(t=state.t, slot=slot, chosen=chosen.name,
+                                        filled=filled))
     return decision, trace
 
 
@@ -189,12 +185,11 @@ def action_pair_key(longitudinal: str | None, lateral: str | None) -> str:
     return f"{longitudinal or 'none'}/{lateral or 'none'}"
 
 
-def decision_distribution(state: WorldState, rules: RuleSet,
-                          sigma: float) -> dict[str, float]:
-    """The action-pair distribution `decide` samples from, in closed form
-    (ACT-R's Boltzmann conflict resolution, slot by slot): the longitudinal
-    softmax, where a winner with a lateral effect fixes the pair and any other
-    winner, or no winner, is paired with the lateral softmax (or `none`)."""
+def _softmaxes(state: WorldState, rules: RuleSet, sigma: float):
+    """The two softmaxes `decide` draws from. `winners` holds
+    (longitudinal, lateral effect, p) per longitudinal candidate, or
+    (None, PASS, 1.0) when there is none; `laterals` holds (lateral, q) per
+    lateral candidate, or (None, 1.0)."""
     longitudinal_candidates, lateral_candidates = rules.candidates(state)
 
     def softmax(candidates):
@@ -203,9 +198,41 @@ def decision_distribution(state: WorldState, rules: RuleSet,
     laterals = [(r.effects.lateral, p) for r, p in softmax(lateral_candidates)] or [(None, 1.0)]
     winners = [(r.effects.longitudinal, r.effects.lateral, p)
                for r, p in softmax(longitudinal_candidates)] or [(None, PASS, 1.0)]
+    return winners, laterals
+
+
+def decision_distribution(state: WorldState, rules: RuleSet,
+                          sigma: float) -> dict[str, float]:
+    """The action-pair distribution `decide` samples from, in closed form
+    (ACT-R's Boltzmann conflict resolution, slot by slot): the longitudinal
+    softmax, where a winner with a lateral effect fixes the pair and any other
+    winner, or no winner, is paired with the lateral softmax (or `none`)."""
+    winners, laterals = _softmaxes(state, rules, sigma)
     dist: dict[str, float] = {}
     for longitudinal, fixed, p in winners:
         for lateral, q in laterals if fixed == PASS else [(fixed, 1.0)]:
             key = action_pair_key(longitudinal, lateral)
             dist[key] = dist.get(key, 0.0) + p * q
     return dist
+
+
+def slot_marginals(state: WorldState, rules: RuleSet,
+                   sigma: float) -> tuple[dict[str | None, float], dict[str | None, float]]:
+    """The per-slot marginals of `decision_distribution`, in SLOTS order,
+    summed without enumerating the pairs: P(longitudinal = a) is the mass
+    of the winners with action a; P(lateral = b) is the mass of the winners
+    that fix b, plus the winners' free mass times the lateral softmax.
+    The key None holds the mass of an empty slot."""
+    winners, laterals = _softmaxes(state, rules, sigma)
+    lon: dict[str | None, float] = {}
+    lat: dict[str | None, float] = {}
+    free = 0.0
+    for longitudinal, fixed, p in winners:
+        lon[longitudinal] = lon.get(longitudinal, 0.0) + p
+        if fixed == PASS:
+            free += p
+        else:
+            lat[fixed] = lat.get(fixed, 0.0) + p
+    for lateral, q in laterals:
+        lat[lateral] = lat.get(lateral, 0.0) + free * q
+    return lon, lat

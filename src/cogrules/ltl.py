@@ -16,12 +16,6 @@ class Ltl:
 
     __slots__ = ()
 
-    def to_string(self) -> str:
-        return to_string(self)
-
-    def __str__(self) -> str:
-        return to_string(self)
-
 
 @dataclass(frozen=True, slots=True)
 class TrueConst(Ltl):

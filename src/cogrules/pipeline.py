@@ -213,8 +213,7 @@ def run_experiment(cfg: PipelineConfig) -> dict:
                     rule_set, references, cfg.train.sigma)))
 
         rules, curve = trainer.train(rules, episodes, cfg.train, on_epoch=observe)
-    agreement = trainer.evaluate_agreement(
-        trained_set or RuleSet([]), episodes, cfg.train.sigma, cfg.train.seed)
+    agreement = trainer.evaluate_agreement(trained_set or RuleSet([]), episodes, cfg.train.sigma)
 
     compiler.RuleStore(rules).save(out / "rules.json")
     compiler.write_outcome_csv(report, out / "outcomes.csv")

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package:
-brute-force cosine dedup, direct-summation JS divergence, and a
-Fraction-based smoothed BLEU. Deliberately written against the textbook
-definitions, not the package code paths."""
+brute-force cosine dedup, direct-summation JS divergence, a Fraction-based
+smoothed BLEU, and per-slot marginals summed over action pairs.
+Deliberately written against the textbook definitions, not the package
+code paths."""
 
 import math
 from fractions import Fraction
@@ -73,3 +74,14 @@ def dedup_oracle(candidate_name, candidate_body, store, embed, threshold, top_k=
     sims = sorted(((cosine(cand, embed(name)), name) for name, _ in store),
                   key=lambda s: (-s[0], s[1]))
     return any(sim >= threshold for sim, _ in sims[:top_k])
+
+
+def summed_marginals(dist):
+    """Per-slot marginals of an "lon/lat" action-pair distribution, summed
+    over the pairs; the key None stands for `none`."""
+    lon, lat = {}, {}
+    for key, p in dist.items():
+        a, b = (None if x == "none" else x for x in key.split("/"))
+        lon[a] = lon.get(a, 0.0) + p
+        lat[b] = lat.get(b, 0.0) + p
+    return lon, lat

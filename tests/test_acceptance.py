@@ -230,8 +230,7 @@ def test_04_selection_update_and_decay_numerics():
         reward = rng.choice([10.0, 0.0, rng.uniform(-5, 15)])
         decay = rng.choice([0.01, 0.0, rng.uniform(0, 0.5)])
         entries = [TraceEntry(t=rng.randrange(0, reward_step + 1), slot="longitudinal",
-                              conflict=["r"], probabilities=[1.0], chosen="r",
-                              filled=["longitudinal"])
+                              chosen="r", filled=["longitudinal"])
                    for _ in range(rng.randrange(0, 6))]
         got = reward_decompose(reward, ReasoningTrace(entries=entries),
                                reward_step, decay)

@@ -137,16 +137,37 @@ class TestDataTrainEval:
 
         code, out, _ = run_cli(
             capsys, "eval", "--rules", str(train_dir / "rules_trained.json"),
-            "--episodes", str(data_dir / "episodes.jsonl"), "--seed", "2")
+            "--episodes", str(data_dir / "episodes.jsonl"))
         payload = json.loads(out)
         assert code == 0
         assert 0.0 <= payload["agreement"]["longitudinal"] <= 1.0
         assert 0.0 <= payload["mean_js"] <= 1.0
 
+    def test_train_rejects_reference_action_outside_the_kb(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        run_cli(capsys, "gen-data", "--archetype", "highway_cut_in", "--episodes", "2",
+                "--seed", "5", "--out", str(data_dir))
+        episodes = data_dir / "episodes.jsonl"
+        first, *rest = episodes.read_text().splitlines()
+        rec = json.loads(first)
+        rec["reference"]["longitudinal"] = "teleport"
+        episodes.write_text("\n".join([json.dumps(rec), *rest]) + "\n")
+        rules_dir = tmp_path / "compiled"
+        run_cli(capsys, "compile", "--config", str(write_pipeline_config(tmp_path)),
+                "--formula", "G (front_gap_closing -> brake)", "--out", str(rules_dir))
+        code, out, err = run_cli(
+            capsys, "train", "--kb", str(data_dir / "kb.json"),
+            "--rules", str(rules_dir / "rules.json"), "--episodes", str(episodes),
+            "--epochs", "1", "--seed", "0", "--out", str(tmp_path / "trained"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "'teleport'" in err
+        assert not (tmp_path / "trained").exists()
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "eval", "--rules",
                                str(tmp_path / "nope.json"), "--episodes",
-                               str(tmp_path / "nope.jsonl"), "--seed", "0")
+                               str(tmp_path / "nope.jsonl"))
         assert code == 1
         assert "error:" in err
 

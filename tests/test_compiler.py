@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import random
 from fractions import Fraction
@@ -7,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from cogrules import compiler, ltl
-from cogrules.gateway import ReplayMiss, Session
 from cogrules.compiler import (EMBEDDING_DIMENSION, DuplicatedContent,
                                FormatMismatch, HashedTrigramEmbedding, InferenceError,
                                RuleStore, Viable, compile_formula, dedup_check,
@@ -16,7 +14,7 @@ from cogrules.knowledge import (Effects, Grounding, ProductionRule,
                                 RuleValidationError, validate_rule)
 from cogrules.pipeline import formalize_corpus, load_config
 from cogrules.scenarios import scenario_kb
-from conftest import highway_corpus, scripted_spec, write_pipeline_config
+from conftest import highway_corpus, write_pipeline_config
 from oracles import dedup_oracle
 
 
@@ -303,66 +301,12 @@ class TestCompile:
         assert isinstance(outcome, InferenceError)
         assert "martian" in outcome.detail
 
-    def test_repair_loop_fixes_bad_rule(self, kb):
-        # contradictory preconditions pass grounding but fail the loader;
-        # the scripted repair backend returns a corrected body
-        kb.groundings["slow"] = Grounding("speed_band", "=", "low")
-        kb.groundings["fast"] = Grounding("speed_band", "=", "high")
-        fixed = {"preconditions": [["speed_band", "=", "low"]],
-                 "effects": {"longitudinal": "brake", "lateral": "pass"}}
-        repair = Session().backend(scripted_spec(lambda m: json.dumps(fixed)))
-        outcome = compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
-                                  RuleStore(), HashedTrigramEmbedding(),
-                                  repair=repair)
-        assert isinstance(outcome, Viable)
-        assert outcome.rule.preconditions == (("speed_band", "=", "low"),)
-
     def test_loader_failure_without_repair_is_format_mismatch(self, kb):
         kb.groundings["slow"] = Grounding("speed_band", "=", "low")
         kb.groundings["fast"] = Grounding("speed_band", "=", "high")
         outcome = compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
                                   RuleStore(), HashedTrigramEmbedding())
         assert isinstance(outcome, FormatMismatch)
-
-    def test_repair_budget_exhaustion(self, kb):
-        kb.groundings["slow"] = Grounding("speed_band", "=", "low")
-        kb.groundings["fast"] = Grounding("speed_band", "=", "high")
-        bad = {"preconditions": [["speed_band", "=", "low"],
-                                 ["speed_band", "=", "high"]],
-               "effects": {"longitudinal": "brake", "lateral": "pass"}}
-        calls = []
-
-        def still_bad(messages):
-            calls.append(messages)
-            return json.dumps(bad)
-        outcome = compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
-                                  RuleStore(), HashedTrigramEmbedding(),
-                                  repair=Session().backend(scripted_spec(still_bad)))
-        assert isinstance(outcome, FormatMismatch)
-        assert len(calls) == compiler.REPAIR_ROUNDS
-
-    def test_repair_gateway_failure_is_format_mismatch(self, kb):
-        kb.groundings["slow"] = Grounding("speed_band", "=", "low")
-        kb.groundings["fast"] = Grounding("speed_band", "=", "high")
-
-        def missing(messages):
-            raise ReplayMiss("no recorded response")
-        outcome = compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
-                                  RuleStore(), HashedTrigramEmbedding(),
-                                  repair=Session().backend(scripted_spec(missing)))
-        assert isinstance(outcome, FormatMismatch)
-        assert outcome.detail.startswith("repair backend failed: ")
-
-    def test_repair_programming_error_propagates(self, kb):
-        kb.groundings["slow"] = Grounding("speed_band", "=", "low")
-        kb.groundings["fast"] = Grounding("speed_band", "=", "high")
-
-        def broken(messages):
-            raise TypeError("bug in the backend")
-        with pytest.raises(TypeError):
-            compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
-                            RuleStore(), HashedTrigramEmbedding(),
-                            repair=Session().backend(scripted_spec(broken)))
 
     def test_dedup_monotone_under_store_growth(self, kb):
         provider = HashedTrigramEmbedding()

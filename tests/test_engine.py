@@ -5,8 +5,9 @@ import pytest
 
 from cogrules.engine import (CACHE_STATES, SLOTS, Decision, RuleSet, WorldState, decide,
                              decision_distribution, match, pick, select,
-                             selection_probabilities, slot_candidates)
+                             selection_probabilities, slot_candidates, slot_marginals)
 from cogrules.knowledge import Effects, ProductionRule
+from oracles import summed_marginals
 
 SQRT2 = math.sqrt(2)
 
@@ -79,7 +80,7 @@ class TestSelect:
         rules = [rule("r1", [("a", "=", True)], longitudinal="brake"),
                  rule("r2", [("a", "=", True)], longitudinal="keep")]
         rng = random.Random(11)
-        picks = sum(select(rules, SQRT2, rng)[0].name == "r1"
+        picks = sum(select(rules, SQRT2, rng).name == "r1"
                     for _ in range(10_000))
         assert abs(picks / 10_000 - 0.5) <= 0.02
 
@@ -178,13 +179,18 @@ class TestDecide:
                     assert len(setters) == 1
 
     def test_trace_probabilities_normalized(self):
-        rules = [rule(f"r{i}", [("a", "=", True)], longitudinal="keep",
-                      utility=float(i)) for i in range(7)]
-        _, trace = decide(WorldState.make({"a": True}), RuleSet(rules), SQRT2,
-                          random.Random(0))
-        for entry in trace.entries:
-            assert abs(sum(entry.probabilities) - 1.0) <= 1e-9
-            assert entry.chosen in entry.conflict
+        # every firing names a rule that competed for its slot
+        rules = RuleSet([rule(f"r{i}", [("a", "=", True)], longitudinal="keep",
+                              utility=float(i)) for i in range(7)]
+                        + [rule("lat", [("a", "=", True)], lateral="change_left")])
+        state = WorldState.make({"a": True})
+        candidates = dict(zip(SLOTS, rules.candidates(state)))
+        rng = random.Random(0)
+        for _ in range(50):
+            _, trace = decide(state, rules, SQRT2, rng)
+            assert [e.slot for e in trace.entries] == list(SLOTS)
+            for entry in trace.entries:
+                assert entry.chosen in [r.name for r in candidates[entry.slot]]
 
 
 class TestDecisionDistribution:
@@ -233,6 +239,31 @@ class TestDecisionDistribution:
             rules = [rule(f"r{i}", [("a", "=", rng.random() < 0.8)], *rng.choice(effects),
                           utility=rng.uniform(-50, 50)) for i in range(rng.randint(0, 12))]
             assert abs(sum(self.dist(rules).values()) - 1.0) <= 1e-9
+
+
+class TestSlotMarginals:
+    STATE = WorldState.make({"a": True})
+    EFFECTS = {
+        "mixed": [("brake", "pass"), ("keep", "pass"), ("pass", "keep_lane"),
+                  ("pass", "change_left"), ("brake", "keep_lane"), ("keep", "change_left")],
+        "lateral_only": [("pass", "keep_lane"), ("pass", "change_left")],
+        "two_effect": [("brake", "keep_lane"), ("keep", "change_left"), ("brake", "change_left")],
+    }
+
+    def test_equal_the_summed_decision_distribution(self):
+        rng = random.Random(17)
+        for i in range(500):
+            effects = self.EFFECTS[("mixed", "lateral_only", "two_effect")[i % 3]]
+            equal = i % 2 == 0
+            # preconditions that fail leave some sets, and some slots, without candidates
+            rules = RuleSet([rule(f"r{j}", [("a", "=", rng.random() < 0.8)], *rng.choice(effects),
+                                  utility=1.5 if equal else rng.uniform(-20, 20))
+                             for j in range(rng.randint(0, 8))])
+            want = summed_marginals(decision_distribution(self.STATE, rules, SQRT2))
+            got = slot_marginals(self.STATE, rules, SQRT2)
+            for w, g in zip(want, got):
+                for action in set(w) | set(g):
+                    assert abs(w.get(action, 0.0) - g.get(action, 0.0)) <= 1e-12, (i, action)
 
 
 def random_precondition(rng, cmp):

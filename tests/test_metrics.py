@@ -3,21 +3,23 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import cogrules
 from cogrules.compiler import RuleStore
-from cogrules.engine import ReasoningTrace, RuleSet, TraceEntry, WorldState, decision_distribution
+from cogrules.engine import (SLOTS, ReasoningTrace, RuleSet, TraceEntry, WorldState,
+                             decision_distribution, slot_marginals)
 from cogrules.knowledge import Effects, ProductionRule
 from cogrules.metrics import (decision_distributions, js_divergence, ltl_bleu,
                               ltl_match_accuracy, ltl_tokens, mean_js,
                               reference_distributions, rsr, sampled_distribution)
 from cogrules.pipeline import load_config, run_experiment
-from cogrules.trainer import Episode, ReferenceAction, episodes_from_jsonl
+from cogrules.trainer import Episode, ReferenceAction, episodes_from_jsonl, evaluate_agreement
 from conftest import write_pipeline_config
-from oracles import bleu_oracle, js_oracle
+from oracles import bleu_oracle, js_oracle, summed_marginals
 
 SQRT2 = math.sqrt(2)
 
@@ -240,10 +242,66 @@ class TestClosedFormAgainstSampling:
             self.check(state, rules, seed)
 
 
+def sampled_agreement(rules, episodes, draws, rng):
+    """Per-slot agreement estimated from the marginals of `draws`
+    `sampled_distribution` draws per distinct state, and each estimate's
+    binomial standard error, taken at the exact marginals."""
+    by_state = {}
+    for episode in episodes:
+        for state, ref in episode.steps:
+            refs = by_state.setdefault(state.features, (state, {s: Counter() for s in SLOTS}))[1]
+            for slot in SLOTS:
+                if ref.slot(slot) is not None:
+                    refs[slot][ref.slot(slot)] += 1
+    estimate = {s: 0.0 for s in SLOTS}
+    variance = {s: 0.0 for s in SLOTS}
+    for state, refs in by_state.values():
+        sampled = summed_marginals(sampled_distribution(state, rules, SQRT2, draws, rng))
+        for slot, exact, seen in zip(SLOTS, slot_marginals(state, rules, SQRT2), sampled):
+            # one draw scores the step count of the reference it hits
+            mean = sum(c * exact.get(a, 0.0) for a, c in refs[slot].items())
+            square = sum(c * c * exact.get(a, 0.0) for a, c in refs[slot].items())
+            estimate[slot] += sum(c * seen.get(a, 0.0) for a, c in refs[slot].items())
+            variance[slot] += (square - mean * mean) / draws
+    steps = {s: sum(sum(refs[s].values()) for _, refs in by_state.values()) for s in SLOTS}
+    return ({s: estimate[s] / steps[s] for s in SLOTS},
+            {s: math.sqrt(max(variance[s], 0.0)) / steps[s] for s in SLOTS})
+
+
+class TestExactAgreementAgainstSampling:
+    """`evaluate_agreement` against an estimate from `sampled_distribution`
+    marginals: each slot within 5 binomial sigma (1e-12 where sigma is 0)."""
+
+    def check(self, rules, episodes, seed, draws):
+        rules = RuleSet(rules)
+        exact = evaluate_agreement(rules, episodes, SQRT2)
+        sampled, sigma = sampled_agreement(rules, episodes, draws, random.Random(seed))
+        for slot in SLOTS:
+            assert abs(sampled[slot] - exact[slot]) <= 5 * sigma[slot] + 1e-12, \
+                (slot, exact, sampled, sigma)
+
+    def test_random_rule_sets(self):
+        rng = random.Random(23)
+        states = [WorldState.make({"x": x, "y": y}) for x in (True, False) for y in (True, False)]
+        refs = [(lon, lat) for lon in ("brake", "keep", "accelerate", None)
+                for lat in ("keep_lane", "change_left", None)]
+        for seed in range(3):
+            episodes = [Episode(steps=[(rng.choice(states), ReferenceAction(*rng.choice(refs)))
+                                       for _ in range(20)]) for _ in range(5)]
+            self.check(random_rule_set(rng), episodes, seed, draws=5_000)
+
+    def test_trained_fixture_rules(self, tmp_path):
+        cfg = load_config(write_pipeline_config(tmp_path))
+        manifest = run_experiment(cfg)
+        rules = list(RuleStore.load(cfg.out_dir / "rules.json"))
+        episodes = episodes_from_jsonl(cfg.out_dir / "episodes.jsonl")
+        assert evaluate_agreement(RuleSet(rules), episodes, SQRT2) == manifest["agreement"]
+        self.check(rules, episodes, 0, draws=20_000)
+
+
 class TestRsr:
     def entry(self):
-        return TraceEntry(t=0, slot="longitudinal", conflict=["r"],
-                          probabilities=[1.0], chosen="r", filled=["longitudinal"])
+        return TraceEntry(t=0, slot="longitudinal", chosen="r", filled=["longitudinal"])
 
     def test_all_matched(self):
         traces = [ReasoningTrace(entries=[self.entry()]) for _ in range(4)]

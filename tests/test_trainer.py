@@ -22,8 +22,7 @@ def rule(name, preconditions, longitudinal="pass", lateral="pass", utility=0.0):
 
 
 def entry(name, t, slot="longitudinal"):
-    return TraceEntry(t=t, slot=slot, conflict=[name], probabilities=[1.0],
-                      chosen=name, filled=[slot])
+    return TraceEntry(t=t, slot=slot, chosen=name, filled=[slot])
 
 
 class TestRewardDecompose:
@@ -189,12 +188,11 @@ class TestTrain:
 class TestEvaluate:
     def test_perfect_imitation(self):
         r = rule("r", [("front_gap_closing", "=", True)], longitudinal="brake")
-        agreement = evaluate_agreement(RuleSet([r]), [one_state_episode(20)], SQRT2,
-                                       seed=0)
+        agreement = evaluate_agreement(RuleSet([r]), [one_state_episode(20)], SQRT2)
         assert agreement["longitudinal"] == 1.0
 
     def test_empty_rule_set(self):
-        agreement = evaluate_agreement(RuleSet([]), [one_state_episode(20)], SQRT2, seed=0)
+        agreement = evaluate_agreement(RuleSet([]), [one_state_episode(20)], SQRT2)
         assert agreement["longitudinal"] == 0.0
 
     def test_equal_utility_coin_flip(self):
@@ -203,8 +201,26 @@ class TestEvaluate:
                  rule("disagree", [("front_gap_closing", "=", True)],
                       longitudinal="accelerate")]
         episodes = [one_state_episode(100) for _ in range(100)]
-        agreement = evaluate_agreement(RuleSet(rules), episodes, SQRT2, seed=2)
+        agreement = evaluate_agreement(RuleSet(rules), episodes, SQRT2)
         assert abs(agreement["longitudinal"] - 0.5) <= 0.03
+
+    def test_two_effect_winner_fixes_the_lateral_reference(self):
+        rules = [rule("both", [("front_gap_closing", "=", True)],
+                      longitudinal="brake", lateral="keep_lane"),
+                 rule("lat", [("front_gap_closing", "=", True)], lateral="change_left"),
+                 rule("lon", [("front_gap_closing", "=", True)], longitudinal="keep")]
+        episode = one_state_episode(4, ref=("keep", "keep_lane"))
+        agreement = evaluate_agreement(RuleSet(rules), [episode], SQRT2)
+        # "both" wins half the time and fixes keep_lane; otherwise the
+        # lateral step splits evenly
+        assert agreement == {"longitudinal": 0.5, "lateral": 0.75}
+
+    def test_never_exceeds_one(self):
+        # these utilities' softmax probabilities sum to 1 + 2**-52 in name order
+        rules = [rule(f"r{i}", [("front_gap_closing", "=", True)], longitudinal="brake",
+                      utility=u) for i, u in enumerate((0.0, 1.0, 4.0, 0.0))]
+        agreement = evaluate_agreement(RuleSet(rules), [one_state_episode(20)], SQRT2)
+        assert agreement["longitudinal"] == 1.0
 
 
 class TestEpisodeIo:
