@@ -93,11 +93,13 @@ class HashedTrigramEmbedding:
     """Deterministic hashed character-trigram counts: bucket -> count, for
     the buckets that occur.
 
-    Each instance remembers the vectors it has computed, so a text is
-    embedded once per provider; build one provider per run."""
+    Each instance remembers the vectors it has computed and the bucket of
+    each trigram it has seen, so a text is embedded, and a trigram hashed,
+    once per provider; build one provider per run."""
 
     def __init__(self):
         self._memo: dict[str, Mapping[int, int]] = {}
+        self._buckets: dict[str, int] = {}
 
     def embed(self, text: str) -> Mapping[int, int]:
         """Sparse trigram counts of the text; read-only, shared between calls."""
@@ -108,11 +110,14 @@ class HashedTrigramEmbedding:
 
     def _embed(self, text: str) -> dict[int, int]:
         counts: dict[int, int] = {}
+        buckets = self._buckets
         padded = f"^{text}$"
         for i in range(max(1, len(padded) - 2)):
             gram = padded[i:i + 3]
-            h = int.from_bytes(hashlib.md5(gram.encode()).digest()[:4], "big")
-            bucket = h % EMBEDDING_DIMENSION
+            bucket = buckets.get(gram)
+            if bucket is None:
+                h = int.from_bytes(hashlib.md5(gram.encode()).digest()[:4], "big")
+                bucket = buckets[gram] = h % EMBEDDING_DIMENSION
             counts[bucket] = counts.get(bucket, 0) + 1
         return counts
 

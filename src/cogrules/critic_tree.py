@@ -122,6 +122,25 @@ class CriticTree:
         self.critics = [session.backend(spec) for spec, _ in cfg.critics.members]
         self.weights = [p for _, p in cfg.critics.members]
         self.rng = random.Random(cfg.critics.seed)  # one draw per critic call
+        self._revisor_system = ChatMessage("system", TEMPLATES["revisor_system"])
+        atoms = ", ".join(cfg.kb_atoms) if cfg.kb_atoms else "(unrestricted)"
+        self._critic_system = ChatMessage("system", TEMPLATES["critic_system"].format(atoms=atoms))
+        self._parsed: dict[str, ltl.Ltl | ltl.ParseError] = {}
+
+    def parse(self, formula_text: str) -> ltl.Ltl | ltl.ParseError:
+        """`ltl.parse` of the text, or the ParseError it raised. Each
+        distinct text is parsed once per `run`, and the memo is kept until
+        the next `run` starts, so a caller parses the returned formula, or
+        its grounding, through it."""
+        result = self._parsed.get(formula_text)
+        if result is None:
+            try:
+                result = ltl.parse(formula_text)
+            except ltl.ParseError as e:
+                # without its traceback, whose frames would tie this tree into a cycle
+                result = e.with_traceback(None)
+            self._parsed[formula_text] = result
+        return result
 
     def _event(self, trace: TreeTrace, kind: str, **info) -> None:
         trace.events.append({"seq": len(trace.events), "kind": kind, **info})
@@ -133,11 +152,7 @@ class CriticTree:
 
     def _new_node(self, trace: TreeTrace, formula_text: str, context: list[ChatMessage],
                   depth: int, parent: int | None) -> TreeNode:
-        ok = True
-        try:
-            ltl.parse(formula_text)
-        except ltl.ParseError:
-            ok = False
+        ok = not isinstance(self.parse(formula_text), ltl.ParseError)
         node = TreeNode(node_id=len(trace.nodes), formula_text=formula_text,
                         context=context, depth=depth, parent=parent, parse_ok=ok)
         trace.nodes.append(node)
@@ -148,9 +163,8 @@ class CriticTree:
         return node
 
     def judge(self, node: TreeNode, text: str, trace: TreeTrace) -> list[CriticVerdict]:
-        atoms = ", ".join(self.cfg.kb_atoms) if self.cfg.kb_atoms else "(unrestricted)"
         messages = [
-            ChatMessage("system", TEMPLATES["critic_system"].format(atoms=atoms)),
+            self._critic_system,
             ChatMessage("user", TEMPLATES["critic_user"].format(
                 text=text, formula=node.formula_text)),
         ]
@@ -170,8 +184,9 @@ class CriticTree:
         if not text:
             raise ValueError("text must be nonempty")
         trace = TreeTrace(nodes=[])
+        self._parsed.clear()  # kept across runs, the memo would grow with the corpus for little reuse
         root_context = [
-            ChatMessage("system", TEMPLATES["revisor_system"]),
+            self._revisor_system,
             ChatMessage("user", TEMPLATES["revisor_initial"].format(
                 text=text, initial=initial)),
         ]

@@ -11,6 +11,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Callable
 
@@ -77,9 +78,13 @@ class ProtocolError(GatewayError):
 
 
 def request_hash(model: str, messages: list[ChatMessage]) -> str:
-    payload = json.dumps(
-        {"model": model, "messages": [{"role": m.role, "content": m.content} for m in messages]},
-        sort_keys=True, separators=(",", ":"))
+    """The replay key: sha256 of the compact, sorted-key, ASCII-escaped JSON
+    `{"messages":[{"content":…,"role":…},…],"model":…}`, the bytes
+    `json.dumps(..., sort_keys=True, separators=(",", ":"))` writes, built
+    here by concatenation."""
+    body = ",".join(f'{{"content":{_json_string(m.content)},"role":{_json_string(m.role)}}}'
+                    for m in messages)
+    payload = f'{{"messages":[{body}],"model":{_json_string(model)}}}'
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -116,12 +116,11 @@ class SegmentResult:
     detail: str = ""
 
 
-def _ground_formula(formula_text: str, cfg: PipelineConfig,
+def _ground_formula(formula_text: str, template: str, atoms: str,
                     grounding_backend: Backend | None) -> str:
     if grounding_backend is None:
         return formula_text
-    prompt = GROUNDING_TEMPLATES[cfg.prompt_mode].format(
-        formula=formula_text, atoms=", ".join(cfg.kb.atom_vocabulary))
+    prompt = template.format(formula=formula_text, atoms=atoms)
     return grounding_backend.complete([ChatMessage("user", prompt)]).content.strip()
 
 
@@ -134,6 +133,8 @@ def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
     tree = CriticTree(cfg.critic_tree, session)
     grounding_backend = session.backend(cfg.grounding) if cfg.grounding else None
     initial_backend = session.backend(cfg.initial_backend) if cfg.initial_backend else None
+    grounding_template = GROUNDING_TEMPLATES[cfg.prompt_mode]
+    atoms = ", ".join(cfg.kb.atom_vocabulary)
     provider = compiler.HashedTrigramEmbedding()
     store = compiler.RuleStore()
     outcomes = []
@@ -149,16 +150,16 @@ def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
             else:
                 initial = initial_backend.complete([ChatMessage("user", text)]).content.strip()
             refined, _ = tree.run(text, initial)
-            grounded_text = _ground_formula(refined, cfg, grounding_backend)
+            grounded_text = _ground_formula(refined, grounding_template, atoms,
+                                            grounding_backend)
         except GatewayError as e:
             outcome = compiler.FormatMismatch(f"gateway failure: {e}")
             outcomes.append(outcome)
             results.append(SegmentResult(segment_id, "", outcome.tag, outcome.detail))
             continue
-        try:
-            formula = ltl.parse(grounded_text)
-        except ltl.ParseError as e:
-            outcome = compiler.FormatMismatch(f"unparseable formula: {e}")
+        formula = tree.parse(grounded_text)  # the tree has parsed most of these already
+        if isinstance(formula, ltl.ParseError):
+            outcome = compiler.FormatMismatch(f"unparseable formula: {formula}")
             outcomes.append(outcome)
             results.append(SegmentResult(segment_id, grounded_text, outcome.tag, outcome.detail))
             continue

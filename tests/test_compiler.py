@@ -100,18 +100,24 @@ def exact_cosine(a, b):
     return dot / math.sqrt(sum(c * c for c in a.values()) * sum(c * c for c in b.values()))
 
 
+def md5_trigram_counts(text):
+    """The embedding's definition: per trigram of ^text$, the first 4
+    bytes of its md5, big-endian, mod EMBEDDING_DIMENSION."""
+    padded = f"^{text}$"
+    counts = {}
+    for i in range(max(1, len(padded) - 2)):
+        digest = hashlib.md5(padded[i:i + 3].encode()).digest()
+        bucket = int.from_bytes(digest[:4], "big") % EMBEDDING_DIMENSION
+        counts[bucket] = counts.get(bucket, 0) + 1
+    return counts
+
+
 class TestEmbedding:
     def test_hashed_trigram_counts(self):
         provider = HashedTrigramEmbedding()
         for text in ["abc", "if_a_eq_1__then_long_brake", "x", "", "aaaa"]:
-            padded = f"^{text}$"
-            expected = {}
-            for i in range(max(1, len(padded) - 2)):
-                digest = hashlib.md5(padded[i:i + 3].encode()).digest()
-                bucket = int.from_bytes(digest[:4], "big") % EMBEDDING_DIMENSION
-                expected[bucket] = expected.get(bucket, 0) + 1
             vec = provider.embed(text)
-            assert dict(vec) == expected
+            assert dict(vec) == md5_trigram_counts(text)
             assert all(type(c) is int for c in vec.values())
             assert sum(vec.values()) == max(1, len(text))
 
@@ -126,6 +132,28 @@ class TestEmbedding:
         with pytest.raises(TypeError):
             vec[0] = 1
         assert vec == HashedTrigramEmbedding().embed("rule_name")
+
+    def test_each_trigram_hashed_once_per_provider(self, monkeypatch):
+        hashed = []
+        md5 = hashlib.md5
+
+        def counting(data):
+            hashed.append(data)
+            return md5(data)
+        monkeypatch.setattr(compiler.hashlib, "md5", counting)
+        names = ["if_a_eq_1__then_long_brake", "if_a_eq_2__then_long_brake",
+                 "if_b_ne_true__then_lat_left", "aaaa", "", "x"]
+        trigrams = {f"^{t}$"[i:i + 3].encode()
+                    for t in names for i in range(max(1, len(t)))}
+        first = HashedTrigramEmbedding()
+        vectors = [dict(first.embed(t)) for t in names]
+        assert sorted(hashed) == sorted(trigrams)
+        hashed.clear()
+        second = HashedTrigramEmbedding()  # starts cold
+        assert [dict(second.embed(t)) for t in reversed(names)] == vectors[::-1]
+        assert sorted(hashed) == sorted(trigrams)
+        monkeypatch.setattr(compiler.hashlib, "md5", md5)
+        assert vectors == [md5_trigram_counts(t) for t in names]
 
     def test_formalize_corpus_embeds_each_name_once(self, tmp_path, monkeypatch):
         computed = []

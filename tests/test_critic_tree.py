@@ -1,8 +1,11 @@
 import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 
+from cogrules import critic_tree, ltl
 from cogrules.critic_tree import (CriticTree, CriticTreeConfig, CriticVerdict,
                                   parse_verdict)
 from cogrules.gateway import BackendSpec, CriticEnsembleSpec, Session
@@ -84,6 +87,65 @@ class TestRun:
         tree = make_tree(lambda m: "a", lambda m: "APPROVED")
         with pytest.raises(ValueError):
             tree.run("", "a")
+
+
+class TestParse:
+    """The tree parses each distinct formula text once per run."""
+
+    @staticmethod
+    def count_parses(monkeypatch):
+        parsed = []
+        parse = ltl.parse
+
+        def counting(text):
+            parsed.append(text)
+            return parse(text)
+        monkeypatch.setattr(critic_tree.ltl, "parse", counting)
+        return parsed
+
+    def test_repeated_revisions_parse_once(self, monkeypatch):
+        parsed = self.count_parses(monkeypatch)
+        revisions = iter(["G (a -> b)", "not ( valid", "G (a -> b)", "not ( valid",
+                          "F c", "G (a -> b)", "not ( valid"] * 3)
+        tree = make_tree(lambda m: next(revisions), lambda m: "REVISE: again",
+                         num_critics=2, max_depth=1)
+        for text in ("text", "other text"):
+            parsed.clear()
+            formula, trace = tree.run(text, "G a")
+            texts = [n.formula_text for n in trace.nodes]
+            assert len(texts) == 7 and len(set(texts)) == 3
+            assert sorted(parsed) == sorted(set(texts))
+            for node in trace.nodes:
+                assert node.parse_ok == (node.formula_text != "not ( valid")
+            tree.parse(formula)  # the caller's parse of the result is a memo hit
+            assert len(parsed) == 3
+
+    def test_parse_returns_the_result_or_the_error(self, monkeypatch):
+        expected = ltl.parse("G (a -> b)")
+        with pytest.raises(ltl.ParseError) as raised:
+            ltl.parse("G (a ->")
+        parsed = self.count_parses(monkeypatch)
+        tree = make_tree(lambda m: "G a", lambda m: "APPROVED")
+        formula = tree.parse("G (a -> b)")
+        assert formula == expected
+        error = tree.parse("G (a ->")
+        assert isinstance(error, ltl.ParseError)
+        assert str(error) == str(raised.value)
+        assert tree.parse("G (a -> b)") is formula
+        assert tree.parse("G (a ->") is error
+        assert parsed == ["G (a -> b)", "G (a ->"]
+
+    def test_tree_is_freed_without_the_cycle_collector(self):
+        tree = make_tree(lambda m: "not ( valid", lambda m: "APPROVED")
+        tree.run("text", "x")
+        assert isinstance(tree.parse("not ( valid"), ltl.ParseError)
+        ref = weakref.ref(tree)
+        gc.disable()
+        try:
+            del tree
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestInvariants:

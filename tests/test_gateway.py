@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 import requests
@@ -105,6 +107,44 @@ class TestReplay:
         assert second.complete(prompt).content == "REVISE: no"
         with pytest.raises(ReplayMiss):
             first.complete(prompt)
+
+
+class TestRequestHash:
+    """The replay key is part of the transcript format: it must stay the
+    sha256 of this json.dumps of model and messages."""
+
+    @staticmethod
+    def reference(model, messages):
+        payload = json.dumps(
+            {"model": model,
+             "messages": [{"role": m.role, "content": m.content} for m in messages]},
+            sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    # quotes, backslashes, newlines and tabs, control characters, DEL,
+    # non-ASCII, astral-plane text, a lone surrogate and a JSON-looking fragment
+    PIECES = ['"', "\\", "\n", "\r\t", "\x00", "\x1f", "\x7f", "é", "ß", "→",
+              "中文", "\u2028", "😀", "\U0001d11e", "\ud83d", '{"a":[1]}', "G (a -> b)", " "]
+
+    def random_text(self, rng, allow_empty):
+        n = rng.randint(0 if allow_empty else 1, 8)
+        return "".join(rng.choice(self.PIECES + ["x", "abc"]) for _ in range(n))
+
+    def test_equals_sorted_compact_json_dumps(self):
+        rng = random.Random(12)
+        for _ in range(500):
+            messages = []
+            for _ in range(rng.randint(0, 5)):
+                role = rng.choice(("system", "user", "assistant"))
+                messages.append(ChatMessage(role, self.random_text(rng, role == "system")))
+            model = self.random_text(rng, allow_empty=True)
+            assert request_hash(model, messages) == self.reference(model, messages)
+
+    def test_edge_cases(self):
+        cases = [("", []), ("", msgs("x")), ("m", [ChatMessage("system", "")]),
+                 ("gpt-\u00e9", msgs('say "hi"\\n\n', "😀\x00"))]
+        for model, messages in cases:
+            assert request_hash(model, messages) == self.reference(model, messages)
 
 
 class TestRecording:

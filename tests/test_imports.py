@@ -45,8 +45,11 @@ def test_checker_reports_only_unused_names():
 def test_cli_and_pipeline_import_neither_numpy_nor_requests():
     # numpy is not a dependency, and only HTTP backends load requests
     script = ("import sys, cogrules.pipeline, cogrules.cli; "
-              "print(sorted({'numpy', 'requests'} & set(sys.modules)))")
+              "print(sorted({'numpy', 'requests'} & set(sys.modules)), "
+              "sys.flags.dont_write_bytecode)")
     env = {"PYTHONPATH": str(ROOT / "src")}
+    if sys.flags.dont_write_bytecode:  # a caller that writes no bytecode gets none written
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", str(sys.flags.dont_write_bytecode)]

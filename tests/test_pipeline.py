@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import cogrules
-from cogrules import engine, pipeline, trainer
+from cogrules import engine, ltl, pipeline, trainer
+from cogrules.critic_tree import CriticTree
 from cogrules.gateway import ReplayMiss
 from cogrules.pipeline import formalize_corpus, load_config, run_experiment
 from conftest import highway_corpus, scripted_spec, write_pipeline_config
@@ -133,6 +134,32 @@ class TestFormalizeCorpus:
         assert outcomes[0].tag == "FormatMismatch"
         assert results[0].detail.startswith("unparseable formula: ")
         assert results[0].refined == "G (front_gap_closing ->"
+        with pytest.raises(ltl.ParseError) as raised:
+            ltl.parse("G (front_gap_closing ->")
+        assert results[0].detail == f"unparseable formula: {raised.value}"
+
+    @pytest.mark.parametrize("prompt_mode", ["literal", "supply"])
+    def test_each_distinct_formula_is_parsed_once_per_segment(self, tmp_path, monkeypatch,
+                                                              prompt_mode):
+        """The critic tree and the grounded-text parse share one memo."""
+        parsed = []
+        parse, run = ltl.parse, CriticTree.run
+
+        def counting(text):
+            parsed[-1].append(text)
+            return parse(text)
+
+        def starting_a_segment(self, text, initial):
+            parsed.append([])
+            return run(self, text, initial)
+        monkeypatch.setattr(pipeline.ltl, "parse", counting)
+        monkeypatch.setattr(CriticTree, "run", starting_a_segment)
+        cfg = literal_config(tmp_path, prompt_mode=prompt_mode)
+        _, _, results = formalize_corpus(highway_corpus(), cfg)
+        assert len(parsed) == len(results)
+        for texts, result in zip(parsed, results):
+            assert len(texts) == len(set(texts))
+            assert result.refined in texts
 
     def test_segment_results_align_with_outcomes(self, tmp_path):
         cfg = literal_config(tmp_path)
