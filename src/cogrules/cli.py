@@ -39,7 +39,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    cfg = pipeline.load_config(args.config, {"seed": args.seed})
+    cfg = pipeline.load_config(args.config)
     cfg.critic_tree.critics.seed = args.seed
     tree = CriticTree(cfg.critic_tree, gateway.Session())
     formula, trace = tree.run(args.text, args.initial)
@@ -113,12 +113,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_run_all(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out:
-        overrides["out_dir"] = args.out
-    cfg = pipeline.load_config(args.config, overrides)
+    cfg = pipeline.load_config(args.config, {"seed": args.seed})
     if args.seed is not None:
         cfg.train.seed = args.seed
     if args.out:

@@ -247,7 +247,6 @@ def dedup_check(candidate: ProductionRule, store: RuleStore,
 
 def compile_formula(formula: ltl.Ltl, kb: KnowledgeBase, store: RuleStore,
                     provider: HashedTrigramEmbedding,
-                    initial_utility: float = 0.0,
                     provenance: dict | None = None) -> CompileOutcome:
     """classify -> ground -> dry-run load -> dedup -> insert."""
     verdict = ltl.classify(formula)
@@ -259,7 +258,6 @@ def compile_formula(formula: ltl.Ltl, kb: KnowledgeBase, store: RuleStore,
         return InferenceError(str(e))
     rule = ProductionRule(name=name_rule(preconditions, effects),
                           preconditions=preconditions, effects=effects,
-                          utility=initial_utility,
                           provenance=provenance or {"formula": ltl.to_string(formula)})
     try:
         validate_rule(rule, kb)

@@ -71,13 +71,23 @@ class CriticTreeConfig:
 
 @dataclass
 class TreeTrace:
+    """The nodes in breadth-first creation order are the whole record; the
+    call counters and the returned formula are derived from them."""
     nodes: list[TreeNode]
-    returned: str = ""
     returned_node: int | None = None
     fallback: bool = False
-    revisor_calls: int = 0
-    critic_calls: int = 0
-    events: list[dict] = field(default_factory=list)  # audit log, numbered from 0 per trace
+
+    @property
+    def returned(self) -> str:
+        return "" if self.returned_node is None else self.nodes[self.returned_node].formula_text
+
+    @property
+    def revisor_calls(self) -> int:
+        return len(self.nodes)  # one revision per node
+
+    @property
+    def critic_calls(self) -> int:
+        return sum(len(n.verdicts) for n in self.nodes)
 
     def to_json(self) -> dict:
         return {
@@ -99,7 +109,6 @@ class TreeTrace:
                 }
                 for n in self.nodes
             ],
-            "events": self.events,
         }
 
 
@@ -142,12 +151,8 @@ class CriticTree:
             self._parsed[formula_text] = result
         return result
 
-    def _event(self, trace: TreeTrace, kind: str, **info) -> None:
-        trace.events.append({"seq": len(trace.events), "kind": kind, **info})
-
-    def _revise(self, context: list[ChatMessage], trace: TreeTrace) -> tuple[str, list[ChatMessage]]:
+    def _revise(self, context: list[ChatMessage]) -> tuple[str, list[ChatMessage]]:
         reply = self.revisor.complete(context)
-        trace.revisor_calls += 1
         return reply.content.strip(), context + [reply]
 
     def _new_node(self, trace: TreeTrace, formula_text: str, context: list[ChatMessage],
@@ -158,11 +163,9 @@ class CriticTree:
         trace.nodes.append(node)
         if parent is not None:
             trace.nodes[parent].children.append(node.node_id)
-        self._event(trace, "node", id=node.node_id, formula=formula_text,
-                    depth=depth, parse_ok=ok)
         return node
 
-    def judge(self, node: TreeNode, text: str, trace: TreeTrace) -> list[CriticVerdict]:
+    def judge(self, node: TreeNode, text: str) -> list[CriticVerdict]:
         messages = [
             self._critic_system,
             ChatMessage("user", TEMPLATES["critic_user"].format(
@@ -171,12 +174,7 @@ class CriticTree:
         verdicts = []
         for _ in range(self.cfg.num_critics):
             critic = self.critics[pick(self.weights, self.rng)]
-            reply = critic.complete(messages)
-            trace.critic_calls += 1
-            verdict = parse_verdict(reply.content)
-            verdicts.append(verdict)
-            self._event(trace, "verdict", node=node.node_id,
-                        approved=verdict.approved, feedback=verdict.feedback)
+            verdicts.append(parse_verdict(critic.complete(messages).content))
         node.verdicts = verdicts
         return verdicts
 
@@ -190,37 +188,28 @@ class CriticTree:
             ChatMessage("user", TEMPLATES["revisor_initial"].format(
                 text=text, initial=initial)),
         ]
-        root_formula, root_context = self._revise(root_context, trace)
+        root_formula, root_context = self._revise(root_context)
         root = self._new_node(trace, root_formula, root_context, depth=0, parent=None)
 
-        level = [root]
-        for depth in range(self.cfg.max_depth + 1):
-            next_level: list[TreeNode] = []
-            for node in level:  # creation order
-                if node.children:
+        for node in trace.nodes:  # breadth-first: children queue behind their parent's level
+            if node.depth > self.cfg.max_depth:
+                break
+            verdicts = self.judge(node, text)
+            if all(v.approved for v in verdicts):
+                trace.returned_node = node.node_id
+                return node.formula_text, trace
+            for verdict in verdicts:
+                if verdict.approved:
                     continue
-                verdicts = self.judge(node, text, trace)
-                if all(v.approved for v in verdicts):
-                    trace.returned = node.formula_text
-                    trace.returned_node = node.node_id
-                    self._event(trace, "return", node=node.node_id, reason="approved")
-                    return node.formula_text, trace
-                for verdict in verdicts:
-                    if verdict.approved:
-                        continue
-                    child_context = node.context + [
-                        ChatMessage("user",
-                                    TEMPLATES["feedback"].format(feedback=verdict.feedback))
-                    ]
-                    formula, child_context = self._revise(child_context, trace)
-                    child = self._new_node(trace, formula, child_context,
-                                           depth=node.depth + 1, parent=node.node_id)
-                    next_level.append(child)
-            level = next_level
+                child_context = node.context + [
+                    ChatMessage("user",
+                                TEMPLATES["feedback"].format(feedback=verdict.feedback))
+                ]
+                formula, child_context = self._revise(child_context)
+                self._new_node(trace, formula, child_context,
+                               depth=node.depth + 1, parent=node.node_id)
 
         # depth budget exhausted without full approval
-        trace.returned = root.formula_text
         trace.returned_node = root.node_id
         trace.fallback = True
-        self._event(trace, "return", node=root.node_id, reason="fallback")
         return root.formula_text, trace

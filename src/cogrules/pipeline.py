@@ -165,7 +165,6 @@ def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
             continue
         outcome = compiler.compile_formula(
             formula, cfg.kb, store, provider,
-            initial_utility=cfg.train.initial_utility,
             provenance={"segment": segment_id, "formula": ltl.to_string(formula)})
         outcomes.append(outcome)
         detail = getattr(outcome, "detail", "") or getattr(outcome, "existing", "")

@@ -113,8 +113,7 @@ class ScenarioSpec:
             raise ValueError("noise rate must be in [0, 1)")
 
 
-def _step_features(archetype: str, t: int, trigger: int, hazard_len: int,
-                   rng: random.Random) -> dict[str, Value]:
+def _step_features(archetype: str, t: int, trigger: int, hazard_len: int) -> dict[str, Value]:
     active = trigger <= t < trigger + hazard_len
     if archetype == HIGHWAY:
         return {
@@ -163,7 +162,7 @@ def generate(spec: ScenarioSpec, policy: ReferencePolicy,
         steps = []
         for t in range(spec.episode_length):
             state = WorldState.make(
-                _step_features(spec.archetype, t, trigger, hazard_len, rng), t)
+                _step_features(spec.archetype, t, trigger, hazard_len), t)
             ref = table.action(state)
             ref = ReferenceAction(
                 _noisy(ref.longitudinal, kb.longitudinal_actions, spec.noise_rate, rng),

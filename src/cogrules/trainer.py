@@ -5,12 +5,11 @@ moving-average utility updates toward the reference behavior.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -181,9 +180,7 @@ def train(rules: list[ProductionRule], episodes: list[Episode],
     with epochs_done 0, and after each epoch. It may observe the rules, and
     keep the RuleSet to reuse its cache after training; it must not change
     them."""
-    rules = copy.deepcopy(rules)
-    for rule in rules:
-        rule.utility = cfg.initial_utility
+    rules = [replace(r, utility=cfg.initial_utility) for r in rules]  # the rest is never mutated
     rule_set = RuleSet(rules)
     rng = random.Random(cfg.seed)
     curve: list[CurvePoint] = []

@@ -188,6 +188,17 @@ class TestRunAll:
         _, second, _ = run_cli(capsys, "run-all", "--config", str(cfg))
         assert first == second
 
+    def test_run_all_manifest_does_not_depend_on_out(self, tmp_path, capsys):
+        # --out only says where the artifacts go; it is not part of the config hash
+        cfg = write_pipeline_config(tmp_path, epochs=9)
+        manifests = []
+        for out in ("o1", "o2"):
+            code, _, err = run_cli(capsys, "run-all", "--config", str(cfg),
+                                   "--out", str(tmp_path / out))
+            assert code == 0, err
+            manifests.append((tmp_path / out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+
     def test_run_all_writes_only_inside_out_dir(self, tmp_path, capsys):
         cfg = write_pipeline_config(tmp_path, epochs=9)
         before = {p for p in tmp_path.iterdir()}

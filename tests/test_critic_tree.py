@@ -163,14 +163,26 @@ class TestInvariants:
             assert node.depth == parent.depth + 1
 
     def test_termination_bound(self):
-        counter = iter(range(10_000))
         delta, depth = 2, 2
-        tree = make_tree(lambda m: f"f{next(counter)}", lambda m: "REVISE: nope",
-                         num_critics=delta, max_depth=depth)
-        _, trace = tree.run("text", "f")
-        # nodes per level bounded by delta * previous level
-        assert len(trace.nodes) <= sum(delta ** d for d in range(depth + 2))
-        assert trace.revisor_calls == len(trace.nodes)
+        # the critics approve only `approved`; f5 is the third of four nodes at depth 2
+        for approved, judged in (("never", 7), ("f5", 6)):
+            counter = iter(range(10_000))
+            tree = make_tree(lambda m: f"f{next(counter)}",
+                             lambda m: ("APPROVED" if m[-1].content.endswith(f"Formula: {approved}")
+                                        else "REVISE: nope"),
+                             num_critics=delta, max_depth=depth)
+            formula, trace = tree.run("text", "f")
+            # nodes per level bounded by delta * previous level
+            assert len(trace.nodes) <= sum(delta ** d for d in range(depth + 2))
+            assert trace.revisor_calls == len(trace.nodes)
+            # breadth-first: nodes in level order, and the judged ones are a prefix
+            depths = [n.depth for n in trace.nodes]
+            assert depths == sorted(depths)
+            assert [bool(n.verdicts) for n in trace.nodes] == \
+                [True] * judged + [False] * (len(trace.nodes) - judged)
+            assert trace.critic_calls == delta * judged
+            assert trace.fallback == (approved == "never")
+            assert formula == trace.returned == ("f0" if trace.fallback else approved)
 
     def test_early_return_stops_expansion(self):
         def critic(m):
@@ -199,15 +211,17 @@ class TestInvariants:
         payload = trace.to_json()
         assert "G (a -> b)" in json.dumps(payload, sort_keys=True)
         assert payload["revisor_calls"] == 1
+        assert set(payload) == {"returned", "returned_node", "fallback", "revisor_calls",
+                                "critic_calls", "nodes"}
 
     def test_event_numbers_restart_with_each_trace(self):
+        # a reused tree gives the same trace as a fresh one
         def build():
             return make_tree(lambda m: "G (a -> b)", lambda m: "APPROVED")
         tree = build()
         tree.run("first text", "G a")
         _, second = tree.run("second text", "G b")
         _, fresh = build().run("second text", "G b")
-        assert [e["seq"] for e in second.events] == list(range(len(second.events)))
         assert second.to_json() == fresh.to_json()
 
 

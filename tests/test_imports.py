@@ -1,5 +1,6 @@
-"""Every module-level import in the package and in its tests is used, and
-importing the command line loads no heavy third-party package."""
+"""Every module-level import in the package and in its tests is used, every
+parameter of a package function is read, and importing the command line
+loads no heavy third-party package."""
 
 import ast
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*(ROOT / "src" / "cogrules").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted((ROOT / "src" / "cogrules").rglob("*.py"))
+FILES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
 
 
 def imported_names(tree: ast.Module):
@@ -40,6 +42,51 @@ def test_checker_reports_only_unused_names():
               "import json\nimport os.path\nfrom pathlib import Path as P\n"
               "def f(x: P):\n    return os.path.join(x)\n")
     assert unused_imports(source) == ["line 2: json"]
+
+
+def only_raises_not_implemented(body: list[ast.stmt]) -> bool:
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]  # docstring
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def unused_parameters(source: str) -> list[str]:
+    """'line L: function(parameter)' for each parameter but self and cls that
+    the function's body, nested functions included, never reads."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if only_raises_not_implemented(fn.body):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"line {fn.lineno}: {fn.name}({p.arg})" for p in params
+                  if p is not None and p.arg not in ("self", "cls") and p.arg not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_parameter_checker_reports_only_unread_parameters():
+    source = ("def f(a, b, /, c, *args, d, e=1, **kw):\n"
+              "    def inner():\n        return c + kw['x']\n"
+              "    a = 2\n    return inner() + b\n"
+              "class C:\n"
+              "    def m(self, x):\n        'Abstract.'\n        raise NotImplementedError\n"
+              "    @classmethod\n    def k(cls, y):\n        raise NotImplementedError(y)\n"
+              "    def n(self, z):\n        raise ValueError\n")
+    assert unused_parameters(source) == [
+        "line 1: f(a)", "line 1: f(args)", "line 1: f(d)", "line 1: f(e)", "line 13: n(z)"]
 
 
 def test_cli_and_pipeline_import_neither_numpy_nor_requests():

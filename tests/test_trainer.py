@@ -105,6 +105,7 @@ class TestTrain:
         trained, curve = train(rules, [one_state_episode(5)], cfg)
         assert trained[0].utility == 0.0
         assert curve == []
+        assert rules[0].utility == 3.0 and trained[0] is not rules[0]
 
     def test_learning_rate_zero_equivalent(self):
         # alpha must be > 0 by contract; the smallest rate leaves utilities
