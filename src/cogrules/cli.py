@@ -91,7 +91,7 @@ def cmd_train(args) -> int:
     trained, curve = trainer.train(list(store), episodes, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    compiler.RuleStore(trained).save(out_dir / "rules_trained.json")
+    compiler.RuleStore(trained.rules).save(out_dir / "rules_trained.json")
     trainer.curve_to_csv(curve, out_dir / "curve.csv")
     _emit({"epochs": len(curve),
            "final_agreement": curve[-1].agreement if curve else None,

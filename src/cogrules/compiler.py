@@ -39,12 +39,13 @@ class UnknownAtom(GroundingError):
 
 
 # ---------------------------------------------------------------------------
-# outcomes
+# outcomes, each with a tag and a one-line detail
 
 @dataclass(frozen=True)
 class Viable:
     rule: ProductionRule
     tag = "Viable"
+    detail = ""
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,10 @@ class DuplicatedContent:
     existing: str
     similarity: float
     tag = "DuplicatedContent"
+
+    @property
+    def detail(self) -> str:
+        return self.existing
 
 
 @dataclass(frozen=True)

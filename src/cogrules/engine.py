@@ -9,7 +9,7 @@ import json
 import math
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .knowledge import PASS, KnowledgeBase, ProductionRule, Value
 
@@ -42,8 +42,10 @@ class WorldState:
                 raise ValueError(f"state value {value!r} out of domain for {name!r}")
 
 
-@dataclass
-class Decision:
+@dataclass(frozen=True)
+class ActionPair:
+    """One action per slot, None where the slot is empty: a decision, or
+    the reference behaviour it is compared with."""
     longitudinal: str | None = None
     lateral: str | None = None
 
@@ -53,15 +55,11 @@ class Decision:
 
 @dataclass
 class TraceEntry:
+    """One firing: the rule that won a resolution step at time t, and the
+    slots its effects filled."""
     t: int
-    slot: str  # the slot this resolution step was run for
-    chosen: str
-    filled: list[str] = field(default_factory=list)  # slots this firing set
-
-
-@dataclass
-class ReasoningTrace:
-    entries: list[TraceEntry] = field(default_factory=list)
+    chosen: ProductionRule
+    filled: list[str]
 
 
 def _holds(precondition, state: dict[str, Value]) -> bool:
@@ -157,28 +155,28 @@ class RuleSet:
 
 
 def decide(state: WorldState, rules: RuleSet, sigma: float,
-           rng: random.Random) -> tuple[Decision, ReasoningTrace]:
-    """Up to two resolution steps per cycle, longitudinal first. A winning
-    rule applies all its non-pass effects, so a rule carrying both effects
-    fills both slots in one firing."""
-    decision = Decision()
-    trace = ReasoningTrace()
-    for slot, candidates in zip(SLOTS, rules.candidates(state)):
-        if decision.slot(slot) is not None:
-            continue
-        if not candidates:
-            continue
-        chosen = select(candidates, sigma, rng)
-        filled = []
-        if chosen.effects.longitudinal != PASS and decision.longitudinal is None:
-            decision.longitudinal = chosen.effects.longitudinal
-            filled.append(LONGITUDINAL)
-        if chosen.effects.lateral != PASS and decision.lateral is None:
-            decision.lateral = chosen.effects.lateral
-            filled.append(LATERAL)
-        trace.entries.append(TraceEntry(t=state.t, slot=slot, chosen=chosen.name,
-                                        filled=filled))
-    return decision, trace
+           rng: random.Random) -> tuple[ActionPair, list[TraceEntry]]:
+    """One cycle: the action pair and its firings, drawn from the two
+    softmaxes of `_softmaxes` in order. The longitudinal candidates compete
+    first, and the winner applies all its non-pass effects, so a winner
+    with a lateral effect fills both slots. Only if the lateral slot is
+    still empty do the lateral candidates compete."""
+    longitudinal_candidates, lateral_candidates = rules.candidates(state)
+    longitudinal = lateral = None
+    firings = []
+    if longitudinal_candidates:
+        chosen = select(longitudinal_candidates, sigma, rng)
+        longitudinal = chosen.effects.longitudinal
+        if chosen.effects.lateral == PASS:
+            firings.append(TraceEntry(state.t, chosen, [LONGITUDINAL]))
+        else:
+            lateral = chosen.effects.lateral
+            firings.append(TraceEntry(state.t, chosen, [LONGITUDINAL, LATERAL]))
+    if lateral is None and lateral_candidates:
+        chosen = select(lateral_candidates, sigma, rng)
+        lateral = chosen.effects.lateral
+        firings.append(TraceEntry(state.t, chosen, [LATERAL]))
+    return ActionPair(longitudinal, lateral), firings
 
 
 def action_pair_key(longitudinal: str | None, lateral: str | None) -> str:

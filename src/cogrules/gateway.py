@@ -59,6 +59,10 @@ class BackendSpec:
             raise ValueError("replay backend requires a transcript path")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if self.timeout_ms <= 0:
+            raise ValueError("timeout_ms must be > 0")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
 
 
 class GatewayError(RuntimeError):
@@ -227,6 +231,8 @@ class CriticEnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if any(p < 0 for _, p in self.members):
+            raise ValueError("selection probabilities must be >= 0")
         total = sum(p for _, p in self.members)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"selection probabilities sum to {total}, expected 1")

@@ -10,7 +10,7 @@ import random
 from collections import Counter
 
 from . import ltl
-from .engine import (ReasoningTrace, RuleSet, WorldState, action_pair_key, decide,
+from .engine import (RuleSet, TraceEntry, WorldState, action_pair_key, decide,
                      decision_distribution)
 from .trainer import Episode
 
@@ -125,9 +125,10 @@ def sampled_distribution(state: WorldState, rules: RuleSet, sigma: float,
     return {a: c / n for a, c in counts.items()}
 
 
-def rsr(traces: list[ReasoningTrace]) -> float:
-    """Reasoning success rate: fraction of cycles where at least one slot
-    had a nonempty conflict set."""
-    if not traces:
+def rsr(cycles: list[list[TraceEntry]]) -> float:
+    """Reasoning success rate: fraction of cycles, each given by the
+    firings `decide` returned, where at least one slot had a nonempty
+    conflict set."""
+    if not cycles:
         return 0.0
-    return sum(bool(t.entries) for t in traces) / len(traces)
+    return sum(bool(firings) for firings in cycles) / len(cycles)

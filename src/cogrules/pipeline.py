@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import compiler, ltl, metrics, scenarios, trainer
@@ -60,6 +60,14 @@ class PipelineConfig:
             raise ValueError("eval.checkpoints must be >= 1")
 
 
+def _section(cls, name: str, obj: dict):
+    """`cls(**obj)`, naming a key of config section `name` that `cls` does not take."""
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"config section {name!r}: unknown key {min(unknown)!r}")
+    return cls(**obj)
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     raw = json.loads(Path(path).read_text())
     if overrides:
@@ -69,11 +77,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     def resolve(p):
         return (base / p) if p and not Path(p).is_absolute() else (Path(p) if p else None)
 
-    def backend_spec(obj: dict | None) -> BackendSpec | None:
+    def backend_spec(obj: dict | None, name: str) -> BackendSpec | None:
         if obj is None:
             return None
         paths = {k: str(resolve(obj[k])) for k in ("transcript_path", "record_path") if obj.get(k)}
-        return BackendSpec(**{**obj, **paths})
+        return _section(BackendSpec, name, {**obj, **paths})
 
     kb_section = raw["kb"]
     if isinstance(kb_section, str) and kb_section in scenarios.ARCHETYPES:
@@ -83,26 +91,25 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     ct = raw["critic_tree"]
     critic_cfg = CriticTreeConfig(
         num_critics=ct["num_critics"], max_depth=ct["max_depth"],
-        revisor=backend_spec(ct["revisor"]),
+        revisor=backend_spec(ct["revisor"], "critic_tree.revisor"),
         critics=CriticEnsembleSpec(
-            members=[(backend_spec(m[0]), m[1]) for m in ct["critics"]["members"]],
+            members=[(backend_spec(m[0], "critic_tree.critics"), m[1])
+                     for m in ct["critics"]["members"]],
             seed=ct["critics"].get("seed", raw.get("seed", 0))),
         kb_atoms=kb.atom_vocabulary)
-    scenario_spec = None
-    if raw.get("scenario"):
-        scenario_spec = scenarios.ScenarioSpec(**raw["scenario"])
     return PipelineConfig(
         prompt_mode=raw.get("prompt_mode", LITERAL),
         critic_tree=critic_cfg,
         kb=kb,
-        train=TrainConfig(**raw.get("train", {})),
+        train=_section(TrainConfig, "train", raw.get("train", {})),
         out_dir=resolve(raw["out_dir"]) if "out_dir" in raw else Path("out"),
         corpus_path=resolve(raw.get("corpus")),
         episodes_path=resolve(raw.get("episodes")),
-        scenario=scenario_spec,
+        scenario=(_section(scenarios.ScenarioSpec, "scenario", raw["scenario"])
+                  if raw.get("scenario") else None),
         n_episodes=raw.get("n_episodes", 70),
-        grounding=backend_spec(raw.get("grounding")),
-        initial_backend=backend_spec(raw.get("initial_backend")),
+        grounding=backend_spec(raw.get("grounding"), "grounding"),
+        initial_backend=backend_spec(raw.get("initial_backend"), "initial_backend"),
         eval_top_k=raw.get("eval", {}).get("top_k", 10),
         checkpoints=raw.get("eval", {}).get("checkpoints", 5),
         raw=raw)
@@ -112,8 +119,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
 class SegmentResult:
     segment_id: str
     refined: str
-    outcome_tag: str
-    detail: str = ""
+    outcome: compiler.CompileOutcome
 
 
 def _ground_formula(formula_text: str, template: str, atoms: str,
@@ -125,7 +131,7 @@ def _ground_formula(formula_text: str, template: str, atoms: str,
 
 
 def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
-                     ) -> tuple[list, compiler.RuleStore, list[SegmentResult]]:
+                     ) -> tuple[compiler.RuleStore, list[SegmentResult]]:
     """Each record needs 'text' and either an 'initial' column or a
     configured initial-translation backend. Per-segment failures become
     outcomes, never aborting the corpus."""
@@ -137,7 +143,6 @@ def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
     atoms = ", ".join(cfg.kb.atom_vocabulary)
     provider = compiler.HashedTrigramEmbedding()
     store = compiler.RuleStore()
-    outcomes = []
     results = []
     for i, record in enumerate(texts):
         segment_id = str(record.get("id", i))
@@ -153,23 +158,18 @@ def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
             grounded_text = _ground_formula(refined, grounding_template, atoms,
                                             grounding_backend)
         except GatewayError as e:
-            outcome = compiler.FormatMismatch(f"gateway failure: {e}")
-            outcomes.append(outcome)
-            results.append(SegmentResult(segment_id, "", outcome.tag, outcome.detail))
+            results.append(SegmentResult(segment_id, "",
+                                         compiler.FormatMismatch(f"gateway failure: {e}")))
             continue
         formula = tree.parse(grounded_text)  # the tree has parsed most of these already
         if isinstance(formula, ltl.ParseError):
             outcome = compiler.FormatMismatch(f"unparseable formula: {formula}")
-            outcomes.append(outcome)
-            results.append(SegmentResult(segment_id, grounded_text, outcome.tag, outcome.detail))
-            continue
-        outcome = compiler.compile_formula(
-            formula, cfg.kb, store, provider,
-            provenance={"segment": segment_id, "formula": ltl.to_string(formula)})
-        outcomes.append(outcome)
-        detail = getattr(outcome, "detail", "") or getattr(outcome, "existing", "")
-        results.append(SegmentResult(segment_id, grounded_text, outcome.tag, str(detail)))
-    return outcomes, store, results
+        else:
+            outcome = compiler.compile_formula(
+                formula, cfg.kb, store, provider,
+                provenance={"segment": segment_id, "formula": ltl.to_string(formula)})
+        results.append(SegmentResult(segment_id, grounded_text, outcome))
+    return store, results
 
 
 def _sha256(path: Path) -> str:
@@ -191,38 +191,34 @@ def run_experiment(cfg: PipelineConfig) -> dict:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     texts = json.loads(cfg.corpus_path.read_text()) if cfg.corpus_path else []
-    outcomes, store, results = formalize_corpus(texts, cfg)
-    report = compiler.outcome_report(outcomes)
+    store, results = formalize_corpus(texts, cfg)
+    report = compiler.outcome_report([r.outcome for r in results])
     episodes = _load_episodes(cfg)
     trainer.validate_episodes(episodes, cfg.kb)
 
     rules = list(store)
-    js_curve = []
-    curve = []
-    trained_set = None
+    trained, curve, js_curve = RuleSet([]), [], []
     if rules:
         # JS before training and at evenly spread epochs, the last at cfg.train.epochs
         at = {0} | {cfg.train.epochs * (k + 1) // cfg.checkpoints for k in range(cfg.checkpoints)}
         references = metrics.reference_distributions(episodes, cfg.eval_top_k)
 
         def observe(epochs_done, rule_set):
-            nonlocal trained_set
-            trained_set = rule_set  # agreement reuses its cached matches
             if epochs_done in at:
                 js_curve.append((epochs_done, metrics.mean_js(
                     rule_set, references, cfg.train.sigma)))
 
-        rules, curve = trainer.train(rules, episodes, cfg.train, on_epoch=observe)
-    agreement = trainer.evaluate_agreement(trained_set or RuleSet([]), episodes, cfg.train.sigma)
+        trained, curve = trainer.train(rules, episodes, cfg.train, on_epoch=observe)
+    agreement = trainer.evaluate_agreement(trained, episodes, cfg.train.sigma)
 
-    compiler.RuleStore(rules).save(out / "rules.json")
+    compiler.RuleStore(trained.rules).save(out / "rules.json")
     compiler.write_outcome_csv(report, out / "outcomes.csv")
     trainer.curve_to_csv(curve, out / "curve.csv")
     (out / "js_curve.csv").write_text(
         "updates,mean_js\n" + "".join(f"{n},{v:.6f}\n" for n, v in js_curve))
     (out / "segments.json").write_text(json.dumps(
-        [{"id": r.segment_id, "refined": r.refined, "outcome": r.outcome_tag,
-          "detail": r.detail} for r in results], indent=2, sort_keys=True))
+        [{"id": r.segment_id, "refined": r.refined, "outcome": r.outcome.tag,
+          "detail": r.outcome.detail} for r in results], indent=2, sort_keys=True))
     trainer.episodes_to_jsonl(episodes, out / "episodes.jsonl")
 
     config_hash = hashlib.sha256(

@@ -9,8 +9,8 @@ import random
 from dataclasses import dataclass, field
 
 from .knowledge import FeatureDomain, Grounding, KnowledgeBase, Value
-from .engine import WorldState, pick
-from .trainer import Episode, ReferenceAction
+from .engine import ActionPair, WorldState, pick
+from .trainer import Episode
 
 HIGHWAY = "highway_cut_in"
 INTERSECTION = "signalized_intersection"
@@ -75,12 +75,12 @@ class DecisionTable:
     rows: list[tuple[dict[str, Value], tuple[str | None, str | None]]]
     default: tuple[str | None, str | None] = ("keep", "keep_lane")
 
-    def action(self, state: WorldState) -> ReferenceAction:
+    def action(self, state: WorldState) -> ActionPair:
         feats = state.as_dict()
         for condition, (lon, lat) in self.rows:
             if all(feats.get(k) == v for k, v in condition.items()):
-                return ReferenceAction(lon, lat)
-        return ReferenceAction(*self.default)
+                return ActionPair(lon, lat)
+        return ActionPair(*self.default)
 
 
 @dataclass
@@ -91,6 +91,8 @@ class ReferencePolicy:
     def __post_init__(self):
         if not self.weights:
             self.weights = [1.0 / len(self.tables)] * len(self.tables)
+        if any(w < 0 for w in self.weights):
+            raise ValueError("mixture weights must be >= 0")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("mixture weights must sum to 1")
 
@@ -164,7 +166,7 @@ def generate(spec: ScenarioSpec, policy: ReferencePolicy,
             state = WorldState.make(
                 _step_features(spec.archetype, t, trigger, hazard_len), t)
             ref = table.action(state)
-            ref = ReferenceAction(
+            ref = ActionPair(
                 _noisy(ref.longitudinal, kb.longitudinal_actions, spec.noise_rate, rng),
                 _noisy(ref.lateral, kb.lateral_actions, spec.noise_rate, rng))
             steps.append((state, ref))

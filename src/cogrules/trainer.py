@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from .engine import (LONGITUDINAL, SLOTS, ReasoningTrace, RuleSet, WorldState, decide,
+from .engine import (SLOTS, ActionPair, RuleSet, TraceEntry, WorldState, decide,
                      slot_marginals)
 from .knowledge import KnowledgeBase, ProductionRule
 
@@ -40,18 +40,9 @@ class TrainConfig:
             raise ValueError("sigma must be > 0")
 
 
-@dataclass(frozen=True)
-class ReferenceAction:
-    longitudinal: str | None = None
-    lateral: str | None = None
-
-    def slot(self, name: str) -> str | None:
-        return self.longitudinal if name == LONGITUDINAL else self.lateral
-
-
 @dataclass
 class Episode:
-    steps: list[tuple[WorldState, ReferenceAction]]
+    steps: list[tuple[WorldState, ActionPair]]
     scenario_id: str = ""
     subject_id: str = ""
 
@@ -99,8 +90,8 @@ def episodes_from_jsonl(path: str | Path) -> list[Episode]:
         rec = json.loads(line)
         idx = rec.get("episode", 0)
         step = (WorldState.make(rec["state"], rec["t"]),
-                ReferenceAction(rec["reference"].get("longitudinal"),
-                                rec["reference"].get("lateral")))
+                ActionPair(rec["reference"].get("longitudinal"),
+                           rec["reference"].get("lateral")))
         if idx not in groups:
             groups[idx] = Episode(steps=[step], scenario_id=rec.get("scenario", ""),
                                   subject_id=rec.get("subject", ""))
@@ -109,11 +100,12 @@ def episodes_from_jsonl(path: str | Path) -> list[Episode]:
     return [groups[i] for i in sorted(groups)]
 
 
-def reward_decompose(reward: float, trace: ReasoningTrace, reward_step: int,
-                     decay: float) -> list[tuple[str, float]]:
-    """Per-firing reward shares: r_i = R - decay * (reward_step - firing step)."""
+def reward_decompose(reward: float, firings: list[TraceEntry], reward_step: int,
+                     decay: float) -> list[tuple[ProductionRule, float]]:
+    """(rule that fired, reward share) per firing:
+    r_i = R - decay * (reward_step - firing step)."""
     shares = []
-    for entry in trace.entries:
+    for entry in firings:
         if entry.t > reward_step:
             raise ValueError("firing after reward step")
         shares.append((entry.chosen, reward - decay * (reward_step - entry.t)))
@@ -142,19 +134,18 @@ def curve_to_csv(curve: list[CurvePoint], path: str | Path) -> None:
 def _train_one_epoch(rules: RuleSet, episodes: list[Episode],
                      cfg: TrainConfig, rng: random.Random) -> float:
     """One pass over the episodes; returns the per-slot agreement rate."""
-    by_name = {r.name: r for r in rules.rules}
     agreed = compared = 0
     order = list(range(len(episodes)))
     rng.shuffle(order)
     for idx in order:
         episode = episodes[idx]
         # per slot, the firings that filled it and still await a reward
-        pending = {s: ReasoningTrace() for s in SLOTS}
+        pending: dict[str, list[TraceEntry]] = {s: [] for s in SLOTS}
         for state, ref in episode.steps:
-            decision, trace = decide(state, rules, cfg.sigma, rng)
-            for entry in trace.entries:
+            decision, firings = decide(state, rules, cfg.sigma, rng)
+            for entry in firings:
                 for slot in entry.filled:
-                    pending[slot].entries.append(entry)
+                    pending[slot].append(entry)
             for slot in SLOTS:
                 ref_action = ref.slot(slot)
                 if ref_action is None:
@@ -163,23 +154,21 @@ def _train_one_epoch(rules: RuleSet, episodes: list[Episode],
                 compared += 1
                 agreed += hit
                 reward = cfg.reward_positive if hit else cfg.reward_negative
-                for name, r_i in reward_decompose(reward, pending[slot], state.t, cfg.decay):
-                    rule = by_name[name]
+                for rule, r_i in reward_decompose(reward, pending[slot], state.t, cfg.decay):
                     rule.utility = utility_update(rule.utility, r_i, cfg.learning_rate)
-                pending[slot].entries.clear()
+                pending[slot].clear()
     return agreed / compared if compared else 0.0
 
 
 def train(rules: list[ProductionRule], episodes: list[Episode],
           cfg: TrainConfig, on_epoch: Callable[[int, RuleSet], None] | None = None,
-          ) -> tuple[list[ProductionRule], list[CurvePoint]]:
+          ) -> tuple[RuleSet, list[CurvePoint]]:
     """Trains copies of the rules, reset to the initial utility, for
-    cfg.epochs epochs with one RNG seeded from cfg.seed and one RuleSet over
-    the copies. Returns the trained copies and the per-epoch learning curve.
-    on_epoch(epochs_done, rule_set) is called once before the first epoch,
-    with epochs_done 0, and after each epoch. It may observe the rules, and
-    keep the RuleSet to reuse its cache after training; it must not change
-    them."""
+    cfg.epochs epochs with one RNG seeded from cfg.seed. Returns the RuleSet
+    over the trained copies, so that later matching reuses its cache, and
+    the per-epoch learning curve. on_epoch(epochs_done, rule_set) is called
+    once before the first epoch, with epochs_done 0, and after each epoch.
+    It may observe the rules; it must not change them."""
     rules = [replace(r, utility=cfg.initial_utility) for r in rules]  # the rest is never mutated
     rule_set = RuleSet(rules)
     rng = random.Random(cfg.seed)
@@ -192,7 +181,7 @@ def train(rules: list[ProductionRule], episodes: list[Episode],
         curve.append(CurvePoint(epoch=epoch, agreement=agreement, mean_utility=mean_u))
         if on_epoch is not None:
             on_epoch(epoch + 1, rule_set)
-    return rules, curve
+    return rule_set, curve
 
 
 def evaluate_agreement(rules: RuleSet, episodes: list[Episode],

@@ -15,12 +15,12 @@ from cogrules.cli import main as cli_main
 from cogrules.compiler import (EMBEDDING_DIMENSION, HashedTrigramEmbedding, RuleStore,
                                dedup_check)
 from cogrules.critic_tree import CriticTree, CriticTreeConfig
-from cogrules.engine import WorldState, selection_probabilities
+from cogrules.engine import ActionPair, WorldState, selection_probabilities
 from cogrules.gateway import CriticEnsembleSpec, Session
 from cogrules.knowledge import Effects, ProductionRule
 from cogrules.metrics import js_divergence, ltl_bleu, mean_js, reference_distributions
 from cogrules.pipeline import formalize_corpus, load_config, run_experiment
-from cogrules.trainer import (Episode, ReferenceAction, TrainConfig,
+from cogrules.trainer import (Episode, TrainConfig,
                               reward_decompose, train, utility_update)
 from conftest import (highway_corpus, random_formula, scripted_spec,
                       single_critic_ensemble, write_pipeline_config)
@@ -224,16 +224,17 @@ def test_04_selection_update_and_decay_numerics():
     assert abs(u - closed) < 1e-12
 
     # per-firing reward shares equal R - decay * (reward step - firing step)
-    from cogrules.engine import ReasoningTrace, TraceEntry
+    from cogrules.engine import TraceEntry
+    fired = ProductionRule(name="r", preconditions=(("x", "=", True),),
+                           effects=Effects(longitudinal="brake"))
     for _ in range(200):
         reward_step = rng.randrange(0, 50)
         reward = rng.choice([10.0, 0.0, rng.uniform(-5, 15)])
         decay = rng.choice([0.01, 0.0, rng.uniform(0, 0.5)])
-        entries = [TraceEntry(t=rng.randrange(0, reward_step + 1), slot="longitudinal",
-                              chosen="r", filled=["longitudinal"])
+        entries = [TraceEntry(t=rng.randrange(0, reward_step + 1), chosen=fired,
+                              filled=["longitudinal"])
                    for _ in range(rng.randrange(0, 6))]
-        got = reward_decompose(reward, ReasoningTrace(entries=entries),
-                               reward_step, decay)
+        got = reward_decompose(reward, entries, reward_step, decay)
         want = [(e.chosen, reward - decay * (reward_step - e.t)) for e in entries]
         assert got == want  # exact float equality, same arithmetic
     _ok(4, "softmax 1e-9, contraction 1e-12 over 1e6 steps, decay exact")
@@ -253,7 +254,7 @@ def test_05_learning_convergence_two_rule_fixture():
              rule("disagree", "accelerate", "change_left")]
     # 400 decision steps per epoch, 5 epochs = 2000 training steps
     episodes = [Episode(steps=[(WorldState.make({"x": True}, t),
-                                ReferenceAction("brake", "keep_lane"))
+                                ActionPair("brake", "keep_lane"))
                                for t in range(20)]) for _ in range(20)]
     cfg = TrainConfig(epochs=5, seed=5)  # defaults: alpha=2e-4, decay=0.01,
     # sigma=sqrt(2), u0=0, R+=10, R-=0
@@ -262,9 +263,9 @@ def test_05_learning_convergence_two_rule_fixture():
     def checkpoint(epochs_done, trained):
         js_checkpoints.append(mean_js(trained, reference_distributions(episodes), SQRT2))
 
-    rules, _ = train(rules, episodes, cfg, on_epoch=checkpoint)
+    rule_set, _ = train(rules, episodes, cfg, on_epoch=checkpoint)
 
-    by_name = {r.name: r for r in rules}
+    by_name = {r.name: r for r in rule_set.rules}
     probs = selection_probabilities(
         [by_name["agree"].utility, by_name["disagree"].utility], SQRT2)
     assert probs[0] > 0.9, f"agreeing rule selected with p={probs[0]:.4f}"
@@ -362,8 +363,8 @@ def test_08_end_to_end_reproducibility(tmp_path, capsys):
     lit_cfg = load_config(write_pipeline_config(tmp_path, out_dir="out_lit"))
     sup_cfg = load_config(write_pipeline_config(tmp_path, prompt_mode="supply",
                                                 out_dir="out_sup"))
-    _, lit_store, _ = formalize_corpus(highway_corpus(), lit_cfg)
-    _, sup_store, _ = formalize_corpus(highway_corpus(), sup_cfg)
+    lit_store, _ = formalize_corpus(highway_corpus(), lit_cfg)
+    sup_store, _ = formalize_corpus(highway_corpus(), sup_cfg)
     lit_rules = {r.name: r for r in lit_store}
     sup_rules = {r.name: r for r in sup_store}
     changed = []

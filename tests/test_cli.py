@@ -242,3 +242,29 @@ class TestRunAll:
         assert out == ""
         assert err.startswith("error:") and key in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path,section", [
+        (("train",), "train"), (("scenario",), "scenario"), (("grounding",), "grounding"),
+        (("critic_tree", "revisor"), "critic_tree.revisor")])
+    def test_run_all_names_a_misspelled_config_key(self, tmp_path, capsys, path, section):
+        config = write_pipeline_config(tmp_path)
+        raw = json.loads(config.read_text())
+        obj = raw
+        for key in path:
+            obj = obj[key]
+        obj["lerning_rate"] = 0.1
+        config.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "run-all", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and repr(section) in err and "'lerning_rate'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_all_ignores_unknown_eval_keys(self, tmp_path, capsys):
+        # eval stays lenient: older configs still carry eval.samples
+        config = write_pipeline_config(tmp_path, epochs=3)
+        raw = json.loads(config.read_text())
+        raw["eval"]["samples"] = 10
+        config.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "run-all", "--config", str(config))
+        assert code == 0, err

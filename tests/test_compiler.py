@@ -167,7 +167,7 @@ class TestEmbedding:
         corpus = highway_corpus()
         # a second pass over the corpus makes every rule a repeat candidate
         corpus += [dict(r, id=f"again-{i}") for i, r in enumerate(corpus)]
-        _, store, _ = formalize_corpus(corpus, cfg)
+        store, _ = formalize_corpus(corpus, cfg)
         assert len(store) > 2
         assert {r.name for r in store} <= set(computed)
         assert len(computed) == len(set(computed))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cogrules.engine import (CACHE_STATES, SLOTS, Decision, RuleSet, WorldState, decide,
+from cogrules.engine import (ActionPair, CACHE_STATES, SLOTS, RuleSet, WorldState, decide,
                              decision_distribution, match, pick, select,
                              selection_probabilities, slot_candidates, slot_marginals)
 from cogrules.knowledge import Effects, ProductionRule
@@ -112,27 +112,28 @@ class TestDecide:
     def test_single_rule_both_effects_fires_once(self):
         r = rule("r1", [("a", "=", True)], longitudinal="brake",
                  lateral="keep_lane")
-        decision, trace = decide(WorldState.make({"a": True}), RuleSet([r]), SQRT2,
-                                 random.Random(0))
+        decision, firings = decide(WorldState.make({"a": True}), RuleSet([r]), SQRT2,
+                                   random.Random(0))
         assert decision.longitudinal == "brake"
         assert decision.lateral == "keep_lane"
-        assert len(trace.entries) == 1
-        assert trace.entries[0].filled == ["longitudinal", "lateral"]
+        assert len(firings) == 1
+        assert firings[0].chosen is r
+        assert firings[0].filled == ["longitudinal", "lateral"]
 
     def test_no_match_empty_decision(self):
         r = rule("r1", [("a", "=", True)], longitudinal="brake")
-        decision, trace = decide(WorldState.make({"a": False}), RuleSet([r]), SQRT2,
-                                 random.Random(0))
-        assert decision == Decision()
-        assert trace.entries == []
+        decision, firings = decide(WorldState.make({"a": False}), RuleSet([r]), SQRT2,
+                                   random.Random(0))
+        assert decision == ActionPair()
+        assert firings == []
 
     def test_lateral_only_slot(self):
         r = rule("r1", [("a", "=", True)], lateral="change_left")
-        decision, trace = decide(WorldState.make({"a": True}), RuleSet([r]), SQRT2,
-                                 random.Random(0))
+        decision, firings = decide(WorldState.make({"a": True}), RuleSet([r]), SQRT2,
+                                   random.Random(0))
         assert decision.longitudinal is None
         assert decision.lateral == "change_left"
-        assert trace.entries[0].slot == "lateral"
+        assert firings[0].filled == ["lateral"]
 
     def test_competing_longitudinal_rules_monte_carlo(self):
         rules = RuleSet([rule("ra", [("a", "=", True)], longitudinal="brake"),
@@ -162,8 +163,8 @@ class TestDecide:
             rng = random.Random(77)
             out = [decide(state, rules, SQRT2, rng) for _ in range(50)]
             runs.append([(d.longitudinal, d.lateral,
-                          [(e.chosen, e.slot) for e in t.entries])
-                         for d, t in out])
+                          [(e.chosen.name, e.filled) for e in firings])
+                         for d, firings in out])
         assert runs[0] == runs[1]
 
     def test_trace_justifies_every_action(self):
@@ -172,10 +173,10 @@ class TestDecide:
         rng = random.Random(3)
         state = WorldState.make({"a": True})
         for _ in range(50):
-            decision, trace = decide(state, rules, SQRT2, rng)
+            decision, firings = decide(state, rules, SQRT2, rng)
             for slot in ("longitudinal", "lateral"):
                 if decision.slot(slot) is not None:
-                    setters = [e for e in trace.entries if slot in e.filled]
+                    setters = [e for e in firings if slot in e.filled]
                     assert len(setters) == 1
 
     def test_trace_probabilities_normalized(self):
@@ -187,10 +188,10 @@ class TestDecide:
         candidates = dict(zip(SLOTS, rules.candidates(state)))
         rng = random.Random(0)
         for _ in range(50):
-            _, trace = decide(state, rules, SQRT2, rng)
-            assert [e.slot for e in trace.entries] == list(SLOTS)
-            for entry in trace.entries:
-                assert entry.chosen in [r.name for r in candidates[entry.slot]]
+            _, firings = decide(state, rules, SQRT2, rng)
+            assert [e.filled[0] for e in firings] == list(SLOTS)
+            for entry in firings:
+                assert any(entry.chosen is r for r in candidates[entry.filled[0]])
 
 
 class TestDecisionDistribution:

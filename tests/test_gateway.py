@@ -38,6 +38,17 @@ class TestSpecs:
         with pytest.raises(ValueError):
             CriticEnsembleSpec(members=[(spec, 0.6), (spec, 0.3)])
 
+    def test_negative_probability_rejected(self):
+        spec = scripted_spec(lambda m: "x")
+        with pytest.raises(ValueError, match=">= 0"):
+            CriticEnsembleSpec(members=[(spec, 1.5), (spec, -0.5)])
+
+    @pytest.mark.parametrize("field,value", [
+        ("retries", -1), ("timeout_ms", 0), ("timeout_ms", -5)])
+    def test_http_bounds_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BackendSpec(kind="http", endpoint="http://stub", model="m", **{field: value})
+
 
 class TestScripted:
     def test_scripted_applies_function(self, no_network):
@@ -240,6 +251,13 @@ class TestHttp:
             Session().backend(spec).complete(msgs("x"))
         assert posted == [500, 503, 502]
         assert len(sleeps) == 2
+
+    def test_zero_retries_is_one_attempt(self, monkeypatch):
+        posted, sleeps = self._serve(monkeypatch, [503, 200])
+        spec = BackendSpec(kind="http", endpoint="http://stub", model="m", retries=0)
+        with pytest.raises(gateway.TransportError, match="after 1 attempts"):
+            Session().backend(spec).complete(msgs("x"))
+        assert posted == [503] and sleeps == []
 
     def test_client_error_is_not_retried(self, monkeypatch):
         posted, sleeps = self._serve(monkeypatch, [400, 200])

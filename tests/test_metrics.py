@@ -10,14 +10,14 @@ import pytest
 
 import cogrules
 from cogrules.compiler import RuleStore
-from cogrules.engine import (SLOTS, ReasoningTrace, RuleSet, TraceEntry, WorldState,
+from cogrules.engine import (SLOTS, ActionPair, RuleSet, TraceEntry, WorldState,
                              decision_distribution, slot_marginals)
 from cogrules.knowledge import Effects, ProductionRule
 from cogrules.metrics import (decision_distributions, js_divergence, ltl_bleu,
                               ltl_match_accuracy, ltl_tokens, mean_js,
                               reference_distributions, rsr, sampled_distribution)
 from cogrules.pipeline import load_config, run_experiment
-from cogrules.trainer import Episode, ReferenceAction, episodes_from_jsonl, evaluate_agreement
+from cogrules.trainer import Episode, episodes_from_jsonl, evaluate_agreement
 from conftest import write_pipeline_config
 from oracles import bleu_oracle, js_oracle, summed_marginals
 
@@ -139,7 +139,7 @@ def rule(name, preconditions, longitudinal="pass", lateral="pass", utility=0.0):
 
 def repeated_state_episode(n, features=None, ref=("brake", None)):
     feats = features or {"x": True}
-    return Episode(steps=[(WorldState.make(feats, t), ReferenceAction(*ref))
+    return Episode(steps=[(WorldState.make(feats, t), ActionPair(*ref))
                           for t in range(n)])
 
 
@@ -286,7 +286,7 @@ class TestExactAgreementAgainstSampling:
         refs = [(lon, lat) for lon in ("brake", "keep", "accelerate", None)
                 for lat in ("keep_lane", "change_left", None)]
         for seed in range(3):
-            episodes = [Episode(steps=[(rng.choice(states), ReferenceAction(*rng.choice(refs)))
+            episodes = [Episode(steps=[(rng.choice(states), ActionPair(*rng.choice(refs)))
                                        for _ in range(20)]) for _ in range(5)]
             self.check(random_rule_set(rng), episodes, seed, draws=5_000)
 
@@ -301,17 +301,15 @@ class TestExactAgreementAgainstSampling:
 
 class TestRsr:
     def entry(self):
-        return TraceEntry(t=0, slot="longitudinal", chosen="r", filled=["longitudinal"])
+        rule = ProductionRule(name="r", preconditions=(("a", "=", True),),
+                              effects=Effects(longitudinal="brake"))
+        return TraceEntry(t=0, chosen=rule, filled=["longitudinal"])
 
     def test_all_matched(self):
-        traces = [ReasoningTrace(entries=[self.entry()]) for _ in range(4)]
-        assert rsr(traces) == 1.0
+        assert rsr([[self.entry()] for _ in range(4)]) == 1.0
 
     def test_no_rules(self):
-        traces = [ReasoningTrace() for _ in range(4)]
-        assert rsr(traces) == 0.0
+        assert rsr([[] for _ in range(4)]) == 0.0
 
     def test_three_of_four(self):
-        traces = [ReasoningTrace(entries=[self.entry()]) for _ in range(3)]
-        traces.append(ReasoningTrace())
-        assert rsr(traces) == 0.75
+        assert rsr([[self.entry()] for _ in range(3)] + [[]]) == 0.75

@@ -44,8 +44,8 @@ class TestLoadConfig:
 class TestFormalizeCorpus:
     def test_outcome_census(self, tmp_path):
         cfg = literal_config(tmp_path)
-        outcomes, store, results = formalize_corpus(highway_corpus(), cfg)
-        tags = [o.tag for o in outcomes]
+        store, results = formalize_corpus(highway_corpus(), cfg)
+        tags = [r.outcome.tag for r in results]
         assert tags.count("Viable") == 4
         assert tags.count("InferenceError") == 1
         assert tags.count("DuplicatedContent") == 1
@@ -55,14 +55,14 @@ class TestFormalizeCorpus:
         cfg = literal_config(tmp_path)
         corpus = [{"id": "bad", "text": "gibberish", "initial": "((("}] + \
             highway_corpus()
-        outcomes, store, results = formalize_corpus(corpus, cfg)
-        assert outcomes[0].tag == "FormatMismatch"
-        assert len(outcomes) == len(corpus)
+        store, results = formalize_corpus(corpus, cfg)
+        assert results[0].outcome.tag == "FormatMismatch"
+        assert len(results) == len(corpus)
         assert len(list(store)) == 4
 
     def test_negated_antecedent_polarity(self, tmp_path):
         cfg = literal_config(tmp_path)
-        _, store, _ = formalize_corpus(highway_corpus(), cfg)
+        store, _ = formalize_corpus(highway_corpus(), cfg)
         lane_rules = [r for r in store if r.effects.lateral == "keep_lane"]
         assert len(lane_rules) == 1
         assert ("speed_band", "!=", "low") in lane_rules[0].preconditions
@@ -70,8 +70,8 @@ class TestFormalizeCorpus:
     def test_supply_mode_extends_brake_precondition(self, tmp_path):
         lit = literal_config(tmp_path)
         sup = load_config(write_pipeline_config(tmp_path, prompt_mode="supply"))
-        _, lit_store, _ = formalize_corpus(highway_corpus(), lit)
-        _, sup_store, _ = formalize_corpus(highway_corpus(), sup)
+        lit_store, _ = formalize_corpus(highway_corpus(), lit)
+        sup_store, _ = formalize_corpus(highway_corpus(), sup)
 
         def brake_only(store):
             [r] = [r for r in store if r.effects.longitudinal == "brake"]
@@ -97,9 +97,9 @@ class TestFormalizeCorpus:
         def missing(messages):
             raise ReplayMiss("no recorded response")
         cfg.grounding = scripted_spec(missing)
-        outcomes, store, results = formalize_corpus(highway_corpus()[:1], cfg)
-        assert outcomes[0].tag == "FormatMismatch"
-        assert results[0].detail.startswith("gateway failure: ")
+        store, results = formalize_corpus(highway_corpus()[:1], cfg)
+        assert results[0].outcome.tag == "FormatMismatch"
+        assert results[0].outcome.detail.startswith("gateway failure: ")
         assert results[0].refined == ""
         assert len(store) == 0
 
@@ -110,10 +110,10 @@ class TestFormalizeCorpus:
             raise ReplayMiss("no recorded response")
         cfg.initial_backend = scripted_spec(missing)
         corpus = [{"id": "x", "text": "brake when the gap closes"}] + highway_corpus()
-        outcomes, store, results = formalize_corpus(corpus, cfg)
-        assert outcomes[0].tag == "FormatMismatch"
-        assert results[0].detail.startswith("gateway failure: ")
-        assert len(outcomes) == len(corpus)
+        store, results = formalize_corpus(corpus, cfg)
+        assert results[0].outcome.tag == "FormatMismatch"
+        assert results[0].outcome.detail.startswith("gateway failure: ")
+        assert len(results) == len(corpus)
         assert len(store) == 4
 
     def test_programming_error_propagates(self, tmp_path):
@@ -130,13 +130,13 @@ class TestFormalizeCorpus:
         cfg.grounding = scripted_spec(lambda messages: "G (front_gap_closing ->")
         corpus = [{"id": "s", "text": "brake when the gap closes",
                    "initial": "G (front_gap_closing -> brake)"}]
-        outcomes, _, results = formalize_corpus(corpus, cfg)
-        assert outcomes[0].tag == "FormatMismatch"
-        assert results[0].detail.startswith("unparseable formula: ")
+        _, results = formalize_corpus(corpus, cfg)
+        assert results[0].outcome.tag == "FormatMismatch"
+        assert results[0].outcome.detail.startswith("unparseable formula: ")
         assert results[0].refined == "G (front_gap_closing ->"
         with pytest.raises(ltl.ParseError) as raised:
             ltl.parse("G (front_gap_closing ->")
-        assert results[0].detail == f"unparseable formula: {raised.value}"
+        assert results[0].outcome.detail == f"unparseable formula: {raised.value}"
 
     @pytest.mark.parametrize("prompt_mode", ["literal", "supply"])
     def test_each_distinct_formula_is_parsed_once_per_segment(self, tmp_path, monkeypatch,
@@ -155,7 +155,7 @@ class TestFormalizeCorpus:
         monkeypatch.setattr(pipeline.ltl, "parse", counting)
         monkeypatch.setattr(CriticTree, "run", starting_a_segment)
         cfg = literal_config(tmp_path, prompt_mode=prompt_mode)
-        _, _, results = formalize_corpus(highway_corpus(), cfg)
+        _, results = formalize_corpus(highway_corpus(), cfg)
         assert len(parsed) == len(results)
         for texts, result in zip(parsed, results):
             assert len(texts) == len(set(texts))
@@ -163,10 +163,18 @@ class TestFormalizeCorpus:
 
     def test_segment_results_align_with_outcomes(self, tmp_path):
         cfg = literal_config(tmp_path)
-        outcomes, _, results = formalize_corpus(highway_corpus(), cfg)
-        assert [r.outcome_tag for r in results] == [o.tag for o in outcomes]
+        store, results = formalize_corpus(highway_corpus(), cfg)
         assert [r.segment_id for r in results] == \
             [rec["id"] for rec in highway_corpus()]
+        # every outcome's detail is empty, a reason, or the duplicated rule
+        names = {rule.name for rule in store}
+        for r in results:
+            if r.outcome.tag == "Viable":
+                assert r.outcome.detail == "" and r.outcome.rule.name in names
+            elif r.outcome.tag == "DuplicatedContent":
+                assert r.outcome.detail == r.outcome.existing and r.outcome.detail in names
+            else:
+                assert r.outcome.detail != ""
 
 
 ARTIFACTS = ("rules.json", "outcomes.csv", "curve.csv", "js_curve.csv",

@@ -97,3 +97,8 @@ class TestGenerate:
             ScenarioSpec(archetype="highway_cut_in", episode_length=0)
         with pytest.raises(ValueError):
             ScenarioSpec(archetype="highway_cut_in", noise_rate=1.0)
+
+    def test_negative_mixture_weight_rejected(self):
+        tables = [DecisionTable(rows=[]), DecisionTable(rows=[], default=("brake", None))]
+        with pytest.raises(ValueError, match=">= 0"):
+            ReferencePolicy(tables=tables, weights=[1.5, -0.5])

@@ -7,9 +7,9 @@ import random
 from pathlib import Path
 
 from cogrules import compiler, critic_tree, engine, gateway, ltl, metrics, pipeline, trainer
-from cogrules.engine import RuleSet, WorldState
+from cogrules.engine import ActionPair, RuleSet, WorldState
 from cogrules.knowledge import Effects, ProductionRule
-from cogrules.trainer import Episode, ReferenceAction
+from cogrules.trainer import Episode
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PATCHED = (ltl, gateway.ReplayBackend, critic_tree.CriticTree, compiler,
@@ -38,7 +38,7 @@ def test_wrapped_names_are_the_ones_called(monkeypatch):
     rules = RuleSet([ProductionRule(name=n, preconditions=(("x", "=", True),),
                                     effects=Effects(longitudinal=n)) for n in ("brake", "keep")])
     state = WorldState.make({"x": True})
-    episodes = [Episode(steps=[(state, ReferenceAction("brake"))])]
+    episodes = [Episode(steps=[(state, ActionPair("brake"))])]
     tracer, uninstall = install_tracer(monkeypatch)
     try:
         metrics.mean_js(rules, metrics.reference_distributions(episodes), math.sqrt(2))
@@ -50,3 +50,23 @@ def test_wrapped_names_are_the_ones_called(monkeypatch):
         assert tracer.counts["metrics.decide_calls"] == 3
     finally:
         uninstall()
+
+
+def test_train_under_the_tracer_counts_epochs_and_decides(monkeypatch):
+    # the tracer unpacks train's (RuleSet, curve) and wraps `decide` where
+    # the trainer looks it up
+    rules = [ProductionRule(name=n, preconditions=(("x", "=", True),),
+                            effects=Effects(longitudinal=n)) for n in ("brake", "keep")]
+    episodes = [Episode(steps=[(WorldState.make({"x": True}, t), ActionPair("brake"))
+                               for t in range(5)]) for _ in range(3)]
+    cfg = trainer.TrainConfig(epochs=4, seed=2)
+    tracer, uninstall = install_tracer(monkeypatch)
+    try:
+        trained, curve = trainer.train(rules, episodes, cfg)
+    finally:
+        uninstall()
+    assert isinstance(trained, RuleSet) and len(curve) == cfg.epochs
+    assert tracer.counts["trainer.epochs_trained"] == cfg.epochs
+    _, _, calls = tracer.totals()
+    assert calls["trainer.train"] == 1
+    assert calls["engine.decide"] == 5 * 3 * cfg.epochs

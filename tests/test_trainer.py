@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from cogrules.engine import ReasoningTrace, RuleSet, TraceEntry, WorldState
+from cogrules.engine import ActionPair, RuleSet, TraceEntry, WorldState
 from cogrules.knowledge import Effects, ProductionRule
 from cogrules.scenarios import scenario_kb
 from cogrules.trainer import (Episode, EpisodeSchemaError,
-                              ReferenceAction, TrainConfig, episodes_from_jsonl,
+                              TrainConfig, episodes_from_jsonl,
                               episodes_to_jsonl, evaluate_agreement,
                               reward_decompose, train, utility_update,
                               validate_episodes)
@@ -21,40 +21,41 @@ def rule(name, preconditions, longitudinal="pass", lateral="pass", utility=0.0):
                                           lateral=lateral), utility=utility)
 
 
-def entry(name, t, slot="longitudinal"):
-    return TraceEntry(t=t, slot=slot, chosen=name, filled=[slot])
+def entry(chosen, t, slot="longitudinal"):
+    return TraceEntry(t=t, chosen=chosen, filled=[slot])
+
+
+R = rule("r", [("a", "=", True)], longitudinal="brake")
 
 
 class TestRewardDecompose:
     def test_zero_gap(self):
-        trace = ReasoningTrace(entries=[entry("r", 5)])
-        assert reward_decompose(10.0, trace, 5, 0.01) == [("r", 10.0)]
+        [(chosen, share)] = reward_decompose(10.0, [entry(R, 5)], 5, 0.01)
+        assert chosen is R and share == 10.0
 
     def test_five_step_gap(self):
-        trace = ReasoningTrace(entries=[entry("r", 0)])
-        [(_, r)] = reward_decompose(10.0, trace, 5, 0.01)
+        [(_, r)] = reward_decompose(10.0, [entry(R, 0)], 5, 0.01)
         assert r == pytest.approx(9.95, abs=1e-12)
 
     def test_zero_reward_negative_share(self):
-        trace = ReasoningTrace(entries=[entry("r", 2)])
-        [(_, r)] = reward_decompose(0.0, trace, 9, 0.01)
+        [(_, r)] = reward_decompose(0.0, [entry(R, 2)], 9, 0.01)
         assert r == pytest.approx(-0.07, abs=1e-12)
         assert r <= 0
 
     def test_earlier_firings_get_less(self):
-        trace = ReasoningTrace(entries=[entry("early", 0), entry("late", 4)])
-        shares = dict(reward_decompose(10.0, trace, 5, 0.01))
+        early = rule("early", [("a", "=", True)], longitudinal="brake")
+        late = rule("late", [("a", "=", True)], longitudinal="keep")
+        shares = {chosen.name: share for chosen, share in
+                  reward_decompose(10.0, [entry(early, 0), entry(late, 4)], 5, 0.01)}
         assert shares["early"] < shares["late"]
 
     def test_repeated_firings_one_share_each(self):
-        trace = ReasoningTrace(entries=[entry("r", 1), entry("r", 3)])
-        shares = reward_decompose(10.0, trace, 4, 0.01)
+        shares = reward_decompose(10.0, [entry(R, 1), entry(R, 3)], 4, 0.01)
         assert len(shares) == 2
 
     def test_firing_after_reward_rejected(self):
-        trace = ReasoningTrace(entries=[entry("r", 9)])
         with pytest.raises(ValueError):
-            reward_decompose(10.0, trace, 5, 0.01)
+            reward_decompose(10.0, [entry(R, 9)], 5, 0.01)
 
 
 class TestUtilityUpdate:
@@ -93,7 +94,7 @@ def one_state_episode(n_steps, ref=("brake", None), state_features=None):
     steps = []
     for t in range(n_steps):
         steps.append((WorldState.make(state_features or {"front_gap_closing": True}, t),
-                      ReferenceAction(*ref)))
+                      ActionPair(*ref)))
     return Episode(steps=steps)
 
 
@@ -103,9 +104,9 @@ class TestTrain:
                       longitudinal="brake", utility=3.0)]
         cfg = TrainConfig(epochs=0, initial_utility=0.0)
         trained, curve = train(rules, [one_state_episode(5)], cfg)
-        assert trained[0].utility == 0.0
+        assert trained.rules[0].utility == 0.0
         assert curve == []
-        assert rules[0].utility == 3.0 and trained[0] is not rules[0]
+        assert rules[0].utility == 3.0 and trained.rules[0] is not rules[0]
 
     def test_learning_rate_zero_equivalent(self):
         # alpha must be > 0 by contract; the smallest rate leaves utilities
@@ -114,7 +115,7 @@ class TestTrain:
                       longitudinal="brake")]
         cfg = TrainConfig(learning_rate=1e-12, epochs=3)
         trained, _ = train(rules, [one_state_episode(10)], cfg)
-        assert abs(trained[0].utility) < 1e-9
+        assert abs(trained.rules[0].utility) < 1e-9
 
     def test_invalid_learning_rate(self):
         with pytest.raises(ValueError):
@@ -128,7 +129,7 @@ class TestTrain:
         episodes = [one_state_episode(100) for _ in range(20)]  # 2000 steps
         cfg = TrainConfig(epochs=1, seed=3)
         trained, curve = train([agree, disagree], episodes, cfg)
-        by_name = {r.name: r for r in trained}
+        by_name = {r.name: r for r in trained.rules}
         assert by_name["agree"].utility > by_name["disagree"].utility
         assert curve[-1].agreement > 0.4
 
@@ -139,7 +140,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=4, seed=17)
         t1, c1 = train(rules, episodes, cfg)
         t2, c2 = train(rules, episodes, cfg)
-        assert [r.utility for r in t1] == [r.utility for r in t2]
+        assert [r.utility for r in t1.rules] == [r.utility for r in t2.rules]
         assert [(p.agreement, p.mean_utility) for p in c1] == \
             [(p.agreement, p.mean_utility) for p in c2]
 
@@ -156,8 +157,8 @@ class TestTrain:
         plain, c2 = train([agree, disagree], episodes, cfg)
         assert [done for done, _ in seen] == [0, 1, 2, 3, 4]
         assert seen[0][1] == [cfg.initial_utility] * 2
-        assert seen[-1][1] == [r.utility for r in plain]
-        assert [r.utility for r in observed] == [r.utility for r in plain]
+        assert seen[-1][1] == [r.utility for r in plain.rules]
+        assert [r.utility for r in observed.rules] == [r.utility for r in plain.rules]
         assert c1 == c2
 
     def test_bounded_utilities(self):
@@ -166,7 +167,7 @@ class TestTrain:
         episodes = [one_state_episode(50) for _ in range(10)]
         cfg = TrainConfig(epochs=10, seed=1, learning_rate=0.3)
         trained, _ = train(rules, episodes, cfg)
-        for r in trained:
+        for r in trained.rules:
             assert -0.5 <= r.utility <= 10.0  # [R- - beta*T, R+]
 
     def test_delayed_reward_decay(self):
@@ -175,7 +176,7 @@ class TestTrain:
         r = rule("r", [("x", "=", True)], longitudinal="brake")
         steps = []
         for t in range(4):
-            ref = ReferenceAction("brake", None) if t == 3 else ReferenceAction(None, None)
+            ref = ActionPair("brake", None) if t == 3 else ActionPair(None, None)
             steps.append((WorldState.make({"x": True}, t), ref))
         cfg = TrainConfig(epochs=1, seed=0, learning_rate=0.5, decay=0.01)
         trained, _ = train([r], [Episode(steps=steps)], cfg)
@@ -183,7 +184,18 @@ class TestTrain:
         u = 0.0
         for share in (9.97, 9.98, 9.99, 10.0):
             u = u + 0.5 * (share - u)
-        assert trained[0].utility == pytest.approx(u, abs=1e-12)
+        assert trained.rules[0].utility == pytest.approx(u, abs=1e-12)
+
+    def test_credit_goes_to_the_rule_that_fired_not_to_its_name(self):
+        # two rules may share a name (a hand-written rule store need not
+        # keep names unique); only the first one ever matches
+        fired = rule("same", [("front_gap_closing", "=", True)], longitudinal="brake")
+        idle = rule("same", [("front_gap_closing", "=", False)], longitudinal="brake")
+        cfg = TrainConfig(epochs=1, learning_rate=0.5)
+        trained, curve = train([fired, idle], [one_state_episode(10)], cfg)
+        assert curve[-1].agreement == 1.0
+        assert trained.rules[0].utility > 9.9
+        assert trained.rules[1].utility == cfg.initial_utility
 
 
 class TestEvaluate:
@@ -232,25 +244,25 @@ class TestEpisodeIo:
         loaded = episodes_from_jsonl(path)
         assert len(loaded) == 2
         assert loaded[0].steps[0][0] == episodes[0].steps[0][0]
-        assert loaded[1].steps[0][1] == ReferenceAction(None, "keep_lane")
+        assert loaded[1].steps[0][1] == ActionPair(None, "keep_lane")
 
     def test_schema_validation(self):
         kb = scenario_kb("highway_cut_in")
         bad = Episode(steps=[(WorldState.make({"martian": True}, 0),
-                              ReferenceAction("brake", None))])
+                              ActionPair("brake", None))])
         with pytest.raises(EpisodeSchemaError):
             validate_episodes([bad], kb)
 
     def test_decreasing_step_times_rejected(self):
         kb = scenario_kb("highway_cut_in")
         bad = Episode(steps=[(WorldState.make({"front_gap_closing": True}, t),
-                              ReferenceAction("brake", None)) for t in (0, 2, 1)])
+                              ActionPair("brake", None)) for t in (0, 2, 1)])
         with pytest.raises(EpisodeSchemaError):
             validate_episodes([bad], kb)
 
     def test_bad_reference_action(self):
         kb = scenario_kb("highway_cut_in")
         bad = Episode(steps=[(WorldState.make({"front_gap_closing": True}, 0),
-                              ReferenceAction("warp", None))])
+                              ActionPair("warp", None))])
         with pytest.raises(EpisodeSchemaError):
             validate_episodes([bad], kb)
