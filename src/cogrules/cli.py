@@ -41,7 +41,7 @@ def cmd_classify(args) -> int:
 def cmd_translate(args) -> int:
     cfg = pipeline.load_config(args.config)
     cfg.critic_tree.critics.seed = args.seed
-    tree = CriticTree(cfg.critic_tree, gateway.Session())
+    tree = CriticTree(cfg.critic_tree, gateway.Session(), cfg.kb.atom_vocabulary)
     formula, trace = tree.run(args.text, args.initial)
     _emit({"formula": formula, "trace": trace.to_json()})
     return 0
@@ -113,7 +113,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_run_all(args) -> int:
-    cfg = pipeline.load_config(args.config, {"seed": args.seed})
+    cfg = pipeline.load_config(args.config)
     if args.seed is not None:
         cfg.train.seed = args.seed
     if args.out:

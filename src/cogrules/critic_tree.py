@@ -60,7 +60,6 @@ class CriticTreeConfig:
     max_depth: int
     revisor: BackendSpec
     critics: CriticEnsembleSpec
-    kb_atoms: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.num_critics < 1:
@@ -125,14 +124,14 @@ def parse_verdict(reply: str) -> CriticVerdict:
 
 
 class CriticTree:
-    def __init__(self, cfg: CriticTreeConfig, session: Session):
+    def __init__(self, cfg: CriticTreeConfig, session: Session, kb_atoms: tuple[str, ...] = ()):
         self.cfg = cfg
         self.revisor: Backend = session.backend(cfg.revisor)
         self.critics = [session.backend(spec) for spec, _ in cfg.critics.members]
         self.weights = [p for _, p in cfg.critics.members]
         self.rng = random.Random(cfg.critics.seed)  # one draw per critic call
         self._revisor_system = ChatMessage("system", TEMPLATES["revisor_system"])
-        atoms = ", ".join(cfg.kb_atoms) if cfg.kb_atoms else "(unrestricted)"
+        atoms = ", ".join(kb_atoms) if kb_atoms else "(unrestricted)"
         self._critic_system = ChatMessage("system", TEMPLATES["critic_system"].format(atoms=atoms))
         self._parsed: dict[str, ltl.Ltl | ltl.ParseError] = {}
 

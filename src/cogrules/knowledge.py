@@ -6,12 +6,26 @@ trainer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 PASS = "pass"
 
 Value = bool | int | str
+
+
+def read_section(cls, name: str, obj: dict, **parse):
+    """`cls` from the JSON object `obj`, whose keys are `cls`'s fields: a key
+    `cls` does not take, or a required one `obj` lacks, is a ValueError naming
+    section `name` and the key. `parse[key]` converts a non-null value first."""
+    settable = [f for f in fields(cls) if f.init]
+    unknown = set(obj) - {f.name for f in settable}
+    if unknown:
+        raise ValueError(f"section {name!r}: unknown key {min(unknown)!r}")
+    for f in settable:
+        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"section {name!r}: missing key {f.name!r}")
+    return cls(**{k: parse[k](v) if k in parse and v is not None else v for k, v in obj.items()})
 
 
 @dataclass(frozen=True)
@@ -146,11 +160,9 @@ class ProductionRule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProductionRule":
-        return cls(name=obj["name"],
-                   preconditions=tuple(tuple(p) for p in obj["preconditions"]),
-                   effects=Effects(**obj["effects"]),
-                   utility=obj.get("utility", 0.0),
-                   provenance=obj.get("provenance", {}))
+        return read_section(
+            cls, "rule", obj, preconditions=lambda ps: tuple(tuple(p) for p in ps),
+            effects=lambda e: read_section(Effects, "rule.effects", e))
 
 
 class RuleValidationError(ValueError):

@@ -15,7 +15,7 @@ from . import compiler, ltl, metrics, scenarios, trainer
 from .critic_tree import CriticTree, CriticTreeConfig
 from .engine import RuleSet
 from .gateway import Backend, BackendSpec, ChatMessage, CriticEnsembleSpec, GatewayError, Session
-from .knowledge import KnowledgeBase
+from .knowledge import KnowledgeBase, read_section
 from .trainer import TrainConfig
 
 LITERAL = "literal"
@@ -35,84 +35,72 @@ GROUNDING_TEMPLATES = {
 
 
 @dataclass
-class PipelineConfig:
-    prompt_mode: str
-    critic_tree: CriticTreeConfig
-    kb: KnowledgeBase
-    train: TrainConfig
-    out_dir: Path
-    corpus_path: Path | None = None
-    episodes_path: Path | None = None
-    scenario: scenarios.ScenarioSpec | None = None
-    n_episodes: int = 70
-    grounding: BackendSpec | None = None
-    initial_backend: BackendSpec | None = None
-    eval_top_k: int = 10
+class EvalConfig:
+    top_k: int = 10
     checkpoints: int = 5
-    raw: dict = field(default_factory=dict)  # source JSON, for the manifest hash
 
     def __post_init__(self):
-        if self.prompt_mode not in (LITERAL, SUPPLY):
-            raise ValueError(f"unknown prompt mode {self.prompt_mode!r}")
-        if self.eval_top_k < 1:
+        if self.top_k < 1:
             raise ValueError("eval.top_k must be >= 1")
         if self.checkpoints < 1:
             raise ValueError("eval.checkpoints must be >= 1")
 
 
-def _section(cls, name: str, obj: dict):
-    """`cls(**obj)`, naming a key of config section `name` that `cls` does not take."""
-    unknown = set(obj) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"config section {name!r}: unknown key {min(unknown)!r}")
-    return cls(**obj)
+@dataclass
+class PipelineConfig:
+    critic_tree: CriticTreeConfig
+    kb: KnowledgeBase
+    prompt_mode: str = LITERAL
+    train: TrainConfig = field(default_factory=TrainConfig)
+    out_dir: Path = Path("out")
+    corpus: Path | None = None
+    episodes: Path | None = None
+    scenario: scenarios.ScenarioSpec | None = None
+    n_episodes: int = 70
+    grounding: BackendSpec | None = None
+    initial_backend: BackendSpec | None = None
+    eval: EvalConfig = field(default_factory=EvalConfig)
+    raw: dict = field(default_factory=dict, init=False)  # source JSON, for the manifest hash
+
+    def __post_init__(self):
+        if self.prompt_mode not in (LITERAL, SUPPLY):
+            raise ValueError(f"unknown prompt mode {self.prompt_mode!r}")
+        if self.n_episodes < 1:
+            raise ValueError("n_episodes must be >= 1")
 
 
-def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
+def load_config(path: str | Path) -> PipelineConfig:
     raw = json.loads(Path(path).read_text())
-    if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
     base = Path(path).parent
 
     def resolve(p):
-        return (base / p) if p and not Path(p).is_absolute() else (Path(p) if p else None)
+        return base / p if p else None
 
-    def backend_spec(obj: dict | None, name: str) -> BackendSpec | None:
-        if obj is None:
-            return None
-        paths = {k: str(resolve(obj[k])) for k in ("transcript_path", "record_path") if obj.get(k)}
-        return _section(BackendSpec, name, {**obj, **paths})
+    def in_dir(p):  # a backend path stays a string, "" meaning none
+        return str(base / p) if p else p
 
-    kb_section = raw["kb"]
-    if isinstance(kb_section, str) and kb_section in scenarios.ARCHETYPES:
-        kb = scenarios.scenario_kb(kb_section)
-    else:
-        kb = KnowledgeBase.load(resolve(kb_section))
-    ct = raw["critic_tree"]
-    critic_cfg = CriticTreeConfig(
-        num_critics=ct["num_critics"], max_depth=ct["max_depth"],
-        revisor=backend_spec(ct["revisor"], "critic_tree.revisor"),
-        critics=CriticEnsembleSpec(
-            members=[(backend_spec(m[0], "critic_tree.critics"), m[1])
-                     for m in ct["critics"]["members"]],
-            seed=ct["critics"].get("seed", raw.get("seed", 0))),
-        kb_atoms=kb.atom_vocabulary)
-    return PipelineConfig(
-        prompt_mode=raw.get("prompt_mode", LITERAL),
-        critic_tree=critic_cfg,
-        kb=kb,
-        train=_section(TrainConfig, "train", raw.get("train", {})),
-        out_dir=resolve(raw["out_dir"]) if "out_dir" in raw else Path("out"),
-        corpus_path=resolve(raw.get("corpus")),
-        episodes_path=resolve(raw.get("episodes")),
-        scenario=(_section(scenarios.ScenarioSpec, "scenario", raw["scenario"])
-                  if raw.get("scenario") else None),
-        n_episodes=raw.get("n_episodes", 70),
-        grounding=backend_spec(raw.get("grounding"), "grounding"),
-        initial_backend=backend_spec(raw.get("initial_backend"), "initial_backend"),
-        eval_top_k=raw.get("eval", {}).get("top_k", 10),
-        checkpoints=raw.get("eval", {}).get("checkpoints", 5),
-        raw=raw)
+    def backend(name: str):
+        return lambda obj: read_section(BackendSpec, name, obj,
+                                        transcript_path=in_dir, record_path=in_dir)
+
+    member = backend("critic_tree.critics.members")
+    eval_keys = {f.name for f in fields(EvalConfig)}  # eval ignores others, such as eval.samples
+    cfg = read_section(
+        PipelineConfig, "config", raw,
+        kb=lambda k: (scenarios.scenario_kb(k) if k in scenarios.ARCHETYPES
+                      else KnowledgeBase.load(resolve(k))),
+        critic_tree=lambda ct: read_section(
+            CriticTreeConfig, "critic_tree", ct, revisor=backend("critic_tree.revisor"),
+            critics=lambda c: read_section(
+                CriticEnsembleSpec, "critic_tree.critics", c,
+                members=lambda ms: [(member(m[0]), m[1]) for m in ms])),
+        train=lambda t: read_section(TrainConfig, "train", t),
+        scenario=lambda s: read_section(scenarios.ScenarioSpec, "scenario", s),
+        grounding=backend("grounding"), initial_backend=backend("initial_backend"),
+        eval=lambda e: EvalConfig(**{k: v for k, v in e.items() if k in eval_keys}),
+        corpus=resolve, episodes=resolve, out_dir=resolve)
+    cfg.raw = raw
+    return cfg
 
 
 @dataclass
@@ -136,7 +124,7 @@ def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
     configured initial-translation backend. Per-segment failures become
     outcomes, never aborting the corpus."""
     session = Session()
-    tree = CriticTree(cfg.critic_tree, session)
+    tree = CriticTree(cfg.critic_tree, session, cfg.kb.atom_vocabulary)
     grounding_backend = session.backend(cfg.grounding) if cfg.grounding else None
     initial_backend = session.backend(cfg.initial_backend) if cfg.initial_backend else None
     grounding_template = GROUNDING_TEMPLATES[cfg.prompt_mode]
@@ -177,8 +165,8 @@ def _sha256(path: Path) -> str:
 
 
 def _load_episodes(cfg: PipelineConfig) -> list[trainer.Episode]:
-    if cfg.episodes_path is not None:
-        return trainer.episodes_from_jsonl(cfg.episodes_path)
+    if cfg.episodes is not None:
+        return trainer.episodes_from_jsonl(cfg.episodes)
     if cfg.scenario is not None:
         policy = scenarios.default_policy(cfg.scenario.archetype)
         return scenarios.generate(cfg.scenario, policy, cfg.n_episodes)
@@ -190,7 +178,7 @@ def run_experiment(cfg: PipelineConfig) -> dict:
     artifacts plus a manifest of config hash, seeds and artifact hashes."""
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    texts = json.loads(cfg.corpus_path.read_text()) if cfg.corpus_path else []
+    texts = json.loads(cfg.corpus.read_text()) if cfg.corpus else []
     store, results = formalize_corpus(texts, cfg)
     report = compiler.outcome_report([r.outcome for r in results])
     episodes = _load_episodes(cfg)
@@ -200,8 +188,9 @@ def run_experiment(cfg: PipelineConfig) -> dict:
     trained, curve, js_curve = RuleSet([]), [], []
     if rules:
         # JS before training and at evenly spread epochs, the last at cfg.train.epochs
-        at = {0} | {cfg.train.epochs * (k + 1) // cfg.checkpoints for k in range(cfg.checkpoints)}
-        references = metrics.reference_distributions(episodes, cfg.eval_top_k)
+        n = cfg.eval.checkpoints
+        at = {0} | {cfg.train.epochs * (k + 1) // n for k in range(n)}
+        references = metrics.reference_distributions(episodes, cfg.eval.top_k)
 
         def observe(epochs_done, rule_set):
             if epochs_done in at:

@@ -164,6 +164,30 @@ class TestDataTrainEval:
         assert err.startswith("error: ") and "'teleport'" in err
         assert not (tmp_path / "trained").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "train", "compile"])
+    def test_rules_file_with_an_unknown_key_exit_one(self, tmp_path, capsys, command):
+        data_dir = tmp_path / "data"
+        run_cli(capsys, "gen-data", "--archetype", "highway_cut_in", "--episodes", "2",
+                "--seed", "5", "--out", str(data_dir))
+        rule = {"name": "r", "preconditions": [["front_gap_closing", "=", True]],
+                "effects": {"longitudinal": "brake"}, "utility": 0.0}
+        for where, obj in (("'rule.effects'", rule["effects"]), ("'rule'", rule)):
+            obj["sideways"] = "left"
+            rules = tmp_path / "rules.json"
+            rules.write_text(json.dumps([rule]))
+            argv = {"eval": ["--episodes", str(data_dir / "episodes.jsonl")],
+                    "train": ["--kb", str(data_dir / "kb.json"), "--seed", "0",
+                              "--episodes", str(data_dir / "episodes.jsonl"),
+                              "--out", str(tmp_path / "trained")],
+                    "compile": ["--config", str(write_pipeline_config(tmp_path)),
+                                "--formula", "G (front_gap_closing -> brake)"]}[command]
+            code, out, err = run_cli(capsys, command, "--rules", str(rules), *argv)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and where in err and "'sideways'" in err
+            del obj["sideways"]
+        assert not (tmp_path / "trained").exists()
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "eval", "--rules",
                                str(tmp_path / "nope.json"), "--episodes",
@@ -230,12 +254,12 @@ class TestRunAll:
 
     @pytest.mark.parametrize("section,key,value", [
         ("eval", "top_k", 0), ("eval", "top_k", -1), ("eval", "checkpoints", 0),
-        ("train", "epochs", -1)])
+        ("train", "epochs", -1), (None, "n_episodes", 0), (None, "n_episodes", -3)])
     def test_run_all_rejects_a_value_it_cannot_honour(self, tmp_path, capsys,
                                                       section, key, value):
         path = write_pipeline_config(tmp_path)
         raw = json.loads(path.read_text())
-        raw[section][key] = value
+        (raw[section] if section else raw)[key] = value
         path.write_text(json.dumps(raw))
         code, out, err = run_cli(capsys, "run-all", "--config", str(path))
         assert code == 1
@@ -245,10 +269,14 @@ class TestRunAll:
 
     @pytest.mark.parametrize("path,section", [
         (("train",), "train"), (("scenario",), "scenario"), (("grounding",), "grounding"),
-        (("critic_tree", "revisor"), "critic_tree.revisor")])
+        (("critic_tree", "revisor"), "critic_tree.revisor"), ((), "config"),
+        (("critic_tree",), "critic_tree"), (("critic_tree", "critics"), "critic_tree.critics"),
+        (("critic_tree", "critics", "members", 0, 0), "critic_tree.critics.members"),
+        (("initial_backend",), "initial_backend")])
     def test_run_all_names_a_misspelled_config_key(self, tmp_path, capsys, path, section):
         config = write_pipeline_config(tmp_path)
         raw = json.loads(config.read_text())
+        raw["initial_backend"] = {"kind": "scripted", "script": "fixture_revisor"}
         obj = raw
         for key in path:
             obj = obj[key]
@@ -259,6 +287,35 @@ class TestRunAll:
         assert out == ""
         assert err.startswith("error:") and repr(section) in err and "'lerning_rate'" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path,key,section", [
+        (("critic_tree",), "num_critics", "critic_tree"), ((), "kb", "config")])
+    def test_run_all_names_a_missing_config_key(self, tmp_path, capsys, path, key, section):
+        config = write_pipeline_config(tmp_path)
+        raw = json.loads(config.read_text())
+        obj = raw
+        for step in path:
+            obj = obj[step]
+        del obj[key]
+        config.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "run-all", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and repr(section) in err and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_all_seed_sets_the_training_seed_only(self, tmp_path, capsys):
+        # --seed, like --out, leaves the config hash alone; the manifest records it
+        cfg = write_pipeline_config(tmp_path, epochs=3)
+        manifests = []
+        for out, seed in (("plain", ()), ("seeded", ("--seed", "5"))):
+            code, _, err = run_cli(capsys, "run-all", "--config", str(cfg),
+                                   "--out", str(tmp_path / out), *seed)
+            assert code == 0, err
+            manifests.append(json.loads((tmp_path / out / "manifest.json").read_text()))
+        assert manifests[0]["seed"] == 11
+        assert manifests[1]["seed"] == 5
+        assert manifests[1]["config_hash"] == manifests[0]["config_hash"]
 
     def test_run_all_ignores_unknown_eval_keys(self, tmp_path, capsys):
         # eval stays lenient: older configs still carry eval.samples

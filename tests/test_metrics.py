@@ -238,7 +238,7 @@ class TestClosedFormAgainstSampling:
         run_experiment(cfg)
         rules = list(RuleStore.load(cfg.out_dir / "rules.json"))
         episodes = episodes_from_jsonl(cfg.out_dir / "episodes.jsonl")
-        for seed, (state, _) in enumerate(reference_distributions(episodes, cfg.eval_top_k)):
+        for seed, (state, _) in enumerate(reference_distributions(episodes, cfg.eval.top_k)):
             self.check(state, rules, seed)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cogrules
-from cogrules import engine, ltl, pipeline, trainer
+from cogrules import engine, ltl, pipeline, scenarios, trainer
 from cogrules.critic_tree import CriticTree
 from cogrules.gateway import ReplayMiss
 from cogrules.pipeline import formalize_corpus, load_config, run_experiment
@@ -26,19 +26,37 @@ class TestLoadConfig:
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         cfg = literal_config(tmp_path)
-        assert cfg.corpus_path == tmp_path / "corpus.json"
+        assert cfg.corpus == tmp_path / "corpus.json"
         assert cfg.out_dir == tmp_path / "out"
 
-    def test_overrides_reach_raw(self, tmp_path):
-        path = write_pipeline_config(tmp_path)
-        cfg = load_config(path, {"prompt_mode": "supply"})
-        assert cfg.prompt_mode == "supply"
-        assert cfg.raw["prompt_mode"] == "supply"
-
     def test_unknown_prompt_mode_rejected(self, tmp_path):
-        path = write_pipeline_config(tmp_path)
-        with pytest.raises(ValueError):
-            load_config(path, {"prompt_mode": "telepathic"})
+        path = write_pipeline_config(tmp_path, prompt_mode="telepathic")
+        with pytest.raises(ValueError, match="telepathic"):
+            load_config(path)
+
+    def test_benchmark_configs_load(self, tmp_path, monkeypatch):
+        # the benchmark's run-all configs, eval.samples included, must keep loading
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        scenarios.scenario_kb("highway_cut_in").save(tmp_path / "kb.json")
+        backends = {  # as workloads.RunAll builds them
+            "record": lambda role: {"kind": "scripted", "script": f"perfbench_{role}",
+                                    "model": role, "record_path": "transcript.jsonl"},
+            "replay": lambda role: {"kind": "replay", "transcript_path": "transcript.jsonl",
+                                    "model": role}}
+        run_all = [n for n in workloads.WORKLOADS if n != "translate_score"]
+        assert len(run_all) == 3
+        for name in run_all:
+            size = workloads.SIZES[name]
+            for kind, backend in backends.items():
+                raw = workloads._run_all_config(size, 4, backend)
+                assert raw["eval"]["samples"] == size["samples"]
+                path = tmp_path / f"{name}_{kind}.json"
+                path.write_text(json.dumps(raw))
+                cfg = load_config(path)
+                assert cfg.eval.top_k == size["top_k"]
+                assert cfg.train.epochs == size["epochs"]
+                assert cfg.critic_tree.critics.seed == 4
 
 
 class TestFormalizeCorpus:
