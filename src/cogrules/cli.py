@@ -186,8 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ltl.ParseError, gateway.GatewayError, ValueError, FileNotFoundError,
-            KeyError) as e:
+    except (ltl.ParseError, gateway.GatewayError, ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

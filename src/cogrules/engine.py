@@ -11,7 +11,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .knowledge import PASS, KnowledgeBase, ProductionRule, Value
+from .knowledge import PASS, ProductionRule, Value
 
 LONGITUDINAL = "longitudinal"
 LATERAL = "lateral"
@@ -32,14 +32,6 @@ class WorldState:
 
     def key(self) -> str:
         return json.dumps(self.features, sort_keys=True)
-
-    def validate(self, kb: KnowledgeBase) -> None:
-        for name, value in self.features:
-            dom = kb.features.get(name)
-            if dom is None:
-                raise ValueError(f"state feature {name!r} not in knowledge base")
-            if not dom.contains(value):
-                raise ValueError(f"state value {value!r} out of domain for {name!r}")
 
 
 @dataclass(frozen=True)

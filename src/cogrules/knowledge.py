@@ -5,6 +5,7 @@ trainer.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -14,17 +15,30 @@ PASS = "pass"
 Value = bool | int | str
 
 
-def read_section(cls, name: str, obj: dict, **parse):
-    """`cls` from the JSON object `obj`, whose keys are `cls`'s fields: a key
-    `cls` does not take, or a required one `obj` lacks, is a ValueError naming
-    section `name` and the key. `parse[key]` converts a non-null value first."""
+@functools.cache
+def _keys(cls) -> tuple[set, list, set]:  # settable, required and nullable field names
     settable = [f for f in fields(cls) if f.init]
-    unknown = set(obj) - {f.name for f in settable}
+    required = [f.name for f in settable if f.default is MISSING and f.default_factory is MISSING]
+    return {f.name for f in settable}, required, {f.name for f in settable if f.default is None}
+
+
+def read_section(cls, name: str, obj, **parse):
+    """`cls` from the JSON object `obj`, whose keys are `cls`'s fields. A non-object,
+    a key `cls` does not take, a missing required key, or a null where the default
+    is not None, is a ValueError naming section `name` and the key. `parse[key]`
+    converts a non-null value first."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"section {name!r}: not a JSON object")
+    settable, required, nullable = _keys(cls)
+    unknown = obj.keys() - settable
     if unknown:
         raise ValueError(f"section {name!r}: unknown key {min(unknown)!r}")
-    for f in settable:
-        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"section {name!r}: missing key {f.name!r}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"section {name!r}: missing key {key!r}")
+    nulls = {k for k, v in obj.items() if v is None} - nullable
+    if nulls:
+        raise ValueError(f"section {name!r}: key {min(nulls)!r} may not be null")
     return cls(**{k: parse[k](v) if k in parse and v is not None else v for k, v in obj.items()})
 
 
@@ -106,22 +120,13 @@ class KnowledgeBase:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "KnowledgeBase":
-        features = {}
-        for name, d in obj["features"].items():
-            features[name] = FeatureDomain(kind=d["kind"],
-                                           values=tuple(d.get("values", ())),
-                                           low=d.get("low", 0), high=d.get("high", 0))
-        groundings = {a: Grounding(g["feature"], g["comparator"], g["value"])
-                      for a, g in obj.get("groundings", {}).items()}
-        return cls(features=features,
-                   longitudinal_actions=tuple(obj["longitudinal_actions"]),
-                   lateral_actions=tuple(obj["lateral_actions"]),
-                   groundings=groundings)
-
-    @classmethod
     def load(cls, path: str | Path) -> "KnowledgeBase":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        def each(kind, key, **parse):  # one section per feature or grounding
+            return lambda d: {k: read_section(kind, f"{path} {key}.{k}", d[k], **parse) for k in d}
+        return read_section(cls, str(path), json.loads(Path(path).read_text()),
+                            features=each(FeatureDomain, "features", values=tuple),
+                            groundings=each(Grounding, "groundings"),
+                            longitudinal_actions=tuple, lateral_actions=tuple)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import compiler, ltl, metrics, scenarios, trainer
 from .critic_tree import CriticTree, CriticTreeConfig
 from .engine import RuleSet
-from .gateway import Backend, BackendSpec, ChatMessage, CriticEnsembleSpec, GatewayError, Session
+from .gateway import BackendSpec, ChatMessage, CriticEnsembleSpec, GatewayError, Session
 from .knowledge import KnowledgeBase, read_section
 from .trainer import TrainConfig
 
@@ -84,6 +84,11 @@ def load_config(path: str | Path) -> PipelineConfig:
                                         transcript_path=in_dir, record_path=in_dir)
 
     member = backend("critic_tree.critics.members")
+
+    def members(ms):
+        if not isinstance(ms, list) or not all(isinstance(m, list) and len(m) == 2 for m in ms):
+            raise ValueError("section 'critic_tree.critics.members': not [backend, probability] pairs")
+        return [(member(spec), p) for spec, p in ms]
     eval_keys = {f.name for f in fields(EvalConfig)}  # eval ignores others, such as eval.samples
     cfg = read_section(
         PipelineConfig, "config", raw,
@@ -93,7 +98,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             CriticTreeConfig, "critic_tree", ct, revisor=backend("critic_tree.revisor"),
             critics=lambda c: read_section(
                 CriticEnsembleSpec, "critic_tree.critics", c,
-                members=lambda ms: [(member(m[0]), m[1]) for m in ms])),
+                members=members)),
         train=lambda t: read_section(TrainConfig, "train", t),
         scenario=lambda s: read_section(scenarios.ScenarioSpec, "scenario", s),
         grounding=backend("grounding"), initial_backend=backend("initial_backend"),
@@ -104,25 +109,34 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 @dataclass
+class Segment:  # one corpus record
+    text: str
+    id: str | int | None = None  # None: the record's index
+    initial: str | None = None
+
+
+@dataclass
 class SegmentResult:
     segment_id: str
     refined: str
     outcome: compiler.CompileOutcome
 
 
-def _ground_formula(formula_text: str, template: str, atoms: str,
-                    grounding_backend: Backend | None) -> str:
-    if grounding_backend is None:
-        return formula_text
-    prompt = template.format(formula=formula_text, atoms=atoms)
-    return grounding_backend.complete([ChatMessage("user", prompt)]).content.strip()
+def read_corpus(records: list, cfg: PipelineConfig) -> list[Segment]:
+    """The records as segments with string ids, each with an initial translation source."""
+    segments = [read_section(Segment, f"corpus record {i}", r) for i, r in enumerate(records)]
+    for i, seg in enumerate(segments):
+        seg.id = str(i if seg.id is None else seg.id)
+        if seg.initial is None and cfg.initial_backend is None:
+            raise ValueError(f"segment {seg.id}: no initial translation source")
+    return segments
 
 
 def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
                      ) -> tuple[compiler.RuleStore, list[SegmentResult]]:
-    """Each record needs 'text' and either an 'initial' column or a
-    configured initial-translation backend. Per-segment failures become
-    outcomes, never aborting the corpus."""
+    """Every record is read and checked before the first model call.
+    Per-segment failures become outcomes, never aborting the corpus."""
+    segments = read_corpus(texts, cfg)
     session = Session()
     tree = CriticTree(cfg.critic_tree, session, cfg.kb.atom_vocabulary)
     grounding_backend = session.backend(cfg.grounding) if cfg.grounding else None
@@ -132,21 +146,18 @@ def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
     provider = compiler.HashedTrigramEmbedding()
     store = compiler.RuleStore()
     results = []
-    for i, record in enumerate(texts):
-        segment_id = str(record.get("id", i))
-        text = record["text"]
-        if "initial" not in record and initial_backend is None:
-            raise ValueError(f"segment {segment_id}: no initial translation source")
+    for seg in segments:
         try:
-            if "initial" in record:
-                initial = record["initial"]
-            else:
-                initial = initial_backend.complete([ChatMessage("user", text)]).content.strip()
-            refined, _ = tree.run(text, initial)
-            grounded_text = _ground_formula(refined, grounding_template, atoms,
-                                            grounding_backend)
+            initial = seg.initial
+            if initial is None:
+                initial = initial_backend.complete([ChatMessage("user", seg.text)]).content.strip()
+            refined, _ = tree.run(seg.text, initial)
+            grounded_text = refined
+            if grounding_backend is not None:
+                prompt = grounding_template.format(formula=refined, atoms=atoms)
+                grounded_text = grounding_backend.complete([ChatMessage("user", prompt)]).content.strip()
         except GatewayError as e:
-            results.append(SegmentResult(segment_id, "",
+            results.append(SegmentResult(seg.id, "",
                                          compiler.FormatMismatch(f"gateway failure: {e}")))
             continue
         formula = tree.parse(grounded_text)  # the tree has parsed most of these already
@@ -155,8 +166,8 @@ def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
         else:
             outcome = compiler.compile_formula(
                 formula, cfg.kb, store, provider,
-                provenance={"segment": segment_id, "formula": ltl.to_string(formula)})
-        results.append(SegmentResult(segment_id, grounded_text, outcome))
+                provenance={"segment": seg.id, "formula": ltl.to_string(formula)})
+        results.append(SegmentResult(seg.id, grounded_text, outcome))
     return store, results
 
 
@@ -164,25 +175,22 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _load_episodes(cfg: PipelineConfig) -> list[trainer.Episode]:
-    if cfg.episodes is not None:
-        return trainer.episodes_from_jsonl(cfg.episodes)
-    if cfg.scenario is not None:
-        policy = scenarios.default_policy(cfg.scenario.archetype)
-        return scenarios.generate(cfg.scenario, policy, cfg.n_episodes)
-    raise ValueError("config provides neither episodes nor a scenario")
-
-
 def run_experiment(cfg: PipelineConfig) -> dict:
     """formalize -> train (with JS checkpoints) -> evaluate; writes all
     artifacts plus a manifest of config hash, seeds and artifact hashes."""
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     texts = json.loads(cfg.corpus.read_text()) if cfg.corpus else []
-    store, results = formalize_corpus(texts, cfg)
-    report = compiler.outcome_report([r.outcome for r in results])
-    episodes = _load_episodes(cfg)
+    if not isinstance(texts, list):
+        raise ValueError(f"corpus {str(cfg.corpus)!r}: not a JSON list of records")
+    if cfg.episodes is not None:
+        episodes = trainer.episodes_from_jsonl(cfg.episodes)
+    elif cfg.scenario is not None:
+        policy = scenarios.default_policy(cfg.scenario.archetype)
+        episodes = scenarios.generate(cfg.scenario, policy, cfg.n_episodes)
+    else:
+        raise ValueError("config provides neither episodes nor a scenario")
     trainer.validate_episodes(episodes, cfg.kb)
+    store, results = formalize_corpus(texts, cfg)  # checks every record first
+    report = compiler.outcome_report([r.outcome for r in results])
 
     rules = list(store)
     trained, curve, js_curve = RuleSet([]), [], []
@@ -200,6 +208,8 @@ def run_experiment(cfg: PipelineConfig) -> dict:
         trained, curve = trainer.train(rules, episodes, cfg.train, on_epoch=observe)
     agreement = trainer.evaluate_agreement(trained, episodes, cfg.train.sigma)
 
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     compiler.RuleStore(trained.rules).save(out / "rules.json")
     compiler.write_outcome_csv(report, out / "outcomes.csv")
     trainer.curve_to_csv(curve, out / "curve.csv")

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .engine import (SLOTS, ActionPair, RuleSet, TraceEntry, WorldState, decide,
                      slot_marginals)
-from .knowledge import KnowledgeBase, ProductionRule
+from .knowledge import KnowledgeBase, ProductionRule, Value, read_section
 
 
 @dataclass
@@ -51,6 +51,17 @@ class Episode:
             raise ValueError("episode must be nonempty")
 
 
+@dataclass
+class StepRecord:
+    """One line of an episodes file, as `episodes_to_jsonl` writes it."""
+    t: int
+    state: dict[str, Value]
+    reference: ActionPair
+    episode: int = 0
+    scenario: str = ""
+    subject: str = ""
+
+
 class EpisodeSchemaError(ValueError):
     pass
 
@@ -61,10 +72,10 @@ def validate_episodes(episodes: list[Episode], kb: KnowledgeBase) -> None:
         if times != sorted(times):  # a reward may not precede the firing it credits
             raise EpisodeSchemaError("episode step times decrease")
         for state, ref in ep.steps:
-            try:
-                state.validate(kb)
-            except ValueError as e:
-                raise EpisodeSchemaError(str(e)) from e
+            for name, value in state.features:
+                dom = kb.features.get(name)
+                if dom is None or not dom.contains(value):
+                    raise EpisodeSchemaError(f"state {name}={value!r} is not in the knowledge base")
             for slot, vocab in ((ref.longitudinal, kb.longitudinal_actions),
                                 (ref.lateral, kb.lateral_actions)):
                 if slot is not None and slot not in vocab:
@@ -75,29 +86,20 @@ def episodes_to_jsonl(episodes: list[Episode], path: str | Path) -> None:
     with Path(path).open("w") as fh:
         for i, ep in enumerate(episodes):
             for state, ref in ep.steps:
-                rec = {"episode": i, "scenario": ep.scenario_id, "subject": ep.subject_id,
-                       "t": state.t, "state": state.as_dict(),
-                       "reference": {"longitudinal": ref.longitudinal,
-                                     "lateral": ref.lateral}}
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                rec = StepRecord(state.t, state.as_dict(), ref, i, ep.scenario_id, ep.subject_id)
+                fh.write(json.dumps({**vars(rec), "reference": vars(ref)}, sort_keys=True) + "\n")
 
 
 def episodes_from_jsonl(path: str | Path) -> list[Episode]:
-    groups: dict[int, Episode] = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        idx = rec.get("episode", 0)
-        step = (WorldState.make(rec["state"], rec["t"]),
-                ActionPair(rec["reference"].get("longitudinal"),
-                           rec["reference"].get("lateral")))
-        if idx not in groups:
-            groups[idx] = Episode(steps=[step], scenario_id=rec.get("scenario", ""),
-                                  subject_id=rec.get("subject", ""))
-        else:
-            groups[idx].steps.append(step)
-    return [groups[i] for i in sorted(groups)]
+    groups: dict[int, list[StepRecord]] = {}
+    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if line.strip():
+            where = f"{path} line {n}"
+            rec = read_section(StepRecord, where, json.loads(line), reference=lambda r: read_section(
+                ActionPair, f"{where} reference", r))
+            groups.setdefault(rec.episode, []).append(rec)
+    return [Episode([(WorldState.make(r.state, r.t), r.reference) for r in recs],
+                    recs[0].scenario, recs[0].subject) for _, recs in sorted(groups.items())]
 
 
 def reward_decompose(reward: float, firings: list[TraceEntry], reward_step: int,

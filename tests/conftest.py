@@ -9,7 +9,7 @@ import pytest
 import requests
 
 from cogrules import ltl
-from cogrules.gateway import BackendSpec, CriticEnsembleSpec, register_script
+from cogrules.gateway import SCRIPT_REGISTRY, BackendSpec, CriticEnsembleSpec, register_script
 
 _counter = itertools.count()
 
@@ -69,6 +69,18 @@ def _fixture_grounding(messages):
 register_script("fixture_revisor", _fixture_revisor)
 register_script("fixture_critic_approve", lambda messages: "APPROVED")
 register_script("fixture_grounding", _fixture_grounding)
+
+
+@pytest.fixture
+def model_calls(monkeypatch) -> list[str]:
+    """The names of the fixture scripts, one per call the scripted backends serve."""
+    calls: list[str] = []
+    for name in ("fixture_revisor", "fixture_critic_approve", "fixture_grounding"):
+        def counted(messages, name=name, fn=SCRIPT_REGISTRY[name]):
+            calls.append(name)
+            return fn(messages)
+        monkeypatch.setitem(SCRIPT_REGISTRY, name, counted)
+    return calls
 
 
 def highway_corpus() -> list[dict]:

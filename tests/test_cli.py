@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cogrules import gateway, scenarios, trainer
 from cogrules.cli import main
 from conftest import write_pipeline_config
 
@@ -10,6 +11,49 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_all_inputs(base) -> dict:
+    """The fixture config, reading its KB and episodes from files too, and
+    those input files, as JSON values keyed by file name ("config" for the
+    config, a list of lines for the episodes)."""
+    raw = json.loads(write_pipeline_config(base, epochs=3).read_text())
+    raw.update(kb="kb.json", episodes="episodes.jsonl")
+    spec = scenarios.ScenarioSpec(**raw["scenario"])
+    episodes = scenarios.generate(spec, scenarios.default_policy(spec.archetype), 3)
+    trainer.episodes_to_jsonl(episodes, base / "episodes.jsonl")
+    return {"config": raw, "corpus.json": json.loads((base / "corpus.json").read_text()),
+            "episodes.jsonl": [json.loads(line) for line in
+                               (base / "episodes.jsonl").read_text().splitlines()],
+            "kb.json": scenarios.scenario_kb(spec.archetype).to_json()}
+
+
+def write_inputs(base, inputs: dict):
+    """Writes `run_all_inputs`' values to their files; returns the config's path."""
+    for name, value in inputs.items():
+        text = ("".join(json.dumps(line) + "\n" for line in value)
+                if name.endswith(".jsonl") else json.dumps(value))
+        (base / ("config.json" if name == "config" else name)).write_text(text)
+    return base / "config.json"
+
+
+def nested(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def run_all_refuses(base, capsys, model_calls, inputs) -> str:
+    """Runs run-all on `inputs` and checks that it stops with exit 1 and one
+    error line, before any model call and before out/ exists. Returns the
+    error line."""
+    code, out, err = run_cli(capsys, "run-all", "--config", str(write_inputs(base, inputs)))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not (base / "out").exists()
+    assert model_calls == []
+    return err
 
 
 class TestParseClassify:
@@ -252,6 +296,22 @@ class TestRunAll:
         assert manifest.read_bytes() == from_elsewhere
         assert list(elsewhere.iterdir()) == []
 
+    def test_replay_transcript_record_without_a_response_exit_one(self, tmp_path, capsys):
+        record = write_pipeline_config(tmp_path, record_path="transcript.jsonl")
+        assert run_cli(capsys, "run-all", "--config", str(record))[0] == 0
+        transcript = tmp_path / "transcript.jsonl"
+        first, *rest = transcript.read_text().splitlines()
+        rec = json.loads(first)
+        del rec["response"]
+        transcript.write_text("\n".join([json.dumps(rec), *rest]) + "\n")
+        replay = write_pipeline_config(tmp_path, backends="replay",
+                                       transcript_path="transcript.jsonl", out_dir="out_replay")
+        code, out, err = run_cli(capsys, "run-all", "--config", str(replay))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and f"{transcript} line 1" in err and "'response'" in err
+        assert not (tmp_path / "out_replay").exists()
+
     @pytest.mark.parametrize("section,key,value", [
         ("eval", "top_k", 0), ("eval", "top_k", -1), ("eval", "checkpoints", 0),
         ("train", "epochs", -1), (None, "n_episodes", 0), (None, "n_episodes", -3)])
@@ -268,41 +328,91 @@ class TestRunAll:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("path,section", [
-        (("train",), "train"), (("scenario",), "scenario"), (("grounding",), "grounding"),
-        (("critic_tree", "revisor"), "critic_tree.revisor"), ((), "config"),
-        (("critic_tree",), "critic_tree"), (("critic_tree", "critics"), "critic_tree.critics"),
-        (("critic_tree", "critics", "members", 0, 0), "critic_tree.critics.members"),
-        (("initial_backend",), "initial_backend")])
-    def test_run_all_names_a_misspelled_config_key(self, tmp_path, capsys, path, section):
-        config = write_pipeline_config(tmp_path)
-        raw = json.loads(config.read_text())
-        raw["initial_backend"] = {"kind": "scripted", "script": "fixture_revisor"}
-        obj = raw
-        for key in path:
-            obj = obj[key]
-        obj["lerning_rate"] = 0.1
-        config.write_text(json.dumps(raw))
-        code, out, err = run_cli(capsys, "run-all", "--config", str(config))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and repr(section) in err and "'lerning_rate'" in err
-        assert not (tmp_path / "out").exists()
+        (("config", "train"), "train"), (("config", "scenario"), "scenario"),
+        (("config", "grounding"), "grounding"),
+        (("config", "critic_tree", "revisor"), "critic_tree.revisor"), (("config",), "config"),
+        (("config", "critic_tree"), "critic_tree"),
+        (("config", "critic_tree", "critics"), "critic_tree.critics"),
+        (("config", "critic_tree", "critics", "members", 0, 0), "critic_tree.critics.members"),
+        (("config", "initial_backend"), "initial_backend"),
+        pytest.param(("corpus.json", 0), "corpus record 0", id="corpus-record"),
+        pytest.param(("episodes.jsonl", 3), "{dir}/episodes.jsonl line 4", id="episode-line"),
+        pytest.param(("episodes.jsonl", 3, "reference"), "{dir}/episodes.jsonl line 4 reference",
+                     id="episode-reference"),
+        pytest.param(("kb.json",), "{dir}/kb.json", id="kb"),
+        pytest.param(("kb.json", "features", "speed_band"), "{dir}/kb.json features.speed_band",
+                     id="kb-feature"),
+        pytest.param(("kb.json", "groundings", "speed_low"), "{dir}/kb.json groundings.speed_low",
+                     id="kb-grounding")])
+    def test_run_all_names_a_misspelled_config_key(self, tmp_path, capsys, model_calls,
+                                                   path, section):
+        inputs = run_all_inputs(tmp_path)
+        inputs["config"]["initial_backend"] = {"kind": "scripted", "script": "fixture_revisor"}
+        nested(inputs, path)["lerning_rate"] = 0.1
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert repr(section.format(dir=tmp_path)) in err and "'lerning_rate'" in err
 
     @pytest.mark.parametrize("path,key,section", [
-        (("critic_tree",), "num_critics", "critic_tree"), ((), "kb", "config")])
-    def test_run_all_names_a_missing_config_key(self, tmp_path, capsys, path, key, section):
-        config = write_pipeline_config(tmp_path)
-        raw = json.loads(config.read_text())
-        obj = raw
-        for step in path:
-            obj = obj[step]
-        del obj[key]
-        config.write_text(json.dumps(raw))
-        code, out, err = run_cli(capsys, "run-all", "--config", str(config))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and repr(section) in err and repr(key) in err
-        assert not (tmp_path / "out").exists()
+        (("config", "critic_tree"), "num_critics", "critic_tree"), (("config",), "kb", "config"),
+        pytest.param(("corpus.json", 2), "text", "corpus record 2", id="corpus-record"),
+        pytest.param(("episodes.jsonl", 0), "state", "{dir}/episodes.jsonl line 1",
+                     id="episode-line"),
+        pytest.param(("kb.json",), "features", "{dir}/kb.json", id="kb")])
+    def test_run_all_names_a_missing_config_key(self, tmp_path, capsys, model_calls,
+                                                path, key, section):
+        inputs = run_all_inputs(tmp_path)
+        del nested(inputs, path)[key]
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert repr(section.format(dir=tmp_path)) in err and repr(key) in err
+
+    @pytest.mark.parametrize("path,value,names", [
+        (("config", "n_episodes"), None, ("'config'", "'n_episodes'", "null")),
+        (("config", "train", "epochs"), None, ("'train'", "'epochs'", "null")),
+        (("config", "kb"), None, ("'config'", "'kb'", "null")),
+        (("config", "critic_tree", "revisor"), None, ("'critic_tree'", "'revisor'", "null")),
+        (("config", "grounding", "record_path"), None, ("'grounding'", "'record_path'", "null")),
+        (("config", "train"), 5, ("'train'", "not a JSON object")),
+        (("config", "train"), [], ("'train'", "not a JSON object")),
+        (("config", "critic_tree", "critics", "members"), lambda ms: [ms[0][0]],
+         ("'critic_tree.critics.members'", "[backend, probability]")),
+        (("config", "critic_tree", "critics", "members"), lambda ms: [[ms[0][0]]],
+         ("'critic_tree.critics.members'", "[backend, probability]")),
+        (("corpus.json",), lambda records: {"highway_cut_in": records},
+         ("{dir}/corpus.json", "not a JSON list")),
+        (("corpus.json", 1), "I braked when the gap closed.",
+         ("'corpus record 1'", "not a JSON object")),
+        (("episodes.jsonl", 2, "t"), None, ("episodes.jsonl line 3'", "'t'", "null")),
+        (("kb.json", "features", "speed_band", "values"), None,
+         ("kb.json features.speed_band'", "'values'", "null"))],
+        ids=["n_episodes-null", "epochs-null", "kb-null", "revisor-null", "record_path-null",
+             "train-number", "train-list", "member-not-a-pair", "member-one-item",
+             "corpus-object", "corpus-string-record", "episode-t-null", "kb-values-null"])
+    def test_run_all_refuses_a_value_of_the_wrong_shape(self, tmp_path, capsys, model_calls,
+                                                        path, value, names):
+        inputs = run_all_inputs(tmp_path)
+        *outer, last = path
+        obj = nested(inputs, outer)
+        obj[last] = value(obj[last]) if callable(value) else value
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert all(name.format(dir=tmp_path) in err for name in names), err
+
+    def test_run_all_reads_the_kb_and_episode_files(self, tmp_path, capsys, model_calls):
+        # the positive control for the refusals above: the same inputs, unedited, run
+        code, _, err = run_cli(capsys, "run-all", "--config",
+                               str(write_inputs(tmp_path, run_all_inputs(tmp_path))))
+        assert code == 0, err
+        assert model_calls and (tmp_path / "out" / "manifest.json").exists()
+        assert (tmp_path / "out" / "episodes.jsonl").read_bytes() == \
+            (tmp_path / "episodes.jsonl").read_bytes()
+
+    def test_a_programming_error_is_not_an_error_line(self, tmp_path, capsys, monkeypatch):
+        # the CLI turns only the failures it names into exit 1; a bug surfaces
+        def broken(messages):
+            return {}["missing"]
+        monkeypatch.setitem(gateway.SCRIPT_REGISTRY, "fixture_grounding", broken)
+        with pytest.raises(KeyError, match="missing"):
+            main(["run-all", "--config", str(write_pipeline_config(tmp_path))])
+        assert "error:" not in capsys.readouterr().err
 
     def test_run_all_seed_sets_the_training_seed_only(self, tmp_path, capsys):
         # --seed, like --out, leaves the config hash alone; the manifest records it

@@ -10,6 +10,7 @@ import cogrules
 from cogrules import engine, ltl, pipeline, scenarios, trainer
 from cogrules.critic_tree import CriticTree
 from cogrules.gateway import ReplayMiss
+from cogrules.knowledge import KnowledgeBase
 from cogrules.pipeline import formalize_corpus, load_config, run_experiment
 from conftest import highway_corpus, scripted_spec, write_pipeline_config
 
@@ -58,6 +59,29 @@ class TestLoadConfig:
                 assert cfg.train.epochs == size["epochs"]
                 assert cfg.critic_tree.critics.seed == 4
 
+    def test_benchmark_inputs_load(self, tmp_path, monkeypatch):
+        # the KB, corpus and episodes the benchmark generates must pass the strict readers
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import inputs
+        import workloads
+        cfg = literal_config(tmp_path)
+        for name in (n for n in workloads.WORKLOADS if n != "translate_score"):
+            size = workloads.SIZES[name]
+            kb = inputs.Kb(4, size["n_bool"], size["n_enum"])
+            (tmp_path / "kb.json").write_text(json.dumps(kb.to_json()))
+            loaded_kb = KnowledgeBase.load(tmp_path / "kb.json")
+            assert len(loaded_kb.groundings) == len(kb.atoms)
+            records, _, rules = inputs.make_corpus(kb, 4, size["segments"], size["mix"])
+            corpus = [{"id": r["id"], "text": r["text"], "initial": r["initial"]}
+                      for r in records]  # as workloads.RunAll writes it
+            assert [s.id for s in pipeline.read_corpus(corpus, cfg)] == [r["id"] for r in records]
+            episodes = inputs.make_episodes(kb, rules, 4, size["episodes"], size["length"],
+                                            size["states"])
+            (tmp_path / "episodes.jsonl").write_text(inputs.episodes_jsonl(episodes))
+            loaded = trainer.episodes_from_jsonl(tmp_path / "episodes.jsonl")
+            assert [len(e.steps) for e in loaded] == [len(e) for e in episodes]
+            trainer.validate_episodes(loaded, loaded_kb)
+
 
 class TestFormalizeCorpus:
     def test_outcome_census(self, tmp_path):
@@ -104,10 +128,12 @@ class TestFormalizeCorpus:
             for r in store if r.effects.longitudinal != "brake")
         assert others(lit_store) == others(sup_store)
 
-    def test_missing_initial_translation_raises(self, tmp_path):
+    def test_missing_initial_translation_raises(self, tmp_path, model_calls):
+        # every record is checked before the first model call
         cfg = literal_config(tmp_path)
-        with pytest.raises(ValueError):
-            formalize_corpus([{"id": "x", "text": "no column"}], cfg)
+        with pytest.raises(ValueError, match="segment x: no initial translation source"):
+            formalize_corpus(highway_corpus() + [{"id": "x", "text": "no column"}], cfg)
+        assert model_calls == []
 
     def test_replay_miss_is_format_mismatch(self, tmp_path):
         cfg = literal_config(tmp_path)
