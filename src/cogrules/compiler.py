@@ -17,8 +17,8 @@ from pathlib import Path
 from types import MappingProxyType
 
 from . import ltl
-from .knowledge import (PASS, Effects, KnowledgeBase, Precondition,
-                        ProductionRule, RuleValidationError, validate_rule)
+from .knowledge import (ActionPair, KnowledgeBase, Precondition, ProductionRule,
+                        RuleValidationError, load_json, validate_rule)
 
 DUPLICATION_THRESHOLD = 0.9
 EMBEDDING_DIMENSION = 256
@@ -130,7 +130,8 @@ class HashedTrigramEmbedding:
 # ---------------------------------------------------------------------------
 # grounding and naming
 
-def ground(verdict: ltl.Convertible, kb: KnowledgeBase) -> tuple[tuple[Precondition, ...], Effects]:
+def ground(verdict: ltl.Convertible,
+           kb: KnowledgeBase) -> tuple[tuple[Precondition, ...], ActionPair]:
     preconditions: list[Precondition] = []
     for name, polarity in verdict.antecedent:
         g = kb.groundings.get(name)
@@ -138,34 +139,34 @@ def ground(verdict: ltl.Convertible, kb: KnowledgeBase) -> tuple[tuple[Precondit
             raise UnknownAtom(name)
         cmp = g.comparator if polarity else ("!=" if g.comparator == "=" else "=")
         preconditions.append((g.feature, cmp, g.value))
-    effects = Effects()
+    longitudinal = lateral = None
     for name, polarity in verdict.consequent:
         if not polarity:
             raise GroundingError(f"negated action atom {name!r} has no effect semantics")
         if name in kb.longitudinal_actions:
-            if effects.longitudinal != PASS and effects.longitudinal != name:
+            if longitudinal not in (None, name):
                 raise GroundingError("multiple longitudinal actions in consequent")
-            effects.longitudinal = name
+            longitudinal = name
         elif name in kb.lateral_actions:
-            if effects.lateral != PASS and effects.lateral != name:
+            if lateral not in (None, name):
                 raise GroundingError("multiple lateral actions in consequent")
-            effects.lateral = name
+            lateral = name
         else:
             raise UnknownAtom(name)
-    return tuple(preconditions), effects
+    return tuple(preconditions), ActionPair(longitudinal, lateral)
 
 
 _CMP_NAMES = {"=": "eq", "!=": "ne"}
 
 
-def name_rule(preconditions: tuple[Precondition, ...], effects: Effects) -> str:
+def name_rule(preconditions: tuple[Precondition, ...], effects: ActionPair) -> str:
     """Deterministic, order-insensitive over preconditions."""
     pre = "__".join(f"{feat}_{_CMP_NAMES[cmp]}_{str(val).lower()}"
                     for feat, cmp, val in sorted(preconditions, key=lambda p: (p[0], p[1], str(p[2]))))
     eff = []
-    if effects.longitudinal != PASS:
+    if effects.longitudinal is not None:
         eff.append(f"long_{effects.longitudinal}")
-    if effects.lateral != PASS:
+    if effects.lateral is not None:
         eff.append(f"lat_{effects.lateral}")
     return f"if_{pre}__then_{'__'.join(eff)}".lower()
 
@@ -209,8 +210,7 @@ class RuleStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "RuleStore":
-        data = json.loads(Path(path).read_text())
-        return cls([ProductionRule.from_json(obj) for obj in data])
+        return cls([ProductionRule.from_json(obj) for obj in load_json(path)])
 
 
 def dedup_check(candidate: ProductionRule, store: RuleStore,

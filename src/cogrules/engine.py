@@ -11,11 +11,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .knowledge import PASS, ProductionRule, Value
-
-LONGITUDINAL = "longitudinal"
-LATERAL = "lateral"
-SLOTS = (LONGITUDINAL, LATERAL)
+from .knowledge import LATERAL, LONGITUDINAL, SLOTS, ActionPair, ProductionRule, Value
 
 
 @dataclass(frozen=True)
@@ -32,17 +28,6 @@ class WorldState:
 
     def key(self) -> str:
         return json.dumps(self.features, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class ActionPair:
-    """One action per slot, None where the slot is empty: a decision, or
-    the reference behaviour it is compared with."""
-    longitudinal: str | None = None
-    lateral: str | None = None
-
-    def slot(self, name: str) -> str | None:
-        return self.longitudinal if name == LONGITUDINAL else self.lateral
 
 
 @dataclass
@@ -102,7 +87,7 @@ def select(conflict: list[ProductionRule], sigma: float,
 
 def slot_candidates(matched: list[ProductionRule], slot: str) -> list[ProductionRule]:
     """The rules that compete for `slot`: those with an effect there, in order."""
-    return [r for r in matched if getattr(r.effects, slot) != PASS]
+    return [r for r in matched if getattr(r.effects, slot) is not None]
 
 
 CACHE_STATES = 4096  # distinct states whose candidates a RuleSet keeps
@@ -150,25 +135,22 @@ def decide(state: WorldState, rules: RuleSet, sigma: float,
            rng: random.Random) -> tuple[ActionPair, list[TraceEntry]]:
     """One cycle: the action pair and its firings, drawn from the two
     softmaxes of `_softmaxes` in order. The longitudinal candidates compete
-    first, and the winner applies all its non-pass effects, so a winner
+    first, and the winner's effects are the partial decision, so a winner
     with a lateral effect fills both slots. Only if the lateral slot is
     still empty do the lateral candidates compete."""
     longitudinal_candidates, lateral_candidates = rules.candidates(state)
-    longitudinal = lateral = None
+    decision = ActionPair()
     firings = []
     if longitudinal_candidates:
         chosen = select(longitudinal_candidates, sigma, rng)
-        longitudinal = chosen.effects.longitudinal
-        if chosen.effects.lateral == PASS:
-            firings.append(TraceEntry(state.t, chosen, [LONGITUDINAL]))
-        else:
-            lateral = chosen.effects.lateral
-            firings.append(TraceEntry(state.t, chosen, [LONGITUDINAL, LATERAL]))
-    if lateral is None and lateral_candidates:
+        decision = chosen.effects
+        firings.append(TraceEntry(state.t, chosen, [LONGITUDINAL] if decision.lateral is None
+                                  else [LONGITUDINAL, LATERAL]))
+    if decision.lateral is None and lateral_candidates:
         chosen = select(lateral_candidates, sigma, rng)
-        lateral = chosen.effects.lateral
+        decision = ActionPair(decision.longitudinal, chosen.effects.lateral)
         firings.append(TraceEntry(state.t, chosen, [LATERAL]))
-    return ActionPair(longitudinal, lateral), firings
+    return decision, firings
 
 
 def action_pair_key(longitudinal: str | None, lateral: str | None) -> str:
@@ -176,18 +158,16 @@ def action_pair_key(longitudinal: str | None, lateral: str | None) -> str:
 
 
 def _softmaxes(state: WorldState, rules: RuleSet, sigma: float):
-    """The two softmaxes `decide` draws from. `winners` holds
-    (longitudinal, lateral effect, p) per longitudinal candidate, or
-    (None, PASS, 1.0) when there is none; `laterals` holds (lateral, q) per
-    lateral candidate, or (None, 1.0)."""
+    """The two softmaxes `decide` draws from. `winners` holds (effects, p)
+    per longitudinal candidate, or (ActionPair(), 1.0) when there is none;
+    `laterals` holds (lateral, q) per lateral candidate, or (None, 1.0)."""
     longitudinal_candidates, lateral_candidates = rules.candidates(state)
 
     def softmax(candidates):
         return zip(candidates, selection_probabilities([r.utility for r in candidates], sigma))
 
     laterals = [(r.effects.lateral, p) for r, p in softmax(lateral_candidates)] or [(None, 1.0)]
-    winners = [(r.effects.longitudinal, r.effects.lateral, p)
-               for r, p in softmax(longitudinal_candidates)] or [(None, PASS, 1.0)]
+    winners = [(r.effects, p) for r, p in softmax(longitudinal_candidates)] or [(ActionPair(), 1.0)]
     return winners, laterals
 
 
@@ -199,9 +179,9 @@ def decision_distribution(state: WorldState, rules: RuleSet,
     winner, or no winner, is paired with the lateral softmax (or `none`)."""
     winners, laterals = _softmaxes(state, rules, sigma)
     dist: dict[str, float] = {}
-    for longitudinal, fixed, p in winners:
-        for lateral, q in laterals if fixed == PASS else [(fixed, 1.0)]:
-            key = action_pair_key(longitudinal, lateral)
+    for effects, p in winners:
+        for lateral, q in laterals if effects.lateral is None else [(effects.lateral, 1.0)]:
+            key = action_pair_key(effects.longitudinal, lateral)
             dist[key] = dist.get(key, 0.0) + p * q
     return dist
 
@@ -217,12 +197,12 @@ def slot_marginals(state: WorldState, rules: RuleSet,
     lon: dict[str | None, float] = {}
     lat: dict[str | None, float] = {}
     free = 0.0
-    for longitudinal, fixed, p in winners:
-        lon[longitudinal] = lon.get(longitudinal, 0.0) + p
-        if fixed == PASS:
+    for effects, p in winners:
+        lon[effects.longitudinal] = lon.get(effects.longitudinal, 0.0) + p
+        if effects.lateral is None:
             free += p
         else:
-            lat[fixed] = lat.get(fixed, 0.0) + p
+            lat[effects.lateral] = lat.get(effects.lateral, 0.0) + p
     for lateral, q in laterals:
         lat[lateral] = lat.get(lateral, 0.0) + free * q
     return lon, lat

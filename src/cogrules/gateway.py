@@ -205,12 +205,16 @@ class Session:
     def _queues(self, path: Path) -> dict[str, list[str]]:
         if path not in self._transcripts:
             queues: dict[str, list[str]] = {}
-            for n, line in enumerate(path.read_text().splitlines(), 1):
-                if line.strip():
-                    rec = json.loads(line)
-                    if "request_hash" not in rec or "response" not in rec:
-                        raise ValueError(f"{path} line {n}: needs 'request_hash' and 'response'")
-                    queues.setdefault(rec["request_hash"], []).append(rec["response"])
+            try:
+                for n, line in enumerate(path.read_text().splitlines(), 1):
+                    if line.strip():
+                        rec = json.loads(line)
+                        if "request_hash" not in rec or "response" not in rec:
+                            raise ValueError(
+                                f"{path} line {n}: needs 'request_hash' and 'response'")
+                        queues.setdefault(rec["request_hash"], []).append(rec["response"])
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path} line {n}: {e.msg} at column {e.colno}") from None
             self._transcripts[path] = queues
         return self._transcripts[path]
 

@@ -10,9 +10,21 @@ import json
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-PASS = "pass"
+PASS = "pass"  # a rules file's spelling of an empty effect slot
+
+LONGITUDINAL = "longitudinal"
+LATERAL = "lateral"
+SLOTS = (LONGITUDINAL, LATERAL)
 
 Value = bool | int | str
+
+
+def load_json(path: str | Path):
+    """The JSON value in file `path`; a syntax error is a ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 @functools.cache
@@ -40,6 +52,17 @@ def read_section(cls, name: str, obj, **parse):
     if nulls:
         raise ValueError(f"section {name!r}: key {min(nulls)!r} may not be null")
     return cls(**{k: parse[k](v) if k in parse and v is not None else v for k, v in obj.items()})
+
+
+@dataclass(frozen=True)
+class ActionPair:
+    """One action per slot, None where the slot is empty: a rule's effects,
+    a decision, or the reference behaviour it is compared with."""
+    longitudinal: str | None = None
+    lateral: str | None = None
+
+    def slot(self, name: str) -> str | None:
+        return self.longitudinal if name == LONGITUDINAL else self.lateral
 
 
 @dataclass(frozen=True)
@@ -88,6 +111,8 @@ class KnowledgeBase:
             raise ValueError("action vocabularies must be nonempty")
         if set(self.longitudinal_actions) & set(self.lateral_actions):
             raise ValueError("action vocabularies must be disjoint")
+        if PASS in self.longitudinal_actions or PASS in self.lateral_actions:
+            raise ValueError(f"action name {PASS!r} is reserved for an empty effect slot")
         for atom, g in self.groundings.items():
             dom = self.features.get(g.feature)
             if dom is None:
@@ -123,7 +148,7 @@ class KnowledgeBase:
     def load(cls, path: str | Path) -> "KnowledgeBase":
         def each(kind, key, **parse):  # one section per feature or grounding
             return lambda d: {k: read_section(kind, f"{path} {key}.{k}", d[k], **parse) for k in d}
-        return read_section(cls, str(path), json.loads(Path(path).read_text()),
+        return read_section(cls, str(path), load_json(path),
                             features=each(FeatureDomain, "features", values=tuple),
                             groundings=each(Grounding, "groundings"),
                             longitudinal_actions=tuple, lateral_actions=tuple)
@@ -136,38 +161,40 @@ Precondition = tuple[str, str, Value]  # (feature, comparator, value)
 
 
 @dataclass
-class Effects:
-    longitudinal: str = PASS
-    lateral: str = PASS
-
-
-@dataclass
 class ProductionRule:
     name: str
     preconditions: tuple[Precondition, ...]
-    effects: Effects
+    effects: ActionPair
     utility: float = 0.0
     provenance: dict = field(default_factory=dict)
 
     def body_key(self) -> tuple:
-        return (tuple(sorted(self.preconditions)),
-                self.effects.longitudinal, self.effects.lateral)
+        return tuple(sorted(self.preconditions)), self.effects
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
             "preconditions": [list(p) for p in self.preconditions],
-            "effects": {"longitudinal": self.effects.longitudinal,
-                        "lateral": self.effects.lateral},
+            "effects": {slot: PASS if (action := self.effects.slot(slot)) is None else action
+                        for slot in SLOTS},
             "utility": self.utility,
             "provenance": self.provenance,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProductionRule":
+        def preconditions(ps):
+            if not isinstance(ps, list) or not all(isinstance(p, list) and len(p) == 3 for p in ps):
+                raise ValueError("section 'rule': key 'preconditions' is not a list of "
+                                 "[feature, comparator, value] triples")
+            return tuple(tuple(p) for p in ps)
+
+        def action(a):  # "pass", like a missing key or null, is an empty slot
+            return None if a == PASS else a
         return read_section(
-            cls, "rule", obj, preconditions=lambda ps: tuple(tuple(p) for p in ps),
-            effects=lambda e: read_section(Effects, "rule.effects", e))
+            cls, "rule", obj, preconditions=preconditions,
+            effects=lambda e: read_section(ActionPair, "rule.effects", e,
+                                           longitudinal=action, lateral=action))
 
 
 class RuleValidationError(ValueError):
@@ -198,9 +225,10 @@ def validate_rule(rule: ProductionRule, kb: KnowledgeBase) -> None:
             if asserted.get(feature) == value:
                 raise RuleValidationError(f"contradictory assertions on {feature!r}")
             denied.setdefault(feature, set()).add(value)
-    if rule.effects.longitudinal == PASS and rule.effects.lateral == PASS:
+    effects = rule.effects
+    if effects == ActionPair():
         raise RuleValidationError("rule has no effect")
-    if rule.effects.longitudinal != PASS and rule.effects.longitudinal not in kb.longitudinal_actions:
-        raise RuleValidationError(f"unknown longitudinal action {rule.effects.longitudinal!r}")
-    if rule.effects.lateral != PASS and rule.effects.lateral not in kb.lateral_actions:
-        raise RuleValidationError(f"unknown lateral action {rule.effects.lateral!r}")
+    if effects.longitudinal is not None and effects.longitudinal not in kb.longitudinal_actions:
+        raise RuleValidationError(f"unknown longitudinal action {effects.longitudinal!r}")
+    if effects.lateral is not None and effects.lateral not in kb.lateral_actions:
+        raise RuleValidationError(f"unknown lateral action {effects.lateral!r}")

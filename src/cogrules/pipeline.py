@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import compiler, ltl, metrics, scenarios, trainer
 from .critic_tree import CriticTree, CriticTreeConfig
 from .engine import RuleSet
 from .gateway import BackendSpec, ChatMessage, CriticEnsembleSpec, GatewayError, Session
-from .knowledge import KnowledgeBase, read_section
+from .knowledge import KnowledgeBase, load_json, read_section
 from .trainer import TrainConfig
 
 LITERAL = "literal"
@@ -70,7 +70,7 @@ class PipelineConfig:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    raw = json.loads(Path(path).read_text())
+    raw = load_json(path)
     base = Path(path).parent
 
     def resolve(p):
@@ -89,7 +89,11 @@ def load_config(path: str | Path) -> PipelineConfig:
         if not isinstance(ms, list) or not all(isinstance(m, list) and len(m) == 2 for m in ms):
             raise ValueError("section 'critic_tree.critics.members': not [backend, probability] pairs")
         return [(member(spec), p) for spec, p in ms]
-    eval_keys = {f.name for f in fields(EvalConfig)}  # eval ignores others, such as eval.samples
+
+    def evaluation(e):  # eval.samples is retired; older configs still set it
+        if isinstance(e, dict):
+            e = {k: v for k, v in e.items() if k != "samples"}
+        return read_section(EvalConfig, "eval", e)
     cfg = read_section(
         PipelineConfig, "config", raw,
         kb=lambda k: (scenarios.scenario_kb(k) if k in scenarios.ARCHETYPES
@@ -102,7 +106,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         train=lambda t: read_section(TrainConfig, "train", t),
         scenario=lambda s: read_section(scenarios.ScenarioSpec, "scenario", s),
         grounding=backend("grounding"), initial_backend=backend("initial_backend"),
-        eval=lambda e: EvalConfig(**{k: v for k, v in e.items() if k in eval_keys}),
+        eval=evaluation,
         corpus=resolve, episodes=resolve, out_dir=resolve)
     cfg.raw = raw
     return cfg
@@ -178,7 +182,7 @@ def _sha256(path: Path) -> str:
 def run_experiment(cfg: PipelineConfig) -> dict:
     """formalize -> train (with JS checkpoints) -> evaluate; writes all
     artifacts plus a manifest of config hash, seeds and artifact hashes."""
-    texts = json.loads(cfg.corpus.read_text()) if cfg.corpus else []
+    texts = load_json(cfg.corpus) if cfg.corpus else []
     if not isinstance(texts, list):
         raise ValueError(f"corpus {str(cfg.corpus)!r}: not a JSON list of records")
     if cfg.episodes is not None:

@@ -8,8 +8,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .knowledge import FeatureDomain, Grounding, KnowledgeBase, Value
-from .engine import ActionPair, WorldState, pick
+from .knowledge import ActionPair, FeatureDomain, Grounding, KnowledgeBase, Value
+from .engine import WorldState, pick
 from .trainer import Episode
 
 HIGHWAY = "highway_cut_in"
@@ -72,15 +72,15 @@ def scenario_kb(archetype: str) -> KnowledgeBase:
 @dataclass
 class DecisionTable:
     """First-match condition table; total via the default row."""
-    rows: list[tuple[dict[str, Value], tuple[str | None, str | None]]]
-    default: tuple[str | None, str | None] = ("keep", "keep_lane")
+    rows: list[tuple[dict[str, Value], ActionPair]]
+    default: ActionPair = ActionPair("keep", "keep_lane")
 
     def action(self, state: WorldState) -> ActionPair:
         feats = state.as_dict()
-        for condition, (lon, lat) in self.rows:
+        for condition, pair in self.rows:
             if all(feats.get(k) == v for k, v in condition.items()):
-                return ActionPair(lon, lat)
-        return ActionPair(*self.default)
+                return pair
+        return self.default
 
 
 @dataclass
@@ -180,24 +180,24 @@ def default_policy(archetype: str) -> ReferencePolicy:
     if archetype == HIGHWAY:
         table = DecisionTable(rows=[
             ({"front_gap_closing": True, "right_vehicle_signaling": True},
-             ("decelerate", "keep_lane")),
-            ({"front_gap_closing": True}, ("brake", "keep_lane")),
-            ({"speed_band": "low"}, ("accelerate", "keep_lane")),
+             ActionPair("decelerate", "keep_lane")),
+            ({"front_gap_closing": True}, ActionPair("brake", "keep_lane")),
+            ({"speed_band": "low"}, ActionPair("accelerate", "keep_lane")),
         ])
     elif archetype == INTERSECTION:
         table = DecisionTable(rows=[
-            ({"pedestrian_present": True}, ("brake", "keep_lane")),
-            ({"signal_state": "red", "near_stop_line": True}, ("brake", "keep_lane")),
-            ({"signal_state": "yellow"}, ("decelerate", "keep_lane")),
-            ({"signal_state": "green"}, ("keep", "change_right")),
+            ({"pedestrian_present": True}, ActionPair("brake", "keep_lane")),
+            ({"signal_state": "red", "near_stop_line": True}, ActionPair("brake", "keep_lane")),
+            ({"signal_state": "yellow"}, ActionPair("decelerate", "keep_lane")),
+            ({"signal_state": "green"}, ActionPair("keep", "change_right")),
         ])
     elif archetype == LANE_CHANGE:
         table = DecisionTable(rows=[
             ({"front_vehicle_slow": True, "adjacent_vehicle_signaling": True},
-             ("decelerate", "keep_lane")),
+             ActionPair("decelerate", "keep_lane")),
             ({"front_vehicle_slow": True, "left_lane_free": True},
-             ("keep", "change_left")),
-            ({"front_vehicle_slow": True}, ("decelerate", "keep_lane")),
+             ActionPair("keep", "change_left")),
+            ({"front_vehicle_slow": True}, ActionPair("decelerate", "keep_lane")),
         ])
     else:
         raise ValueError(f"unknown archetype {archetype!r}")

@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from .engine import (SLOTS, ActionPair, RuleSet, TraceEntry, WorldState, decide,
-                     slot_marginals)
-from .knowledge import KnowledgeBase, ProductionRule, Value, read_section
+from .engine import RuleSet, TraceEntry, WorldState, decide, slot_marginals
+from .knowledge import SLOTS, ActionPair, KnowledgeBase, ProductionRule, Value, read_section
 
 
 @dataclass
@@ -92,12 +91,15 @@ def episodes_to_jsonl(episodes: list[Episode], path: str | Path) -> None:
 
 def episodes_from_jsonl(path: str | Path) -> list[Episode]:
     groups: dict[int, list[StepRecord]] = {}
-    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if line.strip():
-            where = f"{path} line {n}"
-            rec = read_section(StepRecord, where, json.loads(line), reference=lambda r: read_section(
-                ActionPair, f"{where} reference", r))
-            groups.setdefault(rec.episode, []).append(rec)
+    try:
+        for n, line in enumerate(Path(path).read_text().splitlines(), 1):
+            if line.strip():
+                where = f"{path} line {n}"
+                rec = read_section(StepRecord, where, json.loads(line), reference=lambda r:
+                                   read_section(ActionPair, f"{where} reference", r))
+                groups.setdefault(rec.episode, []).append(rec)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path} line {n}: {e.msg} at column {e.colno}") from None
     return [Episode([(WorldState.make(r.state, r.t), r.reference) for r in recs],
                     recs[0].scenario, recs[0].subject) for _, recs in sorted(groups.items())]
 

@@ -17,7 +17,7 @@ from cogrules.compiler import (EMBEDDING_DIMENSION, HashedTrigramEmbedding, Rule
 from cogrules.critic_tree import CriticTree, CriticTreeConfig
 from cogrules.engine import ActionPair, WorldState, selection_probabilities
 from cogrules.gateway import CriticEnsembleSpec, Session
-from cogrules.knowledge import Effects, ProductionRule
+from cogrules.knowledge import ProductionRule
 from cogrules.metrics import js_divergence, ltl_bleu, mean_js, reference_distributions
 from cogrules.pipeline import formalize_corpus, load_config, run_experiment
 from cogrules.trainer import (Episode, TrainConfig,
@@ -226,7 +226,7 @@ def test_04_selection_update_and_decay_numerics():
     # per-firing reward shares equal R - decay * (reward step - firing step)
     from cogrules.engine import TraceEntry
     fired = ProductionRule(name="r", preconditions=(("x", "=", True),),
-                           effects=Effects(longitudinal="brake"))
+                           effects=ActionPair(longitudinal="brake"))
     for _ in range(200):
         reward_step = rng.randrange(0, 50)
         reward = rng.choice([10.0, 0.0, rng.uniform(-5, 15)])
@@ -248,7 +248,7 @@ def test_05_learning_convergence_two_rule_fixture():
 
     def rule(name, lon, lat):
         return ProductionRule(name=name, preconditions=(("x", "=", True),),
-                              effects=Effects(longitudinal=lon, lateral=lat))
+                              effects=ActionPair(longitudinal=lon, lateral=lat))
 
     rules = [rule("agree", "brake", "keep_lane"),
              rule("disagree", "accelerate", "change_left")]
@@ -317,7 +317,7 @@ def test_07_dedup_matches_bruteforce_oracle():
     def random_rule():
         pre = tuple(sorted({(rng.choice(feats), "=", rng.randrange(3))
                             for _ in range(rng.randint(1, 3))}))
-        eff = Effects(longitudinal=rng.choice(["brake", "keep", "accelerate"]))
+        eff = ActionPair(longitudinal=rng.choice(["brake", "keep", "accelerate"]))
         from cogrules.compiler import name_rule
         return ProductionRule(name=name_rule(pre, eff), preconditions=pre,
                               effects=eff)

@@ -43,6 +43,33 @@ def nested(obj, path):
     return obj
 
 
+def gen_data(base, capsys):
+    """gen-data's KB and two episodes in `base`/data."""
+    run_cli(capsys, "gen-data", "--archetype", "highway_cut_in", "--episodes", "2",
+            "--seed", "5", "--out", str(base / "data"))
+
+
+def a_rule(**changes) -> dict:
+    """A rules-file record that holds in `gen_data`'s KB, with `changes`."""
+    return {"name": "r", "preconditions": [["front_gap_closing", "=", True]],
+            "effects": {"longitudinal": "brake"}, "utility": 0.0, **changes}
+
+
+def run_on_rules(base, capsys, command, rules):
+    """Runs `command` (eval, train or compile) on a rules file holding `rules`,
+    with `gen_data`'s KB and episodes; train writes to `base`/trained."""
+    data_dir = base / "data"
+    path = base / "rules.json"
+    path.write_text(json.dumps(rules))
+    argv = {"eval": ["--episodes", str(data_dir / "episodes.jsonl")],
+            "train": ["--kb", str(data_dir / "kb.json"), "--seed", "0",
+                      "--episodes", str(data_dir / "episodes.jsonl"),
+                      "--out", str(base / "trained")],
+            "compile": ["--config", str(write_pipeline_config(base)),
+                        "--formula", "G (front_gap_closing -> brake)"]}[command]
+    return run_cli(capsys, command, "--rules", str(path), *argv)
+
+
 def run_all_refuses(base, capsys, model_calls, inputs) -> str:
     """Runs run-all on `inputs` and checks that it stops with exit 1 and one
     error line, before any model call and before out/ exists. Returns the
@@ -208,28 +235,59 @@ class TestDataTrainEval:
         assert err.startswith("error: ") and "'teleport'" in err
         assert not (tmp_path / "trained").exists()
 
+    @pytest.mark.parametrize("preconditions,effects,named", [
+        ([["nope", "=", True]], {"longitudinal": "brake"}, "'nope'"),
+        ([["front_gap_closing", "=", True]], {"longitudinal": "fly"}, "'fly'")],
+        ids=["unknown-feature", "unknown-action"])
+    def test_train_rejects_a_rule_outside_the_kb(self, tmp_path, capsys,
+                                                 preconditions, effects, named):
+        gen_data(tmp_path, capsys)
+        code, out, err = run_on_rules(tmp_path, capsys, "train",
+                                      [a_rule(preconditions=preconditions, effects=effects)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "trained").exists()
+
+    @pytest.mark.parametrize("vocabulary", ["longitudinal_actions", "lateral_actions"])
+    def test_a_kb_action_may_not_be_named_pass(self, tmp_path, capsys, vocabulary):
+        # a rules file spells an empty effect slot "pass"
+        gen_data(tmp_path, capsys)
+        kb_path = tmp_path / "data" / "kb.json"
+        kb = json.loads(kb_path.read_text())
+        kb[vocabulary].append("pass")
+        kb_path.write_text(json.dumps(kb))
+        code, out, err = run_on_rules(tmp_path, capsys, "train", [a_rule()])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "'pass'" in err
+        assert not (tmp_path / "trained").exists()
+
     @pytest.mark.parametrize("command", ["eval", "train", "compile"])
     def test_rules_file_with_an_unknown_key_exit_one(self, tmp_path, capsys, command):
-        data_dir = tmp_path / "data"
-        run_cli(capsys, "gen-data", "--archetype", "highway_cut_in", "--episodes", "2",
-                "--seed", "5", "--out", str(data_dir))
-        rule = {"name": "r", "preconditions": [["front_gap_closing", "=", True]],
-                "effects": {"longitudinal": "brake"}, "utility": 0.0}
+        gen_data(tmp_path, capsys)
+        rule = a_rule()
         for where, obj in (("'rule.effects'", rule["effects"]), ("'rule'", rule)):
             obj["sideways"] = "left"
-            rules = tmp_path / "rules.json"
-            rules.write_text(json.dumps([rule]))
-            argv = {"eval": ["--episodes", str(data_dir / "episodes.jsonl")],
-                    "train": ["--kb", str(data_dir / "kb.json"), "--seed", "0",
-                              "--episodes", str(data_dir / "episodes.jsonl"),
-                              "--out", str(tmp_path / "trained")],
-                    "compile": ["--config", str(write_pipeline_config(tmp_path)),
-                                "--formula", "G (front_gap_closing -> brake)"]}[command]
-            code, out, err = run_cli(capsys, command, "--rules", str(rules), *argv)
+            code, out, err = run_on_rules(tmp_path, capsys, command, [rule])
             assert code == 1
             assert out == ""
             assert err.startswith("error:") and where in err and "'sideways'" in err
             del obj["sideways"]
+        assert not (tmp_path / "trained").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("preconditions", [["abc"], [["front_gap_closing", True]], "abc",
+                                               [["front_gap_closing", "=", True, 1]]],
+                             ids=["string", "pair", "not-a-list", "four-items"])
+    def test_rules_file_with_a_precondition_that_is_not_a_triple_exit_one(
+            self, tmp_path, capsys, command, preconditions):
+        gen_data(tmp_path, capsys)
+        code, out, err = run_on_rules(tmp_path, capsys, command,
+                                      [a_rule(preconditions=preconditions)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "'rule'" in err and "'preconditions'" in err, err
         assert not (tmp_path / "trained").exists()
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
@@ -334,7 +392,7 @@ class TestRunAll:
         (("config", "critic_tree"), "critic_tree"),
         (("config", "critic_tree", "critics"), "critic_tree.critics"),
         (("config", "critic_tree", "critics", "members", 0, 0), "critic_tree.critics.members"),
-        (("config", "initial_backend"), "initial_backend"),
+        (("config", "initial_backend"), "initial_backend"), (("config", "eval"), "eval"),
         pytest.param(("corpus.json", 0), "corpus record 0", id="corpus-record"),
         pytest.param(("episodes.jsonl", 3), "{dir}/episodes.jsonl line 4", id="episode-line"),
         pytest.param(("episodes.jsonl", 3, "reference"), "{dir}/episodes.jsonl line 4 reference",
@@ -373,6 +431,8 @@ class TestRunAll:
         (("config", "grounding", "record_path"), None, ("'grounding'", "'record_path'", "null")),
         (("config", "train"), 5, ("'train'", "not a JSON object")),
         (("config", "train"), [], ("'train'", "not a JSON object")),
+        (("config", "eval"), 5, ("'eval'", "not a JSON object")),
+        (("config", "eval", "top_k"), None, ("'eval'", "'top_k'", "null")),
         (("config", "critic_tree", "critics", "members"), lambda ms: [ms[0][0]],
          ("'critic_tree.critics.members'", "[backend, probability]")),
         (("config", "critic_tree", "critics", "members"), lambda ms: [[ms[0][0]]],
@@ -385,8 +445,9 @@ class TestRunAll:
         (("kb.json", "features", "speed_band", "values"), None,
          ("kb.json features.speed_band'", "'values'", "null"))],
         ids=["n_episodes-null", "epochs-null", "kb-null", "revisor-null", "record_path-null",
-             "train-number", "train-list", "member-not-a-pair", "member-one-item",
-             "corpus-object", "corpus-string-record", "episode-t-null", "kb-values-null"])
+             "train-number", "train-list", "eval-number", "top_k-null", "member-not-a-pair",
+             "member-one-item", "corpus-object", "corpus-string-record", "episode-t-null",
+             "kb-values-null"])
     def test_run_all_refuses_a_value_of_the_wrong_shape(self, tmp_path, capsys, model_calls,
                                                         path, value, names):
         inputs = run_all_inputs(tmp_path)
@@ -395,6 +456,34 @@ class TestRunAll:
         obj[last] = value(obj[last]) if callable(value) else value
         err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
         assert all(name.format(dir=tmp_path) in err for name in names), err
+
+    @pytest.mark.parametrize("name,line", [
+        ("config.json", None), ("kb.json", None), ("corpus.json", None), ("rules.json", None),
+        ("episodes.jsonl", 6), ("transcript.jsonl", 2)])
+    def test_a_json_syntax_error_names_the_file_and_the_line(self, tmp_path, capsys, model_calls,
+                                                             name, line):
+        argv = ["run-all", "--config", str(write_inputs(tmp_path, run_all_inputs(tmp_path)))]
+        if name == "transcript.jsonl":
+            record = write_pipeline_config(tmp_path, record_path=name, out_dir="out_record")
+            assert run_cli(capsys, "run-all", "--config", str(record))[0] == 0
+            model_calls.clear()
+            argv[-1] = str(write_pipeline_config(tmp_path, backends="replay", transcript_path=name))
+        elif name == "rules.json":
+            (tmp_path / name).write_text(json.dumps([a_rule()]))
+            argv = ["eval", "--rules", str(tmp_path / name),
+                    "--episodes", str(tmp_path / "episodes.jsonl")]
+        path = tmp_path / name
+        lines = path.read_text().splitlines(keepends=True) if line else [path.read_text()]
+        cut = lines[(line or 1) - 1]
+        lines[(line or 1) - 1] = cut[:len(cut) // 2] + "\n"
+        path.write_text("".join(lines))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}{f' line {line}' if line else ''}: ") and \
+            err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+        assert model_calls == []
 
     def test_run_all_reads_the_kb_and_episode_files(self, tmp_path, capsys, model_calls):
         # the positive control for the refusals above: the same inputs, unedited, run

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from cogrules.compiler import (EMBEDDING_DIMENSION, DuplicatedContent,
                                FormatMismatch, HashedTrigramEmbedding, InferenceError,
                                RuleStore, Viable, compile_formula, dedup_check,
                                ground, name_rule, outcome_report)
-from cogrules.knowledge import (Effects, Grounding, ProductionRule,
+from cogrules.knowledge import (ActionPair, Grounding, ProductionRule,
                                 RuleValidationError, validate_rule)
 from cogrules.pipeline import formalize_corpus, load_config
 from cogrules.scenarios import scenario_kb
@@ -28,13 +29,13 @@ def random_rule(rng):
     feats = [f"f{i}" for i in range(8)]
     pre = tuple(sorted({(rng.choice(feats), "=", rng.randrange(3))
                         for _ in range(rng.randint(1, 3))}))
-    eff = Effects(longitudinal=rng.choice(["brake", "keep", "accelerate"]))
+    eff = ActionPair(longitudinal=rng.choice(["brake", "keep", "accelerate"]))
     return ProductionRule(name=name_rule(pre, eff), preconditions=pre, effects=eff)
 
 
 def make_rule(preconditions, effects, name=None):
     pre = tuple(preconditions)
-    eff = Effects(**effects)
+    eff = ActionPair(**effects)
     return ProductionRule(name=name or name_rule(pre, eff),
                           preconditions=pre, effects=eff)
 
@@ -45,7 +46,7 @@ class TestGround:
         pre, eff = ground(verdict, kb)
         assert pre == (("front_gap_closing", "=", True),)
         assert eff.longitudinal == "decelerate"
-        assert eff.lateral == "pass"
+        assert eff.lateral is None
 
     def test_negative_literal_flips_comparator(self, kb):
         kb.groundings["pedestrian_present"] = Grounding("front_gap_closing", "=", True)
@@ -75,17 +76,17 @@ class TestNaming:
     def test_order_insensitive(self):
         pre_a = (("a", "=", 1), ("b", "!=", "x"))
         pre_b = (("b", "!=", "x"), ("a", "=", 1))
-        eff = Effects(longitudinal="brake")
+        eff = ActionPair(longitudinal="brake")
         assert name_rule(pre_a, eff) == name_rule(pre_b, eff)
 
     def test_scheme(self):
-        name = name_rule((("a", "=", 1),), Effects(longitudinal="brake"))
+        name = name_rule((("a", "=", 1),), ActionPair(longitudinal="brake"))
         assert name == "if_a_eq_1__then_long_brake"
 
     def test_distinct_effects_distinct_names(self):
         pre = (("a", "=", 1),)
-        assert name_rule(pre, Effects(longitudinal="brake")) != \
-            name_rule(pre, Effects(longitudinal="keep"))
+        assert name_rule(pre, ActionPair(longitudinal="brake")) != \
+            name_rule(pre, ActionPair(longitudinal="keep"))
 
 
 def dense(provider, text):
@@ -385,3 +386,29 @@ class TestStoreSerialization:
         store.save(path)
         loaded = RuleStore.load(path)
         assert [r.to_json() for r in loaded] == [r.to_json() for r in store]
+
+    def test_an_empty_slot_is_pass_on_disk_and_none_in_memory(self, tmp_path, kb):
+        store = RuleStore()
+        for text in ("G (cut_in_ahead -> decelerate)", "G (right_vehicle_signaling -> keep_lane)",
+                     "G (speed_low -> (accelerate & change_left))"):
+            outcome = compile_formula(ltl.parse(text), kb, store, HashedTrigramEmbedding())
+            assert outcome.tag == "Viable"
+        path = tmp_path / "rules.json"
+        store.save(path)
+        assert [r["effects"] for r in json.loads(path.read_text())] == [
+            {"longitudinal": "decelerate", "lateral": "pass"},
+            {"longitudinal": "pass", "lateral": "keep_lane"},
+            {"longitudinal": "accelerate", "lateral": "change_left"}]
+        loaded = RuleStore.load(path)
+        assert [r.effects for r in loaded] == [ActionPair("decelerate", None),
+                                               ActionPair(None, "keep_lane"),
+                                               ActionPair("accelerate", "change_left")]
+        loaded.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("lateral", [{"lateral": "pass"}, {"lateral": None}, {}],
+                             ids=["pass", "null", "missing"])
+    def test_pass_null_and_a_missing_key_are_an_empty_slot(self, lateral):
+        rule = ProductionRule.from_json({"name": "r", "preconditions": [["a", "=", 1]],
+                                         "effects": {"longitudinal": "brake", **lateral}})
+        assert rule.effects == ActionPair("brake", None)

@@ -6,15 +6,15 @@ import pytest
 from cogrules.engine import (ActionPair, CACHE_STATES, SLOTS, RuleSet, WorldState, decide,
                              decision_distribution, match, pick, select,
                              selection_probabilities, slot_candidates, slot_marginals)
-from cogrules.knowledge import Effects, ProductionRule
+from cogrules.knowledge import ProductionRule
 from oracles import summed_marginals
 
 SQRT2 = math.sqrt(2)
 
 
-def rule(name, preconditions, longitudinal="pass", lateral="pass", utility=0.0):
+def rule(name, preconditions, longitudinal=None, lateral=None, utility=0.0):
     return ProductionRule(name=name, preconditions=tuple(preconditions),
-                          effects=Effects(longitudinal=longitudinal,
+                          effects=ActionPair(longitudinal=longitudinal,
                                           lateral=lateral),
                           utility=utility)
 
@@ -234,8 +234,8 @@ class TestDecisionDistribution:
 
     def test_sums_to_one(self):
         rng = random.Random(13)
-        effects = [("brake", "pass"), ("keep", "pass"), ("pass", "keep_lane"),
-                   ("pass", "change_left"), ("brake", "keep_lane"), ("keep", "change_left")]
+        effects = [("brake", None), ("keep", None), (None, "keep_lane"),
+                   (None, "change_left"), ("brake", "keep_lane"), ("keep", "change_left")]
         for _ in range(500):
             rules = [rule(f"r{i}", [("a", "=", rng.random() < 0.8)], *rng.choice(effects),
                           utility=rng.uniform(-50, 50)) for i in range(rng.randint(0, 12))]
@@ -245,9 +245,9 @@ class TestDecisionDistribution:
 class TestSlotMarginals:
     STATE = WorldState.make({"a": True})
     EFFECTS = {
-        "mixed": [("brake", "pass"), ("keep", "pass"), ("pass", "keep_lane"),
-                  ("pass", "change_left"), ("brake", "keep_lane"), ("keep", "change_left")],
-        "lateral_only": [("pass", "keep_lane"), ("pass", "change_left")],
+        "mixed": [("brake", None), ("keep", None), (None, "keep_lane"),
+                  (None, "change_left"), ("brake", "keep_lane"), ("keep", "change_left")],
+        "lateral_only": [(None, "keep_lane"), (None, "change_left")],
         "two_effect": [("brake", "keep_lane"), ("keep", "change_left"), ("brake", "change_left")],
     }
 
@@ -279,8 +279,8 @@ def random_precondition(rng, cmp):
 def random_rules(rng, size):
     """Rules with no preconditions, all `!=` ones, all `=` ones and mixed
     ones; names may repeat, so the name order's ties are covered too."""
-    effects = [("brake", "pass"), ("keep", "pass"), ("pass", "keep_lane"),
-               ("pass", "change_left"), ("brake", "keep_lane"), ("pass", "pass")]
+    effects = [("brake", None), ("keep", None), (None, "keep_lane"),
+               (None, "change_left"), ("brake", "keep_lane"), (None, None)]
     rules = []
     for i in range(size):
         kind = rng.choice(("none", "!=", "=", "mixed"))

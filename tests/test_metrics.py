@@ -12,7 +12,7 @@ import cogrules
 from cogrules.compiler import RuleStore
 from cogrules.engine import (SLOTS, ActionPair, RuleSet, TraceEntry, WorldState,
                              decision_distribution, slot_marginals)
-from cogrules.knowledge import Effects, ProductionRule
+from cogrules.knowledge import ProductionRule
 from cogrules.metrics import (decision_distributions, js_divergence, ltl_bleu,
                               ltl_match_accuracy, ltl_tokens, mean_js,
                               reference_distributions, rsr, sampled_distribution)
@@ -131,9 +131,9 @@ class TestJs:
         assert len(values) == 1
 
 
-def rule(name, preconditions, longitudinal="pass", lateral="pass", utility=0.0):
+def rule(name, preconditions, longitudinal=None, lateral=None, utility=0.0):
     return ProductionRule(name=name, preconditions=tuple(preconditions),
-                          effects=Effects(longitudinal=longitudinal,
+                          effects=ActionPair(longitudinal=longitudinal,
                                           lateral=lateral), utility=utility)
 
 
@@ -197,10 +197,10 @@ class TestDecisionDistributions:
 
 
 def random_rule_set(rng):
-    """Rules over two bool features with random effects (never both pass)
+    """Rules over two bool features with random effects (never both empty)
     and utilities, so conflict sets mix one- and two-effect rules."""
-    pairs = [(lon, lat) for lon in ("pass", "brake", "keep", "accelerate")
-             for lat in ("pass", "keep_lane", "change_left") if (lon, lat) != ("pass", "pass")]
+    pairs = [(lon, lat) for lon in (None, "brake", "keep", "accelerate")
+             for lat in (None, "keep_lane", "change_left") if (lon, lat) != (None, None)]
     rules = []
     for i in range(rng.randint(3, 8)):
         # the last choice does not match the tested state
@@ -302,7 +302,7 @@ class TestExactAgreementAgainstSampling:
 class TestRsr:
     def entry(self):
         rule = ProductionRule(name="r", preconditions=(("a", "=", True),),
-                              effects=Effects(longitudinal="brake"))
+                              effects=ActionPair(longitudinal="brake"))
         return TraceEntry(t=0, chosen=rule, filled=["longitudinal"])
 
     def test_all_matched(self):

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from cogrules.knowledge import ActionPair
 from cogrules.scenarios import (ARCHETYPES, DecisionTable, ReferencePolicy,
                                 ScenarioSpec, default_policy, generate,
                                 scenario_kb)
@@ -63,8 +64,8 @@ class TestGenerate:
         assert clean != noisy
 
     def test_mixture_frequencies(self):
-        t1 = DecisionTable(rows=[], default=("keep", "keep_lane"))
-        t2 = DecisionTable(rows=[], default=("brake", "keep_lane"))
+        t1 = DecisionTable(rows=[], default=ActionPair("keep", "keep_lane"))
+        t2 = DecisionTable(rows=[], default=ActionPair("brake", "keep_lane"))
         policy = ReferencePolicy(tables=[t1, t2], weights=[0.7, 0.3])
         spec = ScenarioSpec(archetype="highway_cut_in", episode_length=1, seed=9)
         episodes = generate(spec, policy, 10_000)
@@ -73,10 +74,11 @@ class TestGenerate:
 
     def test_policy_identifiable_from_noiseless_episodes(self):
         # an oracle table learner recovers each mixture component exactly
-        t1 = DecisionTable(rows=[({"front_gap_closing": True}, ("brake", "keep_lane"))],
-                           default=("keep", "keep_lane"))
-        t2 = DecisionTable(rows=[({"front_gap_closing": True}, ("decelerate", "keep_lane"))],
-                           default=("accelerate", "keep_lane"))
+        t1 = DecisionTable(rows=[({"front_gap_closing": True}, ActionPair("brake", "keep_lane"))],
+                           default=ActionPair("keep", "keep_lane"))
+        t2 = DecisionTable(rows=[({"front_gap_closing": True},
+                                  ActionPair("decelerate", "keep_lane"))],
+                           default=ActionPair("accelerate", "keep_lane"))
         policy = ReferencePolicy(tables=[t1, t2], weights=[0.5, 0.5])
         spec = ScenarioSpec(archetype="highway_cut_in", seed=13)
         episodes = generate(spec, policy, 40)
@@ -99,6 +101,6 @@ class TestGenerate:
             ScenarioSpec(archetype="highway_cut_in", noise_rate=1.0)
 
     def test_negative_mixture_weight_rejected(self):
-        tables = [DecisionTable(rows=[]), DecisionTable(rows=[], default=("brake", None))]
+        tables = [DecisionTable(rows=[]), DecisionTable(rows=[], default=ActionPair("brake", None))]
         with pytest.raises(ValueError, match=">= 0"):
             ReferencePolicy(tables=tables, weights=[1.5, -0.5])

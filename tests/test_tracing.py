@@ -8,7 +8,7 @@ from pathlib import Path
 
 from cogrules import compiler, critic_tree, engine, gateway, ltl, metrics, pipeline, trainer
 from cogrules.engine import ActionPair, RuleSet, WorldState
-from cogrules.knowledge import Effects, ProductionRule
+from cogrules.knowledge import ProductionRule
 from cogrules.trainer import Episode
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -36,7 +36,7 @@ def test_install_then_uninstall_restores_every_name(monkeypatch):
 
 def test_wrapped_names_are_the_ones_called(monkeypatch):
     rules = RuleSet([ProductionRule(name=n, preconditions=(("x", "=", True),),
-                                    effects=Effects(longitudinal=n)) for n in ("brake", "keep")])
+                                    effects=ActionPair(longitudinal=n)) for n in ("brake", "keep")])
     state = WorldState.make({"x": True})
     episodes = [Episode(steps=[(state, ActionPair("brake"))])]
     tracer, uninstall = install_tracer(monkeypatch)
@@ -56,7 +56,7 @@ def test_train_under_the_tracer_counts_epochs_and_decides(monkeypatch):
     # the tracer unpacks train's (RuleSet, curve) and wraps `decide` where
     # the trainer looks it up
     rules = [ProductionRule(name=n, preconditions=(("x", "=", True),),
-                            effects=Effects(longitudinal=n)) for n in ("brake", "keep")]
+                            effects=ActionPair(longitudinal=n)) for n in ("brake", "keep")]
     episodes = [Episode(steps=[(WorldState.make({"x": True}, t), ActionPair("brake"))
                                for t in range(5)]) for _ in range(3)]
     cfg = trainer.TrainConfig(epochs=4, seed=2)

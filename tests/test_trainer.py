@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cogrules.engine import ActionPair, RuleSet, TraceEntry, WorldState
-from cogrules.knowledge import Effects, ProductionRule
+from cogrules.knowledge import ProductionRule
 from cogrules.scenarios import scenario_kb
 from cogrules.trainer import (Episode, EpisodeSchemaError,
                               TrainConfig, episodes_from_jsonl,
@@ -15,9 +15,9 @@ from cogrules.trainer import (Episode, EpisodeSchemaError,
 SQRT2 = math.sqrt(2)
 
 
-def rule(name, preconditions, longitudinal="pass", lateral="pass", utility=0.0):
+def rule(name, preconditions, longitudinal=None, lateral=None, utility=0.0):
     return ProductionRule(name=name, preconditions=tuple(preconditions),
-                          effects=Effects(longitudinal=longitudinal,
+                          effects=ActionPair(longitudinal=longitudinal,
                                           lateral=lateral), utility=utility)
 
 
