@@ -13,7 +13,7 @@ from pathlib import Path
 from . import compiler, gateway, ltl, metrics, pipeline, scenarios, trainer
 from .critic_tree import CriticTree
 from .engine import RuleSet
-from .knowledge import KnowledgeBase, validate_rule
+from .knowledge import KnowledgeBase, RuleValidationError, validate_rule
 
 
 def _emit(obj) -> None:
@@ -85,8 +85,11 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     kb = KnowledgeBase.load(args.kb)
     store = compiler.RuleStore.load(args.rules)
-    for rule in store:
-        validate_rule(rule, kb)
+    for i, rule in enumerate(store, 1):
+        try:
+            validate_rule(rule, kb)
+        except RuleValidationError as e:
+            raise RuleValidationError(f"{args.rules} rule {i} ({rule.name!r}): {e}") from None
     episodes = trainer.episodes_from_jsonl(args.episodes)
     trainer.validate_episodes(episodes, kb)
     cfg = trainer.TrainConfig(epochs=args.epochs, seed=args.seed)

@@ -210,7 +210,18 @@ class RuleStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "RuleStore":
-        return cls([ProductionRule.from_json(obj) for obj in load_json(path)])
+        """The rules file `path`; an error names the file and the rule,
+        counted from 1 (`<path> rule 2: ...` for the second)."""
+        objs = load_json(path)
+        if not isinstance(objs, list):
+            raise ValueError(f"{path}: not a JSON list of rules")
+        rules = []
+        for i, obj in enumerate(objs, 1):
+            try:
+                rules.append(ProductionRule.from_json(obj))
+            except ValueError as e:
+                raise ValueError(f"{path} rule {i}: {e}") from None
+        return cls(rules)
 
 
 def dedup_check(candidate: ProductionRule, store: RuleStore,

@@ -55,14 +55,20 @@ def match(state: WorldState, rules: list[ProductionRule]) -> list[ProductionRule
     return hits
 
 
-def selection_probabilities(utilities: list[float], sigma: float) -> list[float]:
-    """Softmax over a conflict set, empty or not, with log-sum-exp stabilization."""
+def _softmax_terms(utilities: list[float], sigma: float) -> tuple[list[float], float]:
+    """The softmax's unnormalised terms, with log-sum-exp stabilization, and
+    their sum. Dividing by a positive sigma keeps the order, so `m` is the
+    largest scaled utility."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    scaled = [u / sigma for u in utilities]
-    m = max(scaled, default=0.0)
-    exps = [math.exp(s - m) for s in scaled]
-    z = sum(exps)
+    m = max(utilities, default=0.0) / sigma
+    exps = [math.exp(u / sigma - m) for u in utilities]
+    return exps, sum(exps)
+
+
+def selection_probabilities(utilities: list[float], sigma: float) -> list[float]:
+    """Softmax over a conflict set, empty or not."""
+    exps, z = _softmax_terms(utilities, sigma)
     return [e / z for e in exps]
 
 
@@ -80,9 +86,18 @@ def pick(weights: list[float], rng: random.Random) -> int:
 
 def select(conflict: list[ProductionRule], sigma: float,
            rng: random.Random) -> ProductionRule:
+    """`conflict[pick(selection_probabilities(utilities, sigma), rng)]`, the
+    same floats and draw, without normalising the terms past the one drawn."""
     if not conflict:
         raise ValueError("conflict set must be nonempty")
-    return conflict[pick(selection_probabilities([r.utility for r in conflict], sigma), rng)]
+    exps, z = _softmax_terms([r.utility for r in conflict], sigma)
+    x = rng.random()
+    acc = 0.0
+    for rule, e in zip(conflict, exps):
+        acc += e / z
+        if x < acc:
+            return rule
+    return conflict[-1]
 
 
 def slot_candidates(matched: list[ProductionRule], slot: str) -> list[ProductionRule]:

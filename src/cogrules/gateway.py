@@ -209,7 +209,8 @@ class Session:
                 for n, line in enumerate(path.read_text().splitlines(), 1):
                     if line.strip():
                         rec = json.loads(line)
-                        if "request_hash" not in rec or "response" not in rec:
+                        if (not isinstance(rec, dict)
+                                or "request_hash" not in rec or "response" not in rec):
                             raise ValueError(
                                 f"{path} line {n}: needs 'request_hash' and 'response'")
                         queues.setdefault(rec["request_hash"], []).append(rec["response"])

@@ -66,15 +66,25 @@ class EpisodeSchemaError(ValueError):
 
 
 def validate_episodes(episodes: list[Episode], kb: KnowledgeBase) -> None:
+    """Checks every episode's step times and every step's reference actions;
+    the features of each distinct state are checked once."""
+    checked = set()
     for ep in episodes:
         times = [state.t for state, _ in ep.steps]
         if times != sorted(times):  # a reward may not precede the firing it credits
             raise EpisodeSchemaError("episode step times decrease")
         for state, ref in ep.steps:
-            for name, value in state.features:
-                dom = kb.features.get(name)
-                if dom is None or not dom.contains(value):
-                    raise EpisodeSchemaError(f"state {name}={value!r} is not in the knowledge base")
+            try:
+                new = state.features not in checked
+            except TypeError:  # an unhashable value, such as a list, is in no domain
+                new = True
+            if new:
+                for name, value in state.features:
+                    dom = kb.features.get(name)
+                    if dom is None or not dom.contains(value):
+                        raise EpisodeSchemaError(
+                            f"state {name}={value!r} is not in the knowledge base")
+                checked.add(state.features)
             for slot, vocab in ((ref.longitudinal, kb.longitudinal_actions),
                                 (ref.lateral, kb.lateral_actions)):
                 if slot is not None and slot not in vocab:

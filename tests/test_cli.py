@@ -290,6 +290,39 @@ class TestDataTrainEval:
         assert err.startswith("error:") and "'rule'" in err and "'preconditions'" in err, err
         assert not (tmp_path / "trained").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "train", "compile"])
+    def test_a_bad_rule_is_named_by_file_and_index(self, tmp_path, capsys, command):
+        gen_data(tmp_path, capsys)
+        rules = [a_rule(name="first"), a_rule(name="second", effects={"sideways": 1}),
+                 a_rule(name="third")]
+        code, out, err = run_on_rules(tmp_path, capsys, command, rules)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {tmp_path / 'rules.json'} rule 2: "), err
+        assert "'rule.effects'" in err and "'sideways'" in err
+        assert not (tmp_path / "trained").exists()
+
+    def test_train_names_the_rule_outside_the_kb(self, tmp_path, capsys):
+        gen_data(tmp_path, capsys)
+        rules = [a_rule(name="first"), a_rule(name="second", effects={"longitudinal": "fly"}),
+                 a_rule(name="third")]
+        code, out, err = run_on_rules(tmp_path, capsys, "train", rules)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {tmp_path / 'rules.json'} rule 2 ('second'): "), err
+        assert "'fly'" in err
+        assert not (tmp_path / "trained").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "train", "compile"])
+    @pytest.mark.parametrize("content", [5, {"name": "r"}, "rules"], ids=["number", "object", "string"])
+    def test_a_rules_file_that_is_not_a_list_exit_one(self, tmp_path, capsys, command, content):
+        gen_data(tmp_path, capsys)
+        code, out, err = run_on_rules(tmp_path, capsys, command, content)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {tmp_path / 'rules.json'}: not a JSON list of rules\n"
+        assert not (tmp_path / "trained").exists()
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "eval", "--rules",
                                str(tmp_path / "nope.json"), "--episodes",
@@ -368,6 +401,21 @@ class TestRunAll:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and f"{transcript} line 1" in err and "'response'" in err
+        assert not (tmp_path / "out_replay").exists()
+
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])
+    def test_replay_transcript_line_that_is_not_an_object_exit_one(self, tmp_path, capsys, line):
+        record = write_pipeline_config(tmp_path, record_path="transcript.jsonl")
+        assert run_cli(capsys, "run-all", "--config", str(record))[0] == 0
+        transcript = tmp_path / "transcript.jsonl"
+        _, *rest = transcript.read_text().splitlines()
+        transcript.write_text("\n".join([line, *rest]) + "\n")
+        replay = write_pipeline_config(tmp_path, backends="replay",
+                                       transcript_path="transcript.jsonl", out_dir="out_replay")
+        code, out, err = run_cli(capsys, "run-all", "--config", str(replay))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and f"{transcript} line 1" in err, err
         assert not (tmp_path / "out_replay").exists()
 
     @pytest.mark.parametrize("section,key,value", [

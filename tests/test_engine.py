@@ -108,6 +108,58 @@ class TestPick:
         assert picks == [0 if ref.random() < 0.5 else 1 for _ in range(3)]
 
 
+class TestSelectMatchesPick:
+    """`select` draws from the softmax terms without building the normalised
+    list; it must return `conflict[pick(selection_probabilities(...), rng)]`."""
+
+    UTILITY_LISTS = {
+        "equal": [2.5] * 7,
+        "spread-1e6": [1e6, 0.0, -3.0, 5e5, 1e6],
+        "negative": [-40.0, -0.5, -12.25, -7.0],
+        "single": [-3.0],
+        "seeded": [random.Random(9).uniform(-20, 20) for _ in range(50)],
+    }
+
+    @staticmethod
+    def conflict(utilities):
+        return [rule(f"r{i:03}", [("a", "=", True)], longitudinal="keep", utility=u)
+                for i, u in enumerate(utilities)]
+
+    def assert_same_draw(self, utilities, rng_a, rng_b):
+        conflict = self.conflict(utilities)
+        expected = conflict[pick(selection_probabilities(utilities, SQRT2), rng_b)]
+        assert select(conflict, SQRT2, rng_a) is expected
+
+    @pytest.mark.parametrize("name", UTILITY_LISTS)
+    def test_twin_rngs_draw_the_same_rules(self, name):
+        for seed in range(20):
+            a, b = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                self.assert_same_draw(self.UTILITY_LISTS[name], a, b)
+            assert a.random() == b.random()  # one draw each, so the streams agree
+
+    @pytest.mark.parametrize("name", UTILITY_LISTS)
+    def test_fixed_draws_at_zero_and_at_a_cumulative_sum(self, name):
+        utilities = self.UTILITY_LISTS[name]
+        first = selection_probabilities(utilities, SQRT2)[0]
+        for x in (0.0, first):
+            self.assert_same_draw(utilities, FixedDraw(x), FixedDraw(x))
+
+    def test_a_draw_past_the_cumulative_sum_falls_through_to_the_last_rule(self):
+        utilities = [0.0, 1.0, 2.0]
+        x = 1 - 2**-53
+        assert sum(selection_probabilities(utilities, SQRT2)) <= x  # rounding leaves x past the sum
+        self.assert_same_draw(utilities, FixedDraw(x), FixedDraw(x))
+        assert select(self.conflict(utilities), SQRT2, FixedDraw(x)).name == "r002"
+
+    @pytest.mark.parametrize("name", UTILITY_LISTS)
+    def test_probabilities_sum_to_one(self, name):
+        assert abs(sum(selection_probabilities(self.UTILITY_LISTS[name], SQRT2)) - 1.0) <= 1e-9
+
+    def test_no_utilities_no_probabilities(self):
+        assert selection_probabilities([], SQRT2) == []
+
+
 class TestDecide:
     def test_single_rule_both_effects_fires_once(self):
         r = rule("r1", [("a", "=", True)], longitudinal="brake",

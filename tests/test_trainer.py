@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -266,3 +267,40 @@ class TestEpisodeIo:
                               ActionPair("warp", None))])
         with pytest.raises(EpisodeSchemaError):
             validate_episodes([bad], kb)
+
+
+class TestValidateOncePerState:
+    """Each distinct state's features are checked once; every episode's times
+    and every step's reference actions are still checked."""
+
+    KB = scenario_kb("highway_cut_in")
+
+    @staticmethod
+    def episode(features_per_step, refs=None, times=None):
+        refs = refs or [ActionPair("brake", None)] * len(features_per_step)
+        times = times or range(len(features_per_step))
+        return Episode(steps=[(WorldState.make(f, t), ref)
+                              for f, ref, t in zip(features_per_step, refs, times)])
+
+    @pytest.mark.parametrize("bad", [{"martian": True}, {"front_gap_closing": "sometimes"},
+                                     {"front_gap_closing": [1]}],
+                             ids=["unknown-feature", "value-out-of-domain", "unhashable-value"])
+    def test_a_bad_state_first_seen_late_in_the_last_episode(self, bad):
+        good = {"front_gap_closing": True}
+        episodes = [self.episode([good] * 5), self.episode([good] * 4 + [bad])]
+        with pytest.raises(EpisodeSchemaError, match=re.escape(repr(next(iter(bad.values()))))):
+            validate_episodes(episodes, self.KB)
+
+    def test_a_bad_reference_action_on_a_state_already_checked(self):
+        good = {"front_gap_closing": True}
+        episodes = [self.episode([good] * 3),
+                    self.episode([good] * 3, refs=[ActionPair("brake", None)] * 2
+                                 + [ActionPair("warp", None)])]
+        with pytest.raises(EpisodeSchemaError, match="warp"):
+            validate_episodes(episodes, self.KB)
+
+    def test_decreasing_step_times_in_the_second_episode(self):
+        good = {"front_gap_closing": True}
+        episodes = [self.episode([good] * 3), self.episode([good] * 3, times=(0, 2, 1))]
+        with pytest.raises(EpisodeSchemaError, match="decrease"):
+            validate_episodes(episodes, self.KB)
