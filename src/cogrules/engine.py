@@ -72,13 +72,14 @@ def selection_probabilities(utilities: list[float], sigma: float) -> list[float]
     return [e / z for e in exps]
 
 
-def pick(weights: list[float], rng: random.Random) -> int:
-    """Index drawn with the given probabilities from one `rng.random()`;
-    the last index when rounding leaves the draw past the cumulative sum."""
+def pick(weights: list[float], rng: random.Random, total: float = 1.0) -> int:
+    """Index drawn with probabilities `weights[i] / total` from one
+    `rng.random()`; the last index when rounding leaves the draw past the
+    cumulative sum. Dividing by the default total of 1.0 is exact."""
     x = rng.random()
     acc = 0.0
     for i, w in enumerate(weights):
-        acc += w
+        acc += w / total
         if x < acc:
             return i
     return len(weights) - 1
@@ -91,13 +92,7 @@ def select(conflict: list[ProductionRule], sigma: float,
     if not conflict:
         raise ValueError("conflict set must be nonempty")
     exps, z = _softmax_terms([r.utility for r in conflict], sigma)
-    x = rng.random()
-    acc = 0.0
-    for rule, e in zip(conflict, exps):
-        acc += e / z
-        if x < acc:
-            return rule
-    return conflict[-1]
+    return conflict[pick(exps, rng, z)]
 
 
 def slot_candidates(matched: list[ProductionRule], slot: str) -> list[ProductionRule]:

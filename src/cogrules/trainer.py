@@ -67,15 +67,17 @@ class EpisodeSchemaError(ValueError):
 
 def validate_episodes(episodes: list[Episode], kb: KnowledgeBase) -> None:
     """Checks every episode's step times and every step's reference actions;
-    the features of each distinct state are checked once."""
+    the features of each distinct state are checked once. A state is keyed
+    with its values' types too: True == 1 == 1.0, but domains tell them apart."""
     checked = set()
     for ep in episodes:
         times = [state.t for state, _ in ep.steps]
         if times != sorted(times):  # a reward may not precede the firing it credits
             raise EpisodeSchemaError("episode step times decrease")
         for state, ref in ep.steps:
+            key = (state.features, tuple(type(v) for _, v in state.features))
             try:
-                new = state.features not in checked
+                new = key not in checked
             except TypeError:  # an unhashable value, such as a list, is in no domain
                 new = True
             if new:
@@ -84,7 +86,7 @@ def validate_episodes(episodes: list[Episode], kb: KnowledgeBase) -> None:
                     if dom is None or not dom.contains(value):
                         raise EpisodeSchemaError(
                             f"state {name}={value!r} is not in the knowledge base")
-                checked.add(state.features)
+                checked.add(key)
             for slot, vocab in ((ref.longitudinal, kb.longitudinal_actions),
                                 (ref.lateral, kb.lateral_actions)):
                 if slot is not None and slot not in vocab:

@@ -101,6 +101,10 @@ class TestPick:
     def test_draw_past_the_cumulative_sum_falls_back_to_last(self):
         assert pick([0.3, 0.3], FixedDraw(0.99)) == 1
 
+    def test_weights_over_a_total(self):
+        assert pick([1.0, 3.0], FixedDraw(0.249), 4.0) == 0
+        assert pick([1.0, 3.0], FixedDraw(0.25), 4.0) == 1
+
     def test_one_draw_per_pick(self):
         rng = random.Random(5)
         picks = [pick([0.5, 0.5], rng) for _ in range(3)]

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from cogrules.engine import ActionPair, RuleSet, TraceEntry, WorldState
-from cogrules.knowledge import ProductionRule
+from cogrules.knowledge import FeatureDomain, KnowledgeBase, ProductionRule
 from cogrules.scenarios import scenario_kb
 from cogrules.trainer import (Episode, EpisodeSchemaError,
                               TrainConfig, episodes_from_jsonl,
@@ -290,6 +290,30 @@ class TestValidateOncePerState:
         episodes = [self.episode([good] * 5), self.episode([good] * 4 + [bad])]
         with pytest.raises(EpisodeSchemaError, match=re.escape(repr(next(iter(bad.values()))))):
             validate_episodes(episodes, self.KB)
+
+    INT_KB = KnowledgeBase(features={"lane": FeatureDomain("int", low=0, high=3)},
+                           longitudinal_actions=("brake",), lateral_actions=("keep_lane",))
+
+    @pytest.mark.parametrize("kb, good, bad", [
+        (KB, {"front_gap_closing": True}, {"front_gap_closing": 1}),
+        (KB, {"front_gap_closing": False}, {"front_gap_closing": 0.0}),
+        (INT_KB, {"lane": 1}, {"lane": 1.0}),
+        (INT_KB, {"lane": 1}, {"lane": True}),
+    ], ids=["bool-then-int", "bool-then-float", "int-then-float", "int-then-bool"])
+    def test_a_bad_value_equal_to_a_checked_one(self, kb, good, bad):
+        # True == 1 == 1.0 and they hash alike, but a domain tells them apart
+        episodes = [self.episode([good] * 3), self.episode([good, bad])]
+        with pytest.raises(EpisodeSchemaError, match=re.escape(repr(next(iter(bad.values()))))):
+            validate_episodes(episodes, kb)
+
+    def test_a_bad_value_equal_to_a_checked_one_read_from_a_file(self, tmp_path):
+        path = tmp_path / "episodes.jsonl"
+        steps = [(0, "true"), (1, "true"), (2, "1")]
+        path.write_text("".join(
+            f'{{"t": {t}, "state": {{"front_gap_closing": {v}}}, '
+            f'"reference": {{"longitudinal": "brake", "lateral": null}}}}\n' for t, v in steps))
+        with pytest.raises(EpisodeSchemaError, match="front_gap_closing=1 "):
+            validate_episodes(episodes_from_jsonl(path), self.KB)
 
     def test_a_bad_reference_action_on_a_state_already_checked(self):
         good = {"front_gap_closing": True}
