@@ -13,7 +13,7 @@ from pathlib import Path
 from . import compiler, gateway, ltl, metrics, pipeline, scenarios, trainer
 from .critic_tree import CriticTree
 from .engine import RuleSet
-from .knowledge import KnowledgeBase, RuleValidationError, validate_rule
+from .knowledge import KnowledgeBase, read_rules, write_rules
 
 
 def _emit(obj) -> None:
@@ -49,7 +49,7 @@ def cmd_translate(args) -> int:
 
 def cmd_compile(args) -> int:
     cfg = pipeline.load_config(args.config)
-    store = compiler.RuleStore.load(args.rules) if args.rules else compiler.RuleStore()
+    store = compiler.RuleStore(read_rules(args.rules) if args.rules else [])
     outcome = compiler.compile_formula(
         ltl.parse(args.formula), cfg.kb, store, compiler.HashedTrigramEmbedding())
     out = {"outcome": outcome.tag}
@@ -63,7 +63,7 @@ def cmd_compile(args) -> int:
     _emit(out)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        store.save(Path(args.out) / "rules.json")
+        write_rules(store.rules, Path(args.out) / "rules.json")
     return 0
 
 
@@ -84,19 +84,14 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     kb = KnowledgeBase.load(args.kb)
-    store = compiler.RuleStore.load(args.rules)
-    for i, rule in enumerate(store, 1):
-        try:
-            validate_rule(rule, kb)
-        except RuleValidationError as e:
-            raise RuleValidationError(f"{args.rules} rule {i} ({rule.name!r}): {e}") from None
+    rules = read_rules(args.rules, kb)
     episodes = trainer.episodes_from_jsonl(args.episodes)
     trainer.validate_episodes(episodes, kb)
     cfg = trainer.TrainConfig(epochs=args.epochs, seed=args.seed)
-    trained, curve = trainer.train(list(store), episodes, cfg)
+    trained, curve = trainer.train(rules, episodes, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    compiler.RuleStore(trained.rules).save(out_dir / "rules_trained.json")
+    write_rules(trained.rules, out_dir / "rules_trained.json")
     trainer.curve_to_csv(curve, out_dir / "curve.csv")
     _emit({"epochs": len(curve),
            "final_agreement": curve[-1].agreement if curve else None,
@@ -105,9 +100,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    store = compiler.RuleStore.load(args.rules)
+    rules = RuleSet(read_rules(args.rules))
     episodes = trainer.episodes_from_jsonl(args.episodes)
-    rules = RuleSet(store)
     sigma = trainer.TrainConfig().sigma
     result = {"agreement": trainer.evaluate_agreement(rules, episodes, sigma)}
     if rules.rules:
@@ -191,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ltl.ParseError, gateway.GatewayError, ValueError, FileNotFoundError) as e:
+    except (gateway.GatewayError, ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

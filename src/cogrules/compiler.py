@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import sys
 from array import array
@@ -18,7 +17,7 @@ from types import MappingProxyType
 
 from . import ltl
 from .knowledge import (ActionPair, KnowledgeBase, Precondition, ProductionRule,
-                        RuleValidationError, load_json, validate_rule)
+                        RuleValidationError, validate_rule)
 
 DUPLICATION_THRESHOLD = 0.9
 EMBEDDING_DIMENSION = 256
@@ -201,27 +200,6 @@ class RuleStore:
 
     def __iter__(self):
         return iter(self.rules)
-
-    def to_json(self) -> list[dict]:
-        return [r.to_json() for r in self.rules]
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RuleStore":
-        """The rules file `path`; an error names the file and the rule,
-        counted from 1 (`<path> rule 2: ...` for the second)."""
-        objs = load_json(path)
-        if not isinstance(objs, list):
-            raise ValueError(f"{path}: not a JSON list of rules")
-        rules = []
-        for i, obj in enumerate(objs, 1):
-            try:
-                rules.append(ProductionRule.from_json(obj))
-            except ValueError as e:
-                raise ValueError(f"{path} rule {i}: {e}") from None
-        return cls(rules)
 
 
 def dedup_check(candidate: ProductionRule, store: RuleStore,

@@ -15,6 +15,8 @@ from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Callable
 
+from .knowledge import read_jsonl
+
 
 @dataclass(frozen=True)
 class ChatMessage:
@@ -205,17 +207,10 @@ class Session:
     def _queues(self, path: Path) -> dict[str, list[str]]:
         if path not in self._transcripts:
             queues: dict[str, list[str]] = {}
-            try:
-                for n, line in enumerate(path.read_text().splitlines(), 1):
-                    if line.strip():
-                        rec = json.loads(line)
-                        if (not isinstance(rec, dict)
-                                or "request_hash" not in rec or "response" not in rec):
-                            raise ValueError(
-                                f"{path} line {n}: needs 'request_hash' and 'response'")
-                        queues.setdefault(rec["request_hash"], []).append(rec["response"])
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path} line {n}: {e.msg} at column {e.colno}") from None
+            for n, rec in read_jsonl(path):
+                if not isinstance(rec, dict) or "request_hash" not in rec or "response" not in rec:
+                    raise ValueError(f"{path} line {n}: needs 'request_hash' and 'response'")
+                queues.setdefault(rec["request_hash"], []).append(rec["response"])
             self._transcripts[path] = queues
         return self._transcripts[path]
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -17,6 +18,7 @@ LATERAL = "lateral"
 SLOTS = (LONGITUDINAL, LATERAL)
 
 Value = bool | int | str
+VALUE_TYPES = frozenset((bool, int, str))  # the exact type of a Value read from JSON
 
 
 def load_json(path: str | Path):
@@ -27,6 +29,18 @@ def load_json(path: str | Path):
         raise ValueError(f"{path}: {e}") from None
 
 
+def read_jsonl(path: str | Path):
+    """(line number, JSON value) for each nonblank line of file `path`, counted
+    from 1; a syntax error is a ValueError naming the file and the line."""
+    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if line.strip():
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path} line {n}: {e.msg} at column {e.colno}") from None
+            yield n, value
+
+
 @functools.cache
 def _keys(cls) -> tuple[set, list, set]:  # settable, required and nullable field names
     settable = [f for f in fields(cls) if f.init]
@@ -34,7 +48,7 @@ def _keys(cls) -> tuple[set, list, set]:  # settable, required and nullable fiel
     return {f.name for f in settable}, required, {f.name for f in settable if f.default is None}
 
 
-def read_section(cls, name: str, obj, **parse):
+def read_section(cls, name: str, obj, /, **parse):
     """`cls` from the JSON object `obj`, whose keys are `cls`'s fields. A non-object,
     a key `cls` does not take, a missing required key, or a null where the default
     is not None, is a ValueError naming section `name` and the key. `parse[key]`
@@ -80,13 +94,6 @@ class FeatureDomain:
         if self.kind == "int" and self.low > self.high:
             raise ValueError("empty int domain")
 
-    def contains(self, v: Value) -> bool:
-        if self.kind == "bool":
-            return isinstance(v, bool)
-        if self.kind == "enum":
-            return v in self.values
-        return isinstance(v, int) and not isinstance(v, bool) and self.low <= v <= self.high
-
 
 @dataclass(frozen=True)
 class Grounding:
@@ -114,11 +121,20 @@ class KnowledgeBase:
         if PASS in self.longitudinal_actions or PASS in self.lateral_actions:
             raise ValueError(f"action name {PASS!r} is reserved for an empty effect slot")
         for atom, g in self.groundings.items():
-            dom = self.features.get(g.feature)
-            if dom is None:
-                raise ValueError(f"grounding {atom!r} targets unknown feature {g.feature!r}")
-            if not dom.contains(g.value):
-                raise ValueError(f"grounding {atom!r} value {g.value!r} out of domain")
+            if not self.admits(g.feature, g.value):
+                raise ValueError(
+                    f"grounding {atom!r}: {g.feature}={g.value!r} is not in the knowledge base")
+
+    def admits(self, feature: str, value) -> bool:
+        """Whether `feature` is known and `value` is in its domain."""
+        dom = self.features.get(feature)
+        if dom is None:
+            return False
+        if dom.kind == "bool":
+            return isinstance(value, bool)
+        if dom.kind == "enum":
+            return value in dom.values
+        return type(value) is int and dom.low <= value <= dom.high  # a bool is not an int here
 
     @property
     def atom_vocabulary(self) -> tuple[str, ...]:
@@ -184,15 +200,32 @@ class ProductionRule:
     @classmethod
     def from_json(cls, obj: dict) -> "ProductionRule":
         def preconditions(ps):
-            if not isinstance(ps, list) or not all(isinstance(p, list) and len(p) == 3 for p in ps):
+            if not isinstance(ps, list) or not all(
+                    isinstance(p, list) and len(p) == 3 and isinstance(p[0], str)
+                    and type(p[2]) in VALUE_TYPES for p in ps):
                 raise ValueError("section 'rule': key 'preconditions' is not a list of "
                                  "[feature, comparator, value] triples")
+            for _, cmp, _ in ps:
+                if cmp not in ("=", "!="):
+                    raise ValueError(f"section 'rule': comparator {cmp!r} is not '=' or '!='")
             return tuple(tuple(p) for p in ps)
 
+        def utility(u):  # json reads NaN and Infinity, which no softmax can take
+            if isinstance(u, bool) or not isinstance(u, (int, float)) or not math.isfinite(u):
+                raise ValueError(f"section 'rule': utility {u!r} is not a finite number")
+            return u
+
+        def string(what):
+            def parse(v):
+                if not isinstance(v, str):
+                    raise ValueError(f"section 'rule': {what} {v!r} is not a string")
+                return v
+            return parse
+
         def action(a):  # "pass", like a missing key or null, is an empty slot
-            return None if a == PASS else a
+            return None if string("effect action")(a) == PASS else a
         return read_section(
-            cls, "rule", obj, preconditions=preconditions,
+            cls, "rule", obj, name=string("name"), preconditions=preconditions, utility=utility,
             effects=lambda e: read_section(ActionPair, "rule.effects", e,
                                            longitudinal=action, lateral=action))
 
@@ -208,17 +241,11 @@ def validate_rule(rule: ProductionRule, kb: KnowledgeBase) -> None:
     asserted: dict[str, Value] = {}
     denied: dict[str, set] = {}
     for feature, cmp, value in rule.preconditions:
-        dom = kb.features.get(feature)
-        if dom is None:
-            raise RuleValidationError(f"unknown feature {feature!r}")
-        if cmp not in ("=", "!="):
-            raise RuleValidationError(f"bad comparator {cmp!r}")
-        if not dom.contains(value):
-            raise RuleValidationError(f"value {value!r} out of domain for {feature!r}")
+        if not kb.admits(feature, value):
+            raise RuleValidationError(
+                f"value {value!r} of {feature!r} is not in the knowledge base")
         if cmp == "=":
-            if feature in asserted and asserted[feature] != value:
-                raise RuleValidationError(f"contradictory assertions on {feature!r}")
-            if value in denied.get(feature, set()):
+            if asserted.get(feature, value) != value or value in denied.get(feature, ()):
                 raise RuleValidationError(f"contradictory assertions on {feature!r}")
             asserted[feature] = value
         else:
@@ -232,3 +259,29 @@ def validate_rule(rule: ProductionRule, kb: KnowledgeBase) -> None:
         raise RuleValidationError(f"unknown longitudinal action {effects.longitudinal!r}")
     if effects.lateral is not None and effects.lateral not in kb.lateral_actions:
         raise RuleValidationError(f"unknown lateral action {effects.lateral!r}")
+
+
+def read_rules(path: str | Path, kb: KnowledgeBase | None = None) -> list[ProductionRule]:
+    """The rules file `path`, a JSON list; an error names the file and the rule,
+    counted from 1 (`<path> rule 2: ...`). With a `kb`, each rule must also pass
+    `validate_rule`, and its error adds the rule's name (`rule 2 ('name'): ...`)."""
+    objs = load_json(path)
+    if not isinstance(objs, list):
+        raise ValueError(f"{path}: not a JSON list of rules")
+    rules = []
+    for i, obj in enumerate(objs, 1):
+        try:
+            rule = ProductionRule.from_json(obj)
+            if kb is not None:
+                validate_rule(rule, kb)
+        except RuleValidationError as e:
+            raise RuleValidationError(f"{path} rule {i} ({rule.name!r}): {e}") from None
+        except ValueError as e:
+            raise ValueError(f"{path} rule {i}: {e}") from None
+        rules.append(rule)
+    return rules
+
+
+def write_rules(rules: list[ProductionRule], path: str | Path) -> None:
+    """The rules file that `read_rules` reads back to the same rules."""
+    Path(path).write_text(json.dumps([r.to_json() for r in rules], indent=2, sort_keys=True))

@@ -15,7 +15,7 @@ from . import compiler, ltl, metrics, scenarios, trainer
 from .critic_tree import CriticTree, CriticTreeConfig
 from .engine import RuleSet
 from .gateway import BackendSpec, ChatMessage, CriticEnsembleSpec, GatewayError, Session
-from .knowledge import KnowledgeBase, load_json, read_section
+from .knowledge import KnowledgeBase, load_json, read_section, write_rules
 from .trainer import TrainConfig
 
 LITERAL = "literal"
@@ -214,7 +214,7 @@ def run_experiment(cfg: PipelineConfig) -> dict:
 
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    compiler.RuleStore(trained.rules).save(out / "rules.json")
+    write_rules(trained.rules, out / "rules.json")
     compiler.write_outcome_csv(report, out / "outcomes.csv")
     trainer.curve_to_csv(curve, out / "curve.csv")
     (out / "js_curve.csv").write_text(

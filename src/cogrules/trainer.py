@@ -14,7 +14,8 @@ from pathlib import Path
 from typing import Callable
 
 from .engine import RuleSet, TraceEntry, WorldState, decide, slot_marginals
-from .knowledge import SLOTS, ActionPair, KnowledgeBase, ProductionRule, Value, read_section
+from .knowledge import (SLOTS, VALUE_TYPES, ActionPair, KnowledgeBase, ProductionRule, Value,
+                        read_jsonl, read_section)
 
 
 @dataclass
@@ -68,13 +69,20 @@ class EpisodeSchemaError(ValueError):
 def validate_episodes(episodes: list[Episode], kb: KnowledgeBase) -> None:
     """Checks every episode's step times and every step's reference actions;
     the features of each distinct state are checked once. A state is keyed
-    with its values' types too: True == 1 == 1.0, but domains tell them apart."""
+    with its values' types too: True == 1 == 1.0, but domains tell them apart.
+    An error names the episode, by index and subject, and the step, by index
+    and time; both indexes count from 0, as `episodes_to_jsonl` writes them."""
+    def refusal(i: int, s: int, problem: str) -> EpisodeSchemaError:
+        ep = episodes[i]
+        return EpisodeSchemaError(f"episode {i} (subject {ep.subject_id!r}) step {s} "
+                                  f"(t={ep.steps[s][0].t}): {problem}")
     checked = set()
-    for ep in episodes:
+    for i, ep in enumerate(episodes):
         times = [state.t for state, _ in ep.steps]
         if times != sorted(times):  # a reward may not precede the firing it credits
-            raise EpisodeSchemaError("episode step times decrease")
-        for state, ref in ep.steps:
+            s = next(s for s in range(1, len(times)) if times[s] < times[s - 1])
+            raise refusal(i, s, "step time decreases")
+        for s, (state, ref) in enumerate(ep.steps):
             key = (state.features, tuple(type(v) for _, v in state.features))
             try:
                 new = key not in checked
@@ -82,15 +90,13 @@ def validate_episodes(episodes: list[Episode], kb: KnowledgeBase) -> None:
                 new = True
             if new:
                 for name, value in state.features:
-                    dom = kb.features.get(name)
-                    if dom is None or not dom.contains(value):
-                        raise EpisodeSchemaError(
-                            f"state {name}={value!r} is not in the knowledge base")
+                    if not kb.admits(name, value):
+                        raise refusal(i, s, f"state {name}={value!r} is not in the knowledge base")
                 checked.add(key)
             for slot, vocab in ((ref.longitudinal, kb.longitudinal_actions),
                                 (ref.lateral, kb.lateral_actions)):
                 if slot is not None and slot not in vocab:
-                    raise EpisodeSchemaError(f"reference action {slot!r} not in vocabulary")
+                    raise refusal(i, s, f"reference action {slot!r} not in vocabulary")
 
 
 def episodes_to_jsonl(episodes: list[Episode], path: str | Path) -> None:
@@ -102,16 +108,21 @@ def episodes_to_jsonl(episodes: list[Episode], path: str | Path) -> None:
 
 
 def episodes_from_jsonl(path: str | Path) -> list[Episode]:
+    """The episodes file `path`; an error names the file and the line. A step's
+    `t` and `episode` are integers, and its `state` maps features to bool,
+    int or str values."""
     groups: dict[int, list[StepRecord]] = {}
-    try:
-        for n, line in enumerate(Path(path).read_text().splitlines(), 1):
-            if line.strip():
-                where = f"{path} line {n}"
-                rec = read_section(StepRecord, where, json.loads(line), reference=lambda r:
-                                   read_section(ActionPair, f"{where} reference", r))
-                groups.setdefault(rec.episode, []).append(rec)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path} line {n}: {e.msg} at column {e.colno}") from None
+    for n, obj in read_jsonl(path):
+        where = f"{path} line {n}"
+        rec = read_section(StepRecord, where, obj, reference=lambda r:
+                           read_section(ActionPair, f"{where} reference", r))
+        if not (isinstance(rec.state, dict) and set(map(type, rec.state.values())) <= VALUE_TYPES):
+            raise ValueError(f"section {where!r}: key 'state' is not an object of bool, "
+                             "int or str values")
+        for key in ("t", "episode"):
+            if type(getattr(rec, key)) is not int:
+                raise ValueError(f"section {where!r}: key {key!r} is not an integer")
+        groups.setdefault(rec.episode, []).append(rec)
     return [Episode([(WorldState.make(r.state, r.t), r.reference) for r in recs],
                     recs[0].scenario, recs[0].subject) for _, recs in sorted(groups.items())]
 

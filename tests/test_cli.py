@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -302,6 +303,73 @@ class TestDataTrainEval:
         assert "'rule.effects'" in err and "'sideways'" in err
         assert not (tmp_path / "trained").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "train", "compile"])
+    @pytest.mark.parametrize("changes,named", [
+        ({"utility": "x"}, "utility 'x' is not a finite number"),
+        ({"utility": True}, "utility True is not a finite number"),
+        ({"utility": [1.0]}, "utility [1.0] is not a finite number"),
+        ({"utility": math.nan}, "utility nan is not a finite number"),
+        ({"utility": -math.inf}, "utility -inf is not a finite number"),
+        ({"name": 5}, "name 5 is not a string"),
+        ({"effects": {"longitudinal": 5}}, "effect action 5 is not a string"),
+        ({"effects": {"longitudinal": "brake", "lateral": ["keep_lane"]}},
+         "effect action ['keep_lane'] is not a string"),
+        ({"preconditions": [["front_gap_closing", "<", True]]}, "comparator '<' is not"),
+        ({"preconditions": [["front_gap_closing", "approximately", True]]},
+         "comparator 'approximately' is not"),
+        ({"preconditions": [["front_gap_closing", "=", [1]]]}, "'preconditions' is not a list"),
+        ({"preconditions": [["front_gap_closing", "=", 0.5]]}, "'preconditions' is not a list"),
+        ({"preconditions": [[5, "=", True]]}, "'preconditions' is not a list")],
+        ids=["utility-string", "utility-bool", "utility-list", "utility-nan",
+             "utility-minus-infinity", "name-number", "action-number", "action-list",
+             "comparator-less-than", "comparator-word", "value-list", "value-float",
+             "feature-number"])
+    def test_a_rule_value_of_the_wrong_type_exit_one(self, tmp_path, capsys, command,
+                                                     changes, named):
+        gen_data(tmp_path, capsys)
+        code, out, err = run_on_rules(tmp_path, capsys, command, [a_rule(**changes)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {tmp_path / 'rules.json'} rule 1: section 'rule'"), err
+        assert named in err and err.count("\n") == 1, err
+        assert not (tmp_path / "trained").exists()
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("state", 5, "'state'"), ("state", {"front_gap_closing": [1]}, "'state'"),
+        ("state", {"front_gap_closing": 0.5}, "'state'"), ("state", [], "'state'"),
+        ("t", "x", "'t'"), ("t", 1.5, "'t'"), ("t", True, "'t'"), ("episode", "a", "'episode'")],
+        ids=["state-number", "state-list-value", "state-float-value", "state-list",
+             "t-string", "t-float", "t-bool", "episode-string"])
+    def test_eval_refuses_an_episode_step_of_the_wrong_shape(self, tmp_path, capsys,
+                                                             key, value, named):
+        gen_data(tmp_path, capsys)
+        episodes = tmp_path / "data" / "episodes.jsonl"
+        lines = episodes.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec[key] = value
+        lines[2] = json.dumps(rec)
+        episodes.write_text("\n".join(lines) + "\n")
+        code, out, err = run_on_rules(tmp_path, capsys, "eval", [a_rule()])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: section {str(episodes) + ' line 3'!r}: key {named}"), err
+        assert err.count("\n") == 1, err
+
+    def test_train_names_the_episode_and_step_of_a_state_outside_the_kb(self, tmp_path, capsys):
+        run_cli(capsys, "gen-data", "--archetype", "highway_cut_in", "--episodes", "5",
+                "--seed", "5", "--out", str(tmp_path / "data"))
+        episodes = tmp_path / "data" / "episodes.jsonl"
+        records = [json.loads(line) for line in episodes.read_text().splitlines()]
+        bad = next(r for r in records if r["episode"] == 3 and r["t"] == 8)
+        bad["state"]["front_gap_closing"] = "maybe"
+        episodes.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, out, err = run_on_rules(tmp_path, capsys, "train", [a_rule()])
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: episode 3 (subject {bad['subject']!r}) step 8 (t=8): "
+                       "state front_gap_closing='maybe' is not in the knowledge base\n")
+        assert not (tmp_path / "trained").exists()
+
     def test_train_names_the_rule_outside_the_kb(self, tmp_path, capsys):
         gen_data(tmp_path, capsys)
         rules = [a_rule(name="first"), a_rule(name="second", effects={"longitudinal": "fly"}),
@@ -504,6 +572,16 @@ class TestRunAll:
         obj[last] = value(obj[last]) if callable(value) else value
         err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
         assert all(name.format(dir=tmp_path) in err for name in names), err
+
+    @pytest.mark.parametrize("value,named", [
+        (5, "'state'"), ({"front_gap_closing": [1]}, "'state'"), ("x", "'state'")],
+        ids=["state-number", "state-list-value", "state-string"])
+    def test_run_all_refuses_an_episode_state_of_the_wrong_shape(self, tmp_path, capsys,
+                                                                 model_calls, value, named):
+        inputs = run_all_inputs(tmp_path)
+        inputs["episodes.jsonl"][2]["state"] = value
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert f"{tmp_path / 'episodes.jsonl'} line 3'" in err and named in err, err
 
     @pytest.mark.parametrize("name,line", [
         ("config.json", None), ("kb.json", None), ("corpus.json", None), ("rules.json", None),

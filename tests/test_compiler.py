@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,9 @@ from cogrules.compiler import (EMBEDDING_DIMENSION, DuplicatedContent,
                                FormatMismatch, HashedTrigramEmbedding, InferenceError,
                                RuleStore, Viable, compile_formula, dedup_check,
                                ground, name_rule, outcome_report)
-from cogrules.knowledge import (ActionPair, Grounding, ProductionRule,
-                                RuleValidationError, validate_rule)
+from cogrules.knowledge import (ActionPair, FeatureDomain, Grounding, KnowledgeBase,
+                                ProductionRule, RuleValidationError, read_rules, validate_rule,
+                                write_rules)
 from cogrules.pipeline import formalize_corpus, load_config
 from cogrules.scenarios import scenario_kb
 from conftest import highway_corpus, write_pipeline_config
@@ -304,6 +306,45 @@ class TestValidate:
         with pytest.raises(RuleValidationError):
             validate_rule(rule, kb)
 
+    @pytest.mark.parametrize("preconditions,effects,detail", [
+        ([], {"longitudinal": "brake"}, "no preconditions"),
+        ([("speed_band", "!=", "low"), ("speed_band", "=", "low")], {"longitudinal": "brake"},
+         "contradictory assertions on 'speed_band'"),
+        ([("front_gap_closing", "=", True)], {"lateral": "hover"},
+         "unknown lateral action 'hover'"),
+        ([("speed_band", "=", "warp")], {"longitudinal": "brake"},
+         "value 'warp' of 'speed_band' is not in the knowledge base")],
+        ids=["no-preconditions", "equal-to-a-denied-value", "unknown-lateral-action",
+             "value-out-of-domain"])
+    def test_refusal(self, kb, preconditions, effects, detail):
+        with pytest.raises(RuleValidationError, match=re.escape(detail)):
+            validate_rule(make_rule(preconditions, effects), kb)
+
+
+class TestKnowledgeBaseRefusals:
+    @pytest.mark.parametrize("changes,detail", [
+        ({"longitudinal_actions": ()}, "must be nonempty"),
+        ({"lateral_actions": ()}, "must be nonempty"),
+        ({"lateral_actions": ("keep_lane", "brake")}, "must be disjoint"),
+        ({"groundings": {"flying": Grounding("altitude", "=", 1)}},
+         "grounding 'flying': altitude=1 is not in the knowledge base"),
+        ({"groundings": {"crawl": Grounding("speed_band", "=", "crawl")}},
+         "grounding 'crawl': speed_band='crawl' is not in the knowledge base")],
+        ids=["no-longitudinal-actions", "no-lateral-actions", "overlapping-vocabularies",
+             "grounding-on-an-unknown-feature", "grounding-value-out-of-domain"])
+    def test_knowledge_base(self, kb, changes, detail):
+        with pytest.raises(ValueError, match=re.escape(detail)):
+            KnowledgeBase(**{**vars(kb), **changes})
+
+    @pytest.mark.parametrize("kwargs,detail", [
+        ({"kind": "float"}, "bad feature kind 'float'"),
+        ({"kind": "enum"}, "enum domain needs values"),
+        ({"kind": "int", "low": 3, "high": 2}, "empty int domain")],
+        ids=["bad-kind", "enum-without-values", "empty-int-range"])
+    def test_feature_domain(self, kwargs, detail):
+        with pytest.raises(ValueError, match=re.escape(detail)):
+            FeatureDomain(**kwargs)
+
 
 class TestCompile:
     def test_finally_is_inference_error(self, kb):
@@ -323,6 +364,18 @@ class TestCompile:
         f = ltl.parse("G (cut_in_ahead -> decelerate)")
         assert isinstance(compile_formula(f, kb, store, provider), Viable)
         assert isinstance(compile_formula(f, kb, store, provider), DuplicatedContent)
+
+    @pytest.mark.parametrize("formula,detail", [
+        ("G (cut_in_ahead -> !decelerate)",
+         "negated action atom 'decelerate' has no effect semantics"),
+        ("G (cut_in_ahead -> (decelerate & accelerate))",
+         "multiple longitudinal actions in consequent"),
+        ("G (cut_in_ahead -> (change_left & keep_lane))",
+         "multiple lateral actions in consequent")],
+        ids=["negated-action", "two-longitudinal-actions", "two-lateral-actions"])
+    def test_an_ungroundable_consequent_is_inference_error(self, kb, formula, detail):
+        outcome = compile_formula(ltl.parse(formula), kb, RuleStore(), HashedTrigramEmbedding())
+        assert outcome == InferenceError(detail)
 
     def test_unknown_atom_is_inference_error(self, kb):
         outcome = compile_formula(ltl.parse("G (martian -> brake)"), kb,
@@ -383,8 +436,8 @@ class TestStoreSerialization:
         compile_formula(ltl.parse("G (cut_in_ahead -> decelerate)"), kb, store,
                         HashedTrigramEmbedding())
         path = tmp_path / "rules.json"
-        store.save(path)
-        loaded = RuleStore.load(path)
+        write_rules(store.rules, path)
+        loaded = read_rules(path)
         assert [r.to_json() for r in loaded] == [r.to_json() for r in store]
 
     def test_an_empty_slot_is_pass_on_disk_and_none_in_memory(self, tmp_path, kb):
@@ -394,16 +447,16 @@ class TestStoreSerialization:
             outcome = compile_formula(ltl.parse(text), kb, store, HashedTrigramEmbedding())
             assert outcome.tag == "Viable"
         path = tmp_path / "rules.json"
-        store.save(path)
+        write_rules(store.rules, path)
         assert [r["effects"] for r in json.loads(path.read_text())] == [
             {"longitudinal": "decelerate", "lateral": "pass"},
             {"longitudinal": "pass", "lateral": "keep_lane"},
             {"longitudinal": "accelerate", "lateral": "change_left"}]
-        loaded = RuleStore.load(path)
+        loaded = read_rules(path)
         assert [r.effects for r in loaded] == [ActionPair("decelerate", None),
                                                ActionPair(None, "keep_lane"),
                                                ActionPair("accelerate", "change_left")]
-        loaded.save(tmp_path / "again.json")
+        write_rules(loaded, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("lateral", [{"lateral": "pass"}, {"lateral": None}, {}],

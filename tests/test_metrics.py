@@ -9,10 +9,9 @@ from pathlib import Path
 import pytest
 
 import cogrules
-from cogrules.compiler import RuleStore
 from cogrules.engine import (SLOTS, ActionPair, RuleSet, TraceEntry, WorldState,
                              decision_distribution, slot_marginals)
-from cogrules.knowledge import ProductionRule
+from cogrules.knowledge import ProductionRule, read_rules
 from cogrules.metrics import (decision_distributions, js_divergence, ltl_bleu,
                               ltl_match_accuracy, ltl_tokens, mean_js,
                               reference_distributions, rsr, sampled_distribution)
@@ -236,7 +235,7 @@ class TestClosedFormAgainstSampling:
     def test_trained_fixture_rules(self, tmp_path):
         cfg = load_config(write_pipeline_config(tmp_path))
         run_experiment(cfg)
-        rules = list(RuleStore.load(cfg.out_dir / "rules.json"))
+        rules = read_rules(cfg.out_dir / "rules.json")
         episodes = episodes_from_jsonl(cfg.out_dir / "episodes.jsonl")
         for seed, (state, _) in enumerate(reference_distributions(episodes, cfg.eval.top_k)):
             self.check(state, rules, seed)
@@ -293,7 +292,7 @@ class TestExactAgreementAgainstSampling:
     def test_trained_fixture_rules(self, tmp_path):
         cfg = load_config(write_pipeline_config(tmp_path))
         manifest = run_experiment(cfg)
-        rules = list(RuleStore.load(cfg.out_dir / "rules.json"))
+        rules = read_rules(cfg.out_dir / "rules.json")
         episodes = episodes_from_jsonl(cfg.out_dir / "episodes.jsonl")
         assert evaluate_agreement(RuleSet(rules), episodes, SQRT2) == manifest["agreement"]
         self.check(rules, episodes, 0, draws=20_000)
