@@ -86,7 +86,7 @@ def cmd_train(args) -> int:
     kb = KnowledgeBase.load(args.kb)
     rules = read_rules(args.rules, kb)
     episodes = trainer.episodes_from_jsonl(args.episodes)
-    trainer.validate_episodes(episodes, kb)
+    trainer.validate_episodes(episodes, kb, args.episodes)
     cfg = trainer.TrainConfig(epochs=args.epochs, seed=args.seed)
     trained, curve = trainer.train(rules, episodes, cfg)
     out_dir = Path(args.out)

@@ -185,7 +185,12 @@ class ProductionRule:
     provenance: dict = field(default_factory=dict)
 
     def body_key(self) -> tuple:
-        return tuple(sorted(self.preconditions)), self.effects
+        """Equal for rules with the same preconditions, in any order, and
+        effects. Each value carries its type's name, which also orders values
+        of two types under one feature and comparator: True == 1, but a
+        domain tells them apart."""
+        return tuple(sorted((f, c, type(v).__name__, v)
+                            for f, c, v in self.preconditions)), self.effects
 
     def to_json(self) -> dict:
         return {

@@ -393,19 +393,15 @@ def _literals(f: Ltl) -> list[Literal] | None:
 
 
 def _first_temporal(f: Ltl) -> str | None:
-    match f:
-        case Finally(_):
-            return "Finally"
-        case Until(_, _):
-            return "Until"
-        case Next(_):
-            return "Next"
-        case Globally(g):
-            return "Globally" if (inner := _first_temporal(g)) is None else inner
-        case Not(g):
-            return _first_temporal(g)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return _first_temporal(l) or _first_temporal(r)
+    cls = type(f)
+    if cls is Finally or cls is Until or cls is Next:
+        return cls.__name__
+    if cls is Globally:
+        return "Globally" if (inner := _first_temporal(f.operand)) is None else inner
+    if cls is Not:
+        return _first_temporal(f.operand)
+    if cls is And or cls is Or or cls is Implies:
+        return _first_temporal(f.left) or _first_temporal(f.right)
     return None
 
 

@@ -34,7 +34,7 @@ def ltl_match_accuracy(predictions: list[str], references: list[str]) -> float:
 
 
 def ltl_tokens(text: str) -> list[str]:
-    return [lexeme for _, lexeme, _ in ltl.tokenize(text)]
+    return [lexeme for _, lexeme, _ in ltl.tokenize(text, with_offsets=False)]
 
 
 def ltl_bleu(prediction: list[str], reference: list[str], max_n: int = 4) -> float:
@@ -43,11 +43,18 @@ def ltl_bleu(prediction: list[str], reference: list[str], max_n: int = 4) -> flo
         return 0.0
     log_precision_sum = 0.0
     for n in range(1, max_n + 1):
-        pred_ngrams = Counter(tuple(prediction[i:i + n])
-                              for i in range(len(prediction) - n + 1))
-        ref_ngrams = Counter(tuple(reference[i:i + n])
-                             for i in range(len(reference) - n + 1))
-        overlap = sum(min(c, ref_ngrams[g]) for g, c in pred_ngrams.items())
+        # Counter tallies in C: unigrams are the tokens themselves, longer
+        # n-grams tuples zipped from n shifted copies
+        if n == 1:
+            pred_ngrams, ref_ngrams = Counter(prediction), Counter(reference)
+        else:
+            pred_ngrams = Counter(zip(*[prediction[i:] for i in range(n)]))
+            ref_ngrams = Counter(zip(*[reference[i:] for i in range(n)]))
+        ref_count = ref_ngrams.get  # Counter[g] runs __missing__ in Python
+        overlap = 0
+        for g, c in pred_ngrams.items():
+            r = ref_count(g, 0)
+            overlap += c if c < r else r
         total = max(0, len(prediction) - n + 1)
         if n == 1:
             if overlap == 0:

@@ -192,7 +192,7 @@ def run_experiment(cfg: PipelineConfig) -> dict:
         episodes = scenarios.generate(cfg.scenario, policy, cfg.n_episodes)
     else:
         raise ValueError("config provides neither episodes nor a scenario")
-    trainer.validate_episodes(episodes, cfg.kb)
+    trainer.validate_episodes(episodes, cfg.kb, cfg.episodes)  # None when generated
     store, results = formalize_corpus(texts, cfg)  # checks every record first
     report = compiler.outcome_report([r.outcome for r in results])
 

@@ -66,15 +66,19 @@ class EpisodeSchemaError(ValueError):
     pass
 
 
-def validate_episodes(episodes: list[Episode], kb: KnowledgeBase) -> None:
+def validate_episodes(episodes: list[Episode], kb: KnowledgeBase,
+                      path: str | Path | None = None) -> None:
     """Checks every episode's step times and every step's reference actions;
     the features of each distinct state are checked once. A state is keyed
     with its values' types too: True == 1 == 1.0, but domains tell them apart.
-    An error names the episode, by index and subject, and the step, by index
-    and time; both indexes count from 0, as `episodes_to_jsonl` writes them."""
+    An error names the episodes file `path`, when they were read from one,
+    then the episode, by index and subject, and the step, by index and time;
+    both indexes count from 0, as `episodes_to_jsonl` writes them."""
+    source = "" if path is None else f"{path} "
+
     def refusal(i: int, s: int, problem: str) -> EpisodeSchemaError:
         ep = episodes[i]
-        return EpisodeSchemaError(f"episode {i} (subject {ep.subject_id!r}) step {s} "
+        return EpisodeSchemaError(f"{source}episode {i} (subject {ep.subject_id!r}) step {s} "
                                   f"(t={ep.steps[s][0].t}): {problem}")
     checked = set()
     for i, ep in enumerate(episodes):

@@ -31,7 +31,12 @@ def bleu_oracle(prediction, reference, max_n=4):
             precisions.append(Fraction(clipped, total))
         else:
             precisions.append(Fraction(clipped + 1, total + 1))
-    geo = math.exp(sum(math.log(float(p)) for p in precisions) / max_n)
+    # the logs are summed left to right, n = 1 first, so that the float
+    # result can be compared bit for bit
+    log_sum = 0.0
+    for p in precisions:
+        log_sum += math.log(float(p))
+    geo = math.exp(log_sum / max_n)
     bp = 1.0
     if len(prediction) < len(reference):
         bp = math.exp(1 - len(reference) / len(prediction))

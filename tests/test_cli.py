@@ -171,6 +171,14 @@ class TestTranslateCompile:
         assert payload["outcome"] == "DuplicatedContent"
         assert payload["similarity"] == 1.0
 
+    def test_compile_against_a_rule_with_values_of_two_types_under_one_comparator(
+            self, tmp_path, capsys):
+        rule = a_rule(preconditions=[["front_gap_closing", "=", True],
+                                     ["front_gap_closing", "=", "x"]])
+        code, out, err = run_on_rules(tmp_path, capsys, "compile", [rule])
+        assert code == 0, err
+        assert json.loads(out)["outcome"] == "Viable"
+
     def test_compile_inference_error(self, tmp_path, capsys):
         cfg = write_pipeline_config(tmp_path)
         code, out, _ = run_cli(capsys, "compile", "--config", str(cfg),
@@ -366,7 +374,7 @@ class TestDataTrainEval:
         code, out, err = run_on_rules(tmp_path, capsys, "train", [a_rule()])
         assert code == 1
         assert out == ""
-        assert err == (f"error: episode 3 (subject {bad['subject']!r}) step 8 (t=8): "
+        assert err == (f"error: {episodes} episode 3 (subject {bad['subject']!r}) step 8 (t=8): "
                        "state front_gap_closing='maybe' is not in the knowledge base\n")
         assert not (tmp_path / "trained").exists()
 
@@ -582,6 +590,14 @@ class TestRunAll:
         inputs["episodes.jsonl"][2]["state"] = value
         err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
         assert f"{tmp_path / 'episodes.jsonl'} line 3'" in err and named in err, err
+
+    def test_run_all_names_the_episodes_file_of_a_state_outside_the_kb(self, tmp_path, capsys,
+                                                                       model_calls):
+        inputs = run_all_inputs(tmp_path)
+        inputs["episodes.jsonl"][2]["state"]["front_gap_closing"] = "maybe"
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert err.startswith(f"error: {tmp_path / 'episodes.jsonl'} episode 0 "), err
+        assert "front_gap_closing='maybe' is not in the knowledge base" in err, err
 
     @pytest.mark.parametrize("name,line", [
         ("config.json", None), ("kb.json", None), ("corpus.json", None), ("rules.json", None),

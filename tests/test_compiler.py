@@ -266,6 +266,16 @@ class TestDedup:
             assert dedup_check(candidate, s, HashedTrigramEmbedding()) == \
                 DuplicatedContent("zz_first", 1.0)
 
+    def test_body_key_orders_values_of_two_types_and_keeps_true_and_1_apart(self):
+        mixed = [("a", "=", True), ("a", "=", "x"), ("a", "=", 1), ("b", "!=", 2)]
+        keys = {make_rule(order, {"longitudinal": "brake"}).body_key()
+                for order in (mixed, mixed[::-1], mixed[2:] + mixed[:2])}
+        assert len(keys) == 1
+        as_true = make_rule([("a", "=", True)], {"longitudinal": "brake"}, name="qqq")
+        as_one = make_rule([("a", "=", 1)], {"longitudinal": "brake"}, name="zzz")
+        assert as_true.body_key() != as_one.body_key()
+        assert dedup_check(as_one, RuleStore([as_true]), HashedTrigramEmbedding()) is None
+
     def test_grown_store_answers_like_one_built_at_once(self, kb):
         provider = HashedTrigramEmbedding()
         rng = random.Random(5)

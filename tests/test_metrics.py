@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cogrules
+from cogrules import ltl
 from cogrules.engine import (SLOTS, ActionPair, RuleSet, TraceEntry, WorldState,
                              decision_distribution, slot_marginals)
 from cogrules.knowledge import ProductionRule, read_rules
@@ -67,12 +68,50 @@ class TestBleu:
             assert ltl_bleu(pred, ref) == pytest.approx(bleu_oracle(pred, ref),
                                                         abs=1e-9)
 
+    def test_bit_identical_to_the_oracle(self):
+        # the same float operations in the same order: any reordering that
+        # moves a bit fails here, where the tests above allow 1e-9
+        rng = random.Random(12)
+        cases = [([], []), ([], ["a"]), (["a"], []), (["a"], ["a"]), (["a", "b"], ["b", "a"]),
+                 (["a"] * 3, ["a"] * 2), (list("abab" * 3), list("ab" * 5))]
+        vocabs = (["a"], ["a", "b"], ["G", "F", "(", ")", "a", "b", "&", "->", "!"])
+        for _ in range(3000):
+            vocab = rng.choice(vocabs)
+            cases.append(([rng.choice(vocab) for _ in range(rng.randint(0, 12))],
+                          [rng.choice(vocab) for _ in range(rng.randint(0, 12))]))
+        assert sum(len(pred) < 4 for pred, _ in cases) > 500
+        for pred, ref in cases:
+            assert ltl_bleu(pred, ref) == bleu_oracle(pred, ref), (pred, ref)
+
     def test_bounded(self):
         rng = random.Random(9)
         for _ in range(200):
             pred = [rng.choice("ab") for _ in range(rng.randint(1, 8))]
             ref = [rng.choice("ab") for _ in range(rng.randint(1, 8))]
             assert 0.0 <= ltl_bleu(pred, ref) <= 1.0 + 1e-12
+
+
+class TestTokens:
+    def test_the_lexemes_of_tokenize_or_its_error(self):
+        rng = random.Random(13)
+        pieces = ["G", "F", "X", "U", "(", ")", "->", "!", "&", "|", " ", " ", "\t", "a",
+                  "b1", "c_d", "true", "false", "Ga", "-", ">", "$", "<", "é"]
+        bad = ["a-b", "x $ y", "-->", "G (a -> b) & c <"]
+        texts = bad + ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+                       for _ in range(3000)]
+        refused = []
+        for text in texts:
+            try:
+                expected = [lexeme for _, lexeme, _ in ltl.tokenize(text)]
+            except ltl.ParseError as e:
+                refused.append(text)
+                with pytest.raises(ltl.ParseError) as got:
+                    ltl_tokens(text)
+                assert (str(got.value), got.value.offset) == (str(e), e.offset), text
+            else:
+                assert ltl_tokens(text) == expected, text
+        assert refused[:len(bad)] == bad
+        assert 500 < len(refused) < 2500
 
 
 class TestJs:
