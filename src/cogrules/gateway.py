@@ -208,8 +208,10 @@ class Session:
         if path not in self._transcripts:
             queues: dict[str, list[str]] = {}
             for n, rec in read_jsonl(path):
-                if not isinstance(rec, dict) or "request_hash" not in rec or "response" not in rec:
-                    raise ValueError(f"{path} line {n}: needs 'request_hash' and 'response'")
+                if not (isinstance(rec, dict) and type(rec.get("request_hash")) is str
+                        and type(rec.get("response")) is str):
+                    raise ValueError(
+                        f"{path} line {n}: needs strings 'request_hash' and 'response'")
                 queues.setdefault(rec["request_hash"], []).append(rec["response"])
             self._transcripts[path] = queues
         return self._transcripts[path]

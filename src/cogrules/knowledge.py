@@ -8,7 +8,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 PASS = "pass"  # a rules file's spelling of an empty effect slot
@@ -18,7 +20,6 @@ LATERAL = "lateral"
 SLOTS = (LONGITUDINAL, LATERAL)
 
 Value = bool | int | str
-VALUE_TYPES = frozenset((bool, int, str))  # the exact type of a Value read from JSON
 
 
 def load_json(path: str | Path):
@@ -41,22 +42,70 @@ def read_jsonl(path: str | Path):
             yield n, value
 
 
+# the exact JSON types each scalar annotation takes (a bool is not an int), and its name
+_SCALARS = {str: ((str,), "a string"), bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
+            float: ((int, float), "a number"), Path: ((str,), "a string")}
+
+
 @functools.cache
-def _keys(cls) -> tuple[set, list, set]:  # settable, required and nullable field names
-    settable = [f for f in fields(cls) if f.init]
-    required = [f.name for f in settable if f.default is MISSING and f.default_factory is MISSING]
-    return {f.name for f in settable}, required, {f.name for f in settable if f.default is None}
+def _shape(tp) -> tuple:
+    """Annotation `tp`, without None, as (its scalars' exact JSON types, their names), or
+    as (no JSON types, its class, its arguments)."""
+    union = typing.get_origin(tp) in (typing.Union, types.UnionType)
+    members = [m for m in typing.get_args(tp) if m is not type(None)] if union else [tp]
+    if all(m in _SCALARS for m in members):
+        return (frozenset(t for m in members for t in _SCALARS[m][0]),
+                " or ".join(_SCALARS[m][1] for m in members), ())
+    return frozenset(), typing.get_origin(members[0]) or members[0], typing.get_args(members[0])
+
+
+def _refusal(name: str, key: str, value, expected: str) -> ValueError:
+    return ValueError(f"section {name!r}: key {key!r}: {value!r} is not {expected}")
+
+
+def _read(tp, value, name: str, key: str, path: str, parse: dict):
+    """`value` read as `tp`, for key `key` of section `name`; a section in it is named `path`."""
+    scalars, origin, args = _shape(tp)
+    if scalars:
+        if type(value) not in scalars:
+            raise _refusal(name, key, value, _shape(tp)[1])
+        return value
+    if is_dataclass(origin):
+        return read_section(origin, path, value, **parse)
+    if type(value) is not (dict if origin is dict else list):
+        raise _refusal(name, key, value, "an object" if origin is dict else "a list")
+    if origin is dict:  # scalar values of their types are taken without a call each
+        if not args or set(map(type, value.values())) <= _shape(args[1])[0]:
+            return value
+        return {k: _read(args[1], v, name, key, f"{path}.{k}", parse) for k, v in value.items()}
+    items = args if origin is tuple and args[-1] is not Ellipsis else args[:1] * len(value)
+    if len(items) != len(value):  # a tuple[A, B] of another length
+        raise _refusal(name, key, value, f"a list of {len(items)} values")
+    return origin(_read(a, v, name, key, path, parse) for a, v in zip(items, value))
+
+
+@functools.cache
+def _fields(cls) -> tuple[dict, list, set]:
+    """{name: (annotation, scalars' JSON types)} of `cls`'s settable fields; required; nullable."""
+    hints, settable = typing.get_type_hints(cls), [f for f in fields(cls) if f.init]
+    return ({f.name: (hints[f.name], _shape(hints[f.name])[0]) for f in settable},
+            [f.name for f in settable if f.default is MISSING and f.default_factory is MISSING],
+            {f.name for f in settable if f.default is None})
 
 
 def read_section(cls, name: str, obj, /, **parse):
-    """`cls` from the JSON object `obj`, whose keys are `cls`'s fields. A non-object,
-    a key `cls` does not take, a missing required key, or a null where the default
-    is not None, is a ValueError naming section `name` and the key. `parse[key]`
-    converts a non-null value first."""
+    """`cls` from the JSON object `obj`, whose keys are `cls`'s fields, each value read as
+    its field's annotation: a dataclass is a section named `<name>.<key>`; a list or tuple
+    is a JSON list, and a dict an object, whose sections add their key to the name; `str`,
+    `bool`, `int` (not a bool) and `float` (or an int) need that JSON type; a `Path` is a
+    string, and `X | None` an X. Any other value, an unknown or missing key, a non-object,
+    or a null where the default is not None, is a ValueError naming the section and the
+    key. `parse[key]`, at any depth, converts a non-null value once read, or reads a
+    nested section itself."""
     if not isinstance(obj, dict):
         raise ValueError(f"section {name!r}: not a JSON object")
-    settable, required, nullable = _keys(cls)
-    unknown = obj.keys() - settable
+    hints, required, nullable = _fields(cls)
+    unknown = obj.keys() - hints.keys()
     if unknown:
         raise ValueError(f"section {name!r}: unknown key {min(unknown)!r}")
     for key in required:
@@ -65,7 +114,16 @@ def read_section(cls, name: str, obj, /, **parse):
     nulls = {k for k, v in obj.items() if v is None} - nullable
     if nulls:
         raise ValueError(f"section {name!r}: key {min(nulls)!r} may not be null")
-    return cls(**{k: parse[k](v) if k in parse and v is not None else v for k, v in obj.items()})
+    values = {}
+    for key, value in obj.items():
+        if value is not None:
+            tp, scalars = hints[key]  # a scalar of its type needs no call
+            if type(value) not in scalars and not (key in parse and is_dataclass(tp)):
+                value = _read(tp, value, name, key, f"{name}.{key}", parse)
+            if key in parse:
+                value = parse[key](value)
+        values[key] = value
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -162,12 +220,7 @@ class KnowledgeBase:
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeBase":
-        def each(kind, key, **parse):  # one section per feature or grounding
-            return lambda d: {k: read_section(kind, f"{path} {key}.{k}", d[k], **parse) for k in d}
-        return read_section(cls, str(path), load_json(path),
-                            features=each(FeatureDomain, "features", values=tuple),
-                            groundings=each(Grounding, "groundings"),
-                            longitudinal_actions=tuple, lateral_actions=tuple)
+        return read_section(cls, str(path), load_json(path))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))
@@ -205,34 +258,20 @@ class ProductionRule:
     @classmethod
     def from_json(cls, obj: dict) -> "ProductionRule":
         def preconditions(ps):
-            if not isinstance(ps, list) or not all(
-                    isinstance(p, list) and len(p) == 3 and isinstance(p[0], str)
-                    and type(p[2]) in VALUE_TYPES for p in ps):
-                raise ValueError("section 'rule': key 'preconditions' is not a list of "
-                                 "[feature, comparator, value] triples")
             for _, cmp, _ in ps:
                 if cmp not in ("=", "!="):
                     raise ValueError(f"section 'rule': comparator {cmp!r} is not '=' or '!='")
-            return tuple(tuple(p) for p in ps)
+            return ps
 
         def utility(u):  # json reads NaN and Infinity, which no softmax can take
-            if isinstance(u, bool) or not isinstance(u, (int, float)) or not math.isfinite(u):
+            if not math.isfinite(u):
                 raise ValueError(f"section 'rule': utility {u!r} is not a finite number")
             return u
 
-        def string(what):
-            def parse(v):
-                if not isinstance(v, str):
-                    raise ValueError(f"section 'rule': {what} {v!r} is not a string")
-                return v
-            return parse
-
         def action(a):  # "pass", like a missing key or null, is an empty slot
-            return None if string("effect action")(a) == PASS else a
-        return read_section(
-            cls, "rule", obj, name=string("name"), preconditions=preconditions, utility=utility,
-            effects=lambda e: read_section(ActionPair, "rule.effects", e,
-                                           longitudinal=action, lateral=action))
+            return None if a == PASS else a
+        return read_section(cls, "rule", obj, preconditions=preconditions, utility=utility,
+                            longitudinal=action, lateral=action)
 
 
 class RuleValidationError(ValueError):

@@ -116,9 +116,10 @@ def tokenize(text: str, with_offsets: bool = True) -> list[tuple[str, str, int |
                 kind = "atom"  # keyword-shaped atoms were claimed above
             elif offset is None:
                 return tokenize(text)  # re-lex to pinpoint the error
-            else:
-                raise ParseError(f"unexpected character {lexeme[0]!r}",
-                                 max(offset, 0),
+            else:  # name the first character that cannot be in an atom
+                bad = next(i for i, c in enumerate(lexeme) if i == 0 and c.isdigit()
+                           or not (c.isascii() and (c.isalnum() or c == "_")))
+                raise ParseError(f"unexpected character {lexeme[bad]!r}", max(offset, 0) + bad,
                                  ("operator", "atom", "parenthesis"))
         tokens.append((kind, lexeme, offset))
     return tokens

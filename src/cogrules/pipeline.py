@@ -14,7 +14,7 @@ from pathlib import Path
 from . import compiler, ltl, metrics, scenarios, trainer
 from .critic_tree import CriticTree, CriticTreeConfig
 from .engine import RuleSet
-from .gateway import BackendSpec, ChatMessage, CriticEnsembleSpec, GatewayError, Session
+from .gateway import BackendSpec, ChatMessage, GatewayError, Session
 from .knowledge import KnowledgeBase, load_json, read_section, write_rules
 from .trainer import TrainConfig
 
@@ -79,35 +79,19 @@ def load_config(path: str | Path) -> PipelineConfig:
     def in_dir(p):  # a backend path stays a string, "" meaning none
         return str(base / p) if p else p
 
-    def backend(name: str):
-        return lambda obj: read_section(BackendSpec, name, obj,
-                                        transcript_path=in_dir, record_path=in_dir)
-
-    member = backend("critic_tree.critics.members")
-
-    def members(ms):
-        if not isinstance(ms, list) or not all(isinstance(m, list) and len(m) == 2 for m in ms):
-            raise ValueError("section 'critic_tree.critics.members': not [backend, probability] pairs")
-        return [(member(spec), p) for spec, p in ms]
+    def knowledge_base(k):  # an archetype's name, or a KB file in the config's directory
+        if type(k) is not str:
+            raise ValueError(f"section 'config': key 'kb': {k!r} is not a string")
+        return (scenarios.scenario_kb(k) if k in scenarios.ARCHETYPES
+                else KnowledgeBase.load(resolve(k)))
 
     def evaluation(e):  # eval.samples is retired; older configs still set it
         if isinstance(e, dict):
             e = {k: v for k, v in e.items() if k != "samples"}
-        return read_section(EvalConfig, "eval", e)
-    cfg = read_section(
-        PipelineConfig, "config", raw,
-        kb=lambda k: (scenarios.scenario_kb(k) if k in scenarios.ARCHETYPES
-                      else KnowledgeBase.load(resolve(k))),
-        critic_tree=lambda ct: read_section(
-            CriticTreeConfig, "critic_tree", ct, revisor=backend("critic_tree.revisor"),
-            critics=lambda c: read_section(
-                CriticEnsembleSpec, "critic_tree.critics", c,
-                members=members)),
-        train=lambda t: read_section(TrainConfig, "train", t),
-        scenario=lambda s: read_section(scenarios.ScenarioSpec, "scenario", s),
-        grounding=backend("grounding"), initial_backend=backend("initial_backend"),
-        eval=evaluation,
-        corpus=resolve, episodes=resolve, out_dir=resolve)
+        return read_section(EvalConfig, "config.eval", e)
+    cfg = read_section(PipelineConfig, "config", raw, kb=knowledge_base, eval=evaluation,
+                       corpus=resolve, episodes=resolve, out_dir=resolve,
+                       transcript_path=in_dir, record_path=in_dir)
     cfg.raw = raw
     return cfg
 
@@ -128,7 +112,8 @@ class SegmentResult:
 
 def read_corpus(records: list, cfg: PipelineConfig) -> list[Segment]:
     """The records as segments with string ids, each with an initial translation source."""
-    segments = [read_section(Segment, f"corpus record {i}", r) for i, r in enumerate(records)]
+    segments = [read_section(Segment, f"{cfg.corpus or 'corpus'} record {i}", r)
+                for i, r in enumerate(records)]
     for i, seg in enumerate(segments):
         seg.id = str(i if seg.id is None else seg.id)
         if seg.initial is None and cfg.initial_backend is None:

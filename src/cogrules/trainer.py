@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import Callable
 
 from .engine import RuleSet, TraceEntry, WorldState, decide, slot_marginals
-from .knowledge import (SLOTS, VALUE_TYPES, ActionPair, KnowledgeBase, ProductionRule, Value,
-                        read_jsonl, read_section)
+from .knowledge import (SLOTS, ActionPair, KnowledgeBase, ProductionRule, Value, read_jsonl,
+                        read_section)
 
 
 @dataclass
@@ -112,20 +112,10 @@ def episodes_to_jsonl(episodes: list[Episode], path: str | Path) -> None:
 
 
 def episodes_from_jsonl(path: str | Path) -> list[Episode]:
-    """The episodes file `path`; an error names the file and the line. A step's
-    `t` and `episode` are integers, and its `state` maps features to bool,
-    int or str values."""
+    """The episodes file `path`, a `StepRecord` a line; an error names the file and the line."""
     groups: dict[int, list[StepRecord]] = {}
     for n, obj in read_jsonl(path):
-        where = f"{path} line {n}"
-        rec = read_section(StepRecord, where, obj, reference=lambda r:
-                           read_section(ActionPair, f"{where} reference", r))
-        if not (isinstance(rec.state, dict) and set(map(type, rec.state.values())) <= VALUE_TYPES):
-            raise ValueError(f"section {where!r}: key 'state' is not an object of bool, "
-                             "int or str values")
-        for key in ("t", "episode"):
-            if type(getattr(rec, key)) is not int:
-                raise ValueError(f"section {where!r}: key {key!r} is not an integer")
+        rec = read_section(StepRecord, f"{path} line {n}", obj)
         groups.setdefault(rec.episode, []).append(rec)
     return [Episode([(WorldState.make(r.state, r.t), r.reference) for r in recs],
                     recs[0].scenario, recs[0].subject) for _, recs in sorted(groups.items())]

@@ -313,21 +313,26 @@ class TestDataTrainEval:
 
     @pytest.mark.parametrize("command", ["eval", "train", "compile"])
     @pytest.mark.parametrize("changes,named", [
-        ({"utility": "x"}, "utility 'x' is not a finite number"),
-        ({"utility": True}, "utility True is not a finite number"),
-        ({"utility": [1.0]}, "utility [1.0] is not a finite number"),
-        ({"utility": math.nan}, "utility nan is not a finite number"),
-        ({"utility": -math.inf}, "utility -inf is not a finite number"),
-        ({"name": 5}, "name 5 is not a string"),
-        ({"effects": {"longitudinal": 5}}, "effect action 5 is not a string"),
+        ({"utility": "x"}, "section 'rule': key 'utility': 'x' is not a number"),
+        ({"utility": True}, "section 'rule': key 'utility': True is not a number"),
+        ({"utility": [1.0]}, "section 'rule': key 'utility': [1.0] is not a number"),
+        ({"utility": math.nan}, "section 'rule': utility nan is not a finite number"),
+        ({"utility": -math.inf}, "section 'rule': utility -inf is not a finite number"),
+        ({"name": 5}, "section 'rule': key 'name': 5 is not a string"),
+        ({"effects": {"longitudinal": 5}},
+         "section 'rule.effects': key 'longitudinal': 5 is not a string"),
         ({"effects": {"longitudinal": "brake", "lateral": ["keep_lane"]}},
-         "effect action ['keep_lane'] is not a string"),
-        ({"preconditions": [["front_gap_closing", "<", True]]}, "comparator '<' is not"),
+         "section 'rule.effects': key 'lateral': ['keep_lane'] is not a string"),
+        ({"preconditions": [["front_gap_closing", "<", True]]},
+         "section 'rule': comparator '<' is not"),
         ({"preconditions": [["front_gap_closing", "approximately", True]]},
-         "comparator 'approximately' is not"),
-        ({"preconditions": [["front_gap_closing", "=", [1]]]}, "'preconditions' is not a list"),
-        ({"preconditions": [["front_gap_closing", "=", 0.5]]}, "'preconditions' is not a list"),
-        ({"preconditions": [[5, "=", True]]}, "'preconditions' is not a list")],
+         "section 'rule': comparator 'approximately' is not"),
+        ({"preconditions": [["front_gap_closing", "=", [1]]]},
+         "section 'rule': key 'preconditions': [1] is not a boolean or an integer or a string"),
+        ({"preconditions": [["front_gap_closing", "=", 0.5]]},
+         "section 'rule': key 'preconditions': 0.5 is not a boolean or an integer or a string"),
+        ({"preconditions": [[5, "=", True]]},
+         "section 'rule': key 'preconditions': 5 is not a string")],
         ids=["utility-string", "utility-bool", "utility-list", "utility-nan",
              "utility-minus-infinity", "name-number", "action-number", "action-list",
              "comparator-less-than", "comparator-word", "value-list", "value-float",
@@ -338,8 +343,8 @@ class TestDataTrainEval:
         code, out, err = run_on_rules(tmp_path, capsys, command, [a_rule(**changes)])
         assert code == 1
         assert out == ""
-        assert err.startswith(f"error: {tmp_path / 'rules.json'} rule 1: section 'rule'"), err
-        assert named in err and err.count("\n") == 1, err
+        assert err.startswith(f"error: {tmp_path / 'rules.json'} rule 1: {named}"), err
+        assert err.count("\n") == 1, err
         assert not (tmp_path / "trained").exists()
 
     @pytest.mark.parametrize("key,value,named", [
@@ -479,6 +484,26 @@ class TestRunAll:
         assert err.startswith("error:") and f"{transcript} line 1" in err and "'response'" in err
         assert not (tmp_path / "out_replay").exists()
 
+    @pytest.mark.parametrize("key,value", [("response", 5), ("response", ["x"]),
+                                           ("request_hash", 7)],
+                             ids=["response-number", "response-list", "hash-number"])
+    def test_replay_transcript_value_that_is_not_a_string_exit_one(self, tmp_path, capsys,
+                                                                   key, value):
+        record = write_pipeline_config(tmp_path, record_path="transcript.jsonl")
+        assert run_cli(capsys, "run-all", "--config", str(record))[0] == 0
+        transcript = tmp_path / "transcript.jsonl"
+        first, *rest = transcript.read_text().splitlines()
+        rec = json.loads(first)
+        rec[key] = value
+        transcript.write_text("\n".join([json.dumps(rec), *rest]) + "\n")
+        replay = write_pipeline_config(tmp_path, backends="replay",
+                                       transcript_path="transcript.jsonl", out_dir="out_replay")
+        code, out, err = run_cli(capsys, "run-all", "--config", str(replay))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {transcript} line 1: ") and repr(key) in err, err
+        assert not (tmp_path / "out_replay").exists()
+
     @pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])
     def test_replay_transcript_line_that_is_not_an_object_exit_one(self, tmp_path, capsys, line):
         record = write_pipeline_config(tmp_path, record_path="transcript.jsonl")
@@ -510,21 +535,28 @@ class TestRunAll:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("path,section", [
-        (("config", "train"), "train"), (("config", "scenario"), "scenario"),
-        (("config", "grounding"), "grounding"),
-        (("config", "critic_tree", "revisor"), "critic_tree.revisor"), (("config",), "config"),
-        (("config", "critic_tree"), "critic_tree"),
-        (("config", "critic_tree", "critics"), "critic_tree.critics"),
-        (("config", "critic_tree", "critics", "members", 0, 0), "critic_tree.critics.members"),
-        (("config", "initial_backend"), "initial_backend"), (("config", "eval"), "eval"),
-        pytest.param(("corpus.json", 0), "corpus record 0", id="corpus-record"),
+        pytest.param(("config", "train"), "config.train", id="path0-train"),
+        pytest.param(("config", "scenario"), "config.scenario", id="path1-scenario"),
+        pytest.param(("config", "grounding"), "config.grounding", id="path2-grounding"),
+        pytest.param(("config", "critic_tree", "revisor"), "config.critic_tree.revisor",
+                     id="path3-critic_tree.revisor"),
+        (("config",), "config"),
+        pytest.param(("config", "critic_tree"), "config.critic_tree", id="path5-critic_tree"),
+        pytest.param(("config", "critic_tree", "critics"), "config.critic_tree.critics",
+                     id="path6-critic_tree.critics"),
+        pytest.param(("config", "critic_tree", "critics", "members", 0, 0),
+                     "config.critic_tree.critics.members", id="path7-critic_tree.critics.members"),
+        pytest.param(("config", "initial_backend"), "config.initial_backend",
+                     id="path8-initial_backend"),
+        pytest.param(("config", "eval"), "config.eval", id="path9-eval"),
+        pytest.param(("corpus.json", 0), "{dir}/corpus.json record 0", id="corpus-record"),
         pytest.param(("episodes.jsonl", 3), "{dir}/episodes.jsonl line 4", id="episode-line"),
-        pytest.param(("episodes.jsonl", 3, "reference"), "{dir}/episodes.jsonl line 4 reference",
+        pytest.param(("episodes.jsonl", 3, "reference"), "{dir}/episodes.jsonl line 4.reference",
                      id="episode-reference"),
         pytest.param(("kb.json",), "{dir}/kb.json", id="kb"),
-        pytest.param(("kb.json", "features", "speed_band"), "{dir}/kb.json features.speed_band",
+        pytest.param(("kb.json", "features", "speed_band"), "{dir}/kb.json.features.speed_band",
                      id="kb-feature"),
-        pytest.param(("kb.json", "groundings", "speed_low"), "{dir}/kb.json groundings.speed_low",
+        pytest.param(("kb.json", "groundings", "speed_low"), "{dir}/kb.json.groundings.speed_low",
                      id="kb-grounding")])
     def test_run_all_names_a_misspelled_config_key(self, tmp_path, capsys, model_calls,
                                                    path, section):
@@ -535,8 +567,10 @@ class TestRunAll:
         assert repr(section.format(dir=tmp_path)) in err and "'lerning_rate'" in err
 
     @pytest.mark.parametrize("path,key,section", [
-        (("config", "critic_tree"), "num_critics", "critic_tree"), (("config",), "kb", "config"),
-        pytest.param(("corpus.json", 2), "text", "corpus record 2", id="corpus-record"),
+        pytest.param(("config", "critic_tree"), "num_critics", "config.critic_tree",
+                     id="path0-num_critics-critic_tree"),
+        (("config",), "kb", "config"),
+        pytest.param(("corpus.json", 2), "text", "{dir}/corpus.json record 2", id="corpus-record"),
         pytest.param(("episodes.jsonl", 0), "state", "{dir}/episodes.jsonl line 1",
                      id="episode-line"),
         pytest.param(("kb.json",), "features", "{dir}/kb.json", id="kb")])
@@ -549,25 +583,27 @@ class TestRunAll:
 
     @pytest.mark.parametrize("path,value,names", [
         (("config", "n_episodes"), None, ("'config'", "'n_episodes'", "null")),
-        (("config", "train", "epochs"), None, ("'train'", "'epochs'", "null")),
+        (("config", "train", "epochs"), None, ("'config.train'", "'epochs'", "null")),
         (("config", "kb"), None, ("'config'", "'kb'", "null")),
-        (("config", "critic_tree", "revisor"), None, ("'critic_tree'", "'revisor'", "null")),
-        (("config", "grounding", "record_path"), None, ("'grounding'", "'record_path'", "null")),
-        (("config", "train"), 5, ("'train'", "not a JSON object")),
-        (("config", "train"), [], ("'train'", "not a JSON object")),
-        (("config", "eval"), 5, ("'eval'", "not a JSON object")),
-        (("config", "eval", "top_k"), None, ("'eval'", "'top_k'", "null")),
+        (("config", "critic_tree", "revisor"), None,
+         ("'config.critic_tree'", "'revisor'", "null")),
+        (("config", "grounding", "record_path"), None,
+         ("'config.grounding'", "'record_path'", "null")),
+        (("config", "train"), 5, ("'config.train'", "not a JSON object")),
+        (("config", "train"), [], ("'config.train'", "not a JSON object")),
+        (("config", "eval"), 5, ("'config.eval'", "not a JSON object")),
+        (("config", "eval", "top_k"), None, ("'config.eval'", "'top_k'", "null")),
         (("config", "critic_tree", "critics", "members"), lambda ms: [ms[0][0]],
-         ("'critic_tree.critics.members'", "[backend, probability]")),
+         ("'config.critic_tree.critics'", "'members'", "}} is not a list")),
         (("config", "critic_tree", "critics", "members"), lambda ms: [[ms[0][0]]],
-         ("'critic_tree.critics.members'", "[backend, probability]")),
+         ("'config.critic_tree.critics'", "'members'", "}}] is not a list of 2 values")),
         (("corpus.json",), lambda records: {"highway_cut_in": records},
          ("{dir}/corpus.json", "not a JSON list")),
         (("corpus.json", 1), "I braked when the gap closed.",
-         ("'corpus record 1'", "not a JSON object")),
+         ("{dir}/corpus.json record 1'", "not a JSON object")),
         (("episodes.jsonl", 2, "t"), None, ("episodes.jsonl line 3'", "'t'", "null")),
         (("kb.json", "features", "speed_band", "values"), None,
-         ("kb.json features.speed_band'", "'values'", "null"))],
+         ("kb.json.features.speed_band'", "'values'", "null"))],
         ids=["n_episodes-null", "epochs-null", "kb-null", "revisor-null", "record_path-null",
              "train-number", "train-list", "eval-number", "top_k-null", "member-not-a-pair",
              "member-one-item", "corpus-object", "corpus-string-record", "episode-t-null",
@@ -580,6 +616,38 @@ class TestRunAll:
         obj[last] = value(obj[last]) if callable(value) else value
         err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
         assert all(name.format(dir=tmp_path) in err for name in names), err
+
+    @pytest.mark.parametrize("path,value,named", [
+        (("config", "train", "epochs"), "3", "'config.train': key 'epochs': '3'"),
+        (("config", "eval", "top_k"), "8", "'config.eval': key 'top_k': '8'"),
+        (("config", "n_episodes"), 40.0, "'config': key 'n_episodes': 40.0"),
+        (("config", "critic_tree", "critics", "members", 0, 1), "1.0",
+         "'config.critic_tree.critics': key 'members': '1.0'"),
+        (("config", "scenario", "noise_rate"), "0", "'config.scenario': key 'noise_rate': '0'"),
+        (("config", "kb"), 5, "'config': key 'kb': 5"),
+        (("config", "corpus"), 5, "'config': key 'corpus': 5"),
+        (("config", "out_dir"), ["o"], "'config': key 'out_dir': ['o']"),
+        (("config", "grounding", "record_path"), 7, "'config.grounding': key 'record_path': 7"),
+        (("config", "train", "seed"), "7", "'config.train': key 'seed': '7'"),
+        (("config", "critic_tree", "max_depth"), 1.5, "'config.critic_tree': key 'max_depth': 1.5"),
+        (("config", "critic_tree", "num_critics"), True,
+         "'config.critic_tree': key 'num_critics': True"),
+        (("kb.json", "lateral_actions"), "keep_lane",
+         "'{dir}/kb.json': key 'lateral_actions': 'keep_lane'"),
+        (("kb.json", "features", "gap"), {"kind": "int", "low": "0", "high": 5},
+         "'{dir}/kb.json.features.gap': key 'low': '0'"),
+        (("corpus.json", 0, "text"), 5, "'{dir}/corpus.json record 0': key 'text': 5")],
+        ids=["epochs-string", "top_k-string", "n_episodes-float", "probability-string",
+             "noise_rate-string", "kb-number", "corpus-number", "out_dir-list",
+             "record_path-number", "seed-string", "max_depth-float", "num_critics-bool",
+             "kb-actions-string", "kb-low-string", "corpus-text-number"])
+    def test_run_all_refuses_a_value_of_the_wrong_type(self, tmp_path, capsys, model_calls,
+                                                       path, value, named):
+        inputs = run_all_inputs(tmp_path)
+        *outer, last = path
+        nested(inputs, outer)[last] = value
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert f"error: section {named.format(dir=tmp_path)} is not " in err, err
 
     @pytest.mark.parametrize("value,named", [
         (5, "'state'"), ({"front_gap_closing": [1]}, "'state'"), ("x", "'state'")],

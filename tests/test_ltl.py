@@ -38,6 +38,15 @@ class TestParse:
             ltl.parse(bad)
         assert exc.value.offset >= 0
 
+    @pytest.mark.parametrize("text,char,offset", [("a-b", "-", 1), ("G (a -> b-c)", "-", 9),
+                                                  ("1x", "1", 0), ("ab$", "$", 2)])
+    def test_an_error_names_the_first_character_that_cannot_be_in_an_atom(self, text, char,
+                                                                          offset):
+        with pytest.raises(ltl.ParseError) as exc:
+            ltl.parse(text)
+        assert f"unexpected character {char!r}" in str(exc.value)
+        assert exc.value.offset == offset
+
 
 class TestToString:
     def test_globally_atom(self):
