@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -40,8 +41,9 @@ def cmd_classify(args) -> int:
 
 def cmd_translate(args) -> int:
     cfg = pipeline.load_config(args.config)
-    cfg.critic_tree.critics.seed = args.seed
-    tree = CriticTree(cfg.critic_tree, gateway.Session(), cfg.kb.atom_vocabulary)
+    critics = dataclasses.replace(cfg.critic_tree.critics, seed=args.seed)
+    tree = CriticTree(dataclasses.replace(cfg.critic_tree, critics=critics), gateway.Session(),
+                      cfg.kb.atom_vocabulary)
     formula, trace = tree.run(args.text, args.initial)
     _emit({"formula": formula, "trace": trace.to_json()})
     return 0

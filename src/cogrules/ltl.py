@@ -95,21 +95,49 @@ _FIXED_KINDS = {
 }
 
 
+CACHE_LEXEMES = 4096  # distinct lexemes, and atom names, that each table below keeps
+
+
+class _Atoms(dict):
+    """One Atom node per name, built and checked when the name enters the
+    table; emptied when full."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> Atom:
+        if len(self) >= CACHE_LEXEMES:
+            self.clear()
+        atom = self[name] = Atom(name)
+        return atom
+
+
+_ATOMS = _Atoms()
+_LEXEMES: dict[str, tuple[str, str, None]] = {}  # each lexeme's shared happy-path triple
+
+
 def tokenize(text: str, with_offsets: bool = True) -> list[tuple[str, str, int | None]]:
     """Lex into (kind, lexeme, offset) triples. Kind is one of
     arrow/lparen/rparen/not/and/or/atom or the keyword itself. The parser
-    skips offset bookkeeping on the happy path (with_offsets=False) and
-    re-lexes with offsets when it needs to report an error position."""
+    skips offset bookkeeping on the happy path (with_offsets=False), where
+    each known lexeme gives its shared triple, and re-lexes with offsets
+    when it needs to report an error position."""
     padded = (text.replace("->", " -> ").replace("(", " ( ")
               .replace(")", " ) ").replace("!", " ! ")
               .replace("&", " & ").replace("|", " | "))
     tokens: list[tuple[str, str, int | None]] = []
     fixed = _FIXED_KINDS
+    known = None if with_offsets else _LEXEMES
+    offset = None
     pos = 0
     for lexeme in padded.split():
-        offset = text.find(lexeme, pos) if with_offsets else None
-        if offset is not None:
+        if known is None:
+            offset = text.find(lexeme, pos)
             pos = offset + len(lexeme)
+        else:
+            token = known.get(lexeme)
+            if token is not None:
+                tokens.append(token)
+                continue
         kind = fixed.get(lexeme)
         if kind is None:
             if lexeme.isidentifier() and lexeme.isascii():
@@ -121,7 +149,12 @@ def tokenize(text: str, with_offsets: bool = True) -> list[tuple[str, str, int |
                            or not (c.isascii() and (c.isalnum() or c == "_")))
                 raise ParseError(f"unexpected character {lexeme[bad]!r}", max(offset, 0) + bad,
                                  ("operator", "atom", "parenthesis"))
-        tokens.append((kind, lexeme, offset))
+        token = (kind, lexeme, offset)
+        if known is not None:
+            if len(known) >= CACHE_LEXEMES:
+                known.clear()
+            known[lexeme] = token
+        tokens.append(token)
     return tokens
 
 
@@ -184,7 +217,7 @@ class _Parser:
             return op(self.unary())
         if kind == "atom":
             self.i = i + 1
-            return Atom(tokens[i][1])
+            return _ATOMS[tokens[i][1]]
         if kind == "lparen":
             self.i = i + 1
             f = self.expression(1)
@@ -338,7 +371,7 @@ def _canon(f: Ltl) -> _Pair:
 
 
 def _literal_conjunction(lits: tuple["Literal", ...]) -> Ltl:
-    nodes: list[Ltl] = [Atom(n) if pol else Not(Atom(n)) for n, pol in lits]
+    nodes: list[Ltl] = [_ATOMS[n] if pol else Not(_ATOMS[n]) for n, pol in lits]
     result = nodes[-1]
     for p in reversed(nodes[:-1]):
         result = And(p, result)

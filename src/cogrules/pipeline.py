@@ -76,6 +76,11 @@ def load_config(path: str | Path) -> PipelineConfig:
     def resolve(p):
         return base / p if p else None
 
+    def required(key, p):  # resolve maps "" to None, which these keys cannot be
+        if not p:
+            raise ValueError(f"section 'config': key {key!r} may not be empty")
+        return base / p
+
     def in_dir(p):  # a backend path stays a string, "" meaning none
         return str(base / p) if p else p
 
@@ -83,15 +88,15 @@ def load_config(path: str | Path) -> PipelineConfig:
         if type(k) is not str:
             raise ValueError(f"section 'config': key 'kb': {k!r} is not a string")
         return (scenarios.scenario_kb(k) if k in scenarios.ARCHETYPES
-                else KnowledgeBase.load(resolve(k)))
+                else KnowledgeBase.load(required("kb", k)))
 
     def evaluation(e):  # eval.samples is retired; older configs still set it
         if isinstance(e, dict):
             e = {k: v for k, v in e.items() if k != "samples"}
         return read_section(EvalConfig, "config.eval", e)
     cfg = read_section(PipelineConfig, "config", raw, kb=knowledge_base, eval=evaluation,
-                       corpus=resolve, episodes=resolve, out_dir=resolve,
-                       transcript_path=in_dir, record_path=in_dir)
+                       corpus=resolve, episodes=resolve, transcript_path=in_dir,
+                       record_path=in_dir, out_dir=lambda p: required("out_dir", p))
     cfg.raw = raw
     return cfg
 

@@ -649,6 +649,13 @@ class TestRunAll:
         err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
         assert f"error: section {named.format(dir=tmp_path)} is not " in err, err
 
+    @pytest.mark.parametrize("key", ["kb", "out_dir"])
+    def test_run_all_refuses_an_empty_required_path(self, tmp_path, capsys, model_calls, key):
+        inputs = run_all_inputs(tmp_path)
+        inputs["config"][key] = ""
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert err == f"error: section 'config': key {key!r} may not be empty\n", err
+
     @pytest.mark.parametrize("value,named", [
         (5, "'state'"), ({"front_gap_closing": [1]}, "'state'"), ("x", "'state'")],
         ids=["state-number", "state-list-value", "state-string"])

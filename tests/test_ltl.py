@@ -48,6 +48,91 @@ class TestParse:
         assert exc.value.offset == offset
 
 
+def _texts(seed: int, n: int) -> list[str]:
+    """Random formula-like texts; the lexer or the parser refuses about half."""
+    rng = random.Random(seed)
+    pieces = ["G", "F", "X", "U", "(", ")", "->", "!", "&", "|", " ", " ", "a", "b1", "c_d",
+              "true", "false", "Ga", "-", "$", "é", "1x"]
+    return ["".join(rng.choice(pieces) for _ in range(rng.randint(1, 12))) for _ in range(n)]
+
+
+def _lexed_or_error(text: str, with_offsets: bool):
+    try:
+        return [(kind, lexeme) for kind, lexeme, _ in ltl.tokenize(text, with_offsets)]
+    except ltl.ParseError as e:
+        return str(e), e.offset
+
+
+def _parsed_or_error(text: str):
+    try:
+        return ltl.parse(text)
+    except ltl.ParseError as e:
+        return str(e), e.offset
+
+
+def _atoms(f):
+    match f:
+        case ltl.Atom():
+            yield f
+        case ltl.Not(g) | ltl.Next(g) | ltl.Finally(g) | ltl.Globally(g):
+            yield from _atoms(g)
+        case ltl.And(l, r) | ltl.Or(l, r) | ltl.Implies(l, r) | ltl.Until(l, r):
+            yield from _atoms(l)
+            yield from _atoms(r)
+
+
+class TestTables:
+    """The lexer's table of lexemes and the parser's table of atoms change no
+    token, tree or error, and stay within their bound."""
+
+    def test_happy_path_tokens_equal_the_offsets_path(self):
+        texts = _texts(17, 3000)
+        names = [f"n{i} -> m{i}" for i in range(len(texts))]  # 6,000 distinct names
+        refused = 0
+        for table in ("emptied", "warm", "overflowing"):
+            for text, more in zip(texts, names):
+                if table == "emptied":
+                    ltl._LEXEMES.clear()
+                for t in (more, text) if table == "overflowing" else (text,):
+                    expected = _lexed_or_error(t, with_offsets=True)
+                    assert _lexed_or_error(t, with_offsets=False) == expected, (table, t)
+                    assert len(ltl._LEXEMES) <= ltl.CACHE_LEXEMES
+                    refused += isinstance(expected, tuple)
+        assert 3 * 500 < refused < 3 * 2500
+        first, _, again = ltl.tokenize("a & a", with_offsets=False)
+        assert first == ("atom", "a", None) and again is first
+
+    def test_parse_builds_equal_trees_with_one_atom_per_name(self):
+        rng = random.Random(19)
+        texts = _texts(19, 1500) + [ltl.to_string(random_formula(rng, 5)) for _ in range(1500)]
+        texts += ["G (c_d & ! a -> b1 & ! c_d)", "G (! ! a & a -> b1)"]
+        cold = []
+        for text in texts:
+            ltl._LEXEMES.clear()
+            ltl._ATOMS.clear()
+            cold.append(_parsed_or_error(text))
+        warm = [_parsed_or_error(text) for text in texts]
+        assert warm == cold
+        trees = [f for f in warm if isinstance(f, ltl.Ltl)]
+        assert 1500 < len(trees) < 2900
+        canonical = [ltl.canonicalize(f) for f in trees]
+        assert sum(isinstance(ltl.classify(f), ltl.Convertible) for f in trees) >= 2
+        for f in trees + canonical:
+            for atom in _atoms(f):
+                assert atom is ltl._ATOMS[atom.name], ltl.to_string(f)
+        assert ltl.parse("c_d & (c_d U b1)").left is ltl.parse("X c_d").operand
+        for i in range(ltl.CACHE_LEXEMES + 100):
+            assert ltl.parse(f"x{i}") == ltl.Atom(f"x{i}")
+            assert len(ltl._ATOMS) <= ltl.CACHE_LEXEMES
+
+    @pytest.mark.parametrize("name", ["1x", "é"])
+    def test_a_bad_name_is_refused_by_atom_and_by_parse(self, name):
+        with pytest.raises(ValueError, match="invalid atom name"):
+            ltl.Atom(name)
+        with pytest.raises(ltl.ParseError, match="unexpected character"):
+            ltl.parse(f"G (a -> {name})")
+
+
 class TestToString:
     def test_globally_atom(self):
         assert ltl.to_string(ltl.Globally(ltl.Atom("a"))) == "G (a)"
