@@ -13,6 +13,8 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
+from .ltl import is_atom_name
+
 PASS = "pass"  # a rules file's spelling of an empty effect slot
 
 LONGITUDINAL = "longitudinal"
@@ -178,6 +180,10 @@ class KnowledgeBase:
             raise ValueError("action vocabularies must be disjoint")
         if PASS in self.longitudinal_actions or PASS in self.lateral_actions:
             raise ValueError(f"action name {PASS!r} is reserved for an empty effect slot")
+        for name in (*self.longitudinal_actions, *self.lateral_actions, *self.groundings):
+            if not is_atom_name(name):  # else no formula could name it
+                raise ValueError(f"{name!r} is not an atom name: an ASCII identifier other "
+                                 "than true, false, G, F, X and U")
         for atom, g in self.groundings.items():
             if not self.admits(g.feature, g.value):
                 raise ValueError(

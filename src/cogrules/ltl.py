@@ -27,7 +27,7 @@ class Atom(Ltl):
     name: str
 
     def __post_init__(self):
-        if not (self.name.isascii() and self.name.isidentifier()):
+        if not is_atom_name(self.name):
             raise ValueError(f"invalid atom name: {self.name!r}")
 
 
@@ -88,11 +88,22 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-_FIXED_KINDS = {
-    "->": "arrow", "(": "lparen", ")": "rparen", "!": "not", "&": "and",
-    "|": "or", "true": "true", "false": "false",
-    "G": "G", "F": "F", "X": "X", "U": "U",
-}
+# the operators, by lexeme; a binary one as (precedence, right-associative, node
+# class), higher binding tighter
+_UNARY = {"!": Not, "G": Globally, "F": Finally, "X": Next}
+_BINARY = {"->": (1, True, Implies), "|": (2, False, Or), "&": (3, False, And),
+           "U": (4, True, Until)}
+# each operator node class: (its lexeme, whether it takes one operand)
+_OPERATORS = {**{cls: (lexeme, True) for lexeme, cls in _UNARY.items()},
+              **{cls: (lexeme, False) for lexeme, (_, _, cls) in _BINARY.items()}}
+_FIXED = frozenset(("(", ")", "true", "false", *_UNARY, *_BINARY))  # all lexemes but atoms
+_OPERAND = ("atom", "true", "(", *_UNARY)  # what a formula may start with
+_CONSTANTS = {"true": TRUE, "false": Not(TRUE)}
+
+
+def is_atom_name(name: str) -> bool:
+    """An ASCII identifier that is not a keyword (true, false, G, F, X, U)."""
+    return name.isascii() and name.isidentifier() and name not in _FIXED
 
 
 CACHE_LEXEMES = 4096  # distinct lexemes, and atom names, that each table below keeps
@@ -112,61 +123,41 @@ class _Atoms(dict):
 
 
 _ATOMS = _Atoms()
-_LEXEMES: dict[str, tuple[str, str, None]] = {}  # each lexeme's shared happy-path triple
+_LEXEMES: set[str] = set()  # lexemes known to be valid; emptied when full
 
 
-def tokenize(text: str, with_offsets: bool = True) -> list[tuple[str, str, int | None]]:
-    """Lex into (kind, lexeme, offset) triples. Kind is one of
-    arrow/lparen/rparen/not/and/or/atom or the keyword itself. The parser
-    skips offset bookkeeping on the happy path (with_offsets=False), where
-    each known lexeme gives its shared triple, and re-lexes with offsets
-    when it needs to report an error position."""
-    padded = (text.replace("->", " -> ").replace("(", " ( ")
-              .replace(")", " ) ").replace("!", " ! ")
-              .replace("&", " & ").replace("|", " | "))
-    tokens: list[tuple[str, str, int | None]] = []
-    fixed = _FIXED_KINDS
-    known = None if with_offsets else _LEXEMES
-    offset = None
+def _split(text: str) -> list[str]:
+    return (text.replace("->", " -> ").replace("(", " ( ").replace(")", " ) ")
+            .replace("!", " ! ").replace("&", " & ").replace("|", " | ").split())
+
+
+def _offset(text: str, i: int) -> int:
+    """The offset in `text` of its `i`-th lexeme, or the length of `text` past the last."""
+    lexemes = _split(text)
+    if i >= len(lexemes):
+        return len(text)
     pos = 0
-    for lexeme in padded.split():
-        if known is None:
-            offset = text.find(lexeme, pos)
-            pos = offset + len(lexeme)
-        else:
-            token = known.get(lexeme)
-            if token is not None:
-                tokens.append(token)
-                continue
-        kind = fixed.get(lexeme)
-        if kind is None:
-            if lexeme.isidentifier() and lexeme.isascii():
-                kind = "atom"  # keyword-shaped atoms were claimed above
-            elif offset is None:
-                return tokenize(text)  # re-lex to pinpoint the error
-            else:  # name the first character that cannot be in an atom
-                bad = next(i for i, c in enumerate(lexeme) if i == 0 and c.isdigit()
+    for lexeme in lexemes[:i]:
+        pos = text.find(lexeme, pos) + len(lexeme)
+    return text.find(lexemes[i], pos)
+
+
+def tokenize(text: str) -> list[str]:
+    """The lexemes of `text`: operators, parentheses, keywords and atom names.
+    Only lexemes not yet known to be valid are checked; a ParseError names the
+    first character that cannot be in an atom."""
+    lexemes = _split(text)
+    if not _LEXEMES.issuperset(lexemes):
+        for i, lexeme in enumerate(lexemes):
+            if lexeme not in _FIXED and not is_atom_name(lexeme):
+                bad = next(j for j, c in enumerate(lexeme) if j == 0 and c.isdigit()
                            or not (c.isascii() and (c.isalnum() or c == "_")))
-                raise ParseError(f"unexpected character {lexeme[bad]!r}", max(offset, 0) + bad,
-                                 ("operator", "atom", "parenthesis"))
-        token = (kind, lexeme, offset)
-        if known is not None:
-            if len(known) >= CACHE_LEXEMES:
-                known.clear()
-            known[lexeme] = token
-        tokens.append(token)
-    return tokens
-
-
-# (precedence, right-associative, constructor); higher binds tighter
-_BINARY_TOKENS = {
-    "arrow": (1, True, Implies),
-    "or": (2, False, Or),
-    "and": (3, False, And),
-    "U": (4, True, Until),
-}
-
-_UNARY_TOKENS = {"not": Not, "G": Globally, "F": Finally, "X": Next}
+                raise ParseError(f"unexpected character {lexeme[bad]!r}",
+                                 _offset(text, i) + bad, ("operator", "atom", "parenthesis"))
+            if len(_LEXEMES) >= CACHE_LEXEMES:
+                _LEXEMES.clear()
+            _LEXEMES.add(lexeme)
+    return lexemes
 
 
 class _Parser:
@@ -174,20 +165,14 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text, with_offsets=False)
+        self.tokens = tokenize(text)
         self.n = len(self.tokens)
         self.i = 0
-
-    def offset(self) -> int:
-        if self.i < self.n:
-            self.tokens = tokenize(self.text)  # error path: recover offsets
-            return self.tokens[self.i][2]
-        return len(self.text)
 
     def parse(self) -> Ltl:
         f = self.expression(1)
         if self.i < self.n:
-            raise ParseError("trailing input", self.offset(), ("end of input",))
+            raise ParseError("trailing input", _offset(self.text, self.i), ("end of input",))
         return f
 
     def expression(self, min_prec: int) -> Ltl:
@@ -195,7 +180,7 @@ class _Parser:
         n = self.n
         left = self.unary()
         while self.i < n:
-            info = _BINARY_TOKENS.get(tokens[self.i][0])
+            info = _BINARY.get(tokens[self.i])
             if info is None or info[0] < min_prec:
                 break
             prec, right_assoc, ctor = info
@@ -207,33 +192,22 @@ class _Parser:
     def unary(self) -> Ltl:
         i = self.i
         if i >= self.n:
-            raise ParseError("unexpected end of input", self.offset(),
-                             ("atom", "true", "(", "!", "G", "F", "X"))
-        tokens = self.tokens
-        kind = tokens[i][0]
-        op = _UNARY_TOKENS.get(kind)
-        if op is not None:
-            self.i = i + 1
-            return op(self.unary())
-        if kind == "atom":
-            self.i = i + 1
-            return _ATOMS[tokens[i][1]]
-        if kind == "lparen":
-            self.i = i + 1
+            raise ParseError("unexpected end of input", _offset(self.text, i), _OPERAND)
+        lexeme = self.tokens[i]
+        self.i = i + 1
+        if lexeme not in _FIXED:
+            return _ATOMS[lexeme]
+        if lexeme in _UNARY:
+            return _UNARY[lexeme](self.unary())
+        if lexeme == "(":
             f = self.expression(1)
-            i = self.i
-            if i >= self.n or tokens[i][0] != "rparen":
-                raise ParseError("unbalanced parenthesis", self.offset(), (")",))
-            self.i = i + 1
+            if self.i >= self.n or self.tokens[self.i] != ")":
+                raise ParseError("unbalanced parenthesis", _offset(self.text, self.i), (")",))
+            self.i += 1
             return f
-        if kind == "true":
-            self.i = i + 1
-            return TRUE
-        if kind == "false":
-            self.i = i + 1
-            return Not(TRUE)
-        raise ParseError(f"unexpected token", self.offset(),
-                         ("atom", "true", "(", "!", "G", "F", "X"))
+        if lexeme in _CONSTANTS:
+            return _CONSTANTS[lexeme]
+        raise ParseError("unexpected token", _offset(self.text, i), _OPERAND)
 
 
 def parse(text: str) -> Ltl:
@@ -244,28 +218,17 @@ def parse(text: str) -> Ltl:
 
 def to_string(f: Ltl) -> str:
     """Deterministic rendering; parse(to_string(f)) == f structurally."""
-    match f:
-        case TrueConst():
-            return "true"
-        case Atom(name):
-            return name
-        case Not(g):
-            return f"! ({to_string(g)})"
-        case Next(g):
-            return f"X ({to_string(g)})"
-        case Finally(g):
-            return f"F ({to_string(g)})"
-        case Globally(g):
-            return f"G ({to_string(g)})"
-        case And(l, r):
-            return f"({to_string(l)} & {to_string(r)})"
-        case Or(l, r):
-            return f"({to_string(l)} | {to_string(r)})"
-        case Implies(l, r):
-            return f"({to_string(l)} -> {to_string(r)})"
-        case Until(l, r):
-            return f"({to_string(l)} U {to_string(r)})"
-    raise TypeError(f"not a formula: {f!r}")
+    cls = type(f)
+    if cls is Atom:
+        return f.name
+    if cls is TrueConst:
+        return "true"
+    if cls not in _OPERATORS:
+        raise TypeError(f"not a formula: {f!r}")
+    lexeme, unary = _OPERATORS[cls]
+    if unary:
+        return f"{lexeme} ({to_string(f.operand)})"
+    return f"({to_string(f.left)} {lexeme} {to_string(f.right)})"
 
 
 _Pair = tuple[Ltl, str]  # (canonical node, its printed form)
@@ -445,22 +408,16 @@ def classify(f: Ltl) -> ConvertibilityVerdict:
     the offending operator or shape."""
     if not isinstance(f, Globally):
         op = _first_temporal(f)
-        if op is not None and op != "Globally":
-            return InferenceError(op)
-        return InferenceError("not a globally-guarded implication")
+        return InferenceError("not a globally-guarded implication" if op in (None, "Globally")
+                              else op)
     body = f.operand
     if not isinstance(body, Implies):
-        op = _first_temporal(body)
-        if op is not None:
-            return InferenceError(op)
-        return InferenceError("body is not an implication")
-    op = _first_temporal(body)
-    if op is not None:
-        return InferenceError(op)
+        return InferenceError(_first_temporal(body) or "body is not an implication")
+    # sides that _literals accepts hold no temporal operator, so one is named only on refusal
     antecedent = _literals(body.left)
     consequent = _literals(body.right)
     if antecedent is None or consequent is None:
-        return InferenceError("non-conjunctive body")
+        return InferenceError(_first_temporal(body) or "non-conjunctive body")
 
     def dedupe(lits: list[Literal]) -> tuple[Literal, ...] | None:
         seen: dict[str, bool] = {}
@@ -477,21 +434,13 @@ def classify(f: Ltl) -> ConvertibilityVerdict:
     return Convertible(ant, con)
 
 
-_OP_NAMES = {
-    TrueConst: "true", Atom: "atom", Not: "not", And: "and", Or: "or",
-    Implies: "implies", Next: "next", Until: "until",
-    Finally: "finally", Globally: "globally",
-}
-
-
 def to_json(f: Ltl) -> dict:
-    match f:
-        case TrueConst():
-            return {"op": "true", "args": []}
-        case Atom(name):
-            return {"op": "atom", "args": [name]}
-        case Not(g) | Next(g) | Finally(g) | Globally(g):
-            return {"op": _OP_NAMES[type(f)], "args": [to_json(g)]}
-        case And(l, r) | Or(l, r) | Implies(l, r) | Until(l, r):
-            return {"op": _OP_NAMES[type(f)], "args": [to_json(l), to_json(r)]}
-    raise TypeError(f"not a formula: {f!r}")
+    cls = type(f)
+    if cls is Atom:
+        return {"op": "atom", "args": [f.name]}
+    if cls is TrueConst:
+        return {"op": "true", "args": []}
+    if cls not in _OPERATORS:
+        raise TypeError(f"not a formula: {f!r}")
+    operands = (f.operand,) if _OPERATORS[cls][1] else (f.left, f.right)
+    return {"op": cls.__name__.lower(), "args": [to_json(g) for g in operands]}

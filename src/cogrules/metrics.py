@@ -34,7 +34,7 @@ def ltl_match_accuracy(predictions: list[str], references: list[str]) -> float:
 
 
 def ltl_tokens(text: str) -> list[str]:
-    return [lexeme for _, lexeme, _ in ltl.tokenize(text, with_offsets=False)]
+    return ltl.tokenize(text)
 
 
 def ltl_bleu(prediction: list[str], reference: list[str], max_n: int = 4) -> float:

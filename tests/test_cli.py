@@ -656,6 +656,20 @@ class TestRunAll:
         err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
         assert err == f"error: section 'config': key {key!r} may not be empty\n", err
 
+    @pytest.mark.parametrize("slot,name", [
+        ("lateral_actions", "keep-lane"), ("longitudinal_actions", "X"),
+        ("groundings", "front gap")])
+    def test_run_all_refuses_a_kb_name_that_no_formula_can_name(self, tmp_path, capsys,
+                                                               model_calls, slot, name):
+        inputs = run_all_inputs(tmp_path)
+        kb = inputs["kb.json"]
+        if slot == "groundings":
+            kb[slot][name] = kb[slot].pop("front_gap_closing")
+        else:
+            kb[slot] = [*kb[slot], name]
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert err.startswith(f"error: {name!r} is not an atom name"), err
+
     @pytest.mark.parametrize("value,named", [
         (5, "'state'"), ({"front_gap_closing": [1]}, "'state'"), ("x", "'state'")],
         ids=["state-number", "state-list-value", "state-string"])

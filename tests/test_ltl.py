@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,11 +57,21 @@ def _texts(seed: int, n: int) -> list[str]:
     return ["".join(rng.choice(pieces) for _ in range(rng.randint(1, 12))) for _ in range(n)]
 
 
-def _lexed_or_error(text: str, with_offsets: bool):
+def _lexed_or_error(text: str):
     try:
-        return [(kind, lexeme) for kind, lexeme, _ in ltl.tokenize(text, with_offsets)]
+        return ltl.tokenize(text)
     except ltl.ParseError as e:
         return str(e), e.offset
+
+
+_VALID_LEXEME = re.compile(r"->|[()!&|]|[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _pieces(text: str) -> list[str]:
+    """`text` split at whitespace and around each operator and parenthesis."""
+    for op in ("->", "(", ")", "!", "&", "|"):
+        text = text.replace(op, f" {op} ")
+    return text.split()
 
 
 def _parsed_or_error(text: str):
@@ -88,19 +99,25 @@ class TestTables:
     def test_happy_path_tokens_equal_the_offsets_path(self):
         texts = _texts(17, 3000)
         names = [f"n{i} -> m{i}" for i in range(len(texts))]  # 6,000 distinct names
+        expected = {}
         refused = 0
         for table in ("emptied", "warm", "overflowing"):
             for text, more in zip(texts, names):
                 if table == "emptied":
                     ltl._LEXEMES.clear()
                 for t in (more, text) if table == "overflowing" else (text,):
-                    expected = _lexed_or_error(t, with_offsets=True)
-                    assert _lexed_or_error(t, with_offsets=False) == expected, (table, t)
+                    got = _lexed_or_error(t)
+                    assert expected.setdefault(t, got) == got, (table, t)
                     assert len(ltl._LEXEMES) <= ltl.CACHE_LEXEMES
-                    refused += isinstance(expected, tuple)
+                    pieces = _pieces(t)
+                    bad = [p for p in pieces if not _VALID_LEXEME.fullmatch(p)]
+                    if isinstance(got, tuple):
+                        refused += 1
+                        assert bad and ltl._LEXEMES.isdisjoint(bad), t
+                    else:
+                        assert got == pieces and not bad, t
         assert 3 * 500 < refused < 3 * 2500
-        first, _, again = ltl.tokenize("a & a", with_offsets=False)
-        assert first == ("atom", "a", None) and again is first
+        assert ltl.tokenize("a & a") == ["a", "&", "a"]
 
     def test_parse_builds_equal_trees_with_one_atom_per_name(self):
         rng = random.Random(19)
@@ -132,6 +149,43 @@ class TestTables:
         with pytest.raises(ltl.ParseError, match="unexpected character"):
             ltl.parse(f"G (a -> {name})")
 
+    @pytest.mark.parametrize("name", ["true", "false", "G", "F", "X", "U"])
+    def test_a_keyword_is_not_an_atom_name(self, name):
+        # Atom("X") printed as "G ((a -> X))", which does not parse
+        assert not ltl.is_atom_name(name)
+        with pytest.raises(ValueError, match="invalid atom name"):
+            ltl.Atom(name)
+        assert ltl.is_atom_name(name + "1") and ltl.is_atom_name("_" + name)
+
+
+_OPERAND = "(expected one of: atom, true, (, !, G, F, X)"
+
+
+class TestErrors:
+    """Each ParseError's exact message, offset and expected lexemes."""
+
+    @pytest.mark.parametrize("text,message,offset,expected", [
+        ("a &", f"unexpected end of input at offset 3 {_OPERAND}", 3,
+         ("atom", "true", "(", "!", "G", "F", "X")),
+        (")", f"unexpected token at offset 0 {_OPERAND}", 0,
+         ("atom", "true", "(", "!", "G", "F", "X")),
+        ("G (a -> -> b)", f"unexpected token at offset 8 {_OPERAND}", 8,
+         ("atom", "true", "(", "!", "G", "F", "X")),
+        ("G (a -> b", "unbalanced parenthesis at offset 9 (expected one of: ))", 9, (")",)),
+        ("G (a & b -> c) d", "trailing input at offset 15 (expected one of: end of input)", 15,
+         ("end of input",)),
+        ("", "empty input at offset 0 (expected one of: formula)", 0, ("formula",)),
+        ("x $ y", "unexpected character '$' at offset 2 "
+         "(expected one of: operator, atom, parenthesis)", 2,
+         ("operator", "atom", "parenthesis"))],
+        ids=["end-of-input", "unexpected-token-first", "unexpected-token-inside", "unbalanced",
+             "trailing", "empty", "bad-character"])
+    def test_message_offset_and_expected(self, text, message, offset, expected):
+        with pytest.raises(ltl.ParseError) as exc:
+            ltl.parse(text)
+        assert (str(exc.value), exc.value.offset, exc.value.expected) == \
+            (message, offset, expected)
+
 
 class TestToString:
     def test_globally_atom(self):
@@ -143,6 +197,23 @@ class TestToString:
 
     def test_until_true(self):
         assert ltl.to_string(ltl.Until(ltl.TRUE, ltl.Atom("a"))) == "(true U a)"
+
+    def test_every_node_kind(self):
+        a, b = ltl.Atom("a"), ltl.Atom("b")
+        printed = [(ltl.TRUE, "true"), (a, "a"), (ltl.Not(a), "! (a)"), (ltl.Next(a), "X (a)"),
+                   (ltl.Finally(a), "F (a)"), (ltl.Globally(a), "G (a)"),
+                   (ltl.And(a, b), "(a & b)"), (ltl.Or(a, b), "(a | b)"),
+                   (ltl.Implies(a, b), "(a -> b)"), (ltl.Until(a, b), "(a U b)")]
+        assert [ltl.to_string(f) for f, _ in printed] == [text for _, text in printed]
+        assert all(ltl.parse(text) == f for f, text in printed)
+
+    @pytest.mark.parametrize("convert", [ltl.to_string, ltl.to_json])
+    def test_a_non_formula_is_a_type_error(self, convert):
+        for value in ("a", None, ltl.Ltl()):
+            with pytest.raises(TypeError, match="not a formula"):
+                convert(value)
+        with pytest.raises(TypeError, match="not a formula"):
+            convert(ltl.Not("a"))
 
     def test_round_trip_bulk(self):
         rng = random.Random(42)
@@ -217,6 +288,16 @@ class TestClassify:
         assert v == ltl.Convertible(
             (("a", True), ("c", False)), (("b", True), ("d", True)))
 
+    @pytest.mark.parametrize("text,reason", [
+        ("G (a -> G b)", "Globally"),
+        ("G ((a | F b) -> c)", "Finally"),
+        ("G a -> b", "not a globally-guarded implication"),
+        ("G (a & b)", "body is not an implication"),
+        ("G (true -> b)", "non-conjunctive body"),
+        ("G (a -> b & !b)", "contradictory literals")])
+    def test_each_refusal_names_its_reason(self, text, reason):
+        assert ltl.classify(ltl.parse(text)) == ltl.InferenceError(reason)
+
     def test_disjunctive_body_rejected(self):
         v = ltl.classify(ltl.parse("G ((a | b) -> c)"))
         assert v == ltl.InferenceError("non-conjunctive body")
@@ -248,3 +329,15 @@ class TestJson:
         assert obj == {"op": "globally", "args": [
             {"op": "implies", "args": [{"op": "atom", "args": ["a"]},
                                        {"op": "atom", "args": ["b"]}]}]}
+
+    def test_every_node_kind(self):
+        a, b = ltl.Atom("a"), ltl.Atom("b")
+        ja, jb = {"op": "atom", "args": ["a"]}, {"op": "atom", "args": ["b"]}
+        assert ltl.to_json(ltl.TRUE) == {"op": "true", "args": []}
+        assert ltl.to_json(a) == ja
+        for ctor, op in ((ltl.Not, "not"), (ltl.Next, "next"), (ltl.Finally, "finally"),
+                         (ltl.Globally, "globally")):
+            assert ltl.to_json(ctor(a)) == {"op": op, "args": [ja]}
+        for ctor, op in ((ltl.And, "and"), (ltl.Or, "or"), (ltl.Implies, "implies"),
+                         (ltl.Until, "until")):
+            assert ltl.to_json(ctor(a, b)) == {"op": op, "args": [ja, jb]}

@@ -102,7 +102,7 @@ class TestTokens:
         refused = []
         for text in texts:
             try:
-                expected = [lexeme for _, lexeme, _ in ltl.tokenize(text)]
+                expected = ltl.tokenize(text)
             except ltl.ParseError as e:
                 refused.append(text)
                 with pytest.raises(ltl.ParseError) as got:

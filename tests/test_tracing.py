@@ -70,3 +70,15 @@ def test_train_under_the_tracer_counts_epochs_and_decides(monkeypatch):
     _, _, calls = tracer.totals()
     assert calls["trainer.train"] == 1
     assert calls["engine.decide"] == 5 * 3 * cfg.epochs
+
+
+def test_parse_and_ltl_tokens_each_record_a_tokenize_span(monkeypatch):
+    # both reach `tokenize` through the ltl module, where the tracer wraps it
+    tracer, uninstall = install_tracer(monkeypatch)
+    try:
+        ltl.parse("G (a -> b)")
+        assert tracer.totals()[2]["ltl.tokenize"] == 1
+        assert metrics.ltl_tokens("a & b") == ["a", "&", "b"]
+        assert tracer.totals()[2]["ltl.tokenize"] == 2
+    finally:
+        uninstall()
