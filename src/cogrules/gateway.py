@@ -212,6 +212,8 @@ class Session:
                         and type(rec.get("response")) is str):
                     raise ValueError(
                         f"{path} line {n}: needs strings 'request_hash' and 'response'")
+                if not rec["response"]:
+                    raise ValueError(f"{path} line {n}: 'response' may not be empty")
                 queues.setdefault(rec["request_hash"], []).append(rec["response"])
             self._transcripts[path] = queues
         return self._transcripts[path]

@@ -9,6 +9,7 @@ preserves the surface form the user wrote.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 class Ltl:
@@ -231,105 +232,68 @@ def to_string(f: Ltl) -> str:
     return f"({to_string(f.left)} {lexeme} {to_string(f.right)})"
 
 
-_Pair = tuple[Ltl, str]  # (canonical node, its printed form)
+# (canonical node, its printed form, its parts): a Not's parts are its operand's
+# triple, an And chain's the sorted list of its conjuncts' triples, others' None
+_Canon = tuple[Ltl, str, "_Canon | list[_Canon] | None"]
+_printed = itemgetter(1)
 
 
-def _negate(node: Ltl, key: str) -> _Pair:
-    if type(node) is Not:  # double negation; key format is "! (<inner>)"
-        return node.operand, key[3:-1]
-    return Not(node), f"! ({key})"
+def _negate(c: _Canon) -> _Canon:
+    node, key, parts = c
+    if type(node) is Not:  # double negation
+        return parts
+    return Not(node), f"! ({key})", c
 
 
-def _split_and(node: Ltl, key: str, out: list[_Pair]) -> None:
-    """Split an already-canonical right-nested conjunction chain into its
-    conjunct pairs, slicing the rendered key at parenthesis depth zero."""
-    while type(node) is And:
-        inner = key[1:-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "&" and depth == 0:
-                break
-        out.append((node.left, inner[:i - 1]))
-        node, key = node.right, inner[i + 2:]
-    out.append((node, key))
-
-
-def _fold_and(flat: list[_Pair]) -> _Pair:
-    if not flat:
-        return TRUE, "true"
-    flat.sort(key=_pair_key)
-    node, key = flat[-1]
-    for p, kp in reversed(flat[:-1]):
+def _conjoin(left: _Canon, right: _Canon) -> _Canon:
+    """The conjunction of two canonical values: their conjuncts in one chain
+    sorted by printed form, true units dropped."""
+    flat: list[_Canon] = []
+    for c in (left, right):
+        cls = type(c[0])
+        if cls is And:  # a nested chain contributes its conjuncts
+            flat += c[2]
+        elif cls is not TrueConst:
+            flat.append(c)
+    if len(flat) < 2:
+        return flat[0] if flat else (TRUE, "true", None)
+    flat.sort(key=_printed)
+    node, key, _ = flat[-1]
+    for p, kp, _ in reversed(flat[:-1]):
         node = And(p, node)
         key = f"({kp} & {key})"
-    return node, key
+    return node, key, flat
 
 
-def _pair_key(pair: _Pair) -> str:
-    return pair[1]
-
-
-def _collect(pair: _Pair, out: list[_Pair]) -> None:
-    node, key = pair
-    cls = type(node)
-    if cls is TrueConst:
-        return
-    if cls is And:  # canonicalization exposed a nested conjunction
-        _split_and(node, key, out)
-    else:
-        out.append(pair)
-
-
-def _conjuncts(f: Ltl, out: list[_Pair]) -> None:
-    if type(f) is And:
-        _conjuncts(f.left, out)
-        _conjuncts(f.right, out)
-    else:
-        _collect(_canon(f), out)
-
-
-def _canon(f: Ltl) -> _Pair:
-    """Rewrite to normal form, carrying each node's printed form bottom-up
-    so conjunction sorting never re-renders subtrees."""
+def _canon(f: Ltl) -> _Canon:
+    """Rewrite to normal form, carrying each node's printed form and parts
+    bottom-up so conjunction sorting never re-renders subtrees."""
     cls = type(f)
     if cls is Atom:
-        return f, f.name
+        return f, f.name, None
     if cls is TrueConst:
-        return f, "true"
+        return f, "true", None
     if cls is Not:
-        return _negate(*_canon(f.operand))
+        return _negate(_canon(f.operand))
     if cls is And:
-        flat: list[_Pair] = []
-        _conjuncts(f, flat)
-        return _fold_and(flat)
-    if cls is Or:
-        flat = []
-        _collect(_negate(*_canon(f.left)), flat)
-        _collect(_negate(*_canon(f.right)), flat)
-        return _negate(*_fold_and(flat))
-    if cls is Implies:
-        flat = []
-        _collect(_canon(f.left), flat)
-        _collect(_negate(*_canon(f.right)), flat)
-        return _negate(*_fold_and(flat))
+        return _conjoin(_canon(f.left), _canon(f.right))
+    if cls is Or:  # a | b == !(!a & !b)
+        return _negate(_conjoin(_negate(_canon(f.left)), _negate(_canon(f.right))))
+    if cls is Implies:  # a -> b == !(a & !b)
+        return _negate(_conjoin(_canon(f.left), _negate(_canon(f.right))))
     if cls is Next:
-        c, k = _canon(f.operand)
-        return Next(c), f"X ({k})"
+        c, k, _ = _canon(f.operand)
+        return Next(c), f"X ({k})", None
     if cls is Until:
-        cl, kl = _canon(f.left)
-        cr, kr = _canon(f.right)
-        return Until(cl, cr), f"({kl} U {kr})"
+        cl, kl, _ = _canon(f.left)
+        cr, kr, _ = _canon(f.right)
+        return Until(cl, cr), f"({kl} U {kr})", None
     if cls is Finally:
-        c, k = _canon(f.operand)
-        return Until(TRUE, c), f"(true U {k})"
-    if cls is Globally:
-        n, kn = _negate(*_canon(f.operand))
-        u = Until(TRUE, n)
-        return Not(u), f"! ((true U {kn}))"
+        c, k, _ = _canon(f.operand)
+        return Until(TRUE, c), f"(true U {k})", None
+    if cls is Globally:  # G a == !(true U !a)
+        n, kn, _ = _negate(_canon(f.operand))
+        return _negate((Until(TRUE, n), f"(true U {kn})", None))
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -116,11 +116,19 @@ class SegmentResult:
 
 
 def read_corpus(records: list, cfg: PipelineConfig) -> list[Segment]:
-    """The records as segments with string ids, each with an initial translation source."""
-    segments = [read_section(Segment, f"{cfg.corpus or 'corpus'} record {i}", r)
-                for i, r in enumerate(records)]
+    """The records as segments with distinct string ids, each with a nonempty
+    text and an initial translation source."""
+    names = [f"{cfg.corpus or 'corpus'} record {i}" for i in range(len(records))]
+    segments = [read_section(Segment, name, r) for name, r in zip(names, records)]
+    owner: dict[str, int] = {}  # segment id -> the record that has it
     for i, seg in enumerate(segments):
         seg.id = str(i if seg.id is None else seg.id)
+        if not seg.text:
+            raise ValueError(f"section {names[i]!r}: key 'text' may not be empty")
+        if seg.id in owner:
+            raise ValueError(f"section {names[i]!r}: segment id {seg.id!r} is also "
+                             f"record {owner[seg.id]}'s")
+        owner[seg.id] = i
         if seg.initial is None and cfg.initial_backend is None:
             raise ValueError(f"segment {seg.id}: no initial translation source")
     return segments

@@ -112,11 +112,14 @@ def episodes_to_jsonl(episodes: list[Episode], path: str | Path) -> None:
 
 
 def episodes_from_jsonl(path: str | Path) -> list[Episode]:
-    """The episodes file `path`, a `StepRecord` a line; an error names the file and the line."""
+    """The episodes file `path`, a `StepRecord` a line; an error names the file and the line.
+    A file without a step is refused."""
     groups: dict[int, list[StepRecord]] = {}
     for n, obj in read_jsonl(path):
         rec = read_section(StepRecord, f"{path} line {n}", obj)
         groups.setdefault(rec.episode, []).append(rec)
+    if not groups:
+        raise ValueError(f"{path}: holds no episode step")
     return [Episode([(WorldState.make(r.state, r.t), r.reference) for r in recs],
                     recs[0].scenario, recs[0].subject) for _, recs in sorted(groups.items())]
 

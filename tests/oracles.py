@@ -1,11 +1,13 @@
 """Independent reference implementations used to cross-check the package:
 brute-force cosine dedup, direct-summation JS divergence, a Fraction-based
-smoothed BLEU, and per-slot marginals summed over action pairs.
-Deliberately written against the textbook definitions, not the package
-code paths."""
+smoothed BLEU, per-slot marginals summed over action pairs, and the LTL
+normal form stated directly. Deliberately written against the textbook
+definitions, not the package code paths."""
 
 import math
 from fractions import Fraction
+
+from cogrules import ltl
 
 
 def bleu_oracle(prediction, reference, max_n=4):
@@ -90,3 +92,64 @@ def summed_marginals(dist):
         lon[a] = lon.get(a, 0.0) + p
         lat[b] = lat.get(b, 0.0) + p
     return lon, lat
+
+
+def canonical_oracle(f):
+    """The normal form `ltl.canonicalize` promises, built node by node: a
+    convertible formula is G(literal chain -> literal chain) over `classify`'s
+    sorted literals; otherwise |, ->, F and G become !, & and U, double
+    negations and true conjuncts go, and every conjunction is one right-nested
+    chain of its conjuncts sorted by `to_string`."""
+    verdict = ltl.classify(f)
+    if isinstance(verdict, ltl.Convertible):
+        return ltl.Globally(ltl.Implies(_literal_chain(verdict.antecedent),
+                                        _literal_chain(verdict.consequent)))
+    return _normal(f)
+
+
+def _chain(conjuncts):
+    result = conjuncts[-1]
+    for g in reversed(conjuncts[:-1]):
+        result = ltl.And(g, result)
+    return result
+
+
+def _literal_chain(literals):
+    return _chain([ltl.Atom(n) if positive else ltl.Not(ltl.Atom(n))
+                   for n, positive in literals])
+
+
+def _not(g):
+    return g.operand if isinstance(g, ltl.Not) else ltl.Not(g)
+
+
+def _and(left, right):
+    conjuncts = []
+    for g in (left, right):
+        while isinstance(g, ltl.And):  # a normal-form chain nests to the right
+            conjuncts.append(g.left)
+            g = g.right
+        if not isinstance(g, ltl.TrueConst):
+            conjuncts.append(g)
+    return _chain(sorted(conjuncts, key=ltl.to_string)) if conjuncts else ltl.TRUE
+
+
+def _normal(f):
+    if isinstance(f, (ltl.Atom, ltl.TrueConst)):
+        return f
+    if isinstance(f, ltl.Not):
+        return _not(_normal(f.operand))
+    if isinstance(f, ltl.And):
+        return _and(_normal(f.left), _normal(f.right))
+    if isinstance(f, ltl.Or):
+        return _not(_and(_not(_normal(f.left)), _not(_normal(f.right))))
+    if isinstance(f, ltl.Implies):
+        return _not(_and(_normal(f.left), _not(_normal(f.right))))
+    if isinstance(f, ltl.Next):
+        return ltl.Next(_normal(f.operand))
+    if isinstance(f, ltl.Until):
+        return ltl.Until(_normal(f.left), _normal(f.right))
+    if isinstance(f, ltl.Finally):
+        return ltl.Until(ltl.TRUE, _normal(f.operand))
+    assert isinstance(f, ltl.Globally), f
+    return ltl.Not(ltl.Until(ltl.TRUE, _not(_normal(f.operand))))

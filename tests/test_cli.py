@@ -755,3 +755,73 @@ class TestRunAll:
         config.write_text(json.dumps(raw))
         code, _, err = run_cli(capsys, "run-all", "--config", str(config))
         assert code == 0, err
+
+
+class TestEmptyAndRepeatedInputs:
+    """Inputs that used to pass the readers and fail, or be merged, only after
+    model calls: each is refused before the first call and before out/ exists."""
+
+    def test_run_all_refuses_a_corpus_record_with_empty_text(self, tmp_path, capsys,
+                                                            model_calls):
+        inputs = run_all_inputs(tmp_path)
+        inputs["corpus.json"].append({"text": "", "initial": "G (a -> brake)"})
+        n = len(inputs["corpus.json"]) - 1
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert err == (f"error: section '{tmp_path / 'corpus.json'} record {n}': "
+                       "key 'text' may not be empty\n"), err
+
+    @pytest.mark.parametrize("first_id", [0, "0", None], ids=["int", "string", "unlabelled"])
+    def test_run_all_refuses_a_segment_id_that_repeats(self, tmp_path, capsys, model_calls,
+                                                       first_id):
+        # ids are compared as the strings they become; an unlabelled record 0 is "0"
+        inputs = run_all_inputs(tmp_path)
+        corpus = inputs["corpus.json"]
+        corpus[0].pop("id")
+        if first_id is not None:
+            corpus[0]["id"] = first_id
+        corpus.append({"id": "0", "text": "I braked.", "initial": "G (a -> brake)"})
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert err == (f"error: section '{tmp_path / 'corpus.json'} record {len(corpus) - 1}': "
+                       "segment id '0' is also record 0's\n"), err
+
+    def test_run_all_refuses_an_episodes_file_without_a_step(self, tmp_path, capsys,
+                                                            model_calls):
+        inputs = run_all_inputs(tmp_path)
+        inputs["episodes.jsonl"] = []
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert err == f"error: {tmp_path / 'episodes.jsonl'}: holds no episode step\n", err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_train_and_eval_refuse_an_episodes_file_without_a_step(self, tmp_path, capsys,
+                                                                  command):
+        gen_data(tmp_path, capsys)
+        episodes = tmp_path / "data" / "episodes.jsonl"
+        episodes.write_text("\n")
+        code, out, err = run_on_rules(tmp_path, capsys, command, [a_rule()])
+        assert (code, out) == (1, "")
+        assert err == f"error: {episodes}: holds no episode step\n", err
+        assert not (tmp_path / "trained").exists()
+
+    def test_run_all_refuses_a_replay_record_with_an_empty_response(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        record = write_pipeline_config(tmp_path, record_path="transcript.jsonl")
+        assert run_cli(capsys, "run-all", "--config", str(record))[0] == 0
+        transcript = tmp_path / "transcript.jsonl"
+        lines = transcript.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["response"] = ""
+        lines[1] = json.dumps(rec)
+        transcript.write_text("\n".join(lines) + "\n")
+        replayed = []
+
+        def counted(self, messages, complete=gateway.ReplayBackend.complete):
+            replayed.append(messages)
+            return complete(self, messages)
+        monkeypatch.setattr(gateway.ReplayBackend, "complete", counted)
+        replay = write_pipeline_config(tmp_path, backends="replay",
+                                       transcript_path="transcript.jsonl", out_dir="out_replay")
+        code, out, err = run_cli(capsys, "run-all", "--config", str(replay))
+        assert (code, out) == (1, "")
+        assert err == f"error: {transcript} line 2: 'response' may not be empty\n", err
+        assert replayed == []
+        assert not (tmp_path / "out_replay").exists()

@@ -1,6 +1,6 @@
 """Every module-level import in the package and in its tests is used, every
-parameter of a package function is read, and importing the command line
-loads no heavy third-party package."""
+parameter of a package function and every private name of a package module
+is read, and importing the command line loads no heavy third-party package."""
 
 import ast
 import subprocess
@@ -87,6 +87,46 @@ def test_parameter_checker_reports_only_unread_parameters():
               "    def n(self, z):\n        raise ValueError\n")
     assert unused_parameters(source) == [
         "line 1: f(a)", "line 1: f(args)", "line 1: f(d)", "line 1: f(e)", "line 13: n(z)"]
+
+
+def unread_private_names(source: str) -> list[str]:
+    """'line L: name' for each private module-level function, class or
+    variable, and each private method, that its module never reads."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(n.id, node.lineno) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            defined += [(m.name, m.lineno) for m in node.body
+                        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= {n.attr for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in defined
+            if name.startswith("_") and not name.endswith("__") and name not in read]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text()) == []
+
+
+def test_private_name_checker_reports_only_unread_names():
+    source = ("_A, _B = 1, 2\n_C: int = 3\nD = _A\n"
+              "def _f():\n    return _g\n"
+              "def _g():\n    pass\n"
+              "class _K:\n"
+              "    def __init__(self):\n        self._x = 1\n"
+              "    def _m(self):\n        return self._n()\n"
+              "    def _n(self):\n        return self._x\n"
+              "    def public(self):\n        pass\n")
+    assert unread_private_names(source) == [
+        "line 1: _B", "line 2: _C", "line 4: _f", "line 8: _K", "line 11: _m"]
 
 
 def test_cli_and_pipeline_import_neither_numpy_nor_requests():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cogrules import ltl
 from conftest import random_formula
+from oracles import canonical_oracle
 
 
 class TestParse:
@@ -261,6 +262,20 @@ class TestCanonicalize:
         f = random_formula(random.Random(seed), 8)
         c = ltl.canonicalize(f)
         assert ltl.canonicalize(c) == c
+
+    @pytest.mark.parametrize("text", [
+        "! ! (a & b)", "! (a | b) & c", "G (a -> b) | false", "G (! ! a -> b & ! ! c)",
+        "(c & b) & (a & (b & true))", "true & ! ! true", "! ! ! a", "F (a | b) -> G c",
+        "G (a & b -> X c)", "false -> a", "(a -> b) & (c | d)", "X (b & a) U ! (c & a)"])
+    def test_hand_cases_match_the_reference_canonicalizer(self, text):
+        f = ltl.parse(text)
+        assert ltl.canonicalize(f) == canonical_oracle(f)
+
+    def test_random_formulas_match_the_reference_canonicalizer(self):
+        rng = random.Random(25)
+        for i in range(10_000):
+            f = random_formula(rng, 2 + i % 7)
+            assert ltl.canonicalize(f) == canonical_oracle(f), ltl.to_string(f)
 
 
 def _contains_ops(f, kinds):
