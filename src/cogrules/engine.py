@@ -8,10 +8,11 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .knowledge import LATERAL, LONGITUDINAL, SLOTS, ActionPair, ProductionRule, Value
+from .knowledge import (LATERAL, LONGITUDINAL, NO_ACTION, SLOTS, ActionPair, ProductionRule,
+                        Value)
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,20 @@ class WorldState:
 
     def key(self) -> str:
         return json.dumps(self.features, sort_keys=True)
+
+
+def shared_states() -> Callable[[dict[str, Value], int], WorldState]:
+    """`WorldState.make` for the states of one batch of episodes, except that
+    states with equal features share one features tuple: a table keyed on
+    it then finds a recurring state by identity instead of comparing its
+    pairs. Features are equal only with their values' types: True == 1, but
+    a domain tells them apart, so the two never share."""
+    shared: dict[tuple, tuple[tuple[str, Value], ...]] = {}
+
+    def make(features: dict[str, Value], t: int = 0) -> WorldState:
+        items = tuple(sorted(features.items()))
+        return WorldState(shared.setdefault((items, tuple([type(v) for _, v in items])), items), t)
+    return make
 
 
 @dataclass
@@ -111,7 +126,9 @@ class RuleSet:
     memory); rules without one are always tried. A state's pool is those
     plus the buckets of its own (feature, value) pairs, which `match`
     verifies. The per-slot candidates of up to CACHE_STATES states are
-    cached, keyed on the features alone; the cache is emptied when full."""
+    cached, keyed on the features alone; the cache is emptied when full.
+    Episodes from `shared_states` share one features tuple per distinct
+    state, so a cache hit on them compares by identity."""
 
     def __init__(self, rules: Iterable[ProductionRule]):
         self.rules = list(rules)
@@ -149,7 +166,7 @@ def decide(state: WorldState, rules: RuleSet, sigma: float,
     with a lateral effect fills both slots. Only if the lateral slot is
     still empty do the lateral candidates compete."""
     longitudinal_candidates, lateral_candidates = rules.candidates(state)
-    decision = ActionPair()
+    decision = NO_ACTION
     firings = []
     if longitudinal_candidates:
         chosen = select(longitudinal_candidates, sigma, rng)
@@ -169,7 +186,7 @@ def action_pair_key(longitudinal: str | None, lateral: str | None) -> str:
 
 def _softmaxes(state: WorldState, rules: RuleSet, sigma: float):
     """The two softmaxes `decide` draws from. `winners` holds (effects, p)
-    per longitudinal candidate, or (ActionPair(), 1.0) when there is none;
+    per longitudinal candidate, or (NO_ACTION, 1.0) when there is none;
     `laterals` holds (lateral, q) per lateral candidate, or (None, 1.0)."""
     longitudinal_candidates, lateral_candidates = rules.candidates(state)
 
@@ -177,7 +194,7 @@ def _softmaxes(state: WorldState, rules: RuleSet, sigma: float):
         return zip(candidates, selection_probabilities([r.utility for r in candidates], sigma))
 
     laterals = [(r.effects.lateral, p) for r, p in softmax(lateral_candidates)] or [(None, 1.0)]
-    winners = [(r.effects, p) for r, p in softmax(longitudinal_candidates)] or [(ActionPair(), 1.0)]
+    winners = [(r.effects, p) for r, p in softmax(longitudinal_candidates)] or [(NO_ACTION, 1.0)]
     return winners, laterals
 
 

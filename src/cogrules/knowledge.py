@@ -139,6 +139,9 @@ class ActionPair:
         return self.longitudinal if name == LONGITUDINAL else self.lateral
 
 
+NO_ACTION = ActionPair()  # both slots empty
+
+
 @dataclass(frozen=True)
 class FeatureDomain:
     kind: str  # bool | enum | int
@@ -303,7 +306,7 @@ def validate_rule(rule: ProductionRule, kb: KnowledgeBase) -> None:
                 raise RuleValidationError(f"contradictory assertions on {feature!r}")
             denied.setdefault(feature, set()).add(value)
     effects = rule.effects
-    if effects == ActionPair():
+    if effects == NO_ACTION:
         raise RuleValidationError("rule has no effect")
     if effects.longitudinal is not None and effects.longitudinal not in kb.longitudinal_actions:
         raise RuleValidationError(f"unknown longitudinal action {effects.longitudinal!r}")

@@ -88,8 +88,10 @@ def js_divergence(p: dict[str, float], q: dict[str, float]) -> float:
 def reference_distributions(episodes: list[Episode],
                             top_k: int = 10) -> list[tuple[WorldState, Counter]]:
     """Reference action-pair counts of the top_k most frequent states
-    (ties broken by state key), most frequent first. The episodes do not
-    change during a run, so a run computes this once."""
+    (ties broken by state key), most frequent first. Equal states count
+    together; those that share a features tuple (`engine.shared_states`)
+    are found by identity. The episodes do not change during a run, so a
+    run computes this once."""
     by_state: dict[tuple, tuple[WorldState, Counter]] = {}
     for episode in episodes:
         for state, ref in episode.steps:

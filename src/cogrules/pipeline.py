@@ -130,7 +130,8 @@ def read_corpus(records: list, cfg: PipelineConfig) -> list[Segment]:
                              f"record {owner[seg.id]}'s")
         owner[seg.id] = i
         if seg.initial is None and cfg.initial_backend is None:
-            raise ValueError(f"segment {seg.id}: no initial translation source")
+            raise ValueError(f"section {names[i]!r}: segment {seg.id}: "
+                             "no initial translation source")
     return segments
 
 
@@ -179,7 +180,14 @@ def _sha256(path: Path) -> str:
 
 def run_experiment(cfg: PipelineConfig) -> dict:
     """formalize -> train (with JS checkpoints) -> evaluate; writes all
-    artifacts plus a manifest of config hash, seeds and artifact hashes."""
+    artifacts plus a manifest of config hash, seeds and artifact hashes.
+    The episodes come from the episodes file or from the scenario, and a
+    config that sets both, or `n_episodes` with the file, is refused."""
+    if cfg.episodes is not None and cfg.scenario is not None:
+        raise ValueError("section 'config': keys 'episodes' and 'scenario' may not both be set")
+    if cfg.episodes is not None and "n_episodes" in cfg.raw:  # the field has a default
+        raise ValueError("section 'config': key 'n_episodes' counts generated episodes; "
+                         "it may not be set with 'episodes'")
     texts = load_json(cfg.corpus) if cfg.corpus else []
     if not isinstance(texts, list):
         raise ValueError(f"corpus {str(cfg.corpus)!r}: not a JSON list of records")

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass, field
 
 from .knowledge import ActionPair, FeatureDomain, Grounding, KnowledgeBase, Value
-from .engine import WorldState, pick
+from .engine import WorldState, pick, shared_states
 from .trainer import Episode
 
 HIGHWAY = "highway_cut_in"
@@ -150,8 +150,10 @@ def _noisy(action: str | None, vocab: tuple[str, ...], noise: float,
 def generate(spec: ScenarioSpec, policy: ReferencePolicy,
              n_episodes: int) -> list[Episode]:
     """Seeded, deterministic episode generation with per-episode driver
-    (table) identity and optional label noise."""
+    (table) identity and optional label noise. Equal states share one
+    features tuple (`engine.shared_states`)."""
     rng = random.Random(spec.seed)
+    make = shared_states()
     kb = scenario_kb(spec.archetype)
     episodes = []
     for _ in range(n_episodes):
@@ -163,8 +165,7 @@ def generate(spec: ScenarioSpec, policy: ReferencePolicy,
         hazard_len = rng.randint(3, 6)
         steps = []
         for t in range(spec.episode_length):
-            state = WorldState.make(
-                _step_features(spec.archetype, t, trigger, hazard_len), t)
+            state = make(_step_features(spec.archetype, t, trigger, hazard_len), t)
             ref = table.action(state)
             ref = ActionPair(
                 _noisy(ref.longitudinal, kb.longitudinal_actions, spec.noise_rate, rng),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from .engine import RuleSet, TraceEntry, WorldState, decide, slot_marginals
+from .engine import RuleSet, TraceEntry, WorldState, decide, shared_states, slot_marginals
 from .knowledge import (SLOTS, ActionPair, KnowledgeBase, ProductionRule, Value, read_jsonl,
                         read_section)
 
@@ -69,34 +69,30 @@ class EpisodeSchemaError(ValueError):
 def validate_episodes(episodes: list[Episode], kb: KnowledgeBase,
                       path: str | Path | None = None) -> None:
     """Checks every episode's step times and every step's reference actions;
-    the features of each distinct state are checked once. A state is keyed
-    with its values' types too: True == 1 == 1.0, but domains tell them apart.
-    An error names the episodes file `path`, when they were read from one,
-    then the episode, by index and subject, and the step, by index and time;
-    both indexes count from 0, as `episodes_to_jsonl` writes them."""
+    the features of each features tuple are checked once. Episodes from
+    `shared_states` share one tuple per distinct state, values' types
+    included: True == 1 == 1.0, but domains tell them apart. An error names
+    the episodes file `path`, when they were read from one, then the
+    episode, by index and subject, and the step, by index and time; both
+    indexes count from 0, as `episodes_to_jsonl` writes them."""
     source = "" if path is None else f"{path} "
 
     def refusal(i: int, s: int, problem: str) -> EpisodeSchemaError:
         ep = episodes[i]
         return EpisodeSchemaError(f"{source}episode {i} (subject {ep.subject_id!r}) step {s} "
                                   f"(t={ep.steps[s][0].t}): {problem}")
-    checked = set()
+    checked = set()  # ids of the features tuples checked, all alive in `episodes`
     for i, ep in enumerate(episodes):
         times = [state.t for state, _ in ep.steps]
         if times != sorted(times):  # a reward may not precede the firing it credits
             s = next(s for s in range(1, len(times)) if times[s] < times[s - 1])
             raise refusal(i, s, "step time decreases")
         for s, (state, ref) in enumerate(ep.steps):
-            key = (state.features, tuple(type(v) for _, v in state.features))
-            try:
-                new = key not in checked
-            except TypeError:  # an unhashable value, such as a list, is in no domain
-                new = True
-            if new:
+            if id(state.features) not in checked:
                 for name, value in state.features:
                     if not kb.admits(name, value):
                         raise refusal(i, s, f"state {name}={value!r} is not in the knowledge base")
-                checked.add(key)
+                checked.add(id(state.features))
             for slot, vocab in ((ref.longitudinal, kb.longitudinal_actions),
                                 (ref.lateral, kb.lateral_actions)):
                 if slot is not None and slot not in vocab:
@@ -104,23 +100,41 @@ def validate_episodes(episodes: list[Episode], kb: KnowledgeBase,
 
 
 def episodes_to_jsonl(episodes: list[Episode], path: str | Path) -> None:
+    """Writes a `StepRecord` a line, the bytes of `json.dumps(..., sort_keys=True)`
+    of the record with its reference as an object, and streams the lines.
+    Each features tuple and each distinct reference is encoded once a call."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    states: dict[int, str] = {}  # id of a features tuple, alive in `episodes` -> JSON
+    refs: dict[tuple, str] = {}  # slots and their types (True == 1 encodes apart) -> JSON
     with Path(path).open("w") as fh:
         for i, ep in enumerate(episodes):
+            head = f'{{"episode": {i}, "reference": '
+            middle = f', "scenario": {encode(ep.scenario_id)}, "state": '
+            tail = f', "subject": {encode(ep.subject_id)}, "t": '
             for state, ref in ep.steps:
-                rec = StepRecord(state.t, state.as_dict(), ref, i, ep.scenario_id, ep.subject_id)
-                fh.write(json.dumps({**vars(rec), "reference": vars(ref)}, sort_keys=True) + "\n")
+                state_json = states.get(id(state.features))
+                if state_json is None:
+                    state_json = states[id(state.features)] = encode(state.as_dict())
+                key = (ref.longitudinal, ref.lateral, type(ref.longitudinal), type(ref.lateral))
+                ref_json = refs.get(key)
+                if ref_json is None:
+                    ref_json = refs[key] = encode(vars(ref))
+                t = str(state.t) if type(state.t) is int else encode(state.t)
+                fh.write(f"{head}{ref_json}{middle}{state_json}{tail}{t}}}\n")
 
 
 def episodes_from_jsonl(path: str | Path) -> list[Episode]:
     """The episodes file `path`, a `StepRecord` a line; an error names the file and the line.
-    A file without a step is refused."""
+    A file without a step is refused. Equal states share one features tuple (`shared_states`),
+    so the per-state tables of training, evaluation and writing compare them by identity."""
     groups: dict[int, list[StepRecord]] = {}
     for n, obj in read_jsonl(path):
         rec = read_section(StepRecord, f"{path} line {n}", obj)
         groups.setdefault(rec.episode, []).append(rec)
     if not groups:
         raise ValueError(f"{path}: holds no episode step")
-    return [Episode([(WorldState.make(r.state, r.t), r.reference) for r in recs],
+    make = shared_states()
+    return [Episode([(make(r.state, r.t), r.reference) for r in recs],
                     recs[0].scenario, recs[0].subject) for _, recs in sorted(groups.items())]
 
 
@@ -212,15 +226,17 @@ def evaluate_agreement(rules: RuleSet, episodes: list[Episode],
                        sigma: float) -> dict[str, float]:
     """Frozen-utility expected agreement rate per slot: each step scores the
     probability, under the distribution `decide` samples from, that the
-    slot's action is the reference action."""
-    marginals: dict[tuple, tuple[dict[str | None, float], ...]] = {}
+    slot's action is the reference action. The marginals are computed once
+    per features tuple, which `shared_states` shares among equal states."""
+    # keyed on the ids of the features tuples, all alive in `episodes`
+    marginals: dict[int, tuple[dict[str | None, float], ...]] = {}
     agreed = {s: 0.0 for s in SLOTS}
     compared = {s: 0 for s in SLOTS}
     for episode in episodes:
         for state, ref in episode.steps:
-            per_slot = marginals.get(state.features)
+            per_slot = marginals.get(id(state.features))
             if per_slot is None:
-                per_slot = marginals[state.features] = slot_marginals(state, rules, sigma)
+                per_slot = marginals[id(state.features)] = slot_marginals(state, rules, sigma)
             for slot, dist in zip(SLOTS, per_slot):
                 ref_action = ref.slot(slot)
                 if ref_action is None:

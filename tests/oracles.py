@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the package:
 brute-force cosine dedup, direct-summation JS divergence, a Fraction-based
-smoothed BLEU, per-slot marginals summed over action pairs, and the LTL
-normal form stated directly. Deliberately written against the textbook
-definitions, not the package code paths."""
+smoothed BLEU, per-slot marginals summed over action pairs, the LTL
+normal form stated directly, and the episodes file written a record at a
+time. Deliberately written against the textbook definitions, not the
+package code paths."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -153,3 +155,17 @@ def _normal(f):
         return ltl.Until(ltl.TRUE, _normal(f.operand))
     assert isinstance(f, ltl.Globally), f
     return ltl.Not(ltl.Until(ltl.TRUE, _not(_normal(f.operand))))
+
+
+def episodes_jsonl_oracle(episodes):
+    """The episodes file's text: per step, one `json.dumps(..., sort_keys=True)`
+    of its whole record, the reference as an object with both slots."""
+    lines = []
+    for i, episode in enumerate(episodes):
+        for state, ref in episode.steps:
+            record = {"t": state.t, "state": state.as_dict(),
+                      "reference": {"longitudinal": ref.longitudinal, "lateral": ref.lateral},
+                      "episode": i, "scenario": episode.scenario_id,
+                      "subject": episode.subject_id}
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines)

@@ -14,16 +14,21 @@ def run_cli(capsys, *argv):
     return code, out, err
 
 
-def run_all_inputs(base) -> dict:
+def run_all_inputs(base, scenario=False) -> dict:
     """The fixture config, reading its KB and episodes from files too, and
     those input files, as JSON values keyed by file name ("config" for the
-    config, a list of lines for the episodes)."""
+    config, a list of lines for the episodes). With `scenario`, the config
+    and corpus only: the config's scenario section generates the episodes."""
     raw = json.loads(write_pipeline_config(base, epochs=3).read_text())
+    corpus = json.loads((base / "corpus.json").read_text())
+    if scenario:
+        return {"config": raw, "corpus.json": corpus}
+    spec = scenarios.ScenarioSpec(**raw.pop("scenario"))
+    del raw["n_episodes"]  # counts generated episodes only
     raw.update(kb="kb.json", episodes="episodes.jsonl")
-    spec = scenarios.ScenarioSpec(**raw["scenario"])
     episodes = scenarios.generate(spec, scenarios.default_policy(spec.archetype), 3)
     trainer.episodes_to_jsonl(episodes, base / "episodes.jsonl")
-    return {"config": raw, "corpus.json": json.loads((base / "corpus.json").read_text()),
+    return {"config": raw, "corpus.json": corpus,
             "episodes.jsonl": [json.loads(line) for line in
                                (base / "episodes.jsonl").read_text().splitlines()],
             "kb.json": scenarios.scenario_kb(spec.archetype).to_json()}
@@ -560,7 +565,7 @@ class TestRunAll:
                      id="kb-grounding")])
     def test_run_all_names_a_misspelled_config_key(self, tmp_path, capsys, model_calls,
                                                    path, section):
-        inputs = run_all_inputs(tmp_path)
+        inputs = run_all_inputs(tmp_path, scenario=path[:2] == ("config", "scenario"))
         inputs["config"]["initial_backend"] = {"kind": "scripted", "script": "fixture_revisor"}
         nested(inputs, path)["lerning_rate"] = 0.1
         err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
@@ -643,11 +648,24 @@ class TestRunAll:
              "kb-actions-string", "kb-low-string", "corpus-text-number"])
     def test_run_all_refuses_a_value_of_the_wrong_type(self, tmp_path, capsys, model_calls,
                                                        path, value, named):
-        inputs = run_all_inputs(tmp_path)
+        inputs = run_all_inputs(tmp_path, scenario=path[:2] == ("config", "scenario"))
         *outer, last = path
         nested(inputs, outer)[last] = value
         err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
         assert f"error: section {named.format(dir=tmp_path)} is not " in err, err
+
+    @pytest.mark.parametrize("key,value,refusal", [
+        ("scenario", {"archetype": "highway_cut_in"},
+         "keys 'episodes' and 'scenario' may not both be set"),
+        ("n_episodes", 70,  # its default, set: the file decides how many episodes there are
+         "key 'n_episodes' counts generated episodes; it may not be set with 'episodes'")],
+        ids=["scenario", "n_episodes"])
+    def test_run_all_refuses_a_second_episode_source(self, tmp_path, capsys, model_calls,
+                                                     key, value, refusal):
+        inputs = run_all_inputs(tmp_path)
+        inputs["config"][key] = value
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert err == f"error: section 'config': {refusal}\n", err
 
     @pytest.mark.parametrize("key", ["kb", "out_dir"])
     def test_run_all_refuses_an_empty_required_path(self, tmp_path, capsys, model_calls, key):

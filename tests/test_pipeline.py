@@ -135,6 +135,15 @@ class TestFormalizeCorpus:
             formalize_corpus(highway_corpus() + [{"id": "x", "text": "no column"}], cfg)
         assert model_calls == []
 
+    def test_missing_initial_translation_names_the_corpus_record(self, tmp_path, model_calls):
+        cfg = literal_config(tmp_path)
+        records = highway_corpus() + [{"id": "x", "text": "no column"}]
+        with pytest.raises(ValueError) as refused:
+            formalize_corpus(records, cfg)
+        assert str(refused.value) == (f"section '{cfg.corpus} record {len(records) - 1}': "
+                                      "segment x: no initial translation source")
+        assert model_calls == []
+
     def test_replay_miss_is_format_mismatch(self, tmp_path):
         cfg = literal_config(tmp_path)
 
@@ -255,19 +264,26 @@ class TestRunExperiment:
         run_experiment(load_config(tmp_path / "config_literal.json"))
         assert (cfg.out_dir / "manifest.json").read_bytes() == first
 
-    # sha256 of the fixture's artifacts, recorded when every decide still
-    # scanned the whole rule list; a change to the order of random draws,
-    # or to what a draw selects, moves them
+    # sha256 of the fixture's artifacts. The first three were recorded when
+    # every decide still scanned the whole rule list; a change to the order
+    # of random draws, or to what a draw selects, moves them. The last three
+    # were recorded when episodes.jsonl was written a json.dumps per step.
     GOLDEN = {
         "literal": {
             "rules.json": "4372848edf5d5d2dd47939f6af87c21a164343da69277fd9f6c6b90cff3c46c2",
             "curve.csv": "dd2c9c3ea53a78269a4c2841f9514dcc6e9a0d1996abcc7e1785ab0cb013fc0b",
             "js_curve.csv": "2ba5dbff8ead33838cbc203acd2dcd90767451b5dbbe5ab2c709dfe53c13bec6",
+            "episodes.jsonl": "47f03834356cdcadee5d4a43642b3c09c889e58169a12b135bb0d541bf0893ac",
+            "segments.json": "aa593bc83a7029dd16b5cb34e06a482fda3c190f22d8eeb83361b7797d69be3e",
+            "outcomes.csv": "693bd5c2c67cea4ef457133884ba7a90794ed29e1c7b1f69f524bd894e18ccf1",
         },
         "supply": {
             "rules.json": "689acf5112ea3ef2adeb156c38d433a711227b24fd54774e16a8e1a287115d80",
             "curve.csv": "c670c3029f36390faa1ee21ac254ebb30cc69ed993e80388051a6b42f36704ee",
             "js_curve.csv": "79c781d91cecb63977cb129d78d63e4f7ac32ce4a2f67bc1ae1447a2f7b6f465",
+            "episodes.jsonl": "47f03834356cdcadee5d4a43642b3c09c889e58169a12b135bb0d541bf0893ac",
+            "segments.json": "7cd4a4d55b10ea1d4b4d8441a8fbf615c87eca2ad6e08f4e7a59ff178aa828b7",
+            "outcomes.csv": "693bd5c2c67cea4ef457133884ba7a90794ed29e1c7b1f69f524bd894e18ccf1",
         },
     }
 

@@ -43,6 +43,14 @@ class TestGenerate:
         b = generate(spec, policy, 8)
         assert [e.steps for e in a] == [e.steps for e in b]
 
+    def test_repeated_states_share_one_tuple(self):
+        spec = ScenarioSpec(archetype="signalized_intersection", seed=8)
+        states = [state for e in generate(spec, default_policy(spec.archetype), 12)
+                  for state, _ in e.steps]
+        distinct = {state.features: state.features for state in states}
+        assert len(distinct) < len(states) // 4  # states recur
+        assert all(state.features is distinct[state.features] for state in states)
+
     def test_noiseless_matches_table_exactly(self):
         spec = ScenarioSpec(archetype="highway_cut_in", noise_rate=0.0, seed=1)
         policy = default_policy("highway_cut_in")

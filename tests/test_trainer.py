@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from cogrules.engine import ActionPair, RuleSet, TraceEntry, WorldState
+from cogrules.engine import ActionPair, RuleSet, TraceEntry, WorldState, shared_states
 from cogrules.knowledge import FeatureDomain, KnowledgeBase, ProductionRule
 from cogrules.scenarios import scenario_kb
 from cogrules.trainer import (Episode, EpisodeSchemaError,
@@ -12,6 +12,7 @@ from cogrules.trainer import (Episode, EpisodeSchemaError,
                               episodes_to_jsonl, evaluate_agreement,
                               reward_decompose, train, utility_update,
                               validate_episodes)
+from oracles import episodes_jsonl_oracle
 
 SQRT2 = math.sqrt(2)
 
@@ -267,6 +268,88 @@ class TestEpisodeIo:
                               ActionPair("warp", None))])
         with pytest.raises(EpisodeSchemaError):
             validate_episodes([bad], kb)
+
+
+def random_episodes(rng, make):
+    """Several episodes over a few recurring states, built with `make`
+    (`WorldState.make` or a `shared_states()`): bool, int and str values,
+    True and 1 under one feature in different states, non-ASCII and quoted
+    names and strings, and references with empty slots."""
+    pool = [{"flag": True, "lane": 2}, {"flag": 1, "lane": 2}, {"flag": False, "lane": 0},
+            {"flag": 0, "band": "h\u00f6h"}, {"fl\u00e4g \"q\"": "a\"b\\c", "lane": 1}, {}]
+    actions = ["brake", "keep", None, "\u00fcber \"fast\""]
+    names = ["", "highway", "caf\u00e9 \"x\"", "\u8def"]
+    episodes = []
+    for _ in range(rng.randint(3, 6)):
+        steps = [(make(rng.choice(pool), t), ActionPair(rng.choice(actions), rng.choice(actions)))
+                 for t in range(rng.randint(1, 12))]
+        episodes.append(Episode(steps, rng.choice(names), rng.choice(names)))
+    return episodes
+
+
+class TestEpisodesFileBytes:
+    """`episodes_to_jsonl` writes the bytes of a `json.dumps` per step."""
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["made", "shared"])
+    def test_random_episodes_match_the_oracle(self, tmp_path, shared):
+        rng = random.Random(61)
+        for n in range(30):
+            episodes = random_episodes(rng, shared_states() if shared else WorldState.make)
+            path = tmp_path / f"e{n}.jsonl"
+            episodes_to_jsonl(episodes, path)
+            assert path.read_bytes() == episodes_jsonl_oracle(episodes).encode()
+
+    def test_a_file_read_back_writes_the_same_bytes(self, tmp_path):
+        episodes = random_episodes(random.Random(62), WorldState.make)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        episodes_to_jsonl(episodes, first)
+        episodes_to_jsonl(episodes_from_jsonl(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+class TestSharedStates:
+    """Equal states read from one episodes file share one features tuple."""
+
+    def write(self, path, states):
+        path.write_text("".join(
+            f'{{"episode": {e}, "t": {t}, "state": {state}, "reference": {{}}}}\n'
+            for e, t, state in states))
+        return episodes_from_jsonl(path)
+
+    def test_equal_states_share_one_tuple(self, tmp_path):
+        a, b = '{"gap": true, "band": "low"}', '{"band": "low", "gap": true}'
+        episodes = self.write(tmp_path / "e.jsonl", [(0, 0, a), (0, 1, '{"gap": false}'),
+                                                     (1, 0, b), (1, 1, a)])
+        (s0, _), (s1, _) = episodes[0].steps
+        (s2, _), (s3, _) = episodes[1].steps
+        assert s0.features is s2.features is s3.features
+        assert s1.features is not s0.features
+        assert [s.t for s in (s0, s1, s2, s3)] == [0, 1, 0, 1]
+
+    def test_true_and_1_do_not_share(self, tmp_path):
+        episodes = self.write(tmp_path / "e.jsonl", [(0, 0, '{"gap": true}'), (0, 1, '{"gap": 1}'),
+                                                     (0, 2, '{"gap": true}'), (0, 3, '{"gap": 1}')])
+        states = [state for state, _ in episodes[0].steps]
+        assert states[0].features == states[1].features  # True == 1
+        assert states[0].features is states[2].features
+        assert states[1].features is states[3].features
+        assert states[0].features is not states[1].features
+        assert [type(s.as_dict()["gap"]) for s in states] == [bool, int, bool, int]
+
+    def test_each_shared_state_is_checked_once(self, tmp_path, monkeypatch):
+        kb = scenario_kb("highway_cut_in")
+        a, b = '{"front_gap_closing": true}', '{"front_gap_closing": false, "speed_band": "low"}'
+        episodes = self.write(tmp_path / "e.jsonl", [(e, t, (a, b)[t % 2])
+                                                     for e in range(3) for t in range(6)])
+        checked = []
+        admits = KnowledgeBase.admits
+
+        def counting_admits(self, name, value):
+            checked.append(name)
+            return admits(self, name, value)
+        monkeypatch.setattr(KnowledgeBase, "admits", counting_admits)
+        validate_episodes(episodes, kb)
+        assert sorted(checked) == ["front_gap_closing", "front_gap_closing", "speed_band"]
 
 
 class TestValidateOncePerState:
