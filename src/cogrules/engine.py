@@ -54,18 +54,13 @@ class TraceEntry:
     filled: list[str]
 
 
-def _holds(precondition, state: dict[str, Value]) -> bool:
-    feature, cmp, value = precondition
-    if feature not in state:
-        return False
-    return state[feature] == value if cmp == "=" else state[feature] != value
-
-
 def match(state: WorldState, rules: list[ProductionRule]) -> list[ProductionRule]:
     """Conflict set: rules whose every precondition holds, name-ordered.
-    A full scan; `RuleSet` narrows the rules it is given."""
-    feats = state.as_dict()
-    hits = [r for r in rules if all(_holds(p, feats) for p in r.preconditions)]
+    A full scan of the rules' compiled preconditions, by set algebra."""
+    pairs = set(state.features)
+    names = {f for f, _ in state.features}
+    hits = [r for r in rules
+            if r.must <= pairs and r.must_not.isdisjoint(pairs) and r.must_name <= names]
     hits.sort(key=lambda r: r.name)
     return hits
 
@@ -122,24 +117,15 @@ class RuleSet:
     """A rule list compiled for repeated matching. Preconditions must not
     change once it is built; utilities may, since it keeps rule objects.
 
-    Each rule is filed under one of its `=` preconditions (RETE's alpha
-    memory); rules without one are always tried. A state's pool is those
-    plus the buckets of its own (feature, value) pairs, which `match`
-    verifies. The per-slot candidates of up to CACHE_STATES states are
-    cached, keyed on the features alone; the cache is emptied when full.
-    Episodes from `shared_states` share one features tuple per distinct
-    state, so a cache hit on them compares by identity."""
+    It keeps the rules sorted by name once, stably, and `match` scans them
+    all. The per-slot candidates of up to CACHE_STATES states are cached,
+    keyed on the features alone; the cache is emptied when full. Episodes
+    from `shared_states` share one features tuple per distinct state, so a
+    cache hit on them compares by identity."""
 
     def __init__(self, rules: Iterable[ProductionRule]):
         self.rules = list(rules)
-        self._always: list[int] = []
-        self._index: dict[tuple[str, Value], list[int]] = {}
-        for i, rule in enumerate(self.rules):
-            key = next(((f, v) for f, cmp, v in rule.preconditions if cmp == "="), None)
-            if key is None:
-                self._always.append(i)
-            else:
-                self._index.setdefault(key, []).append(i)
+        self._by_name = sorted(self.rules, key=lambda r: r.name)
         self._cache: dict[tuple, tuple[list[ProductionRule], ...]] = {}
 
     def candidates(self, state: WorldState) -> tuple[list[ProductionRule], ...]:
@@ -147,10 +133,7 @@ class RuleSet:
         in SLOTS order."""
         found = self._cache.get(state.features)
         if found is None:
-            positions = set(self._always)
-            for pair in state.features:
-                positions.update(self._index.get(pair, ()))
-            matched = match(state, [self.rules[i] for i in sorted(positions)])
+            matched = match(state, self._by_name)
             found = tuple(slot_candidates(matched, slot) for slot in SLOTS)
             if len(self._cache) >= CACHE_STATES:
                 self._cache.clear()
@@ -158,25 +141,26 @@ class RuleSet:
         return found
 
 
-def decide(state: WorldState, rules: RuleSet, sigma: float,
+def decide(t: int, candidates: tuple[list[ProductionRule], ...], sigma: float,
            rng: random.Random) -> tuple[ActionPair, list[TraceEntry]]:
-    """One cycle: the action pair and its firings, drawn from the two
-    softmaxes of `_softmaxes` in order. The longitudinal candidates compete
-    first, and the winner's effects are the partial decision, so a winner
-    with a lateral effect fills both slots. Only if the lateral slot is
-    still empty do the lateral candidates compete."""
-    longitudinal_candidates, lateral_candidates = rules.candidates(state)
+    """One cycle at time t over a state's `RuleSet.candidates`: the action
+    pair and its firings, drawn from the two softmaxes of `_softmaxes` in
+    order. The longitudinal candidates compete first, and the winner's
+    effects are the partial decision, so a winner with a lateral effect
+    fills both slots. Only if the lateral slot is still empty do the
+    lateral candidates compete."""
+    longitudinal_candidates, lateral_candidates = candidates
     decision = NO_ACTION
     firings = []
     if longitudinal_candidates:
         chosen = select(longitudinal_candidates, sigma, rng)
         decision = chosen.effects
-        firings.append(TraceEntry(state.t, chosen, [LONGITUDINAL] if decision.lateral is None
+        firings.append(TraceEntry(t, chosen, [LONGITUDINAL] if decision.lateral is None
                                   else [LONGITUDINAL, LATERAL]))
     if decision.lateral is None and lateral_candidates:
         chosen = select(lateral_candidates, sigma, rng)
         decision = ActionPair(decision.longitudinal, chosen.effects.lateral)
-        firings.append(TraceEntry(state.t, chosen, [LATERAL]))
+        firings.append(TraceEntry(t, chosen, [LATERAL]))
     return decision, firings
 
 

@@ -246,6 +246,14 @@ class ProductionRule:
     utility: float = 0.0
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        """Compiles the preconditions for `engine.match`: the (feature, value)
+        pairs a state must hold and must not hold, and the features the `!=`
+        ones need present. Sets compare with hash and `==`, as True == 1 does."""
+        self.must = frozenset((f, v) for f, c, v in self.preconditions if c == "=")
+        self.must_not = frozenset((f, v) for f, c, v in self.preconditions if c != "=")
+        self.must_name = frozenset(f for f, _ in self.must_not)
+
     def body_key(self) -> tuple:
         """Equal for rules with the same preconditions, in any order, and
         effects. Each value carries its type's name, which also orders values

@@ -128,8 +128,9 @@ def sampled_distribution(state: WorldState, rules: RuleSet, sigma: float,
     """Frequencies of n `decide` calls: the Monte Carlo estimate of
     `engine.decision_distribution`, kept as its reference."""
     counts: Counter = Counter()
+    candidates = rules.candidates(state)
     for _ in range(n):
-        decision, _ = decide(state, rules, sigma, rng)
+        decision, _ = decide(state.t, candidates, sigma, rng)
         counts[action_pair_key(decision.longitudinal, decision.lateral)] += 1
     return {a: c / n for a, c in counts.items()}
 

@@ -169,18 +169,18 @@ def curve_to_csv(curve: list[CurvePoint], path: str | Path) -> None:
             writer.writerow([pt.epoch, f"{pt.agreement:.6f}", f"{pt.mean_utility:.10f}"])
 
 
-def _train_one_epoch(rules: RuleSet, episodes: list[Episode],
+def _train_one_epoch(episodes: list[Episode], plan: list[list[tuple]],
                      cfg: TrainConfig, rng: random.Random) -> float:
-    """One pass over the episodes; returns the per-slot agreement rate."""
+    """One pass over the episodes, whose steps' candidates `plan` holds;
+    returns the per-slot agreement rate."""
     agreed = compared = 0
     order = list(range(len(episodes)))
     rng.shuffle(order)
     for idx in order:
-        episode = episodes[idx]
         # per slot, the firings that filled it and still await a reward
         pending: dict[str, list[TraceEntry]] = {s: [] for s in SLOTS}
-        for state, ref in episode.steps:
-            decision, firings = decide(state, rules, cfg.sigma, rng)
+        for (state, ref), candidates in zip(episodes[idx].steps, plan[idx]):
+            decision, firings = decide(state.t, candidates, cfg.sigma, rng)
             for entry in firings:
                 for slot in entry.filled:
                     pending[slot].append(entry)
@@ -202,19 +202,23 @@ def train(rules: list[ProductionRule], episodes: list[Episode],
           cfg: TrainConfig, on_epoch: Callable[[int, RuleSet], None] | None = None,
           ) -> tuple[RuleSet, list[CurvePoint]]:
     """Trains copies of the rules, reset to the initial utility, for
-    cfg.epochs epochs with one RNG seeded from cfg.seed. Returns the RuleSet
-    over the trained copies, so that later matching reuses its cache, and
-    the per-epoch learning curve. on_epoch(epochs_done, rule_set) is called
-    once before the first epoch, with epochs_done 0, and after each epoch.
-    It may observe the rules; it must not change them."""
+    cfg.epochs epochs with one RNG seeded from cfg.seed. Each step's
+    candidates are resolved once for the run, since training changes only
+    utilities. Returns the RuleSet over the trained copies, so that later
+    matching reuses its cache, and the per-epoch learning curve.
+    on_epoch(epochs_done, rule_set) is called once before the first epoch,
+    with epochs_done 0, and after each epoch. It may observe the rules; it
+    must not change them."""
     rules = [replace(r, utility=cfg.initial_utility) for r in rules]  # the rest is never mutated
     rule_set = RuleSet(rules)
     rng = random.Random(cfg.seed)
     curve: list[CurvePoint] = []
     if on_epoch is not None:
         on_epoch(0, rule_set)
+    plan = [[rule_set.candidates(state) for state, _ in ep.steps]
+            for ep in episodes] if cfg.epochs else []
     for epoch in range(cfg.epochs):
-        agreement = _train_one_epoch(rule_set, episodes, cfg, rng)
+        agreement = _train_one_epoch(episodes, plan, cfg, rng)
         mean_u = sum(r.utility for r in rules) / len(rules) if rules else 0.0
         curve.append(CurvePoint(epoch=epoch, agreement=agreement, mean_utility=mean_u))
         if on_epoch is not None:

@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the package:
 brute-force cosine dedup, direct-summation JS divergence, a Fraction-based
 smoothed BLEU, per-slot marginals summed over action pairs, the LTL
-normal form stated directly, and the episodes file written a record at a
-time. Deliberately written against the textbook definitions, not the
-package code paths."""
+normal form stated directly, the episodes file written a record at a
+time, and the conflict set checked a precondition at a time. Deliberately
+written against the textbook definitions, not the package code paths."""
 
 import json
 import math
@@ -169,3 +169,16 @@ def episodes_jsonl_oracle(episodes):
                       "subject": episode.subject_id}
             lines.append(json.dumps(record, sort_keys=True) + "\n")
     return "".join(lines)
+
+
+def match_oracle(state, rules):
+    """The conflict set: the rules whose every precondition holds, sorted by
+    name, ties in list order. A precondition holds when its feature is in
+    the state and the state's value equals (`=`) or differs from (`!=`) its
+    value."""
+    feats = state.as_dict()
+
+    def holds(feature, cmp, value):
+        return feature in feats and (feats[feature] == value) == (cmp == "=")
+    return sorted((r for r in rules if all(holds(*p) for p in r.preconditions)),
+                  key=lambda r: r.name)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ from cogrules.engine import (ActionPair, CACHE_STATES, SLOTS, RuleSet, WorldStat
                              decision_distribution, match, pick, select,
                              selection_probabilities, slot_candidates, slot_marginals)
 from cogrules.knowledge import ProductionRule
-from oracles import summed_marginals
+from oracles import match_oracle, summed_marginals
 
 SQRT2 = math.sqrt(2)
 
@@ -170,8 +171,8 @@ class TestDecide:
     def test_single_rule_both_effects_fires_once(self):
         r = rule("r1", [("a", "=", True)], longitudinal="brake",
                  lateral="keep_lane")
-        decision, firings = decide(WorldState.make({"a": True}), RuleSet([r]), SQRT2,
-                                   random.Random(0))
+        decision, firings = decide(0, RuleSet([r]).candidates(WorldState.make({"a": True})),
+                                   SQRT2, random.Random(0))
         assert decision.longitudinal == "brake"
         assert decision.lateral == "keep_lane"
         assert len(firings) == 1
@@ -180,15 +181,15 @@ class TestDecide:
 
     def test_no_match_empty_decision(self):
         r = rule("r1", [("a", "=", True)], longitudinal="brake")
-        decision, firings = decide(WorldState.make({"a": False}), RuleSet([r]), SQRT2,
-                                   random.Random(0))
+        decision, firings = decide(0, RuleSet([r]).candidates(WorldState.make({"a": False})),
+                                   SQRT2, random.Random(0))
         assert decision == ActionPair()
         assert firings == []
 
     def test_lateral_only_slot(self):
         r = rule("r1", [("a", "=", True)], lateral="change_left")
-        decision, firings = decide(WorldState.make({"a": True}), RuleSet([r]), SQRT2,
-                                   random.Random(0))
+        decision, firings = decide(0, RuleSet([r]).candidates(WorldState.make({"a": True})),
+                                   SQRT2, random.Random(0))
         assert decision.longitudinal is None
         assert decision.lateral == "change_left"
         assert firings[0].filled == ["lateral"]
@@ -198,7 +199,7 @@ class TestDecide:
                          rule("rb", [("a", "=", True)], longitudinal="keep")])
         rng = random.Random(21)
         state = WorldState.make({"a": True})
-        picks = sum(decide(state, rules, SQRT2, rng)[0].longitudinal == "brake"
+        picks = sum(decide(state.t, rules.candidates(state), SQRT2, rng)[0].longitudinal == "brake"
                     for _ in range(10_000))
         assert abs(picks / 10_000 - 0.5) <= 0.02
 
@@ -207,7 +208,7 @@ class TestDecide:
                          rule("lo", [("a", "=", True)], longitudinal="keep", utility=0.0)])
         rng = random.Random(31)
         state = WorldState.make({"a": True})
-        picks = sum(decide(state, rules, SQRT2, rng)[0].longitudinal == "brake"
+        picks = sum(decide(state.t, rules.candidates(state), SQRT2, rng)[0].longitudinal == "brake"
                     for _ in range(10_000))
         assert picks / 10_000 > 0.999
 
@@ -219,7 +220,7 @@ class TestDecide:
         runs = []
         for _ in range(2):
             rng = random.Random(77)
-            out = [decide(state, rules, SQRT2, rng) for _ in range(50)]
+            out = [decide(state.t, rules.candidates(state), SQRT2, rng) for _ in range(50)]
             runs.append([(d.longitudinal, d.lateral,
                           [(e.chosen.name, e.filled) for e in firings])
                          for d, firings in out])
@@ -231,7 +232,7 @@ class TestDecide:
         rng = random.Random(3)
         state = WorldState.make({"a": True})
         for _ in range(50):
-            decision, firings = decide(state, rules, SQRT2, rng)
+            decision, firings = decide(state.t, rules.candidates(state), SQRT2, rng)
             for slot in ("longitudinal", "lateral"):
                 if decision.slot(slot) is not None:
                     setters = [e for e in firings if slot in e.filled]
@@ -246,7 +247,7 @@ class TestDecide:
         candidates = dict(zip(SLOTS, rules.candidates(state)))
         rng = random.Random(0)
         for _ in range(50):
-            _, firings = decide(state, rules, SQRT2, rng)
+            _, firings = decide(state.t, rules.candidates(state), SQRT2, rng)
             assert [e.filled[0] for e in firings] == list(SLOTS)
             for entry in firings:
                 assert any(entry.chosen is r for r in candidates[entry.filled[0]])
@@ -325,49 +326,105 @@ class TestSlotMarginals:
                     assert abs(w.get(action, 0.0) - g.get(action, 0.0)) <= 1e-12, (i, action)
 
 
+# rule-side features and their values: `b2` and `n` hold True and 1, which
+# are equal, under one feature; `n` is an int feature; `ghost` never occurs
+# in a state
+VALUES = {"b0": (True, False), "b1": (True, False), "b2": (True, False, 1, 0),
+          "lane": ("left", "mid", "right"), "n": (0, 1, 2, 3, True), "ghost": (True, False)}
+
+
 def random_precondition(rng, cmp):
-    """A precondition over the rule-side features; `ghost` never occurs in
-    a state."""
-    feature = rng.choice(("b0", "b1", "b2", "lane", "n", "ghost"))
-    value = {"lane": rng.choice(("left", "mid", "right")),
-             "n": rng.randrange(4)}.get(feature, rng.random() < 0.5)
-    return feature, cmp, value
+    feature = rng.choice(sorted(VALUES))
+    return feature, cmp, rng.choice(VALUES[feature])
+
+
+def twin(value):
+    """The equal value of the other type, True for 1 and 0 for False; else itself."""
+    if type(value) is bool:
+        return int(value)
+    return bool(value) if type(value) is int and value in (0, 1) else value
 
 
 def random_rules(rng, size):
-    """Rules with no preconditions, all `!=` ones, all `=` ones and mixed
-    ones; names may repeat, so the name order's ties are covered too."""
+    """Rules with no preconditions, all `!=` ones, all `=` ones, mixed ones
+    and contradictory ones (`a = v` with `a != v` or with `a != twin(v)`);
+    names may repeat, so the name order's ties are covered too."""
     effects = [("brake", None), ("keep", None), (None, "keep_lane"),
                (None, "change_left"), ("brake", "keep_lane"), (None, None)]
     rules = []
     for i in range(size):
-        kind = rng.choice(("none", "!=", "=", "mixed"))
+        kind = rng.choice(("none", "!=", "=", "mixed", "contradiction"))
         n_pre = 0 if kind == "none" else rng.randint(1, 3)
-        pres = [random_precondition(rng, rng.choice(("=", "!=")) if kind == "mixed" else kind)
+        mixed = kind in ("mixed", "contradiction")
+        pres = [random_precondition(rng, rng.choice(("=", "!=")) if mixed else kind)
                 for _ in range(n_pre)]
+        if kind == "contradiction":
+            feature, _, value = random_precondition(rng, "=")
+            pres += [(feature, "=", value), (feature, "!=", rng.choice((value, twin(value))))]
+            rng.shuffle(pres)
         rules.append(rule(f"r{rng.randrange(size)}", pres, *rng.choice(effects),
                           utility=rng.uniform(-5, 5)))
     return rules
 
 
 def random_state(rng, idx):
-    """Each rule-side feature present with probability 0.8, plus `idx`,
-    which no rule tests, to make the state distinct."""
+    """Each rule-side feature but `ghost` present with probability 0.8, plus
+    `idx`, which no rule tests, to make the state distinct."""
     feats = {"idx": idx}
-    for name in ("b0", "b1", "b2", "lane", "n"):
-        if rng.random() < 0.8:
-            feats[name] = random_precondition(rng, "=")[2] if name in ("lane", "n") \
-                else rng.random() < 0.5
+    for name, values in VALUES.items():
+        if name != "ghost" and rng.random() < 0.8:
+            feats[name] = rng.choice(values)
     return WorldState.make(feats, t=rng.randrange(100))
 
 
 def brute_force(state, rules):
-    matched = match(state, rules)
+    matched = match_oracle(state, rules)
     return tuple([id(r) for r in slot_candidates(matched, slot)] for slot in SLOTS)
 
 
+class TestMatchOracle:
+    """`match`'s set algebra against the precondition-at-a-time oracle."""
+
+    def test_random_rule_sets_equal_the_oracle(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            rules = random_rules(rng, rng.randint(0, 40))
+            for _ in range(40):
+                state = random_state(rng, 0)
+                assert [id(r) for r in match(state, rules)] == \
+                    [id(r) for r in match_oracle(state, rules)]
+
+    def test_true_and_one_are_one_value(self):
+        on, one = rule("on", [("a", "=", True)], "keep"), rule("one", [("a", "=", 1)], "keep")
+        off = rule("off", [("a", "!=", 1)], "keep")
+        assert match(WorldState.make({"a": 1}), [on, one, off]) == [on, one]
+        assert match(WorldState.make({"a": True}), [on, one, off]) == [on, one]
+        assert match(WorldState.make({"a": 0}), [on, one, off]) == [off]
+
+    def test_an_absent_feature_fails_both_comparators(self):
+        rules = [rule("eq", [("ghost", "=", 2)], "keep"), rule("ne", [("ghost", "!=", 2)], "keep")]
+        assert match(WorldState.make({"a": 2}), rules) == []
+
+    def test_contradictory_preconditions_never_match(self):
+        r = rule("r", [("a", "=", True), ("a", "!=", 1)], "keep")
+        assert all(match(WorldState.make({"a": v}), [r]) == [] for v in (True, 1, False, 0, 2))
+
+    def test_no_preconditions_always_match(self):
+        r = rule("r", [], "keep")
+        assert match(WorldState.make({}), [r]) == [r] == match(WorldState.make({"a": 1}), [r])
+
+    def test_replace_recompiles_the_preconditions(self):
+        r = rule("r", [("a", "=", True)], "keep")
+        flipped = dataclasses.replace(r, preconditions=(("a", "!=", True),))
+        assert (flipped.must, flipped.must_not, flipped.must_name) == \
+            (frozenset(), {("a", True)}, {"a"})
+        assert match(WorldState.make({"a": True}), [r, flipped]) == [r]
+        assert match(WorldState.make({"a": False}), [r, flipped]) == [flipped]
+        assert ProductionRule.from_json(flipped.to_json()).must_not == flipped.must_not
+
+
 class TestRuleSet:
-    """`RuleSet.candidates` against the brute-force `match` scan."""
+    """`RuleSet.candidates` against the oracle's conflict set."""
 
     def candidates(self, rule_set, state):
         return tuple([id(r) for r in found] for found in rule_set.candidates(state))

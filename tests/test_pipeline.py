@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -293,6 +294,26 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert {name: pipeline._sha256(cfg.out_dir / name) for name in self.GOLDEN[mode]} \
             == self.GOLDEN[mode]
+
+    # sha256 of the training draws on the fixture: each decide's decision
+    # and firings, in order, recorded when every epoch resolved each step's
+    # candidates again
+    DRAWS = {"literal": "135cadd98435469515275880fdb358467696aa2d28a4794731c0a87206992342",
+             "supply": "bc109938f6fa269dbb48d6a425d64a489cb04e5b7e3bbaa19668f24e95f00e05"}
+
+    @pytest.mark.parametrize("mode", sorted(DRAWS))
+    def test_training_draws_match_recorded_digests(self, tmp_path, monkeypatch, mode):
+        draws, decide = [], trainer.decide
+
+        def recording_decide(*args):
+            decision, firings = decide(*args)
+            draws.append([decision.longitudinal, decision.lateral,
+                          [[e.t, e.chosen.name, e.filled] for e in firings]])
+            return decision, firings
+        monkeypatch.setattr(trainer, "decide", recording_decide)
+        run_experiment(load_config(write_pipeline_config(tmp_path, prompt_mode=mode)))
+        assert len(draws) == 800 * 30  # steps x epochs
+        assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == self.DRAWS[mode]
 
     def test_second_run_matches_from_a_cold_cache(self, tmp_path, monkeypatch):
         # every RuleSet, and so its cache, ends with its run

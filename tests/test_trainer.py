@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from cogrules import engine
 from cogrules.engine import ActionPair, RuleSet, TraceEntry, WorldState, shared_states
 from cogrules.knowledge import FeatureDomain, KnowledgeBase, ProductionRule
 from cogrules.scenarios import scenario_kb
@@ -411,3 +412,35 @@ class TestValidateOncePerState:
         episodes = [self.episode([good] * 3), self.episode([good] * 3, times=(0, 2, 1))]
         with pytest.raises(EpisodeSchemaError, match="decrease"):
             validate_episodes(episodes, self.KB)
+
+
+class TestCandidatesOncePerStep:
+    """Training resolves each step's candidates once a run: rules' preconditions
+    never change, so an epoch need not match its states again."""
+
+    @pytest.mark.parametrize("epochs", [0, 1, 4])
+    def test_one_resolution_per_step(self, monkeypatch, epochs):
+        calls = {"candidates": 0, "match": 0}
+        candidates, scan = RuleSet.candidates, engine.match
+
+        def counting_candidates(self, state):
+            calls["candidates"] += 1
+            return candidates(self, state)
+
+        def counting_match(state, rules):
+            calls["match"] += 1
+            return scan(state, rules)
+        monkeypatch.setattr(RuleSet, "candidates", counting_candidates)
+        monkeypatch.setattr(engine, "match", counting_match)
+        rules = [rule("brake", [("a", "=", True)], longitudinal="brake"),
+                 rule("keep", [("b", "!=", 1)], longitudinal="keep", lateral="keep_lane"),
+                 rule("left", [], lateral="change_left")]
+        make = shared_states()
+        episodes = [Episode([(make({"a": (t + i) % 2 == 0, "b": t % 3}, t), ActionPair("brake"))
+                             for t in range(5)]) for i in range(4)]
+        steps = sum(len(ep.steps) for ep in episodes)
+        states = {state.features for ep in episodes for state, _ in ep.steps}
+        _, curve = train(rules, episodes, TrainConfig(epochs=epochs, seed=3))
+        assert len(curve) == epochs
+        assert calls == ({"candidates": steps, "match": len(states)} if epochs
+                         else {"candidates": 0, "match": 0})
