@@ -105,11 +105,8 @@ def cmd_eval(args) -> int:
     rules = RuleSet(read_rules(args.rules))
     episodes = trainer.episodes_from_jsonl(args.episodes)
     sigma = trainer.TrainConfig().sigma
-    result = {"agreement": trainer.evaluate_agreement(rules, episodes, sigma)}
-    if rules.rules:
-        result["mean_js"] = metrics.mean_js(
-            rules, metrics.reference_distributions(episodes), sigma)
-    _emit(result)
+    _emit({"agreement": trainer.evaluate_agreement(rules, episodes, sigma),
+           "mean_js": metrics.mean_js(rules, metrics.reference_distributions(episodes), sigma)})
     return 0
 
 

@@ -110,18 +110,17 @@ def slot_candidates(matched: list[ProductionRule], slot: str) -> list[Production
     return [r for r in matched if getattr(r.effects, slot) is not None]
 
 
-CACHE_STATES = 4096  # distinct states whose candidates a RuleSet keeps
-
-
 class RuleSet:
     """A rule list compiled for repeated matching. Preconditions must not
     change once it is built; utilities may, since it keeps rule objects.
 
     It keeps the rules sorted by name once, stably, and `match` scans them
-    all. The per-slot candidates of up to CACHE_STATES states are cached,
-    keyed on the features alone; the cache is emptied when full. Episodes
-    from `shared_states` share one features tuple per distinct state, so a
-    cache hit on them compares by identity."""
+    all. The per-slot candidates of every state it resolves are cached,
+    keyed on the features alone, with no bound: a RuleSet lives for one
+    run, so the cache holds one entry per distinct state of the run, as
+    `evaluate_agreement`'s per-state memo does, and each distinct state is
+    matched once a run. Episodes from `shared_states` share one features
+    tuple per distinct state, so a cache hit on them compares by identity."""
 
     def __init__(self, rules: Iterable[ProductionRule]):
         self.rules = list(rules)
@@ -134,10 +133,8 @@ class RuleSet:
         found = self._cache.get(state.features)
         if found is None:
             matched = match(state, self._by_name)
-            found = tuple(slot_candidates(matched, slot) for slot in SLOTS)
-            if len(self._cache) >= CACHE_STATES:
-                self._cache.clear()
-            self._cache[state.features] = found
+            found = self._cache[state.features] = tuple(
+                slot_candidates(matched, slot) for slot in SLOTS)
         return found
 
 

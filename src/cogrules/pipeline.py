@@ -13,7 +13,6 @@ from pathlib import Path
 
 from . import compiler, ltl, metrics, scenarios, trainer
 from .critic_tree import CriticTree, CriticTreeConfig
-from .engine import RuleSet
 from .gateway import BackendSpec, ChatMessage, GatewayError, Session
 from .knowledge import KnowledgeBase, load_json, read_section, write_rules
 from .trainer import TrainConfig
@@ -182,7 +181,10 @@ def run_experiment(cfg: PipelineConfig) -> dict:
     """formalize -> train (with JS checkpoints) -> evaluate; writes all
     artifacts plus a manifest of config hash, seeds and artifact hashes.
     The episodes come from the episodes file or from the scenario, and a
-    config that sets both, or `n_episodes` with the file, is refused."""
+    config that sets both, or `n_episodes` with the file, is refused.
+    A corpus with no viable rule takes the same path: every configured
+    epoch trains an empty rule list, which always decides `none/none`, and
+    every checkpoint writes its JS, so `final_js` is always a number."""
     if cfg.episodes is not None and cfg.scenario is not None:
         raise ValueError("section 'config': keys 'episodes' and 'scenario' may not both be set")
     if cfg.episodes is not None and "n_episodes" in cfg.raw:  # the field has a default
@@ -202,20 +204,17 @@ def run_experiment(cfg: PipelineConfig) -> dict:
     store, results = formalize_corpus(texts, cfg)  # checks every record first
     report = compiler.outcome_report([r.outcome for r in results])
 
-    rules = list(store)
-    trained, curve, js_curve = RuleSet([]), [], []
-    if rules:
-        # JS before training and at evenly spread epochs, the last at cfg.train.epochs
-        n = cfg.eval.checkpoints
-        at = {0} | {cfg.train.epochs * (k + 1) // n for k in range(n)}
-        references = metrics.reference_distributions(episodes, cfg.eval.top_k)
+    # JS before training and at evenly spread epochs, the last at cfg.train.epochs
+    n = cfg.eval.checkpoints
+    at = {0} | {cfg.train.epochs * (k + 1) // n for k in range(n)}
+    references = metrics.reference_distributions(episodes, cfg.eval.top_k)
+    js_curve = []
 
-        def observe(epochs_done, rule_set):
-            if epochs_done in at:
-                js_curve.append((epochs_done, metrics.mean_js(
-                    rule_set, references, cfg.train.sigma)))
+    def observe(epochs_done, rule_set):
+        if epochs_done in at:
+            js_curve.append((epochs_done, metrics.mean_js(rule_set, references, cfg.train.sigma)))
 
-        trained, curve = trainer.train(rules, episodes, cfg.train, on_epoch=observe)
+    trained, curve = trainer.train(list(store), episodes, cfg.train, on_epoch=observe)
     agreement = trainer.evaluate_agreement(trained, episodes, cfg.train.sigma)
 
     out = cfg.out_dir
@@ -238,7 +237,7 @@ def run_experiment(cfg: PipelineConfig) -> dict:
         "prompt_mode": cfg.prompt_mode,
         "outcomes": report,
         "agreement": agreement,
-        "final_js": js_curve[-1][1] if js_curve else None,
+        "final_js": js_curve[-1][1],
         "artifacts": {name: _sha256(out / name)
                       for name in ("rules.json", "outcomes.csv", "curve.csv",
                                    "js_curve.csv", "segments.json", "episodes.jsonl")},

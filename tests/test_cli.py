@@ -409,6 +409,14 @@ class TestDataTrainEval:
         assert err == f"error: {tmp_path / 'rules.json'}: not a JSON list of rules\n"
         assert not (tmp_path / "trained").exists()
 
+    def test_eval_on_an_empty_rules_file_reports_mean_js(self, tmp_path, capsys):
+        gen_data(tmp_path, capsys)
+        code, out, _ = run_on_rules(tmp_path, capsys, "eval", [])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["agreement"] == {"lateral": 0.0, "longitudinal": 0.0}
+        assert 0.0 < payload["mean_js"] <= 1.0
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "eval", "--rules",
                                str(tmp_path / "nope.json"), "--episodes",

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -80,6 +81,19 @@ class TestNaming:
         pre_b = (("b", "!=", "x"), ("a", "=", 1))
         eff = ActionPair(longitudinal="brake")
         assert name_rule(pre_a, eff) == name_rule(pre_b, eff)
+
+    @pytest.mark.parametrize("comparators", [("=",), ("!=",), ("=", "!=")])
+    def test_order_insensitive_over_values_whose_text_ties(self, comparators):
+        # the sort key ties True with "True" and 1 with "1", and each tied
+        # pair prints the same text, so no input order shows in the name
+        values = (True, 1, "True", "1", 9, 10)
+        eff = ActionPair(longitudinal="brake")
+        names = set()
+        for order in itertools.permutations(values):
+            pre = tuple(("a", cmp, v) for v in order for cmp in comparators)
+            names.add(name_rule(pre, eff))
+            names.add(name_rule(pre[::-1], eff))
+        assert len(names) == 1
 
     def test_scheme(self):
         name = name_rule((("a", "=", 1),), ActionPair(longitudinal="brake"))

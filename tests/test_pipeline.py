@@ -475,3 +475,27 @@ class TestCheckpointsOnlyObserve:
         first = (cfg.out_dir / "manifest.json").read_bytes()
         run_experiment(cfg)
         assert (cfg.out_dir / "manifest.json").read_bytes() == first
+
+
+class TestNoViableRule:
+    """A run whose corpus yields no rule takes the path of every other run."""
+
+    @pytest.mark.parametrize("corpus", [None, [{"text": "Eventually brake.", "initial": "F brake"},
+                                               {"text": "Just go.", "initial": "G (speed_low"}]],
+                             ids=["no_corpus", "no_viable_record"])
+    def test_configured_epochs_are_trained_and_js_reported(self, tmp_path, corpus):
+        path = write_pipeline_config(tmp_path, epochs=6)
+        raw = json.loads(path.read_text())
+        if corpus is None:
+            del raw["corpus"]
+        else:
+            (tmp_path / "corpus.json").write_text(json.dumps(corpus))
+        path.write_text(json.dumps(raw))
+        cfg = load_config(path)
+        manifest = run_experiment(cfg)
+        out = cfg.out_dir
+        assert json.loads((out / "rules.json").read_text()) == []
+        assert manifest["outcomes"]["Viable"] == 0
+        assert [int(r[0]) for r in csv_rows(out / "curve.csv")] == list(range(6))
+        assert [int(r[0]) for r in csv_rows(out / "js_curve.csv")] == [0, 2, 4, 6]
+        assert isinstance(manifest["final_js"], float) and 0.0 <= manifest["final_js"] <= 1.0

@@ -444,3 +444,22 @@ class TestCandidatesOncePerStep:
         assert len(curve) == epochs
         assert calls == ({"candidates": steps, "match": len(states)} if epochs
                          else {"candidates": 0, "match": 0})
+
+    def test_a_run_matches_each_distinct_state_once_at_any_size(self, monkeypatch):
+        # every step a new state, 4,500 in all: training matches each once, and the
+        # evaluation that reuses its RuleSet matches none again
+        matched = []
+        scan = engine.match
+
+        def counting_match(state, rules):
+            matched.append(state.features)
+            return scan(state, rules)
+        monkeypatch.setattr(engine, "match", counting_match)
+        rules = [rule("brake", [("a", "=", True)], longitudinal="brake"),
+                 rule("keep", [("b", "!=", 1)], longitudinal="keep", lateral="keep_lane")]
+        make = shared_states()
+        episodes = [Episode([(make({"a": t % 2 == 0, "b": t % 3, "idx": 10 * i + t}, t),
+                              ActionPair("brake")) for t in range(10)]) for i in range(450)]
+        trained, _ = train(rules, episodes, TrainConfig(epochs=1, seed=3))
+        evaluate_agreement(trained, episodes, SQRT2)
+        assert len(matched) == len(set(matched)) == 4500
