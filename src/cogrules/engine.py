@@ -11,8 +11,7 @@ import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .knowledge import (LATERAL, LONGITUDINAL, NO_ACTION, SLOTS, ActionPair, ProductionRule,
-                        Value)
+from .knowledge import NO_ACTION, SLOTS, ActionPair, ProductionRule, Value
 
 
 @dataclass(frozen=True)
@@ -43,15 +42,6 @@ def shared_states() -> Callable[[dict[str, Value], int], WorldState]:
         items = tuple(sorted(features.items()))
         return WorldState(shared.setdefault((items, tuple([type(v) for _, v in items])), items), t)
     return make
-
-
-@dataclass
-class TraceEntry:
-    """One firing: the rule that won a resolution step at time t, and the
-    slots its effects filled."""
-    t: int
-    chosen: ProductionRule
-    filled: list[str]
 
 
 def match(state: WorldState, rules: list[ProductionRule]) -> list[ProductionRule]:
@@ -138,34 +128,27 @@ class RuleSet:
         return found
 
 
-def decide(t: int, candidates: tuple[list[ProductionRule], ...], sigma: float,
-           rng: random.Random) -> tuple[ActionPair, list[TraceEntry]]:
-    """One cycle at time t over a state's `RuleSet.candidates`: the action
-    pair and its firings, drawn from the two softmaxes of `_softmaxes` in
-    order. The longitudinal candidates compete first, and the winner's
-    effects are the partial decision, so a winner with a lateral effect
-    fills both slots. Only if the lateral slot is still empty do the
-    lateral candidates compete."""
+def decide(candidates: tuple[list[ProductionRule], ...], sigma: float,
+           rng: random.Random) -> tuple[ProductionRule | None, ProductionRule | None]:
+    """One cycle over a state's `RuleSet.candidates`: the rule that filled
+    each slot, in SLOTS order, or None for an empty slot, drawn from the two
+    softmaxes of `_softmaxes` in order. The longitudinal candidates compete
+    first, and a winner with a lateral effect fills both slots, so it is
+    returned twice. Only if the lateral slot is still empty do the lateral
+    candidates compete."""
     longitudinal_candidates, lateral_candidates = candidates
-    decision = NO_ACTION
-    firings = []
-    if longitudinal_candidates:
-        chosen = select(longitudinal_candidates, sigma, rng)
-        decision = chosen.effects
-        firings.append(TraceEntry(t, chosen, [LONGITUDINAL] if decision.lateral is None
-                                  else [LONGITUDINAL, LATERAL]))
-    if decision.lateral is None and lateral_candidates:
-        chosen = select(lateral_candidates, sigma, rng)
-        decision = ActionPair(decision.longitudinal, chosen.effects.lateral)
-        firings.append(TraceEntry(t, chosen, [LATERAL]))
-    return decision, firings
+    winner = select(longitudinal_candidates, sigma, rng) if longitudinal_candidates else None
+    if winner is not None and winner.effects.lateral is not None:
+        return winner, winner
+    return winner, select(lateral_candidates, sigma, rng) if lateral_candidates else None
 
 
 def action_pair_key(longitudinal: str | None, lateral: str | None) -> str:
     return f"{longitudinal or 'none'}/{lateral or 'none'}"
 
 
-def _softmaxes(state: WorldState, rules: RuleSet, sigma: float):
+def _softmaxes(state: WorldState, rules: RuleSet, sigma: float
+               ) -> tuple[list[tuple[ActionPair, float]], list[tuple[str | None, float]]]:
     """The two softmaxes `decide` draws from. `winners` holds (effects, p)
     per longitudinal candidate, or (NO_ACTION, 1.0) when there is none;
     `laterals` holds (lateral, q) per lateral candidate, or (None, 1.0)."""

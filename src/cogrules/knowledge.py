@@ -61,6 +61,13 @@ def _shape(tp) -> tuple:
     return frozenset(), typing.get_origin(members[0]) or members[0], typing.get_args(members[0])
 
 
+@functools.cache
+def _as_is(tp) -> frozenset:
+    """The JSON types of annotation `tp`'s scalars that are taken without a `_read` call:
+    all but float, which `_read` checks is finite."""
+    return _shape(tp)[0] - {float}
+
+
 def _refusal(name: str, key: str, value, expected: str) -> ValueError:
     return ValueError(f"section {name!r}: key {key!r}: {value!r} is not {expected}")
 
@@ -71,13 +78,15 @@ def _read(tp, value, name: str, key: str, path: str, parse: dict):
     if scalars:
         if type(value) not in scalars:
             raise _refusal(name, key, value, _shape(tp)[1])
+        if type(value) is float and not math.isfinite(value):  # json reads NaN and Infinity
+            raise _refusal(name, key, value, "a finite number")
         return value
     if is_dataclass(origin):
         return read_section(origin, path, value, **parse)
     if type(value) is not (dict if origin is dict else list):
         raise _refusal(name, key, value, "an object" if origin is dict else "a list")
     if origin is dict:  # scalar values of their types are taken without a call each
-        if not args or set(map(type, value.values())) <= _shape(args[1])[0]:
+        if not args or set(map(type, value.values())) <= _as_is(args[1]):
             return value
         return {k: _read(args[1], v, name, key, f"{path}.{k}", parse) for k, v in value.items()}
     items = args if origin is tuple and args[-1] is not Ellipsis else args[:1] * len(value)
@@ -88,9 +97,9 @@ def _read(tp, value, name: str, key: str, path: str, parse: dict):
 
 @functools.cache
 def _fields(cls) -> tuple[dict, list, set]:
-    """{name: (annotation, scalars' JSON types)} of `cls`'s settable fields; required; nullable."""
+    """{name: (annotation, `_as_is` JSON types)} of `cls`'s settable fields; required; nullable."""
     hints, settable = typing.get_type_hints(cls), [f for f in fields(cls) if f.init]
-    return ({f.name: (hints[f.name], _shape(hints[f.name])[0]) for f in settable},
+    return ({f.name: (hints[f.name], _as_is(hints[f.name])) for f in settable},
             [f.name for f in settable if f.default is MISSING and f.default_factory is MISSING],
             {f.name for f in settable if f.default is None})
 
@@ -280,14 +289,9 @@ class ProductionRule:
                     raise ValueError(f"section 'rule': comparator {cmp!r} is not '=' or '!='")
             return ps
 
-        def utility(u):  # json reads NaN and Infinity, which no softmax can take
-            if not math.isfinite(u):
-                raise ValueError(f"section 'rule': utility {u!r} is not a finite number")
-            return u
-
         def action(a):  # "pass", like a missing key or null, is an empty slot
             return None if a == PASS else a
-        return read_section(cls, "rule", obj, preconditions=preconditions, utility=utility,
+        return read_section(cls, "rule", obj, preconditions=preconditions,
                             longitudinal=action, lateral=action)
 
 

@@ -10,8 +10,8 @@ import random
 from collections import Counter
 
 from . import ltl
-from .engine import (RuleSet, TraceEntry, WorldState, action_pair_key, decide,
-                     decision_distribution)
+from .engine import RuleSet, WorldState, action_pair_key, decide, decision_distribution
+from .knowledge import ProductionRule
 from .trainer import Episode
 
 
@@ -130,15 +130,15 @@ def sampled_distribution(state: WorldState, rules: RuleSet, sigma: float,
     counts: Counter = Counter()
     candidates = rules.candidates(state)
     for _ in range(n):
-        decision, _ = decide(state.t, candidates, sigma, rng)
-        counts[action_pair_key(decision.longitudinal, decision.lateral)] += 1
+        lon, lat = decide(candidates, sigma, rng)
+        counts[action_pair_key(lon and lon.effects.longitudinal, lat and lat.effects.lateral)] += 1
     return {a: c / n for a, c in counts.items()}
 
 
-def rsr(cycles: list[list[TraceEntry]]) -> float:
-    """Reasoning success rate: fraction of cycles, each given by the
-    firings `decide` returned, where at least one slot had a nonempty
-    conflict set."""
+def rsr(cycles: list[tuple[ProductionRule | None, ProductionRule | None]]) -> float:
+    """Reasoning success rate: fraction of cycles, each given by the slot
+    fillers `decide` returned, where at least one slot was filled, that is,
+    had a nonempty conflict set."""
     if not cycles:
         return 0.0
-    return sum(bool(firings) for firings in cycles) / len(cycles)
+    return sum(any(fillers) for fillers in cycles) / len(cycles)

@@ -64,8 +64,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.prompt_mode not in (LITERAL, SUPPLY):
             raise ValueError(f"unknown prompt mode {self.prompt_mode!r}")
-        if self.n_episodes < 1:
-            raise ValueError("n_episodes must be >= 1")
 
 
 def load_config(path: str | Path) -> PipelineConfig:

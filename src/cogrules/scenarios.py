@@ -151,7 +151,9 @@ def generate(spec: ScenarioSpec, policy: ReferencePolicy,
              n_episodes: int) -> list[Episode]:
     """Seeded, deterministic episode generation with per-episode driver
     (table) identity and optional label noise. Equal states share one
-    features tuple (`engine.shared_states`)."""
+    features tuple (`engine.shared_states`). Fewer than one episode is refused."""
+    if n_episodes < 1:
+        raise ValueError("n_episodes must be >= 1")
     rng = random.Random(spec.seed)
     make = shared_states()
     kb = scenario_kb(spec.archetype)

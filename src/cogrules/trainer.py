@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from .engine import RuleSet, TraceEntry, WorldState, decide, shared_states, slot_marginals
+from .engine import RuleSet, WorldState, decide, shared_states, slot_marginals
 from .knowledge import (SLOTS, ActionPair, KnowledgeBase, ProductionRule, Value, read_jsonl,
                         read_section)
 
@@ -138,15 +138,15 @@ def episodes_from_jsonl(path: str | Path) -> list[Episode]:
                     recs[0].scenario, recs[0].subject) for _, recs in sorted(groups.items())]
 
 
-def reward_decompose(reward: float, firings: list[TraceEntry], reward_step: int,
+def reward_decompose(reward: float, firings: list[tuple[int, ProductionRule]], reward_step: int,
                      decay: float) -> list[tuple[ProductionRule, float]]:
-    """(rule that fired, reward share) per firing:
+    """(rule that fired, reward share) per (firing step, rule) of `firings`:
     r_i = R - decay * (reward_step - firing step)."""
     shares = []
-    for entry in firings:
-        if entry.t > reward_step:
+    for t, rule in firings:
+        if t > reward_step:
             raise ValueError("firing after reward step")
-        shares.append((entry.chosen, reward - decay * (reward_step - entry.t)))
+        shares.append((rule, reward - decay * (reward_step - t)))
     return shares
 
 
@@ -177,24 +177,23 @@ def _train_one_epoch(episodes: list[Episode], plan: list[list[tuple]],
     order = list(range(len(episodes)))
     rng.shuffle(order)
     for idx in order:
-        # per slot, the firings that filled it and still await a reward
-        pending: dict[str, list[TraceEntry]] = {s: [] for s in SLOTS}
+        # per slot, the (step, rule) of each firing that filled it and still awaits a reward
+        pending: tuple[list[tuple[int, ProductionRule]], ...] = tuple([] for _ in SLOTS)
         for (state, ref), candidates in zip(episodes[idx].steps, plan[idx]):
-            decision, firings = decide(state.t, candidates, cfg.sigma, rng)
-            for entry in firings:
-                for slot in entry.filled:
-                    pending[slot].append(entry)
-            for slot in SLOTS:
+            fillers = decide(candidates, cfg.sigma, rng)
+            for slot, rule, firings in zip(SLOTS, fillers, pending):
+                if rule is not None:
+                    firings.append((state.t, rule))
                 ref_action = ref.slot(slot)
                 if ref_action is None:
                     continue
-                hit = decision.slot(slot) == ref_action
+                hit = rule is not None and rule.effects.slot(slot) == ref_action
                 compared += 1
                 agreed += hit
                 reward = cfg.reward_positive if hit else cfg.reward_negative
-                for rule, r_i in reward_decompose(reward, pending[slot], state.t, cfg.decay):
-                    rule.utility = utility_update(rule.utility, r_i, cfg.learning_rate)
-                pending[slot].clear()
+                for fired, r_i in reward_decompose(reward, firings, state.t, cfg.decay):
+                    fired.utility = utility_update(fired.utility, r_i, cfg.learning_rate)
+                firings.clear()
     return agreed / compared if compared else 0.0
 
 

@@ -83,10 +83,15 @@ def model_calls(monkeypatch) -> list[str]:
     return calls
 
 
-def highway_corpus() -> list[dict]:
+def bundled_corpus(archetype: str) -> list[dict]:
+    """The records of `archetype` in the package's experience texts."""
     data = json.loads(importlib.resources.files("cogrules")
                       .joinpath("data/experience_texts.json").read_text())
-    return data["highway_cut_in"]
+    return data[archetype]
+
+
+def highway_corpus() -> list[dict]:
+    return bundled_corpus("highway_cut_in")
 
 
 def write_pipeline_config(base: Path, *, prompt_mode="literal", seed=11,

@@ -224,18 +224,16 @@ def test_04_selection_update_and_decay_numerics():
     assert abs(u - closed) < 1e-12
 
     # per-firing reward shares equal R - decay * (reward step - firing step)
-    from cogrules.engine import TraceEntry
     fired = ProductionRule(name="r", preconditions=(("x", "=", True),),
                            effects=ActionPair(longitudinal="brake"))
     for _ in range(200):
         reward_step = rng.randrange(0, 50)
         reward = rng.choice([10.0, 0.0, rng.uniform(-5, 15)])
         decay = rng.choice([0.01, 0.0, rng.uniform(0, 0.5)])
-        entries = [TraceEntry(t=rng.randrange(0, reward_step + 1), chosen=fired,
-                              filled=["longitudinal"])
+        firings = [(rng.randrange(0, reward_step + 1), fired)
                    for _ in range(rng.randrange(0, 6))]
-        got = reward_decompose(reward, entries, reward_step, decay)
-        want = [(e.chosen, reward - decay * (reward_step - e.t)) for e in entries]
+        got = reward_decompose(reward, firings, reward_step, decay)
+        want = [(rule, reward - decay * (reward_step - t)) for t, rule in firings]
         assert got == want  # exact float equality, same arithmetic
     _ok(4, "softmax 1e-9, contraction 1e-12 over 1e6 steps, decay exact")
 

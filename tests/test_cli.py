@@ -5,7 +5,7 @@ import pytest
 
 from cogrules import gateway, scenarios, trainer
 from cogrules.cli import main
-from conftest import write_pipeline_config
+from conftest import bundled_corpus, write_pipeline_config
 
 
 def run_cli(capsys, *argv):
@@ -228,6 +228,17 @@ class TestDataTrainEval:
         assert 0.0 <= payload["agreement"]["longitudinal"] <= 1.0
         assert 0.0 <= payload["mean_js"] <= 1.0
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_gen_data_refuses_fewer_than_one_episode(self, tmp_path, capsys, count):
+        # an episodes file without a step is refused by every command that reads it
+        code, out, err = run_cli(capsys, "gen-data", "--archetype", "highway_cut_in",
+                                 "--episodes", count, "--seed", "5",
+                                 "--out", str(tmp_path / "data"))
+        assert code == 1
+        assert out == ""
+        assert err == "error: n_episodes must be >= 1\n"
+        assert not (tmp_path / "data").exists()
+
     def test_train_rejects_reference_action_outside_the_kb(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         run_cli(capsys, "gen-data", "--archetype", "highway_cut_in", "--episodes", "2",
@@ -321,8 +332,8 @@ class TestDataTrainEval:
         ({"utility": "x"}, "section 'rule': key 'utility': 'x' is not a number"),
         ({"utility": True}, "section 'rule': key 'utility': True is not a number"),
         ({"utility": [1.0]}, "section 'rule': key 'utility': [1.0] is not a number"),
-        ({"utility": math.nan}, "section 'rule': utility nan is not a finite number"),
-        ({"utility": -math.inf}, "section 'rule': utility -inf is not a finite number"),
+        ({"utility": math.nan}, "section 'rule': key 'utility': nan is not a finite number"),
+        ({"utility": -math.inf}, "section 'rule': key 'utility': -inf is not a finite number"),
         ({"name": 5}, "section 'rule': key 'name': 5 is not a string"),
         ({"effects": {"longitudinal": 5}},
          "section 'rule.effects': key 'longitudinal': 5 is not a string"),
@@ -434,6 +445,43 @@ class TestRunAll:
         on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert payload == on_disk
         assert sum(payload["outcomes"].values()) == 6
+
+    # each bundled corpus through run-all with its archetype's KB and scenario,
+    # 70 episodes and 30 epochs: the outcome counts (Viable, FormatMismatch,
+    # DuplicatedContent, InferenceError), per-slot agreement and final JS
+    # recorded when `decide` returned the action pair and its firings
+    BUNDLED = {
+        ("highway_cut_in", "literal"):
+            ((4, 0, 1, 1), (0.21105675661460246, 1.0), 0.3718882985243926),
+        ("highway_cut_in", "supply"):
+            ((4, 0, 1, 1), (0.10571428571428572, 1.0), 0.6666666666666666),
+        ("signalized_intersection", "literal"):
+            ((4, 0, 0, 0), (0.9817747120474668, 0.4785714285714286), 0.75),
+        ("signalized_intersection", "supply"):
+            ((4, 0, 0, 0), (0.9817747120474668, 0.4785714285714286), 0.75),
+        ("lane_change_interference", "literal"):
+            ((2, 0, 0, 1), (0.23357142857142857, 0.6185714285714285), 1.0),
+        ("lane_change_interference", "supply"):
+            ((2, 0, 0, 1), (0.23357142857142857, 0.6185714285714285), 1.0)}
+
+    @pytest.mark.parametrize("archetype,mode", sorted(BUNDLED))
+    def test_run_all_on_each_bundled_scenario(self, tmp_path, capsys, archetype, mode):
+        (tmp_path / "corpus.json").write_text(json.dumps(bundled_corpus(archetype)))
+        path = write_pipeline_config(tmp_path, prompt_mode=mode)
+        raw = json.loads(path.read_text())
+        raw.update(kb=archetype, n_episodes=70)
+        raw["scenario"]["archetype"] = archetype
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "run-all", "--config", str(path))
+        assert code == 0, err
+        manifest = json.loads(out)
+        outcomes, agreement, final_js = self.BUNDLED[archetype, mode]
+        counts = manifest["outcomes"]
+        assert tuple(counts[k] for k in ("Viable", "FormatMismatch", "DuplicatedContent",
+                                         "InferenceError")) == outcomes
+        assert (manifest["agreement"]["longitudinal"], manifest["agreement"]["lateral"]) \
+            == pytest.approx(agreement, rel=0, abs=1e-12)
+        assert manifest["final_js"] == pytest.approx(final_js, rel=0, abs=1e-12)
 
     def test_run_all_repeat_identical_stdout(self, tmp_path, capsys):
         cfg = write_pipeline_config(tmp_path, epochs=9)
@@ -649,11 +697,24 @@ class TestRunAll:
          "'{dir}/kb.json': key 'lateral_actions': 'keep_lane'"),
         (("kb.json", "features", "gap"), {"kind": "int", "low": "0", "high": 5},
          "'{dir}/kb.json.features.gap': key 'low': '0'"),
-        (("corpus.json", 0, "text"), 5, "'{dir}/corpus.json record 0': key 'text': 5")],
+        (("corpus.json", 0, "text"), 5, "'{dir}/corpus.json record 0': key 'text': 5"),
+        # json reads NaN and Infinity as floats, which no setting can honour
+        (("config", "train", "sigma"), math.nan, "'config.train': key 'sigma': nan"),
+        (("config", "train", "decay"), math.inf, "'config.train': key 'decay': inf"),
+        (("config", "train", "initial_utility"), math.nan,
+         "'config.train': key 'initial_utility': nan"),
+        (("config", "train", "reward_positive"), math.nan,
+         "'config.train': key 'reward_positive': nan"),
+        (("config", "critic_tree", "critics", "members", 0, 1), math.nan,
+         "'config.critic_tree.critics': key 'members': nan"),
+        (("config", "critic_tree", "revisor", "temperature"), math.inf,
+         "'config.critic_tree.revisor': key 'temperature': inf")],
         ids=["epochs-string", "top_k-string", "n_episodes-float", "probability-string",
              "noise_rate-string", "kb-number", "corpus-number", "out_dir-list",
              "record_path-number", "seed-string", "max_depth-float", "num_critics-bool",
-             "kb-actions-string", "kb-low-string", "corpus-text-number"])
+             "kb-actions-string", "kb-low-string", "corpus-text-number", "sigma-nan",
+             "decay-infinity", "initial_utility-nan", "reward_positive-nan", "probability-nan",
+             "temperature-infinity"])
     def test_run_all_refuses_a_value_of_the_wrong_type(self, tmp_path, capsys, model_calls,
                                                        path, value, named):
         inputs = run_all_inputs(tmp_path, scenario=path[:2] == ("config", "scenario"))

@@ -169,37 +169,32 @@ class TestSelectMatchesPick:
 
 class TestDecide:
     def test_single_rule_both_effects_fires_once(self):
+        # a longitudinal winner with a lateral effect fills both slots
         r = rule("r1", [("a", "=", True)], longitudinal="brake",
                  lateral="keep_lane")
-        decision, firings = decide(0, RuleSet([r]).candidates(WorldState.make({"a": True})),
-                                   SQRT2, random.Random(0))
-        assert decision.longitudinal == "brake"
-        assert decision.lateral == "keep_lane"
-        assert len(firings) == 1
-        assert firings[0].chosen is r
-        assert firings[0].filled == ["longitudinal", "lateral"]
+        lon, lat = decide(RuleSet([r]).candidates(WorldState.make({"a": True})),
+                          SQRT2, random.Random(0))
+        assert lon is r and lat is r
 
     def test_no_match_empty_decision(self):
         r = rule("r1", [("a", "=", True)], longitudinal="brake")
-        decision, firings = decide(0, RuleSet([r]).candidates(WorldState.make({"a": False})),
-                                   SQRT2, random.Random(0))
-        assert decision == ActionPair()
-        assert firings == []
+        fillers = decide(RuleSet([r]).candidates(WorldState.make({"a": False})),
+                         SQRT2, random.Random(0))
+        assert fillers == (None, None)
 
     def test_lateral_only_slot(self):
         r = rule("r1", [("a", "=", True)], lateral="change_left")
-        decision, firings = decide(0, RuleSet([r]).candidates(WorldState.make({"a": True})),
-                                   SQRT2, random.Random(0))
-        assert decision.longitudinal is None
-        assert decision.lateral == "change_left"
-        assert firings[0].filled == ["lateral"]
+        lon, lat = decide(RuleSet([r]).candidates(WorldState.make({"a": True})),
+                          SQRT2, random.Random(0))
+        assert lon is None
+        assert lat is r
 
     def test_competing_longitudinal_rules_monte_carlo(self):
         rules = RuleSet([rule("ra", [("a", "=", True)], longitudinal="brake"),
                          rule("rb", [("a", "=", True)], longitudinal="keep")])
         rng = random.Random(21)
-        state = WorldState.make({"a": True})
-        picks = sum(decide(state.t, rules.candidates(state), SQRT2, rng)[0].longitudinal == "brake"
+        candidates = rules.candidates(WorldState.make({"a": True}))
+        picks = sum(decide(candidates, SQRT2, rng)[0].effects.longitudinal == "brake"
                     for _ in range(10_000))
         assert abs(picks / 10_000 - 0.5) <= 0.02
 
@@ -207,8 +202,8 @@ class TestDecide:
         rules = RuleSet([rule("hi", [("a", "=", True)], longitudinal="brake", utility=20.0),
                          rule("lo", [("a", "=", True)], longitudinal="keep", utility=0.0)])
         rng = random.Random(31)
-        state = WorldState.make({"a": True})
-        picks = sum(decide(state.t, rules.candidates(state), SQRT2, rng)[0].longitudinal == "brake"
+        candidates = rules.candidates(WorldState.make({"a": True}))
+        picks = sum(decide(candidates, SQRT2, rng)[0].effects.longitudinal == "brake"
                     for _ in range(10_000))
         assert picks / 10_000 > 0.999
 
@@ -216,41 +211,37 @@ class TestDecide:
         rules = RuleSet([rule("ra", [("a", "=", True)], longitudinal="brake"),
                          rule("rb", [("a", "=", True)], longitudinal="keep",
                               lateral="change_left")])
-        state = WorldState.make({"a": True})
+        candidates = rules.candidates(WorldState.make({"a": True}))
         runs = []
         for _ in range(2):
             rng = random.Random(77)
-            out = [decide(state.t, rules.candidates(state), SQRT2, rng) for _ in range(50)]
-            runs.append([(d.longitudinal, d.lateral,
-                          [(e.chosen.name, e.filled) for e in firings])
-                         for d, firings in out])
+            runs.append([tuple(r and r.name for r in decide(candidates, SQRT2, rng))
+                         for _ in range(50)])
         assert runs[0] == runs[1]
+        # "rb" also competes for the lateral slot that "ra" leaves empty
+        assert set(runs[0]) == {("ra", "rb"), ("rb", "rb")}
 
     def test_trace_justifies_every_action(self):
+        # each filled slot is filled by a rule with an effect there
         rules = RuleSet([rule("ra", [("a", "=", True)], longitudinal="brake"),
                          rule("rb", [("a", "=", True)], lateral="change_left")])
         rng = random.Random(3)
-        state = WorldState.make({"a": True})
+        candidates = rules.candidates(WorldState.make({"a": True}))
         for _ in range(50):
-            decision, firings = decide(state.t, rules.candidates(state), SQRT2, rng)
-            for slot in ("longitudinal", "lateral"):
-                if decision.slot(slot) is not None:
-                    setters = [e for e in firings if slot in e.filled]
-                    assert len(setters) == 1
+            for slot, filler in zip(SLOTS, decide(candidates, SQRT2, rng)):
+                assert filler is not None and filler.effects.slot(slot) is not None
 
     def test_trace_probabilities_normalized(self):
-        # every firing names a rule that competed for its slot
+        # every filler is a rule that competed for its slot
         rules = RuleSet([rule(f"r{i}", [("a", "=", True)], longitudinal="keep",
                               utility=float(i)) for i in range(7)]
                         + [rule("lat", [("a", "=", True)], lateral="change_left")])
         state = WorldState.make({"a": True})
-        candidates = dict(zip(SLOTS, rules.candidates(state)))
+        candidates = rules.candidates(state)
         rng = random.Random(0)
         for _ in range(50):
-            _, firings = decide(state.t, rules.candidates(state), SQRT2, rng)
-            assert [e.filled[0] for e in firings] == list(SLOTS)
-            for entry in firings:
-                assert any(entry.chosen is r for r in candidates[entry.filled[0]])
+            for filler, competed in zip(decide(candidates, SQRT2, rng), candidates):
+                assert any(filler is r for r in competed)
 
 
 class TestDecisionDistribution:

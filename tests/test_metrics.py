@@ -10,7 +10,7 @@ import pytest
 
 import cogrules
 from cogrules import ltl
-from cogrules.engine import (SLOTS, ActionPair, RuleSet, TraceEntry, WorldState,
+from cogrules.engine import (SLOTS, ActionPair, RuleSet, WorldState,
                              decision_distribution, slot_marginals)
 from cogrules.knowledge import ProductionRule, read_rules
 from cogrules.metrics import (decision_distributions, js_divergence, ltl_bleu,
@@ -338,16 +338,14 @@ class TestExactAgreementAgainstSampling:
 
 
 class TestRsr:
-    def entry(self):
-        rule = ProductionRule(name="r", preconditions=(("a", "=", True),),
-                              effects=ActionPair(longitudinal="brake"))
-        return TraceEntry(t=0, chosen=rule, filled=["longitudinal"])
+    RULE = ProductionRule(name="r", preconditions=(("a", "=", True),),
+                          effects=ActionPair(longitudinal="brake"))
 
     def test_all_matched(self):
-        assert rsr([[self.entry()] for _ in range(4)]) == 1.0
+        assert rsr([(self.RULE, None), (None, self.RULE), (self.RULE, self.RULE)] * 2) == 1.0
 
     def test_no_rules(self):
-        assert rsr([[] for _ in range(4)]) == 0.0
+        assert rsr([(None, None) for _ in range(4)]) == 0.0
 
     def test_three_of_four(self):
-        assert rsr([[self.entry()] for _ in range(3)] + [[]]) == 0.75
+        assert rsr([(self.RULE, None) for _ in range(3)] + [(None, None)]) == 0.75

@@ -295,21 +295,20 @@ class TestRunExperiment:
         assert {name: pipeline._sha256(cfg.out_dir / name) for name in self.GOLDEN[mode]} \
             == self.GOLDEN[mode]
 
-    # sha256 of the training draws on the fixture: each decide's decision
-    # and firings, in order, recorded when every epoch resolved each step's
-    # candidates again
-    DRAWS = {"literal": "135cadd98435469515275880fdb358467696aa2d28a4794731c0a87206992342",
-             "supply": "bc109938f6fa269dbb48d6a425d64a489cb04e5b7e3bbaa19668f24e95f00e05"}
+    # sha256 of the training draws on the fixture: the names of the rules
+    # that filled each cycle's two slots (null for an empty slot), in order,
+    # recorded when `decide` returned the action pair and its firings
+    DRAWS = {"literal": "0345acab8021617073be9d2f76ac9c397c530a12e3da6c825f2e7151bf94a7b7",
+             "supply": "497b380a36a70a40020325c81e24c040f15e12d2c69d97717564476bbef43ff5"}
 
     @pytest.mark.parametrize("mode", sorted(DRAWS))
     def test_training_draws_match_recorded_digests(self, tmp_path, monkeypatch, mode):
         draws, decide = [], trainer.decide
 
         def recording_decide(*args):
-            decision, firings = decide(*args)
-            draws.append([decision.longitudinal, decision.lateral,
-                          [[e.t, e.chosen.name, e.filled] for e in firings]])
-            return decision, firings
+            fillers = decide(*args)
+            draws.append([rule and rule.name for rule in fillers])
+            return fillers
         monkeypatch.setattr(trainer, "decide", recording_decide)
         run_experiment(load_config(write_pipeline_config(tmp_path, prompt_mode=mode)))
         assert len(draws) == 800 * 30  # steps x epochs

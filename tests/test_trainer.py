@@ -5,7 +5,7 @@ import re
 import pytest
 
 from cogrules import engine
-from cogrules.engine import ActionPair, RuleSet, TraceEntry, WorldState, shared_states
+from cogrules.engine import ActionPair, RuleSet, WorldState, shared_states
 from cogrules.knowledge import FeatureDomain, KnowledgeBase, ProductionRule
 from cogrules.scenarios import scenario_kb
 from cogrules.trainer import (Episode, EpisodeSchemaError,
@@ -24,8 +24,9 @@ def rule(name, preconditions, longitudinal=None, lateral=None, utility=0.0):
                                           lateral=lateral), utility=utility)
 
 
-def entry(chosen, t, slot="longitudinal"):
-    return TraceEntry(t=t, chosen=chosen, filled=[slot])
+def entry(chosen, t):
+    """A firing as `reward_decompose` takes it: (firing step, rule)."""
+    return t, chosen
 
 
 R = rule("r", [("a", "=", True)], longitudinal="brake")
