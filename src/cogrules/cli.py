@@ -93,7 +93,7 @@ def cmd_train(args) -> int:
     trained, curve = trainer.train(rules, episodes, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_rules(trained.rules, out_dir / "rules_trained.json")
+    write_rules(trained.with_utilities(), out_dir / "rules_trained.json")
     trainer.curve_to_csv(curve, out_dir / "curve.csv")
     _emit({"epochs": len(curve),
            "final_agreement": curve[-1].agreement if curve else None,
@@ -184,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (gateway.GatewayError, ValueError, FileNotFoundError) as e:
+    except (gateway.GatewayError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

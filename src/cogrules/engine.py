@@ -9,7 +9,7 @@ import json
 import math
 import random
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .knowledge import NO_ACTION, SLOTS, ActionPair, ProductionRule, Value
 
@@ -85,24 +85,21 @@ def pick(weights: list[float], rng: random.Random, total: float = 1.0) -> int:
     return len(weights) - 1
 
 
-def select(conflict: list[ProductionRule], sigma: float,
-           rng: random.Random) -> ProductionRule:
-    """`conflict[pick(selection_probabilities(utilities, sigma), rng)]`, the
-    same floats and draw, without normalising the terms past the one drawn."""
+def select(conflict: list[int], utilities: list[float], sigma: float,
+           rng: random.Random) -> int:
+    """`conflict[pick(selection_probabilities(...), rng)]` over the positions'
+    `utilities`: the same draw, without normalising the terms past the one drawn."""
     if not conflict:
         raise ValueError("conflict set must be nonempty")
-    exps, z = _softmax_terms([r.utility for r in conflict], sigma)
+    exps, z = _softmax_terms([utilities[i] for i in conflict], sigma)
     return conflict[pick(exps, rng, z)]
 
 
-def slot_candidates(matched: list[ProductionRule], slot: str) -> list[ProductionRule]:
-    """The rules that compete for `slot`: those with an effect there, in order."""
-    return [r for r in matched if getattr(r.effects, slot) is not None]
-
-
 class RuleSet:
-    """A rule list compiled for repeated matching. Preconditions must not
-    change once it is built; utilities may, since it keeps rule objects.
+    """A run's rules, which are frozen, and its only training state,
+    `utilities`: one per rule position, the rule's own or the `utility` given.
+    Candidates and `decide`'s slot fillers are positions, which tell apart
+    rules that share a name, so a rule object may hold one position only.
 
     It keeps the rules sorted by name once, stably, and `match` scans them
     all. The per-slot candidates of every state it resolves are cached,
@@ -112,35 +109,45 @@ class RuleSet:
     matched once a run. Episodes from `shared_states` share one features
     tuple per distinct state, so a cache hit on them compares by identity."""
 
-    def __init__(self, rules: Iterable[ProductionRule]):
+    def __init__(self, rules: Iterable[ProductionRule], utility: float | None = None):
         self.rules = list(rules)
+        self.utilities = [r.utility if utility is None else utility for r in self.rules]
+        self._position = {id(r): i for i, r in enumerate(self.rules)}
+        if len(self._position) < len(self.rules):
+            raise ValueError("a rule object is given at two positions")
         self._by_name = sorted(self.rules, key=lambda r: r.name)
-        self._cache: dict[tuple, tuple[list[ProductionRule], ...]] = {}
+        self._cache: dict[tuple, tuple[list[int], ...]] = {}
 
-    def candidates(self, state: WorldState) -> tuple[list[ProductionRule], ...]:
-        """`slot_candidates(match(state, self.rules), slot)` for each slot
-        in SLOTS order."""
+    def candidates(self, state: WorldState) -> tuple[list[int], ...]:
+        """Per slot, in SLOTS order, the positions of the rules of
+        `match(state, ...)` with an effect in that slot, in match order."""
         found = self._cache.get(state.features)
         if found is None:
-            matched = match(state, self._by_name)
+            matched, position = match(state, self._by_name), self._position
             found = self._cache[state.features] = tuple(
-                slot_candidates(matched, slot) for slot in SLOTS)
+                [position[id(r)] for r in matched if getattr(r.effects, slot) is not None]
+                for slot in SLOTS)
         return found
 
+    def with_utilities(self) -> list[ProductionRule]:
+        """The rules, each carrying its position's utility: what a rules file stores."""
+        return [replace(r, utility=u) for r, u in zip(self.rules, self.utilities)]
 
-def decide(candidates: tuple[list[ProductionRule], ...], sigma: float,
-           rng: random.Random) -> tuple[ProductionRule | None, ProductionRule | None]:
-    """One cycle over a state's `RuleSet.candidates`: the rule that filled
-    each slot, in SLOTS order, or None for an empty slot, drawn from the two
-    softmaxes of `_softmaxes` in order. The longitudinal candidates compete
-    first, and a winner with a lateral effect fills both slots, so it is
-    returned twice. Only if the lateral slot is still empty do the lateral
-    candidates compete."""
-    longitudinal_candidates, lateral_candidates = candidates
-    winner = select(longitudinal_candidates, sigma, rng) if longitudinal_candidates else None
-    if winner is not None and winner.effects.lateral is not None:
+
+def decide(candidates: tuple[list[int], ...], rules: RuleSet, sigma: float,
+           rng: random.Random) -> tuple[int | None, int | None]:
+    """One cycle over a state's `rules.candidates`: the position of the rule
+    that filled each slot, in SLOTS order, or None for an empty slot, drawn
+    from the two softmaxes of `_softmaxes` in order. The longitudinal
+    candidates compete first, and a winner with a lateral effect fills both
+    slots, so it is returned twice. Only if the lateral slot is still empty
+    do the lateral candidates compete."""
+    longitudinal, lateral = candidates
+    utilities = rules.utilities
+    winner = select(longitudinal, utilities, sigma, rng) if longitudinal else None
+    if winner is not None and rules.rules[winner].effects.lateral is not None:
         return winner, winner
-    return winner, select(lateral_candidates, sigma, rng) if lateral_candidates else None
+    return winner, select(lateral, utilities, sigma, rng) if lateral else None
 
 
 def action_pair_key(longitudinal: str | None, lateral: str | None) -> str:
@@ -155,10 +162,11 @@ def _softmaxes(state: WorldState, rules: RuleSet, sigma: float
     longitudinal_candidates, lateral_candidates = rules.candidates(state)
 
     def softmax(candidates):
-        return zip(candidates, selection_probabilities([r.utility for r in candidates], sigma))
+        probs = selection_probabilities([rules.utilities[i] for i in candidates], sigma)
+        return [(rules.rules[i].effects, p) for i, p in zip(candidates, probs)]
 
-    laterals = [(r.effects.lateral, p) for r, p in softmax(lateral_candidates)] or [(None, 1.0)]
-    winners = [(r.effects, p) for r, p in softmax(longitudinal_candidates)] or [(NO_ACTION, 1.0)]
+    laterals = [(e.lateral, p) for e, p in softmax(lateral_candidates)] or [(None, 1.0)]
+    winners = softmax(longitudinal_candidates) or [(NO_ACTION, 1.0)]
     return winners, laterals
 
 

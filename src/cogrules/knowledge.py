@@ -34,8 +34,9 @@ def load_json(path: str | Path):
 
 def read_jsonl(path: str | Path):
     """(line number, JSON value) for each nonblank line of file `path`, counted
-    from 1; a syntax error is a ValueError naming the file and the line."""
-    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
+    from 1; a syntax error is a ValueError naming the file and the line. Lines
+    end at "\n" only: JSON strings may hold U+2028, U+2029 and U+0085 raw."""
+    for n, line in enumerate(Path(path).read_text().split("\n"), 1):
         if line.strip():
             try:
                 value = json.loads(line)
@@ -247,21 +248,23 @@ class KnowledgeBase:
 Precondition = tuple[str, str, Value]  # (feature, comparator, value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProductionRule:
     name: str
     preconditions: tuple[Precondition, ...]
     effects: ActionPair
-    utility: float = 0.0
+    utility: float = 0.0  # as a rules file stores it, and what a RuleSet starts from
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         """Compiles the preconditions for `engine.match`: the (feature, value)
         pairs a state must hold and must not hold, and the features the `!=`
         ones need present. Sets compare with hash and `==`, as True == 1 does."""
-        self.must = frozenset((f, v) for f, c, v in self.preconditions if c == "=")
-        self.must_not = frozenset((f, v) for f, c, v in self.preconditions if c != "=")
-        self.must_name = frozenset(f for f, _ in self.must_not)
+        pre = self.preconditions
+        must_not = frozenset((f, v) for f, c, v in pre if c != "=")
+        object.__setattr__(self, "must", frozenset((f, v) for f, c, v in pre if c == "="))
+        object.__setattr__(self, "must_not", must_not)
+        object.__setattr__(self, "must_name", frozenset(f for f, _ in must_not))
 
     def body_key(self) -> tuple:
         """Equal for rules with the same preconditions, in any order, and

@@ -11,7 +11,6 @@ from collections import Counter
 
 from . import ltl
 from .engine import RuleSet, WorldState, action_pair_key, decide, decision_distribution
-from .knowledge import ProductionRule
 from .trainer import Episode
 
 
@@ -130,15 +129,16 @@ def sampled_distribution(state: WorldState, rules: RuleSet, sigma: float,
     counts: Counter = Counter()
     candidates = rules.candidates(state)
     for _ in range(n):
-        lon, lat = decide(candidates, sigma, rng)
-        counts[action_pair_key(lon and lon.effects.longitudinal, lat and lat.effects.lateral)] += 1
+        lon, lat = decide(candidates, rules, sigma, rng)
+        counts[action_pair_key(None if lon is None else rules.rules[lon].effects.longitudinal,
+                               None if lat is None else rules.rules[lat].effects.lateral)] += 1
     return {a: c / n for a, c in counts.items()}
 
 
-def rsr(cycles: list[tuple[ProductionRule | None, ProductionRule | None]]) -> float:
+def rsr(cycles: list[tuple[int | None, int | None]]) -> float:
     """Reasoning success rate: fraction of cycles, each given by the slot
-    fillers `decide` returned, where at least one slot was filled, that is,
-    had a nonempty conflict set."""
+    fillers' positions that `decide` returned, where at least one slot was
+    filled, that is, had a nonempty conflict set."""
     if not cycles:
         return 0.0
-    return sum(any(fillers) for fillers in cycles) / len(cycles)
+    return sum(fillers != (None, None) for fillers in cycles) / len(cycles)

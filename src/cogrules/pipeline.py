@@ -217,7 +217,7 @@ def run_experiment(cfg: PipelineConfig) -> dict:
 
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    write_rules(trained.rules, out / "rules.json")
+    write_rules(trained.with_utilities(), out / "rules.json")
     compiler.write_outcome_csv(report, out / "outcomes.csv")
     trainer.curve_to_csv(curve, out / "curve.csv")
     (out / "js_curve.csv").write_text(

@@ -9,7 +9,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -138,15 +138,15 @@ def episodes_from_jsonl(path: str | Path) -> list[Episode]:
                     recs[0].scenario, recs[0].subject) for _, recs in sorted(groups.items())]
 
 
-def reward_decompose(reward: float, firings: list[tuple[int, ProductionRule]], reward_step: int,
-                     decay: float) -> list[tuple[ProductionRule, float]]:
-    """(rule that fired, reward share) per (firing step, rule) of `firings`:
-    r_i = R - decay * (reward_step - firing step)."""
+def reward_decompose(reward: float, firings: list[tuple[int, int]], reward_step: int,
+                     decay: float) -> list[tuple[int, float]]:
+    """(position of the rule that fired, reward share) per (firing step,
+    position) of `firings`: r_i = R - decay * (reward_step - firing step)."""
     shares = []
-    for t, rule in firings:
+    for t, position in firings:
         if t > reward_step:
             raise ValueError("firing after reward step")
-        shares.append((rule, reward - decay * (reward_step - t)))
+        shares.append((position, reward - decay * (reward_step - t)))
     return shares
 
 
@@ -169,30 +169,31 @@ def curve_to_csv(curve: list[CurvePoint], path: str | Path) -> None:
             writer.writerow([pt.epoch, f"{pt.agreement:.6f}", f"{pt.mean_utility:.10f}"])
 
 
-def _train_one_epoch(episodes: list[Episode], plan: list[list[tuple]],
+def _train_one_epoch(episodes: list[Episode], plan: list[list[tuple]], rule_set: RuleSet,
                      cfg: TrainConfig, rng: random.Random) -> float:
-    """One pass over the episodes, whose steps' candidates `plan` holds;
-    returns the per-slot agreement rate."""
+    """One pass over the episodes, whose steps' candidates `plan` holds,
+    updating `rule_set.utilities`; returns the per-slot agreement rate."""
+    effects, utilities = [r.effects for r in rule_set.rules], rule_set.utilities
     agreed = compared = 0
     order = list(range(len(episodes)))
     rng.shuffle(order)
     for idx in order:
-        # per slot, the (step, rule) of each firing that filled it and still awaits a reward
-        pending: tuple[list[tuple[int, ProductionRule]], ...] = tuple([] for _ in SLOTS)
+        # per slot, the (step, position) of each firing that filled it and still awaits a reward
+        pending: tuple[list[tuple[int, int]], ...] = tuple([] for _ in SLOTS)
         for (state, ref), candidates in zip(episodes[idx].steps, plan[idx]):
-            fillers = decide(candidates, cfg.sigma, rng)
-            for slot, rule, firings in zip(SLOTS, fillers, pending):
-                if rule is not None:
-                    firings.append((state.t, rule))
+            fillers = decide(candidates, rule_set, cfg.sigma, rng)
+            for slot, pos, firings in zip(SLOTS, fillers, pending):
+                if pos is not None:
+                    firings.append((state.t, pos))
                 ref_action = ref.slot(slot)
                 if ref_action is None:
                     continue
-                hit = rule is not None and rule.effects.slot(slot) == ref_action
+                hit = pos is not None and effects[pos].slot(slot) == ref_action
                 compared += 1
                 agreed += hit
                 reward = cfg.reward_positive if hit else cfg.reward_negative
                 for fired, r_i in reward_decompose(reward, firings, state.t, cfg.decay):
-                    fired.utility = utility_update(fired.utility, r_i, cfg.learning_rate)
+                    utilities[fired] = utility_update(utilities[fired], r_i, cfg.learning_rate)
                 firings.clear()
     return agreed / compared if compared else 0.0
 
@@ -200,16 +201,15 @@ def _train_one_epoch(episodes: list[Episode], plan: list[list[tuple]],
 def train(rules: list[ProductionRule], episodes: list[Episode],
           cfg: TrainConfig, on_epoch: Callable[[int, RuleSet], None] | None = None,
           ) -> tuple[RuleSet, list[CurvePoint]]:
-    """Trains copies of the rules, reset to the initial utility, for
+    """Trains a utility per rule position, from the initial utility, for
     cfg.epochs epochs with one RNG seeded from cfg.seed. Each step's
     candidates are resolved once for the run, since training changes only
-    utilities. Returns the RuleSet over the trained copies, so that later
-    matching reuses its cache, and the per-epoch learning curve.
-    on_epoch(epochs_done, rule_set) is called once before the first epoch,
-    with epochs_done 0, and after each epoch. It may observe the rules; it
-    must not change them."""
-    rules = [replace(r, utility=cfg.initial_utility) for r in rules]  # the rest is never mutated
-    rule_set = RuleSet(rules)
+    utilities. Returns the RuleSet over the rules given, unchanged, with the
+    trained `utilities`, so that later matching reuses its cache, and the
+    per-epoch learning curve. on_epoch(epochs_done, rule_set) is called once
+    before the first epoch, with epochs_done 0, and after each epoch. It may
+    observe the rule set; it must not change it."""
+    rule_set = RuleSet(rules, cfg.initial_utility)
     rng = random.Random(cfg.seed)
     curve: list[CurvePoint] = []
     if on_epoch is not None:
@@ -217,8 +217,8 @@ def train(rules: list[ProductionRule], episodes: list[Episode],
     plan = [[rule_set.candidates(state) for state, _ in ep.steps]
             for ep in episodes] if cfg.epochs else []
     for epoch in range(cfg.epochs):
-        agreement = _train_one_epoch(episodes, plan, cfg, rng)
-        mean_u = sum(r.utility for r in rules) / len(rules) if rules else 0.0
+        agreement = _train_one_epoch(episodes, plan, rule_set, cfg, rng)
+        mean_u = sum(rule_set.utilities) / len(rule_set.rules) if rule_set.rules else 0.0
         curve.append(CurvePoint(epoch=epoch, agreement=agreement, mean_utility=mean_u))
         if on_epoch is not None:
             on_epoch(epoch + 1, rule_set)

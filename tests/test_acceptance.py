@@ -224,8 +224,7 @@ def test_04_selection_update_and_decay_numerics():
     assert abs(u - closed) < 1e-12
 
     # per-firing reward shares equal R - decay * (reward step - firing step)
-    fired = ProductionRule(name="r", preconditions=(("x", "=", True),),
-                           effects=ActionPair(longitudinal="brake"))
+    fired = 0  # the position of the rule that fired
     for _ in range(200):
         reward_step = rng.randrange(0, 50)
         reward = rng.choice([10.0, 0.0, rng.uniform(-5, 15)])
@@ -233,7 +232,7 @@ def test_04_selection_update_and_decay_numerics():
         firings = [(rng.randrange(0, reward_step + 1), fired)
                    for _ in range(rng.randrange(0, 6))]
         got = reward_decompose(reward, firings, reward_step, decay)
-        want = [(rule, reward - decay * (reward_step - t)) for t, rule in firings]
+        want = [(position, reward - decay * (reward_step - t)) for t, position in firings]
         assert got == want  # exact float equality, same arithmetic
     _ok(4, "softmax 1e-9, contraction 1e-12 over 1e6 steps, decay exact")
 
@@ -263,9 +262,8 @@ def test_05_learning_convergence_two_rule_fixture():
 
     rule_set, _ = train(rules, episodes, cfg, on_epoch=checkpoint)
 
-    by_name = {r.name: r for r in rule_set.rules}
-    probs = selection_probabilities(
-        [by_name["agree"].utility, by_name["disagree"].utility], SQRT2)
+    by_name = dict(zip((r.name for r in rule_set.rules), rule_set.utilities))
+    probs = selection_probabilities([by_name["agree"], by_name["disagree"]], SQRT2)
     assert probs[0] > 0.9, f"agreeing rule selected with p={probs[0]:.4f}"
     for earlier, later in zip(js_checkpoints, js_checkpoints[1:]):
         assert later <= earlier + 0.02, f"JS rose: {js_checkpoints}"

@@ -436,6 +436,20 @@ class TestDataTrainEval:
         assert "error:" in err
 
 
+    @pytest.mark.parametrize("command", ["eval", "gen-data"])
+    def test_an_unreadable_or_unwritable_path_is_an_input_error(self, tmp_path, capsys, command):
+        # eval reads a directory as its rules; gen-data writes under a regular file
+        gen_data(tmp_path, capsys)
+        argv = {"eval": ["eval", "--rules", str(tmp_path / "data"),
+                         "--episodes", str(tmp_path / "data" / "episodes.jsonl")],
+                "gen-data": ["gen-data", "--archetype", "highway_cut_in", "--seed", "1",
+                             "--out", str(tmp_path / "data" / "kb.json" / "out")]}[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 class TestRunAll:
     def test_run_all_reports_manifest(self, tmp_path, capsys):
         cfg = write_pipeline_config(tmp_path, epochs=9)

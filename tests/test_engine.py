@@ -7,7 +7,7 @@ import pytest
 
 from cogrules.engine import (ActionPair, SLOTS, RuleSet, WorldState, decide,
                              decision_distribution, match, pick, select,
-                             selection_probabilities, slot_candidates, slot_marginals)
+                             selection_probabilities, slot_marginals)
 from cogrules.knowledge import ProductionRule
 from oracles import match_oracle, summed_marginals
 
@@ -76,15 +76,18 @@ class TestSelect:
 
     def test_empty_conflict_rejected(self):
         with pytest.raises(ValueError):
-            select([], SQRT2, random.Random(0))
+            select([], [0.0], SQRT2, random.Random(0))
 
     def test_equal_utility_pick_ratio(self):
-        rules = [rule("r1", [("a", "=", True)], longitudinal="brake"),
-                 rule("r2", [("a", "=", True)], longitudinal="keep")]
         rng = random.Random(11)
-        picks = sum(select(rules, SQRT2, rng).name == "r1"
+        picks = sum(select([0, 1], [0.0, 0.0], SQRT2, rng) == 0
                     for _ in range(10_000))
         assert abs(picks / 10_000 - 0.5) <= 0.02
+
+    def test_only_the_conflict_positions_utilities_compete(self):
+        # position 0's far larger utility is not in the conflict set
+        rng = random.Random(2)
+        assert all(select([1, 2], [1e6, 0.0, -1e6], SQRT2, rng) == 1 for _ in range(100))
 
 
 class FixedDraw:
@@ -128,13 +131,12 @@ class TestSelectMatchesPick:
 
     @staticmethod
     def conflict(utilities):
-        return [rule(f"r{i:03}", [("a", "=", True)], longitudinal="keep", utility=u)
-                for i, u in enumerate(utilities)]
+        return list(range(len(utilities)))
 
     def assert_same_draw(self, utilities, rng_a, rng_b):
         conflict = self.conflict(utilities)
         expected = conflict[pick(selection_probabilities(utilities, SQRT2), rng_b)]
-        assert select(conflict, SQRT2, rng_a) is expected
+        assert select(conflict, utilities, SQRT2, rng_a) == expected
 
     @pytest.mark.parametrize("name", UTILITY_LISTS)
     def test_twin_rngs_draw_the_same_rules(self, name):
@@ -157,7 +159,7 @@ class TestSelectMatchesPick:
         *_, total = itertools.accumulate(selection_probabilities(utilities, SQRT2))  # as pick sums
         assert total <= x  # rounding leaves x past the sum
         self.assert_same_draw(utilities, FixedDraw(x), FixedDraw(x))
-        assert select(self.conflict(utilities), SQRT2, FixedDraw(x)).name == "r002"
+        assert select(self.conflict(utilities), utilities, SQRT2, FixedDraw(x)) == 2
 
     @pytest.mark.parametrize("name", UTILITY_LISTS)
     def test_probabilities_sum_to_one(self, name):
@@ -172,30 +174,31 @@ class TestDecide:
         # a longitudinal winner with a lateral effect fills both slots
         r = rule("r1", [("a", "=", True)], longitudinal="brake",
                  lateral="keep_lane")
-        lon, lat = decide(RuleSet([r]).candidates(WorldState.make({"a": True})),
-                          SQRT2, random.Random(0))
-        assert lon is r and lat is r
+        rules = RuleSet([r])
+        lon, lat = decide(rules.candidates(WorldState.make({"a": True})),
+                          rules, SQRT2, random.Random(0))
+        assert lon == 0 and lat == 0
 
     def test_no_match_empty_decision(self):
-        r = rule("r1", [("a", "=", True)], longitudinal="brake")
-        fillers = decide(RuleSet([r]).candidates(WorldState.make({"a": False})),
-                         SQRT2, random.Random(0))
+        rules = RuleSet([rule("r1", [("a", "=", True)], longitudinal="brake")])
+        fillers = decide(rules.candidates(WorldState.make({"a": False})),
+                         rules, SQRT2, random.Random(0))
         assert fillers == (None, None)
 
     def test_lateral_only_slot(self):
-        r = rule("r1", [("a", "=", True)], lateral="change_left")
-        lon, lat = decide(RuleSet([r]).candidates(WorldState.make({"a": True})),
-                          SQRT2, random.Random(0))
+        rules = RuleSet([rule("r1", [("a", "=", True)], lateral="change_left")])
+        lon, lat = decide(rules.candidates(WorldState.make({"a": True})),
+                          rules, SQRT2, random.Random(0))
         assert lon is None
-        assert lat is r
+        assert lat == 0
 
     def test_competing_longitudinal_rules_monte_carlo(self):
         rules = RuleSet([rule("ra", [("a", "=", True)], longitudinal="brake"),
                          rule("rb", [("a", "=", True)], longitudinal="keep")])
         rng = random.Random(21)
         candidates = rules.candidates(WorldState.make({"a": True}))
-        picks = sum(decide(candidates, SQRT2, rng)[0].effects.longitudinal == "brake"
-                    for _ in range(10_000))
+        picks = sum(rules.rules[decide(candidates, rules, SQRT2, rng)[0]].effects.longitudinal
+                    == "brake" for _ in range(10_000))
         assert abs(picks / 10_000 - 0.5) <= 0.02
 
     def test_argmax_dominance(self):
@@ -203,8 +206,8 @@ class TestDecide:
                          rule("lo", [("a", "=", True)], longitudinal="keep", utility=0.0)])
         rng = random.Random(31)
         candidates = rules.candidates(WorldState.make({"a": True}))
-        picks = sum(decide(candidates, SQRT2, rng)[0].effects.longitudinal == "brake"
-                    for _ in range(10_000))
+        picks = sum(rules.rules[decide(candidates, rules, SQRT2, rng)[0]].effects.longitudinal
+                    == "brake" for _ in range(10_000))
         assert picks / 10_000 > 0.999
 
     def test_deterministic_per_seed(self):
@@ -215,7 +218,7 @@ class TestDecide:
         runs = []
         for _ in range(2):
             rng = random.Random(77)
-            runs.append([tuple(r and r.name for r in decide(candidates, SQRT2, rng))
+            runs.append([tuple(rules.rules[i].name for i in decide(candidates, rules, SQRT2, rng))
                          for _ in range(50)])
         assert runs[0] == runs[1]
         # "rb" also competes for the lateral slot that "ra" leaves empty
@@ -228,11 +231,11 @@ class TestDecide:
         rng = random.Random(3)
         candidates = rules.candidates(WorldState.make({"a": True}))
         for _ in range(50):
-            for slot, filler in zip(SLOTS, decide(candidates, SQRT2, rng)):
-                assert filler is not None and filler.effects.slot(slot) is not None
+            for slot, filler in zip(SLOTS, decide(candidates, rules, SQRT2, rng)):
+                assert filler is not None and rules.rules[filler].effects.slot(slot) is not None
 
     def test_trace_probabilities_normalized(self):
-        # every filler is a rule that competed for its slot
+        # every filler is the position of a rule that competed for its slot
         rules = RuleSet([rule(f"r{i}", [("a", "=", True)], longitudinal="keep",
                               utility=float(i)) for i in range(7)]
                         + [rule("lat", [("a", "=", True)], lateral="change_left")])
@@ -240,8 +243,8 @@ class TestDecide:
         candidates = rules.candidates(state)
         rng = random.Random(0)
         for _ in range(50):
-            for filler, competed in zip(decide(candidates, SQRT2, rng), candidates):
-                assert any(filler is r for r in competed)
+            for filler, competed in zip(decide(candidates, rules, SQRT2, rng), candidates):
+                assert filler in competed
 
 
 class TestDecisionDistribution:
@@ -369,8 +372,11 @@ def random_state(rng, idx):
 
 
 def brute_force(state, rules):
+    """Per slot, the positions in `rules` of the oracle's matched rules with an effect there."""
+    position = {id(r): i for i, r in enumerate(rules)}
     matched = match_oracle(state, rules)
-    return tuple([id(r) for r in slot_candidates(matched, slot)] for slot in SLOTS)
+    return tuple([position[id(r)] for r in matched if r.effects.slot(slot) is not None]
+                 for slot in SLOTS)
 
 
 class TestMatchOracle:
@@ -414,11 +420,46 @@ class TestMatchOracle:
         assert ProductionRule.from_json(flipped.to_json()).must_not == flipped.must_not
 
 
-class TestRuleSet:
-    """`RuleSet.candidates` against the oracle's conflict set."""
+class TestFrozenRule:
+    def test_every_field_refuses_assignment(self):
+        r = rule("r", [("a", "=", True)], "keep")
+        values = {"name": "s", "preconditions": (("a", "!=", True),),
+                  "effects": ActionPair("brake"), "utility": 1.0, "provenance": {}}
+        assert set(values) == {f.name for f in dataclasses.fields(ProductionRule)}
+        for name, value in values.items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, name, value)
+        # the compiled preconditions stay the rule's own
+        assert match(WorldState.make({"a": True}), [r]) == [r]
+        assert match(WorldState.make({"a": False}), [r]) == []
 
-    def candidates(self, rule_set, state):
-        return tuple([id(r) for r in found] for found in rule_set.candidates(state))
+
+class TestRuleSet:
+    """`RuleSet`: its utilities, and its candidates against the oracle's conflict set."""
+
+    def test_utilities_start_from_the_rules_or_one_value(self):
+        rules = [rule("ra", [("a", "=", True)], "brake", utility=2.0),
+                 rule("rb", [("a", "=", True)], "keep", utility=-1.0)]
+        assert RuleSet(rules).utilities == [2.0, -1.0]
+        assert RuleSet(rules, 0.5).utilities == [0.5, 0.5]
+
+    def test_with_utilities_gives_each_rule_its_positions_utility(self):
+        rules = [rule("ra", [("a", "=", True)], "brake", utility=2.0),
+                 rule("rb", [("a", "=", True)], "keep")]
+        rule_set = RuleSet(rules)
+        rule_set.utilities[1] = 7.5
+        written = rule_set.with_utilities()
+        assert [r.utility for r in written] == [2.0, 7.5]
+        assert [r.utility for r in rules] == [2.0, 0.0]
+        assert [dataclasses.replace(w, utility=r.utility) for w, r in zip(written, rules)] == rules
+
+    def test_a_rule_object_at_two_positions_is_refused(self):
+        r = rule("r", [("a", "=", True)], "keep")
+        with pytest.raises(ValueError, match="two positions"):
+            RuleSet([r, r])
+        # an equal rule is another object, and holds its own position
+        twin = dataclasses.replace(r)
+        assert RuleSet([r, twin]).candidates(WorldState.make({"a": True})) == ([0, 1], [])
 
     def test_random_rule_sets_equal_brute_force(self):
         rng = random.Random(41)
@@ -427,7 +468,7 @@ class TestRuleSet:
             rule_set = RuleSet(rules)
             states = [random_state(rng, rng.randrange(8)) for _ in range(40)]
             for state in states + states:  # misses, then hits
-                assert self.candidates(rule_set, state) == brute_force(state, rules)
+                assert rule_set.candidates(state) == brute_force(state, rules)
 
     def test_eviction_keeps_candidates_exact(self):
         rng = random.Random(43)
@@ -435,7 +476,7 @@ class TestRuleSet:
         rule_set = RuleSet(rules)
         states = [random_state(rng, i) for i in range(4396)]
         for state in states + states[:300]:  # the early states again, long after they missed
-            assert self.candidates(rule_set, state) == brute_force(state, rules)
+            assert rule_set.candidates(state) == brute_force(state, rules)
 
     def test_cache_is_keyed_on_features_not_time(self):
         rule_set = RuleSet([rule("r", [("a", "=", True)], longitudinal="brake")])
@@ -450,7 +491,7 @@ class TestRuleSet:
         state = WorldState.make({"a": True})
         assert decision_distribution(state, rule_set, SQRT2) == \
             {"brake/none": 0.5, "keep/none": 0.5}
-        rules[0].utility = 10.0
+        rule_set.utilities[0] = 10.0
         expected = selection_probabilities([10.0, 0.0], SQRT2)
         assert decision_distribution(state, rule_set, SQRT2) == \
             {"brake/none": expected[0], "keep/none": expected[1]}

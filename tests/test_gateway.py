@@ -71,6 +71,15 @@ class TestReplay:
         backend = Session().backend(BackendSpec(kind="replay", transcript_path=str(path)))
         assert backend.complete(prompt).content == "G (a -> b)"
 
+    def test_a_response_may_hold_a_raw_next_line(self, tmp_path):
+        # U+0085 ends a line for str.splitlines, not for a JSONL record
+        prompt = msgs("translate this")
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"request_hash": request_hash("", prompt), "request": [],
+                                    "response": "G (a ->\u0085b)"}, ensure_ascii=False) + "\n")
+        backend = Session().backend(BackendSpec(kind="replay", transcript_path=str(path)))
+        assert backend.complete(prompt).content == "G (a ->\u0085b)"
+
     def test_miss_fails_loudly(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_transcript(path, [])

@@ -338,14 +338,14 @@ class TestExactAgreementAgainstSampling:
 
 
 class TestRsr:
-    RULE = ProductionRule(name="r", preconditions=(("a", "=", True),),
-                          effects=ActionPair(longitudinal="brake"))
+    POSITION = 0  # a filler is a rule position, and 0 is one
 
     def test_all_matched(self):
-        assert rsr([(self.RULE, None), (None, self.RULE), (self.RULE, self.RULE)] * 2) == 1.0
+        p = self.POSITION
+        assert rsr([(p, None), (None, p), (p, p)] * 2) == 1.0
 
     def test_no_rules(self):
         assert rsr([(None, None) for _ in range(4)]) == 0.0
 
     def test_three_of_four(self):
-        assert rsr([(self.RULE, None) for _ in range(3)] + [(None, None)]) == 0.75
+        assert rsr([(self.POSITION, None) for _ in range(3)] + [(None, None)]) == 0.75

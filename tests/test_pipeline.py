@@ -305,9 +305,9 @@ class TestRunExperiment:
     def test_training_draws_match_recorded_digests(self, tmp_path, monkeypatch, mode):
         draws, decide = [], trainer.decide
 
-        def recording_decide(*args):
-            fillers = decide(*args)
-            draws.append([rule and rule.name for rule in fillers])
+        def recording_decide(candidates, rules, *args):
+            fillers = decide(candidates, rules, *args)
+            draws.append([None if pos is None else rules.rules[pos].name for pos in fillers])
             return fillers
         monkeypatch.setattr(trainer, "decide", recording_decide)
         run_experiment(load_config(write_pipeline_config(tmp_path, prompt_mode=mode)))
