@@ -52,8 +52,7 @@ def cmd_translate(args) -> int:
 def cmd_compile(args) -> int:
     cfg = pipeline.load_config(args.config)
     store = compiler.RuleStore(read_rules(args.rules) if args.rules else [])
-    outcome = compiler.compile_formula(
-        ltl.parse(args.formula), cfg.kb, store, compiler.HashedTrigramEmbedding())
+    outcome = compiler.compile_formula(ltl.parse(args.formula), cfg.kb, store)
     out = {"outcome": outcome.tag}
     if isinstance(outcome, compiler.Viable):
         out["rule"] = outcome.rule.to_json()

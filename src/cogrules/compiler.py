@@ -31,12 +31,6 @@ class GroundingError(ValueError):
     pass
 
 
-class UnknownAtom(GroundingError):
-    def __init__(self, name: str):
-        super().__init__(f"atom {name!r} is not in the grounding table or action vocabulary")
-        self.name = name
-
-
 # ---------------------------------------------------------------------------
 # outcomes, each with a tag and a one-line detail
 
@@ -99,7 +93,7 @@ class HashedTrigramEmbedding:
 
     Each instance remembers the vectors it has computed and the bucket of
     each trigram it has seen, so a text is embedded, and a trigram hashed,
-    once per provider; build one provider per run."""
+    once per instance. Each `RuleStore` owns one."""
 
     def __init__(self):
         self._memo: dict[str, Mapping[int, int]] = {}
@@ -135,7 +129,7 @@ def ground(verdict: ltl.Convertible,
     for name, polarity in verdict.antecedent:
         g = kb.groundings.get(name)
         if g is None:
-            raise UnknownAtom(name)
+            raise GroundingError(f"atom {name!r} is not in the grounding table or action vocabulary")
         cmp = g.comparator if polarity else ("!=" if g.comparator == "=" else "=")
         preconditions.append((g.feature, cmp, g.value))
     longitudinal = lateral = None
@@ -151,7 +145,7 @@ def ground(verdict: ltl.Convertible,
                 raise GroundingError("multiple lateral actions in consequent")
             lateral = name
         else:
-            raise UnknownAtom(name)
+            raise GroundingError(f"atom {name!r} is not in the grounding table or action vocabulary")
     return tuple(preconditions), ActionPair(longitudinal, lateral)
 
 
@@ -174,17 +168,16 @@ def name_rule(preconditions: tuple[Precondition, ...], effects: ActionPair) -> s
 # rule store and dedup
 
 class RuleStore:
-    """Ordered rule collection, indexed by rule body; the first stored
-    rule with a given body names it.
-
-    `dedup_check` also keeps an inverted index of the rule names' trigram
-    counts here, and each indexed name's squared norm. A bucket's postings
-    are one integer, the sum of count << (POSTING_BITS * position), so a
-    single multiply-add per candidate bucket adds that bucket's share to
-    every stored rule's dot product."""
+    """Ordered rule collection and the index `dedup_check` reads, which `add`
+    extends as each rule arrives: the first stored rule with each body, and an
+    inverted index of the names' trigram counts under the store's `embedding`,
+    with each name's squared norm. A bucket's postings are one integer, the sum
+    of count << (POSTING_BITS * position), so a single multiply-add per
+    candidate bucket adds that bucket's share to every stored rule's dot product."""
 
     def __init__(self, rules: list[ProductionRule] | None = None):
         self.rules: list[ProductionRule] = []
+        self.embedding = HashedTrigramEmbedding()
         self._by_body: dict[tuple, str] = {}
         self._postings: dict[int, int] = {}
         self._norms2: list[int] = []
@@ -192,8 +185,13 @@ class RuleStore:
             self.add(rule)
 
     def add(self, rule: ProductionRule) -> None:
+        shift, postings = POSTING_BITS * len(self.rules), self._postings
         self.rules.append(rule)
         self._by_body.setdefault(rule.body_key(), rule.name)
+        vec = self.embedding.embed(rule.name)
+        for bucket, count in vec.items():
+            postings[bucket] = postings.get(bucket, 0) + (count << shift)
+        self._norms2.append(sum(c * c for c in vec.values()))
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -202,26 +200,20 @@ class RuleStore:
         return iter(self.rules)
 
 
-def dedup_check(candidate: ProductionRule, store: RuleStore,
-                provider: HashedTrigramEmbedding,
+def dedup_check(candidate: ProductionRule, store: RuleStore, *,
                 threshold: float = DUPLICATION_THRESHOLD) -> DuplicatedContent | None:
-    """None means the candidate is novel. Exact body duplicates are
-    rejected regardless of name similarity; otherwise the stored name of
-    highest cosine with the candidate's name, ties broken by the smaller
-    name, is compared against the threshold. The cosine is exact:
-    dot / sqrt(|a|^2 |b|^2) over integer trigram counts."""
+    """None means the candidate is novel; `store`'s rules and index are only
+    read. Exact body duplicates are rejected regardless of name similarity;
+    otherwise the stored name of highest cosine with the candidate's name,
+    ties broken by the smaller name, is compared against the threshold. The
+    cosine is exact: dot / sqrt(|a|^2 |b|^2) over integer trigram counts."""
     if len(store) == 0:
         return None
     existing = store._by_body.get(candidate.body_key())
     if existing is not None:
         return DuplicatedContent(existing=existing, similarity=1.0)
     postings, norms2 = store._postings, store._norms2
-    for position in range(len(norms2), len(store)):
-        vec = provider.embed(store.rules[position].name)
-        for bucket, count in vec.items():
-            postings[bucket] = postings.get(bucket, 0) + (count << (POSTING_BITS * position))
-        norms2.append(sum(c * c for c in vec.values()))
-    cand_vec = provider.embed(candidate.name)
+    cand_vec = store.embedding.embed(candidate.name)
     packed = sum(count * postings.get(bucket, 0) for bucket, count in cand_vec.items())
     dots = array("Q", packed.to_bytes(POSTING_BITS // 8 * len(norms2), sys.byteorder))
     # cosines with one candidate rank exactly as dot^2 / |b|^2, in integers
@@ -239,8 +231,7 @@ def dedup_check(candidate: ProductionRule, store: RuleStore,
 # ---------------------------------------------------------------------------
 # compile pipeline
 
-def compile_formula(formula: ltl.Ltl, kb: KnowledgeBase, store: RuleStore,
-                    provider: HashedTrigramEmbedding,
+def compile_formula(formula: ltl.Ltl, kb: KnowledgeBase, store: RuleStore, *,
                     provenance: dict | None = None) -> CompileOutcome:
     """classify -> ground -> dry-run load -> dedup -> insert."""
     verdict = ltl.classify(formula)
@@ -257,7 +248,7 @@ def compile_formula(formula: ltl.Ltl, kb: KnowledgeBase, store: RuleStore,
         validate_rule(rule, kb)
     except RuleValidationError as e:
         return FormatMismatch(str(e))
-    dup = dedup_check(rule, store, provider)
+    dup = dedup_check(rule, store)
     if dup is not None:
         return dup
     store.add(rule)

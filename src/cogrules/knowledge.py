@@ -257,10 +257,14 @@ class ProductionRule:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Compiles the preconditions for `engine.match`: the (feature, value)
-        pairs a state must hold and must not hold, and the features the `!=`
-        ones need present. Sets compare with hash and `==`, as True == 1 does."""
+        """Refuses a comparator other than '=' and '!=', and compiles the
+        preconditions for `engine.match`: the (feature, value) pairs a state
+        must hold and must not hold, and the features the `!=` ones need
+        present. Sets compare with hash and `==`, as True == 1 does."""
         pre = self.preconditions
+        for _, cmp, _ in pre:
+            if cmp not in ("=", "!="):
+                raise ValueError(f"section 'rule': comparator {cmp!r} is not '=' or '!='")
         must_not = frozenset((f, v) for f, c, v in pre if c != "=")
         object.__setattr__(self, "must", frozenset((f, v) for f, c, v in pre if c == "="))
         object.__setattr__(self, "must_not", must_not)
@@ -286,16 +290,9 @@ class ProductionRule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProductionRule":
-        def preconditions(ps):
-            for _, cmp, _ in ps:
-                if cmp not in ("=", "!="):
-                    raise ValueError(f"section 'rule': comparator {cmp!r} is not '=' or '!='")
-            return ps
-
         def action(a):  # "pass", like a missing key or null, is an empty slot
             return None if a == PASS else a
-        return read_section(cls, "rule", obj, preconditions=preconditions,
-                            longitudinal=action, lateral=action)
+        return read_section(cls, "rule", obj, longitudinal=action, lateral=action)
 
 
 class RuleValidationError(ValueError):

@@ -143,7 +143,6 @@ def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
     initial_backend = session.backend(cfg.initial_backend) if cfg.initial_backend else None
     grounding_template = GROUNDING_TEMPLATES[cfg.prompt_mode]
     atoms = ", ".join(cfg.kb.atom_vocabulary)
-    provider = compiler.HashedTrigramEmbedding()
     store = compiler.RuleStore()
     results = []
     for seg in segments:
@@ -165,7 +164,7 @@ def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
             outcome = compiler.FormatMismatch(f"unparseable formula: {formula}")
         else:
             outcome = compiler.compile_formula(
-                formula, cfg.kb, store, provider,
+                formula, cfg.kb, store,
                 provenance={"segment": seg.id, "formula": ltl.to_string(formula)})
         results.append(SegmentResult(seg.id, grounded_text, outcome))
     return store, results

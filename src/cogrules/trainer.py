@@ -125,12 +125,17 @@ def episodes_to_jsonl(episodes: list[Episode], path: str | Path) -> None:
 
 def episodes_from_jsonl(path: str | Path) -> list[Episode]:
     """The episodes file `path`, a `StepRecord` a line; an error names the file and the line.
-    A file without a step is refused. Equal states share one features tuple (`shared_states`),
-    so the per-state tables of training, evaluation and writing compare them by identity."""
+    A file without a step is refused, as is a line whose scenario or subject is not its
+    episode's first line's. Equal states share one features tuple (`shared_states`), so the
+    per-state tables of training, evaluation and writing compare them by identity."""
     groups: dict[int, list[StepRecord]] = {}
     for n, obj in read_jsonl(path):
         rec = read_section(StepRecord, f"{path} line {n}", obj)
-        groups.setdefault(rec.episode, []).append(rec)
+        recs = groups.setdefault(rec.episode, [])
+        if recs and (rec.scenario, rec.subject) != (recs[0].scenario, recs[0].subject):
+            raise ValueError(f"{path} line {n}: episode {rec.episode} is scenario "
+                             f"{recs[0].scenario!r} and subject {recs[0].subject!r} on an earlier line")
+        recs.append(rec)
     if not groups:
         raise ValueError(f"{path}: holds no episode step")
     make = shared_states()

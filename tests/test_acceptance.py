@@ -322,8 +322,7 @@ def test_07_dedup_matches_bruteforce_oracle():
         store_rules = [random_rule() for _ in range(rng.randint(0, 20))]
         candidate = random_rule()
         threshold = rng.choice([0.9, 0.5, 0.99])
-        got = dedup_check(candidate, RuleStore(store_rules), provider,
-                          threshold=threshold)
+        got = dedup_check(candidate, RuleStore(store_rules), threshold=threshold)
         expected = dedup_oracle(candidate.name, candidate.body_key(),
                                 [(r.name, r.body_key()) for r in store_rules],
                                 lambda t: [provider.embed(t).get(i, 0)

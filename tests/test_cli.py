@@ -750,6 +750,25 @@ class TestRunAll:
         err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
         assert err == f"error: section 'config': {refusal}\n", err
 
+    def test_run_all_refuses_a_config_without_an_episode_source(self, tmp_path, capsys,
+                                                               model_calls):
+        inputs = run_all_inputs(tmp_path)
+        del inputs["config"]["episodes"]
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert err == "error: config provides neither episodes nor a scenario\n", err
+
+    @pytest.mark.parametrize("key", ["subject", "scenario"])
+    def test_run_all_refuses_an_episode_relabelled_on_a_later_line(self, tmp_path, capsys,
+                                                                    model_calls, key):
+        inputs = run_all_inputs(tmp_path)
+        first = inputs["episodes.jsonl"][0]
+        assert inputs["episodes.jsonl"][5]["episode"] == first["episode"] == 0
+        inputs["episodes.jsonl"][5][key] += "_other"
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert err == (f"error: {tmp_path / 'episodes.jsonl'} line 6: episode 0 is scenario "
+                       f"{first['scenario']!r} and subject {first['subject']!r} on an "
+                       "earlier line\n"), err
+
     @pytest.mark.parametrize("key", ["kb", "out_dir"])
     def test_run_all_refuses_an_empty_required_path(self, tmp_path, capsys, model_calls, key):
         inputs = run_all_inputs(tmp_path)

@@ -60,12 +60,14 @@ class TestGround:
 
     def test_unknown_atom(self, kb):
         verdict = ltl.Convertible((("x_unknown", True),), (("brake", True),))
-        with pytest.raises(compiler.UnknownAtom):
+        with pytest.raises(compiler.GroundingError, match="^atom 'x_unknown' is not in the "
+                           "grounding table or action vocabulary$"):
             ground(verdict, kb)
 
     def test_unknown_action(self, kb):
         verdict = ltl.Convertible((("cut_in_ahead", True),), (("warp", True),))
-        with pytest.raises(compiler.UnknownAtom):
+        with pytest.raises(compiler.GroundingError, match="^atom 'warp' is not in the "
+                           "grounding table or action vocabulary$"):
             ground(verdict, kb)
 
     def test_both_slots_assignable(self, kb):
@@ -193,13 +195,13 @@ class TestEmbedding:
 class TestDedup:
     def test_empty_store_passes(self):
         rule = make_rule([("a", "=", 1)], {"longitudinal": "brake"})
-        assert dedup_check(rule, RuleStore(), HashedTrigramEmbedding()) is None
+        assert dedup_check(rule, RuleStore()) is None
 
     def test_body_identical_short_circuits(self):
         rule = make_rule([("a", "=", 1)], {"longitudinal": "brake"})
         twin = make_rule([("a", "=", 1)], {"longitudinal": "brake"},
                          name="completely_different_name")
-        hit = dedup_check(twin, RuleStore([rule]), HashedTrigramEmbedding())
+        hit = dedup_check(twin, RuleStore([rule]))
         assert isinstance(hit, DuplicatedContent)
         assert hit.similarity == 1.0
 
@@ -209,8 +211,7 @@ class TestDedup:
         for _ in range(200):
             store_rules = [random_rule(rng) for _ in range(rng.randint(0, 20))]
             candidate = random_rule(rng)
-            got = dedup_check(candidate, RuleStore(store_rules), provider,
-                              threshold=0.9)
+            got = dedup_check(candidate, RuleStore(store_rules), threshold=0.9)
             expected = dedup_oracle(
                 candidate.name, candidate.body_key(),
                 [(r.name, r.body_key()) for r in store_rules],
@@ -222,15 +223,13 @@ class TestDedup:
         # first equal-body rule, else the stored name of highest cosine
         # (smallest name on ties), ranked here in exact fractions, without
         # the memo or the index
-        provider = HashedTrigramEmbedding()
         rng = random.Random(71)
         duplicates = 0
         for _ in range(1000):
             store_rules = [random_rule(rng) for _ in range(rng.randint(0, 20))]
             candidate = random_rule(rng)
             threshold = rng.choice([0.9, 0.5, 0.99])
-            got = dedup_check(candidate, RuleStore(store_rules), provider,
-                              threshold=threshold)
+            got = dedup_check(candidate, RuleStore(store_rules), threshold=threshold)
             same_body = [r.name for r in store_rules
                          if r.body_key() == candidate.body_key()]
             if same_body:
@@ -267,7 +266,7 @@ class TestDedup:
         sim = exact_cosine(provider.embed("abab"), provider.embed("ababba"))
         assert 0.5 < sim < 1.0
         for rules in ([later, smaller], [smaller, later]):
-            assert dedup_check(candidate, RuleStore(rules), provider, threshold=0.5) == \
+            assert dedup_check(candidate, RuleStore(rules), threshold=0.5) == \
                 DuplicatedContent("ababba", sim)
 
     def test_first_rule_with_equal_body_is_reported(self):
@@ -277,7 +276,7 @@ class TestDedup:
         store = RuleStore([first])
         store.add(second)
         for s in (store, RuleStore([first, second])):
-            assert dedup_check(candidate, s, HashedTrigramEmbedding()) == \
+            assert dedup_check(candidate, s) == \
                 DuplicatedContent("zz_first", 1.0)
 
     def test_body_key_orders_values_of_two_types_and_keeps_true_and_1_apart(self):
@@ -288,10 +287,9 @@ class TestDedup:
         as_true = make_rule([("a", "=", True)], {"longitudinal": "brake"}, name="qqq")
         as_one = make_rule([("a", "=", 1)], {"longitudinal": "brake"}, name="zzz")
         assert as_true.body_key() != as_one.body_key()
-        assert dedup_check(as_one, RuleStore([as_true]), HashedTrigramEmbedding()) is None
+        assert dedup_check(as_one, RuleStore([as_true])) is None
 
     def test_grown_store_answers_like_one_built_at_once(self, kb):
-        provider = HashedTrigramEmbedding()
         rng = random.Random(5)
         atoms = sorted(kb.groundings)
         actions = list(kb.longitudinal_actions) + list(kb.lateral_actions)
@@ -301,14 +299,13 @@ class TestDedup:
             return ltl.parse(f"G (({pre}) -> {rng.choice(actions)})")
         grown = RuleStore()
         for _ in range(40):
-            compile_formula(random_formula(), kb, grown, provider)
+            compile_formula(random_formula(), kb, grown)
         built = RuleStore(list(grown))
         assert len(grown) > 5
         for _ in range(200):
-            outcome = compile_formula(random_formula(), kb, RuleStore(), provider)
+            outcome = compile_formula(random_formula(), kb, RuleStore())
             if isinstance(outcome, Viable):
-                assert dedup_check(outcome.rule, grown, provider) == \
-                    dedup_check(outcome.rule, built, HashedTrigramEmbedding())
+                assert dedup_check(outcome.rule, grown) == dedup_check(outcome.rule, built)
 
 
 class TestValidate:
@@ -372,22 +369,20 @@ class TestKnowledgeBaseRefusals:
 
 class TestCompile:
     def test_finally_is_inference_error(self, kb):
-        outcome = compile_formula(ltl.parse("F cut_in_ahead"), kb, RuleStore(),
-                                  HashedTrigramEmbedding())
+        outcome = compile_formula(ltl.parse("F cut_in_ahead"), kb, RuleStore())
         assert isinstance(outcome, InferenceError)
 
     def test_viable_with_zero_initial_utility(self, kb):
         outcome = compile_formula(ltl.parse("G (cut_in_ahead -> decelerate)"),
-                                  kb, RuleStore(), HashedTrigramEmbedding())
+                                  kb, RuleStore())
         assert isinstance(outcome, Viable)
         assert outcome.rule.utility == 0.0
 
     def test_second_compile_is_duplicate(self, kb):
         store = RuleStore()
-        provider = HashedTrigramEmbedding()
         f = ltl.parse("G (cut_in_ahead -> decelerate)")
-        assert isinstance(compile_formula(f, kb, store, provider), Viable)
-        assert isinstance(compile_formula(f, kb, store, provider), DuplicatedContent)
+        assert isinstance(compile_formula(f, kb, store), Viable)
+        assert isinstance(compile_formula(f, kb, store), DuplicatedContent)
 
     @pytest.mark.parametrize("formula,detail", [
         ("G (cut_in_ahead -> !decelerate)",
@@ -398,12 +393,12 @@ class TestCompile:
          "multiple lateral actions in consequent")],
         ids=["negated-action", "two-longitudinal-actions", "two-lateral-actions"])
     def test_an_ungroundable_consequent_is_inference_error(self, kb, formula, detail):
-        outcome = compile_formula(ltl.parse(formula), kb, RuleStore(), HashedTrigramEmbedding())
+        outcome = compile_formula(ltl.parse(formula), kb, RuleStore())
         assert outcome == InferenceError(detail)
 
     def test_unknown_atom_is_inference_error(self, kb):
         outcome = compile_formula(ltl.parse("G (martian -> brake)"), kb,
-                                  RuleStore(), HashedTrigramEmbedding())
+                                  RuleStore())
         assert isinstance(outcome, InferenceError)
         assert "martian" in outcome.detail
 
@@ -411,17 +406,26 @@ class TestCompile:
         kb.groundings["slow"] = Grounding("speed_band", "=", "low")
         kb.groundings["fast"] = Grounding("speed_band", "=", "high")
         outcome = compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
-                                  RuleStore(), HashedTrigramEmbedding())
+                                  RuleStore())
         assert isinstance(outcome, FormatMismatch)
 
-    def test_dedup_monotone_under_store_growth(self, kb):
-        provider = HashedTrigramEmbedding()
+    def test_provenance_and_threshold_are_keyword_only(self, kb):
         store = RuleStore()
         f = ltl.parse("G (cut_in_ahead -> decelerate)")
-        compile_formula(f, kb, store, provider)
+        with pytest.raises(TypeError):
+            compile_formula(f, kb, store, {"segment": "0"})
+        assert isinstance(compile_formula(f, kb, store, provenance={"segment": "0"}), Viable)
+        with pytest.raises(TypeError):
+            dedup_check(store.rules[0], store, 0.5)
+        assert dedup_check(store.rules[0], store, threshold=0.5).similarity == 1.0
+
+    def test_dedup_monotone_under_store_growth(self, kb):
+        store = RuleStore()
+        f = ltl.parse("G (cut_in_ahead -> decelerate)")
+        compile_formula(f, kb, store)
         extra = ltl.parse("G (speed_low -> accelerate)")
-        compile_formula(extra, kb, store, provider)
-        assert isinstance(compile_formula(f, kb, store, provider),
+        compile_formula(extra, kb, store)
+        assert isinstance(compile_formula(f, kb, store),
                           DuplicatedContent)
 
 
@@ -457,8 +461,7 @@ class TestOutcomeReport:
 class TestStoreSerialization:
     def test_round_trip(self, tmp_path, kb):
         store = RuleStore()
-        compile_formula(ltl.parse("G (cut_in_ahead -> decelerate)"), kb, store,
-                        HashedTrigramEmbedding())
+        compile_formula(ltl.parse("G (cut_in_ahead -> decelerate)"), kb, store)
         path = tmp_path / "rules.json"
         write_rules(store.rules, path)
         loaded = read_rules(path)
@@ -468,7 +471,7 @@ class TestStoreSerialization:
         store = RuleStore()
         for text in ("G (cut_in_ahead -> decelerate)", "G (right_vehicle_signaling -> keep_lane)",
                      "G (speed_low -> (accelerate & change_left))"):
-            outcome = compile_formula(ltl.parse(text), kb, store, HashedTrigramEmbedding())
+            outcome = compile_formula(ltl.parse(text), kb, store)
             assert outcome.tag == "Viable"
         path = tmp_path / "rules.json"
         write_rules(store.rules, path)

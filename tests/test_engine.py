@@ -419,6 +419,13 @@ class TestMatchOracle:
         assert match(WorldState.make({"a": False}), [r, flipped]) == [flipped]
         assert ProductionRule.from_json(flipped.to_json()).must_not == flipped.must_not
 
+    @pytest.mark.parametrize("cmp", [">", "<", "==", "approximately"])
+    def test_a_rule_built_in_code_refuses_a_third_comparator(self, cmp):
+        # else `match` would read any comparator but '=' as '!='
+        with pytest.raises(ValueError, match=f"^section 'rule': comparator {cmp!r} is not "
+                           "'=' or '!='$"):
+            ProductionRule("r", (("a", cmp, 1),), ActionPair("brake"))
+
 
 class TestFrozenRule:
     def test_every_field_refuses_assignment(self):

@@ -276,6 +276,41 @@ class TestHttp:
         assert posted == [400]
         assert sleeps == []
 
+    def test_a_transport_exception_is_retried_and_named(self, monkeypatch):
+        attempts, sleeps = [], []
+
+        def post(*a, **k):
+            attempts.append(k["timeout"])
+            raise requests.ConnectionError(f"refused {len(attempts)}")
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+        spec = BackendSpec(kind="http", endpoint="http://stub", model="m", retries=2)
+        with pytest.raises(gateway.TransportError,
+                           match="^giving up after 3 attempts: refused 3$"):
+            Session().backend(spec).complete(msgs("x"))
+        assert len(attempts) == 3 and len(sleeps) == 2
+
+    @pytest.mark.parametrize("key", ["secret", None])
+    def test_the_api_key_is_sent_as_a_bearer_token(self, monkeypatch, key):
+        headers = []
+
+        class Resp:
+            status_code = 200
+            def json(self):
+                return {"choices": [{"message": {"content": "ok"}}]}
+
+        def post(*a, **k):
+            headers.append(k["headers"])
+            return Resp()
+        monkeypatch.setattr(requests, "post", post)
+        if key is None:
+            monkeypatch.delenv("COGRULES_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("COGRULES_API_KEY", key)
+        spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
+        assert Session().backend(spec).complete(msgs("x")).content == "ok"
+        assert headers[0].get("Authorization") == (key and f"Bearer {key}")
+
     def test_gateway_errors_share_one_base(self):
         for cls in (gateway.TransportError, ProtocolError, ReplayMiss):
             assert issubclass(cls, gateway.GatewayError)

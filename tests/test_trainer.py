@@ -281,6 +281,23 @@ class TestEpisodeIo:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: "):
             episodes_from_jsonl(path)
 
+    @pytest.mark.parametrize("key", ["subject", "scenario"])
+    def test_an_episode_is_not_relabelled_on_a_later_line(self, tmp_path, key):
+        lines = [{"episode": 0, "t": t, "state": {"gap": True}, "reference": {},
+                  "subject": "a", "scenario": "s1"} for t in (0, 1, 2)]
+        lines[2][key] = "b"
+        path = tmp_path / "eps.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: episode 0 is "
+                           "scenario 's1' and subject 'a' on an earlier line$"):
+            episodes_from_jsonl(path)
+        lines[2].update(episode=1)  # another episode may carry another label
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        first, second = episodes_from_jsonl(path)
+        assert (first.scenario_id, first.subject_id) == ("s1", "a")
+        assert (second.scenario_id, second.subject_id) == (lines[2]["scenario"],
+                                                           lines[2]["subject"])
+
     def test_schema_validation(self):
         kb = scenario_kb("highway_cut_in")
         bad = Episode(steps=[(WorldState.make({"martian": True}, 0),
