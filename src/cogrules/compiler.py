@@ -176,7 +176,7 @@ class RuleStore:
     candidate bucket adds that bucket's share to every stored rule's dot product."""
 
     def __init__(self, rules: list[ProductionRule] | None = None):
-        self.rules: list[ProductionRule] = []
+        self._rules: list[ProductionRule] = []
         self.embedding = HashedTrigramEmbedding()
         self._by_body: dict[tuple, str] = {}
         self._postings: dict[int, int] = {}
@@ -185,19 +185,24 @@ class RuleStore:
             self.add(rule)
 
     def add(self, rule: ProductionRule) -> None:
-        shift, postings = POSTING_BITS * len(self.rules), self._postings
-        self.rules.append(rule)
+        shift, postings = POSTING_BITS * len(self._rules), self._postings
+        self._rules.append(rule)
         self._by_body.setdefault(rule.body_key(), rule.name)
         vec = self.embedding.embed(rule.name)
         for bucket, count in vec.items():
             postings[bucket] = postings.get(bucket, 0) + (count << shift)
         self._norms2.append(sum(c * c for c in vec.values()))
 
+    @property
+    def rules(self) -> tuple[ProductionRule, ...]:
+        """The stored rules in insertion order; only `add` stores one."""
+        return tuple(self._rules)
+
     def __len__(self) -> int:
-        return len(self.rules)
+        return len(self._rules)
 
     def __iter__(self):
-        return iter(self.rules)
+        return iter(self._rules)
 
 
 def dedup_check(candidate: ProductionRule, store: RuleStore, *,
@@ -218,7 +223,7 @@ def dedup_check(candidate: ProductionRule, store: RuleStore, *,
     dots = array("Q", packed.to_bytes(POSTING_BITS // 8 * len(norms2), sys.byteorder))
     # cosines with one candidate rank exactly as dot^2 / |b|^2, in integers
     best_dot, best_norm2, name = 0, 1, None
-    for dot, norm2, rule in zip(dots, norms2, store.rules):
+    for dot, norm2, rule in zip(dots, norms2, store._rules):
         lhs, rhs = dot * dot * best_norm2, best_dot * best_dot * norm2
         if lhs > rhs or (lhs == rhs and (name is None or rule.name < name)):
             best_dot, best_norm2, name = dot, norm2, rule.name

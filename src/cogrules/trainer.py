@@ -9,7 +9,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -123,24 +123,53 @@ def episodes_to_jsonl(episodes: list[Episode], path: str | Path) -> None:
                 fh.write(f"{head}{ref_json}{middle}{state_json}{tail}{t}}}\n")
 
 
+_WRITTEN_KEYS = frozenset(f.name for f in fields(StepRecord))  # all written by `episodes_to_jsonl`
+_STATE_TYPES = frozenset((bool, int, str))  # the feature values `read_section` takes as is
+_SLOT_TYPES = frozenset((str, type(None)))  # the JSON types of a reference slot
+
+
 def episodes_from_jsonl(path: str | Path) -> list[Episode]:
     """The episodes file `path`, a `StepRecord` a line; an error names the file and the line.
-    A file without a step is refused, as is a line whose scenario or subject is not its
-    episode's first line's. Equal states share one features tuple (`shared_states`), so the
-    per-state tables of training, evaluation and writing compare them by identity."""
-    groups: dict[int, list[StepRecord]] = {}
+    A line of the shape `episodes_to_jsonl` writes, whose reference an earlier line has
+    read, is taken as is after the type checks `read_section` would make; any other line
+    is read by `read_section`. Equal references share one `ActionPair`. A file without a
+    step is refused, as is a line whose scenario or subject is not its episode's first
+    line's. Equal states share one features tuple (`shared_states`), so the per-state
+    tables of training, evaluation and writing compare them by identity."""
+    # episode -> (scenario, subject, [(state, t, reference)])
+    groups: dict[int, tuple[str, str, list]] = {}
+    refs: dict[tuple, ActionPair] = {}  # a reference object's items -> its ActionPair
+    pairs: dict[ActionPair, ActionPair] = {}  # one of each, however its object was written
     for n, obj in read_jsonl(path):
-        rec = read_section(StepRecord, f"{path} line {n}", obj)
-        recs = groups.setdefault(rec.episode, [])
-        if recs and (rec.scenario, rec.subject) != (recs[0].scenario, recs[0].subject):
-            raise ValueError(f"{path} line {n}: episode {rec.episode} is scenario "
-                             f"{recs[0].scenario!r} and subject {recs[0].subject!r} on an earlier line")
-        recs.append(rec)
+        ref = None
+        if type(obj) is dict and obj.keys() == _WRITTEN_KEYS:
+            t, state, episode, scenario, subject, reference = (
+                obj["t"], obj["state"], obj["episode"], obj["scenario"], obj["subject"],
+                obj["reference"])
+            if (type(t) is int and type(episode) is int and type(scenario) is str
+                    and type(subject) is str and type(state) is dict
+                    and set(map(type, state.values())) <= _STATE_TYPES
+                    and type(reference) is dict
+                    and set(map(type, reference.values())) <= _SLOT_TYPES):
+                ref = refs.get(tuple(reference.items()))
+        if ref is None:
+            rec = read_section(StepRecord, f"{path} line {n}", obj)
+            t, state, episode, scenario, subject = (rec.t, rec.state, rec.episode, rec.scenario,
+                                                    rec.subject)
+            ref = pairs.setdefault(rec.reference, rec.reference)
+            refs[tuple(obj["reference"].items())] = ref
+        group = groups.get(episode)
+        if group is None:
+            group = groups[episode] = (scenario, subject, [])
+        elif scenario != group[0] or subject != group[1]:
+            raise ValueError(f"{path} line {n}: episode {episode} is scenario "
+                             f"{group[0]!r} and subject {group[1]!r} on an earlier line")
+        group[2].append((state, t, ref))
     if not groups:
         raise ValueError(f"{path}: holds no episode step")
     make = shared_states()
-    return [Episode([(make(r.state, r.t), r.reference) for r in recs],
-                    recs[0].scenario, recs[0].subject) for _, recs in sorted(groups.items())]
+    return [Episode([(make(state, t), ref) for state, t, ref in steps], scenario, subject)
+            for _, (scenario, subject, steps) in sorted(groups.items())]
 
 
 def reward_decompose(reward: float, firings: list[tuple[int, int]], reward_step: int,

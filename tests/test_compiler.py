@@ -279,6 +279,21 @@ class TestDedup:
             assert dedup_check(candidate, s) == \
                 DuplicatedContent("zz_first", 1.0)
 
+    def test_a_rule_is_stored_only_through_add(self):
+        # a rule appended to the rules behind `add` would never be indexed, and
+        # `dedup_check` would miss its body and its name
+        first = make_rule([("a", "=", 1)], {"longitudinal": "brake"}, name="if_a_then_brake")
+        second = make_rule([("b", "=", 2)], {"longitudinal": "keep"}, name="if_b_then_keep")
+        store = RuleStore([first])
+        with pytest.raises(AttributeError):
+            store.rules.append(second)
+        with pytest.raises(AttributeError):
+            store.rules = [first, second]
+        assert store.rules == (first,) and list(store) == [first] and len(store) == 1
+        store.add(second)
+        assert store.rules == (first, second) and store.rules[1] is second
+        assert dedup_check(second, store) == DuplicatedContent("if_b_then_keep", 1.0)
+
     def test_body_key_orders_values_of_two_types_and_keeps_true_and_1_apart(self):
         mixed = [("a", "=", True), ("a", "=", "x"), ("a", "=", 1), ("b", "!=", 2)]
         keys = {make_rule(order, {"longitudinal": "brake"}).body_key()

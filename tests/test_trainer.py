@@ -6,11 +6,13 @@ import re
 
 import pytest
 
-from cogrules import engine
+from cogrules import engine, trainer
+from cogrules.cli import main
 from cogrules.engine import ActionPair, RuleSet, WorldState, shared_states
-from cogrules.knowledge import FeatureDomain, KnowledgeBase, ProductionRule
-from cogrules.scenarios import scenario_kb
-from cogrules.trainer import (Episode, EpisodeSchemaError,
+from cogrules.knowledge import (FeatureDomain, KnowledgeBase, ProductionRule, read_jsonl,
+                                read_section)
+from cogrules.scenarios import ARCHETYPES, scenario_kb
+from cogrules.trainer import (Episode, EpisodeSchemaError, StepRecord,
                               TrainConfig, episodes_from_jsonl,
                               episodes_to_jsonl, evaluate_agreement,
                               reward_decompose, train, utility_update,
@@ -355,6 +357,173 @@ class TestEpisodesFileBytes:
         episodes_to_jsonl(episodes, first)
         episodes_to_jsonl(episodes_from_jsonl(first), second)
         assert second.read_bytes() == first.read_bytes()
+
+
+def typed_reader(path):
+    """`episodes_from_jsonl` with every line read by `read_section`, the path
+    that every line not of the written shape takes."""
+    groups = {}
+    for n, obj in read_jsonl(path):
+        rec = read_section(StepRecord, f"{path} line {n}", obj)
+        recs = groups.setdefault(rec.episode, [])
+        if recs and (rec.scenario, rec.subject) != (recs[0].scenario, recs[0].subject):
+            raise ValueError(f"{path} line {n}: episode {rec.episode} is scenario "
+                             f"{recs[0].scenario!r} and subject {recs[0].subject!r} "
+                             "on an earlier line")
+        recs.append(rec)
+    if not groups:
+        raise ValueError(f"{path}: holds no episode step")
+    make = shared_states()
+    return [Episode([(make(r.state, r.t), r.reference) for r in recs],
+                    recs[0].scenario, recs[0].subject) for _, recs in sorted(groups.items())]
+
+
+def typed(episodes):
+    """Episodes as values that carry each scalar's type, since True == 1, and
+    each step's features tuple numbered in order of first use."""
+    tuples = {}
+    return [(ep.scenario_id, ep.subject_id,
+             [(tuple((k, type(v), v) for k, v in state.features), type(state.t), state.t,
+               tuples.setdefault(id(state.features), len(tuples)), ref)
+              for state, ref in ep.steps]) for ep in episodes]
+
+
+# ways to break one record: a key or value that `read_section` refuses, or a
+# label that differs from its episode's first line
+BREAKS = {
+    "missing key": lambda rec, rng: rec.pop(rng.choice(sorted(rec))),
+    "extra key": lambda rec, rng: rec.update(extra=1),
+    "null": lambda rec, rng: rec.update({rng.choice(sorted(rec)): None}),
+    "bool t": lambda rec, rng: rec.update(t=True),
+    "float episode": lambda rec, rng: rec.update(episode=float(rec["episode"])),
+    "list feature": lambda rec, rng: rec["state"].update(flag=[1]),
+    "float feature": lambda rec, rng: rec["state"].update(lane=1.0),
+    "unknown slot": lambda rec, rng: rec["reference"].update(speed="fast"),
+    "bool slot": lambda rec, rng: rec["reference"].update(lateral=True),
+    "list slot": lambda rec, rng: rec["reference"].update(longitudinal=["brake"]),
+    "number label": lambda rec, rng: rec.update({rng.choice(["scenario", "subject"]): 1}),
+    "list reference": lambda rec, rng: rec.update(reference=["brake"]),
+    "relabel": lambda rec, rng: rec.update(subject="other"),
+}
+
+
+def random_record(rng, episode, t):
+    """A record of the written shape, with True and 1 (and False and 0) under
+    one feature, and a reference of both slots, one slot, a null slot or its
+    keys in another order."""
+    state = {name: rng.choice(values) for name, values in
+             (("flag", [True, 1, False, 0]), ("lane", [0, 2]), ("band", ["low", "höh"]))
+             if rng.random() < 0.8}
+    reference = {"lateral": rng.choice(["keep_lane", "change_left", None]),
+                 "longitudinal": rng.choice(["brake", "keep", None])}
+    shape = rng.random()
+    if shape < 0.15:
+        del reference[rng.choice(["lateral", "longitudinal"])]
+    elif shape < 0.3:
+        reference = dict(reversed(reference.items()))
+    return {"episode": episode, "reference": reference, "scenario": "highway",
+            "state": state, "subject": f"s{episode}", "t": t}
+
+
+class TestWrittenShapeFastPath:
+    """A line of the shape `episodes_to_jsonl` writes is taken as is; the result,
+    or the refusal, is the one every line read by `read_section` gives."""
+
+    def test_agrees_with_the_typed_reader_on_random_records(self, tmp_path):
+        rng = random.Random(33)
+        path = tmp_path / "eps.jsonl"
+        seen = {"read": 0, "refused": 0} | {name: 0 for name in BREAKS}
+        for _ in range(400):
+            lines = []
+            for episode in range(rng.randint(1, 4)):
+                for t in range(rng.randint(1, 8)):
+                    rec = random_record(rng, episode, t)
+                    if rng.random() < 0.04:
+                        name = rng.choice(sorted(BREAKS))
+                        BREAKS[name](rec, rng)
+                        seen[name] += 1
+                    lines.append(json.dumps(rec, sort_keys=rng.random() < 0.7))
+            path.write_text("".join(line + "\n" for line in lines))
+            try:
+                expected = typed_reader(path)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    episodes_from_jsonl(path)
+                assert str(got.value) == str(e)
+                seen["refused"] += 1
+                continue
+            episodes = episodes_from_jsonl(path)
+            assert typed(episodes) == typed(expected)
+            seen["read"] += 1
+            refs = [ref for ep in episodes for _, ref in ep.steps]
+            assert len({id(ref) for ref in refs}) == len(set(refs))  # one object per value
+        assert min(seen.values()) > 0, seen
+
+    def test_true_and_1_never_share_a_features_tuple(self, tmp_path):
+        path = tmp_path / "eps.jsonl"
+        records = [{"episode": 0, "reference": {"lateral": None, "longitudinal": "brake"},
+                    "scenario": "", "state": {"flag": value}, "subject": "", "t": t}
+                   for t, value in enumerate([True, 1, True, 1, 1.0])]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records[:4]))
+        states = [state for state, _ in episodes_from_jsonl(path)[0].steps]
+        assert [type(s.as_dict()["flag"]) for s in states] == [bool, int, bool, int]
+        assert states[0].features is states[2].features is not states[1].features
+        assert states[1].features is states[3].features
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        with pytest.raises(ValueError, match=re.escape(f"section '{path} line 5': key 'state': "
+                                                       "1.0 is not a boolean or an integer")):
+            episodes_from_jsonl(path)
+
+    def test_each_distinct_reference_is_read_by_the_typed_reader_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "eps.jsonl"
+        main(["gen-data", "--archetype", "highway_cut_in", "--episodes", "12", "--noise", "0.2",
+              "--seed", "3", "--out", str(tmp_path)])
+        typed_reads = []
+
+        def counting(cls, name, obj, /, **parse):
+            typed_reads.append(obj["reference"])
+            return read_section(cls, name, obj, **parse)
+        monkeypatch.setattr(trainer, "read_section", counting)
+        episodes = episodes_from_jsonl(tmp_path / "episodes.jsonl")
+        refs = {ref for ep in episodes for _, ref in ep.steps}
+        assert len(typed_reads) == len(refs) > 1
+        assert sum(len(ep.steps) for ep in episodes) > 10 * len(refs)
+        # another spelling of a reference read already is read, then shared
+        first = json.loads((tmp_path / "episodes.jsonl").read_text().split("\n", 1)[0])
+        both = first | {"reference": {"lateral": None, "longitudinal": "brake"}}
+        one_slot = first | {"reference": {"longitudinal": "brake"}}
+        path.write_text(json.dumps(both) + "\n" + json.dumps(one_slot) + "\n")
+        typed_reads.clear()
+        [episode] = episodes_from_jsonl(path)
+        (_, a), (_, b) = episode.steps
+        assert a is b and len(typed_reads) == 2
+
+
+class TestEpisodesFileRoundTrip:
+    """Reading an episodes file and writing it back gives its bytes."""
+
+    @pytest.mark.parametrize("archetype", ARCHETYPES)
+    def test_gen_data_output(self, tmp_path, archetype):
+        main(["gen-data", "--archetype", archetype, "--episodes", "9", "--noise", "0.3",
+              "--seed", "7", "--out", str(tmp_path)])
+        written, back = tmp_path / "episodes.jsonl", tmp_path / "back.jsonl"
+        episodes_to_jsonl(episodes_from_jsonl(written), back)
+        assert back.read_bytes() == written.read_bytes()
+
+    def test_a_file_of_six_key_records(self, tmp_path):
+        # the shape of `json.dumps(record, sort_keys=True)` a line, keys and slots all written
+        rng = random.Random(34)
+        lines = [json.dumps({"episode": e, "scenario": "generated", "subject": "reference",
+                             "t": t, "state": {"fä": rng.choice([True, 1, "x"]),
+                                               "g": rng.randint(0, 3)},
+                             "reference": {"longitudinal": rng.choice(["keep", "brake"]),
+                                           "lateral": rng.choice(["keep_lane", None])}},
+                            sort_keys=True)
+                 for e in range(5) for t in range(rng.randint(1, 9))]
+        written, back = tmp_path / "written.jsonl", tmp_path / "back.jsonl"
+        written.write_text("\n".join(lines) + "\n")
+        episodes_to_jsonl(episodes_from_jsonl(written), back)
+        assert back.read_bytes() == written.read_bytes()
 
 
 class TestSharedStates:
