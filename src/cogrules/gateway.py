@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Callable
+from urllib.parse import urlsplit
 
 from .knowledge import read_jsonl
 
@@ -55,8 +56,12 @@ class BackendSpec:
     def __post_init__(self):
         if self.kind not in ("http", "replay", "scripted"):
             raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "http" and not (self.endpoint and self.model):
-            raise ValueError("http backend requires endpoint and model")
+        if self.kind == "http":
+            url = urlsplit(self.endpoint)  # .port raises ValueError if malformed
+            # http.client refuses a space or a control character and sends only ASCII
+            if not (self.model and url.scheme in ("http", "https") and url.hostname
+                    and url.port != 0 and all("!" <= c <= "~" for c in self.endpoint)):
+                raise ValueError(f"http backend needs a model and an http(s) URL: {self.endpoint!r}")
         if self.kind == "replay" and not self.transcript_path:
             raise ValueError("replay backend requires a transcript path")
         if self.temperature < 0:
@@ -112,34 +117,37 @@ class HttpBackend(Backend):
         self.spec = spec
 
     def complete(self, messages: list[ChatMessage]) -> ChatMessage:
-        import requests  # loaded only by runs that make HTTP calls
+        from http.client import HTTPException  # loaded only by runs that make HTTP calls
+        from urllib.error import HTTPError
+        from urllib.request import Request, urlopen
 
-        body = {
-            "model": self.spec.model,
-            "messages": [{"role": m.role, "content": m.content} for m in messages],
-            "temperature": self.spec.temperature,
-        }
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get("COGRULES_API_KEY")
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
+        body = json.dumps({"model": self.spec.model,
+                           "messages": [{"role": m.role, "content": m.content} for m in messages],
+                           "temperature": self.spec.temperature}).encode()
+        request = Request(self.spec.endpoint, body, {"Content-Type": "application/json"})  # a POST
+        if api_key := os.environ.get("COGRULES_API_KEY"):
+            request.add_header("Authorization", f"Bearer {api_key}")
         last_err: Exception | None = None
         for attempt in range(self.spec.retries + 1):
             if attempt:
                 time.sleep(min(RETRY_BACKOFF_S * 2 ** (attempt - 1), RETRY_BACKOFF_MAX_S))
             try:
-                resp = requests.post(self.spec.endpoint, json=body, headers=headers,
-                                     timeout=self.spec.timeout_ms / 1000.0)
-            except requests.RequestException as e:
+                try:
+                    with urlopen(request, timeout=self.spec.timeout_ms / 1000.0) as resp:
+                        status, reply = resp.status, resp.read()
+                except HTTPError as e:  # a status urllib does not pass; holds the open response
+                    with e:
+                        status, reply = e.code, e.read()
+            except (OSError, HTTPException) as e:  # IncompleteRead is no OSError
                 last_err = e
                 continue
-            if resp.status_code >= 500 or resp.status_code == 429:
-                last_err = TransportError(f"retryable HTTP {resp.status_code}")
+            if status >= 500 or status == 429:
+                last_err = TransportError(f"retryable HTTP {status}")
                 continue
-            if resp.status_code != 200:
-                raise ProtocolError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            if status != 200:
+                raise ProtocolError(f"HTTP {status}: {reply.decode(errors='replace')[:200]}")
             try:
-                return ChatMessage("assistant", resp.json()["choices"][0]["message"]["content"])
+                return ChatMessage("assistant", json.loads(reply)["choices"][0]["message"]["content"])
             except (ValueError, KeyError, IndexError, TypeError) as e:
                 raise ProtocolError(f"malformed completion body: {e}") from e
         raise TransportError(f"giving up after {self.spec.retries + 1} attempts: {last_err}")
@@ -185,11 +193,9 @@ class RecordingBackend(Backend):
 
     def complete(self, messages: list[ChatMessage]) -> ChatMessage:
         reply = self.inner.complete(messages)
-        rec = {
-            "request_hash": request_hash(self.model, messages),
-            "request": [{"role": m.role, "content": m.content} for m in messages],
-            "response": reply.content,
-        }
+        rec = {"request_hash": request_hash(self.model, messages),
+               "request": [{"role": m.role, "content": m.content} for m in messages],
+               "response": reply.content}
         with self.path.open("a") as fh:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
         return reply

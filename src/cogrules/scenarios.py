@@ -111,6 +111,8 @@ class ScenarioSpec:
             raise ValueError(f"unknown archetype {self.archetype!r}")
         if self.episode_length < 1:
             raise ValueError("episode length must be >= 1")
+        if not 0 <= self.trigger_low <= self.trigger_high:
+            raise ValueError("trigger steps must satisfy 0 <= trigger_low <= trigger_high")
         if not (0 <= self.noise_rate < 1):
             raise ValueError("noise rate must be in [0, 1)")
 
@@ -161,7 +163,7 @@ def generate(spec: ScenarioSpec, policy: ReferencePolicy,
     for _ in range(n_episodes):
         table_idx = pick(policy.weights, rng)
         table = policy.tables[table_idx]
-        hi = max(0, min(spec.trigger_high, spec.episode_length - 1))
+        hi = min(spec.trigger_high, spec.episode_length - 1)  # a short episode clamps both
         lo = min(spec.trigger_low, hi)
         trigger = rng.randint(lo, hi)
         hazard_len = rng.randint(3, 6)

@@ -3,10 +3,10 @@ import itertools
 import json
 import random
 import re
+import urllib.request
 from pathlib import Path
 
 import pytest
-import requests
 
 from cogrules import ltl
 from cogrules.gateway import SCRIPT_REGISTRY, BackendSpec, CriticEnsembleSpec, register_script
@@ -146,8 +146,7 @@ def write_pipeline_config(base: Path, *, prompt_mode="literal", seed=11,
 
 @pytest.fixture
 def no_network(monkeypatch):
-    """Fail the test if anything touches the HTTP layer."""
+    """Fail the test if anything opens a URL, as the HTTP backend does."""
     def guard(*args, **kwargs):
         raise AssertionError("network access attempted")
-    monkeypatch.setattr(requests, "post", guard)
-    monkeypatch.setattr(requests, "get", guard, raising=False)
+    monkeypatch.setattr(urllib.request, "urlopen", guard)

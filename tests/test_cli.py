@@ -148,6 +148,20 @@ class TestTranslateCompile:
         assert out == ""
         assert "error:" in err
 
+    def test_translate_refuses_a_malformed_http_endpoint(self, tmp_path, capsys, monkeypatch):
+        # refused when the config is read: no call is made, so none is retried
+        monkeypatch.setattr(gateway.time, "sleep", pytest.fail)
+        cfg = write_pipeline_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["critic_tree"]["revisor"] = {"kind": "http", "endpoint": "stub", "model": "m"}
+        cfg.write_text(json.dumps(raw))
+        code, out, err = run_cli(
+            capsys, "translate", "--config", str(cfg), "--seed", "3",
+            "--text", "Brake when the gap closes.",
+            "--initial", "G (front_gap_closing -> brake)")
+        assert (code, out) == (1, "")
+        assert err == "error: http backend needs a model and an http(s) URL: 'stub'\n"
+
     def test_compile_viable_writes_store(self, tmp_path, capsys):
         cfg = write_pipeline_config(tmp_path)
         out_dir = tmp_path / "compiled"

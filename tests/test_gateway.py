@@ -1,9 +1,13 @@
 import hashlib
+import http.client
 import json
 import random
+import socket
+import threading
+from email.message import Message
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from cogrules import gateway
 from cogrules.gateway import (BackendSpec, ChatMessage, CriticEnsembleSpec,
@@ -42,6 +46,25 @@ class TestSpecs:
         spec = scripted_spec(lambda m: "x")
         with pytest.raises(ValueError, match=">= 0"):
             CriticEnsembleSpec(members=[(spec, 1.5), (spec, -0.5)])
+
+    @pytest.mark.parametrize("endpoint", [
+        "stub", "localhost:8080/v1", "ftp://host/v1", "file:///tmp/x", "http://", "http:///v1",
+        "http://host:port/v1", "http://host:70000/v1", "http://host:0/v1", "http://host/a b",
+        "http://host/\x00", "http://host/\x7f", "http://hôst/v1", " http://host/v1"])
+    def test_a_malformed_http_endpoint_is_refused(self, endpoint):
+        # "stub" was accepted, then retried as a transport fault on every call
+        with pytest.raises(ValueError, match=r"http\(s\) URL|[Pp]ort"):
+            BackendSpec(kind="http", endpoint=endpoint, model="m")
+
+    @pytest.mark.parametrize("endpoint", [
+        "http://127.0.0.1:8080/v1/chat/completions", "https://api.example.com/v1/chat/completions",
+        "HTTP://host/v1", "http://[::1]:8000/v1", "https://user:pw@host/v1?x=1%20y"])
+    def test_an_http_endpoint_is_accepted(self, endpoint):
+        assert BackendSpec(kind="http", endpoint=endpoint, model="m").endpoint == endpoint
+
+    def test_http_requires_a_model(self):
+        with pytest.raises(ValueError, match="model"):
+            BackendSpec(kind="http", endpoint="http://host/v1")
 
     @pytest.mark.parametrize("field,value", [
         ("retries", -1), ("timeout_ms", 0), ("timeout_ms", -5)])
@@ -177,75 +200,128 @@ class TestRecording:
         assert replay.complete(msgs("one")).content == out1
 
 
-class TestHttp:
-    def test_stub_server_body(self, monkeypatch):
-        class Resp:
-            status_code = 200
-            text = ""
-            def json(self):
-                return {"choices": [{"message": {"content": "stubbed"}}]}
-        monkeypatch.setattr(requests, "post", lambda *a, **k: Resp())
-        spec = BackendSpec(kind="http", endpoint="http://stub/v1/chat/completions",
-                           model="m")
-        assert Session().backend(spec).complete(msgs("x")).content == "stubbed"
+OK = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+# breakages whose body is 10 bytes shorter than the length the headers announce
+SHORT_BODIES = {"cut": (200, OK), "stall_in_body": (503, b"busy")}
 
-    def test_malformed_reply_is_protocol_error(self, monkeypatch):
-        class Resp:
-            status_code = 200
-            text = ""
-            def json(self):
-                return {"unexpected": True}
-        monkeypatch.setattr(requests, "post", lambda *a, **k: Resp())
-        spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
-        with pytest.raises(ProtocolError):
-            Session().backend(spec).complete(msgs("x"))
+
+class Loopback(ThreadingHTTPServer):
+    """A server on 127.0.0.1 that answers each POST with the next of
+    `replies` and records what it received. A reply is a status (200 with a
+    completion of "ok", any other with the text "busy"), a (status, body
+    bytes) pair, or one of the breakages "drop" (close without answering),
+    "cut" (a 200 whose body stops short of its length), "stall" (answer
+    nothing) and "stall_in_body" (a 503 whose body stops part way). A stall
+    ends when the server closes, or after 2 s, long past a test's timeout."""
+
+    daemon_threads = False  # server_close joins the handler threads
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), LoopbackHandler)
+        self.url = f"http://127.0.0.1:{self.server_port}/v1/chat/completions"
+        self.replies: list = []
+        self.received: list[tuple[str, str, Message, dict]] = []
+        self.closing = threading.Event()
+
+
+class LoopbackHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.received.append((self.command, self.path, self.headers, body))
+        reply = self.server.replies.pop(0)
+        if reply == "stall":
+            self.server.closing.wait(2)
+        if reply in ("drop", "stall"):
+            return
+        if isinstance(reply, tuple):
+            status, data = reply
+        elif reply in SHORT_BODIES:
+            status, data = SHORT_BODIES[reply]
+        else:
+            status, data = reply, OK if reply == 200 else b"busy"
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(data) + 10 * (reply in SHORT_BODIES)))
+        self.end_headers()
+        self.wfile.write(data)
+        if reply == "stall_in_body":
+            self.server.closing.wait(2)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def server():
+    httpd = Loopback()
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.01,))
+    thread.start()
+    yield httpd
+    httpd.closing.set()
+    httpd.shutdown()
+    thread.join()
+    httpd.server_close()
+
+
+@pytest.fixture
+def sleeps(monkeypatch) -> list[float]:
+    """The backoff delays, recorded instead of slept."""
+    delays: list[float] = []
+    monkeypatch.setattr(gateway.time, "sleep", delays.append)
+    return delays
+
+
+def http_spec(server, **fields) -> BackendSpec:
+    return BackendSpec(kind="http", endpoint=server.url, model="m", **fields)
+
+
+class TestHttp:
+    """The HTTP backend against a loopback server: every request, retry and
+    failure goes over a real socket."""
+
+    def test_stub_server_body(self, server, monkeypatch):
+        monkeypatch.delenv("COGRULES_API_KEY", raising=False)
+        server.replies.append((200, json.dumps(
+            {"choices": [{"message": {"content": "stubbed"}}]}).encode()))
+        spec = http_spec(server, temperature=0.25)
+        messages = [ChatMessage("system", "be brief"), ChatMessage("user", "x")]
+        assert Session().backend(spec).complete(messages).content == "stubbed"
+        [(method, path, headers, body)] = server.received
+        assert (method, path) == ("POST", "/v1/chat/completions")
+        assert headers["Content-Type"] == "application/json"
+        assert body == {"model": "m", "temperature": 0.25,
+                        "messages": [{"role": "system", "content": "be brief"},
+                                     {"role": "user", "content": "x"}]}
+        assert list(body) == ["model", "messages", "temperature"]
+
+    def test_malformed_reply_is_protocol_error(self, server, sleeps):
+        bodies = [b'{"unexpected": true}', b"not json", b'{"choices": []}',
+                  b'{"choices": [{"message": "ok"}]}', b"\xff\xfe"]
+        server.replies.extend((200, body) for body in bodies)
+        backend = Session().backend(http_spec(server))
+        for _ in bodies:
+            with pytest.raises(ProtocolError, match="^malformed completion body: "):
+                backend.complete(msgs("x"))
+        assert len(server.received) == len(bodies) and sleeps == []
 
     @pytest.mark.parametrize("content", ["", None])
-    def test_empty_content_is_protocol_error(self, monkeypatch, content):
-        class Resp:
-            status_code = 200
-            text = ""
-            def json(self):
-                return {"choices": [{"message": {"content": content}}]}
-        monkeypatch.setattr(requests, "post", lambda *a, **k: Resp())
-        spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
-        with pytest.raises(ProtocolError):
-            Session().backend(spec).complete(msgs("x"))
+    def test_empty_content_is_protocol_error(self, server, content):
+        server.replies.append((200, json.dumps(
+            {"choices": [{"message": {"content": content}}]}).encode()))
+        with pytest.raises(ProtocolError, match="^malformed completion body: "):
+            Session().backend(http_spec(server)).complete(msgs("x"))
 
-    @staticmethod
-    def _serve(monkeypatch, statuses):
-        """requests.post answers with each status in turn; time.sleep only
-        records its delays. Returns (posted statuses, sleeps)."""
-        class Resp:
-            text = "busy"
-            def __init__(self, status):
-                self.status_code = status
-            def json(self):
-                return {"choices": [{"message": {"content": "ok"}}]}
-        replies = iter(statuses)
-        posted, sleeps = [], []
-
-        def post(*a, **k):
-            posted.append(next(replies))
-            return Resp(posted[-1])
-        monkeypatch.setattr(requests, "post", post)
-        monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
-        return posted, sleeps
-
-    def test_rate_limit_then_success(self, monkeypatch):
-        posted, sleeps = self._serve(monkeypatch, [429, 200])
-        spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
-        assert Session().backend(spec).complete(msgs("x")).content == "ok"
-        assert posted == [429, 200]
+    def test_rate_limit_then_success(self, server, sleeps):
+        server.replies += [429, 200]
+        assert Session().backend(http_spec(server)).complete(msgs("x")).content == "ok"
+        assert len(server.received) == 2
         assert sleeps == [gateway.RETRY_BACKOFF_S]
 
-    def test_backoff_doubles_up_to_cap(self, monkeypatch):
+    def test_backoff_doubles_up_to_cap(self, server, sleeps):
         statuses = [503, 429, 500, 502, 429, 503, 504, 200]
-        posted, sleeps = self._serve(monkeypatch, statuses)
-        spec = BackendSpec(kind="http", endpoint="http://stub", model="m",
-                           retries=len(statuses) - 1)
+        server.replies += statuses
+        spec = http_spec(server, retries=len(statuses) - 1)
         assert Session().backend(spec).complete(msgs("x")).content == "ok"
-        assert posted == statuses
+        assert len(server.received) == len(statuses)
         expected = [min(gateway.RETRY_BACKOFF_S * 2 ** i, gateway.RETRY_BACKOFF_MAX_S)
                     for i in range(len(statuses) - 1)]
         assert sleeps == expected
@@ -253,67 +329,111 @@ class TestHttp:
         assert all(b in (2 * a, gateway.RETRY_BACKOFF_MAX_S)
                    for a, b in zip(sleeps, sleeps[1:]))
 
-    def test_persistent_server_errors_are_transport_error(self, monkeypatch):
-        posted, sleeps = self._serve(monkeypatch, [500, 503, 502, 200])
-        spec = BackendSpec(kind="http", endpoint="http://stub", model="m", retries=2)
-        with pytest.raises(gateway.TransportError):
-            Session().backend(spec).complete(msgs("x"))
-        assert posted == [500, 503, 502]
-        assert len(sleeps) == 2
+    def test_persistent_server_errors_are_transport_error(self, server, sleeps):
+        server.replies += [500, 503, 502, 200]
+        with pytest.raises(gateway.TransportError,
+                           match="^giving up after 3 attempts: retryable HTTP 502$"):
+            Session().backend(http_spec(server, retries=2)).complete(msgs("x"))
+        assert len(server.received) == 3
+        assert sleeps == [0.5, 1.0]
 
-    def test_zero_retries_is_one_attempt(self, monkeypatch):
-        posted, sleeps = self._serve(monkeypatch, [503, 200])
-        spec = BackendSpec(kind="http", endpoint="http://stub", model="m", retries=0)
+    def test_zero_retries_is_one_attempt(self, server, sleeps):
+        server.replies += [503, 200]
         with pytest.raises(gateway.TransportError, match="after 1 attempts"):
-            Session().backend(spec).complete(msgs("x"))
-        assert posted == [503] and sleeps == []
+            Session().backend(http_spec(server, retries=0)).complete(msgs("x"))
+        assert len(server.received) == 1 and sleeps == []
 
-    def test_client_error_is_not_retried(self, monkeypatch):
-        posted, sleeps = self._serve(monkeypatch, [400, 200])
-        spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
-        with pytest.raises(ProtocolError):
-            Session().backend(spec).complete(msgs("x"))
-        assert posted == [400]
+    def test_client_error_is_not_retried(self, server, sleeps):
+        server.replies += [400, 200]
+        with pytest.raises(ProtocolError, match="^HTTP 400: busy$"):
+            Session().backend(http_spec(server)).complete(msgs("x"))
+        assert len(server.received) == 1
         assert sleeps == []
 
-    def test_a_transport_exception_is_retried_and_named(self, monkeypatch):
-        attempts, sleeps = [], []
+    @pytest.mark.parametrize("status", [201, 204, 304, 401, 404])
+    def test_only_200_is_success(self, server, sleeps, status):
+        server.replies += [status, 200]
+        with pytest.raises(ProtocolError, match=f"^HTTP {status}: "):
+            Session().backend(http_spec(server)).complete(msgs("x"))
+        assert len(server.received) == 1 and sleeps == []
 
-        def post(*a, **k):
-            attempts.append(k["timeout"])
-            raise requests.ConnectionError(f"refused {len(attempts)}")
-        monkeypatch.setattr(requests, "post", post)
-        monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
-        spec = BackendSpec(kind="http", endpoint="http://stub", model="m", retries=2)
+    def test_an_error_body_is_cut_to_200_characters(self, server):
+        server.replies.append((400, "é".encode() * 300))
+        with pytest.raises(ProtocolError) as raised:
+            Session().backend(http_spec(server)).complete(msgs("x"))
+        assert str(raised.value) == "HTTP 400: " + "é" * 200
+
+    @pytest.mark.parametrize("breakage,error", [
+        ("drop", "Remote end closed connection without response"),
+        ("cut", r"IncompleteRead\(\d+ bytes read, 10 more expected\)"),  # not an OSError
+        ("stall", "timed out"), ("stall_in_body", "timed out")],
+        ids=["drop", "cut", "stall", "stall_in_body"])
+    def test_a_broken_reply_is_retried(self, server, sleeps, breakage, error):
+        server.replies += [breakage, 200, breakage]
+        spec = http_spec(server, timeout_ms=200)
+        assert Session().backend(spec).complete(msgs("x")).content == "ok"
+        assert len(server.received) == 2 and sleeps == [gateway.RETRY_BACKOFF_S]
+        once = Session().backend(http_spec(server, timeout_ms=200, retries=0))
+        with pytest.raises(gateway.TransportError, match=f"^giving up after 1 attempts: {error}$"):
+            once.complete(msgs("x"))
+
+    def test_a_transport_exception_is_retried_and_named(self, server, sleeps):
+        # the last attempt's failure is named: each earlier one fails otherwise
+        server.replies += ["drop", "cut", "stall"]
+        spec = http_spec(server, retries=2, timeout_ms=200)
         with pytest.raises(gateway.TransportError,
-                           match="^giving up after 3 attempts: refused 3$"):
+                           match="^giving up after 3 attempts: timed out$"):
             Session().backend(spec).complete(msgs("x"))
-        assert len(attempts) == 3 and len(sleeps) == 2
+        assert len(server.received) == 3 and sleeps == [0.5, 1.0]
+
+    def test_a_port_without_a_listener_is_a_transport_error(self, sleeps):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        spec = BackendSpec(kind="http", endpoint=f"http://127.0.0.1:{port}/v1", model="m")
+        with pytest.raises(gateway.TransportError,
+                           match="^giving up after 3 attempts: <urlopen error .*refused"):
+            Session().backend(spec).complete(msgs("x"))
+        assert sleeps == [0.5, 1.0]
 
     @pytest.mark.parametrize("key", ["secret", None])
-    def test_the_api_key_is_sent_as_a_bearer_token(self, monkeypatch, key):
-        headers = []
-
-        class Resp:
-            status_code = 200
-            def json(self):
-                return {"choices": [{"message": {"content": "ok"}}]}
-
-        def post(*a, **k):
-            headers.append(k["headers"])
-            return Resp()
-        monkeypatch.setattr(requests, "post", post)
+    def test_the_api_key_is_sent_as_a_bearer_token(self, server, monkeypatch, key):
         if key is None:
             monkeypatch.delenv("COGRULES_API_KEY", raising=False)
         else:
             monkeypatch.setenv("COGRULES_API_KEY", key)
-        spec = BackendSpec(kind="http", endpoint="http://stub", model="m")
-        assert Session().backend(spec).complete(msgs("x")).content == "ok"
-        assert headers[0].get("Authorization") == (key and f"Bearer {key}")
+        server.replies.append(200)
+        assert Session().backend(http_spec(server)).complete(msgs("x")).content == "ok"
+        [(_, _, headers, _)] = server.received
+        assert headers["Authorization"] == (key and f"Bearer {key}")
+
+    def test_every_response_is_closed(self, server, sleeps, monkeypatch):
+        # an HTTPError is also the open error response; keeping each response
+        # alive here shows whether the backend closed it, not the collector
+        responses = []
+
+        class Kept(http.client.HTTPResponse):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                responses.append(self)
+        monkeypatch.setattr(http.client.HTTPConnection, "response_class", Kept)
+        server.replies += [503, "stall_in_body", 400, 200, "stall_in_body", 404]
+        backend = Session().backend(http_spec(server, timeout_ms=200))
+        with pytest.raises(ProtocolError, match="^HTTP 400"):
+            backend.complete(msgs("x"))
+        assert backend.complete(msgs("x")).content == "ok"
+        with pytest.raises(ProtocolError, match="^HTTP 404"):
+            backend.complete(msgs("x"))
+        assert len(responses) == 6 and all(r.closed for r in responses)
 
     def test_gateway_errors_share_one_base(self):
         for cls in (gateway.TransportError, ProtocolError, ReplayMiss):
             assert issubclass(cls, gateway.GatewayError)
+
+    def test_the_network_guard_stops_an_http_call(self, no_network):
+        spec = BackendSpec(kind="http", endpoint="http://127.0.0.1:9/v1", model="m")
+        with pytest.raises(AssertionError, match="network access attempted"):
+            Session().backend(spec).complete(msgs("x"))
 
     def test_non_http_never_touches_network(self, no_network):
         spec = scripted_spec(lambda m: "offline")

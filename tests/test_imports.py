@@ -129,10 +129,23 @@ def test_private_name_checker_reports_only_unread_names():
         "line 1: _B", "line 2: _C", "line 4: _f", "line 8: _K", "line 11: _m"]
 
 
-def test_cli_and_pipeline_import_neither_numpy_nor_requests():
-    # numpy is not a dependency, and only HTTP backends load requests
+def test_the_package_imports_only_the_standard_library():
+    # cogrules declares no runtime dependency
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.append(node.module)
+    assert {name.split(".")[0] for name in found} - {"__future__"} <= sys.stdlib_module_names
+
+
+def test_cli_and_pipeline_import_neither_numpy_nor_http():
+    # numpy is not a dependency, and only HTTP backends load the HTTP modules,
+    # whose import would cost every run's start
     script = ("import sys, cogrules.pipeline, cogrules.cli; "
-              "print(sorted({'numpy', 'requests'} & set(sys.modules)), "
+              "print(sorted({'numpy', 'urllib.request', 'http.client'} & set(sys.modules)), "
               "sys.flags.dont_write_bytecode)")
     env = {"PYTHONPATH": str(ROOT / "src")}
     if sys.flags.dont_write_bytecode:  # a caller that writes no bytecode gets none written

@@ -108,6 +108,19 @@ class TestGenerate:
         with pytest.raises(ValueError):
             ScenarioSpec(archetype="highway_cut_in", noise_rate=1.0)
 
+    @pytest.mark.parametrize("low,high", [(8, 4), (-5, -2), (-1, 10)])
+    def test_trigger_bounds_out_of_order_or_negative_rejected(self, low, high):
+        # (8, 4) put every hazard at step 4; (-5, -2) gave episodes no hazard
+        with pytest.raises(ValueError, match="0 <= trigger_low <= trigger_high"):
+            ScenarioSpec(archetype="highway_cut_in", trigger_low=low, trigger_high=high)
+
+    def test_trigger_bounds_past_a_short_episode_are_clamped(self):
+        spec = ScenarioSpec(archetype="highway_cut_in", episode_length=2, trigger_low=3,
+                            trigger_high=10, seed=4)
+        for episode in generate(spec, default_policy(spec.archetype), 5):
+            assert [state.as_dict()["front_gap_closing"] for state, _ in episode.steps] == \
+                [False, True]
+
     def test_negative_mixture_weight_rejected(self):
         tables = [DecisionTable(rows=[]), DecisionTable(rows=[], default=ActionPair("brake", None))]
         with pytest.raises(ValueError, match=">= 0"):
