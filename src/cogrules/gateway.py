@@ -57,10 +57,14 @@ class BackendSpec:
         if self.kind not in ("http", "replay", "scripted"):
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.kind == "http":
-            url = urlsplit(self.endpoint)  # .port raises ValueError if malformed
-            # http.client refuses a space or a control character and sends only ASCII
-            if not (self.model and url.scheme in ("http", "https") and url.hostname
-                    and url.port != 0 and all("!" <= c <= "~" for c in self.endpoint)):
+            url = urlsplit(self.endpoint)
+            try:
+                port_ok = url.port != 0  # None when absent
+            except ValueError:  # not a number, or past 65535
+                port_ok = False
+            # http.client takes a user part for the host; it sends printable ASCII, no space
+            if not (self.model and url.scheme in ("http", "https") and url.hostname and port_ok
+                    and url.username is None and all("!" <= c <= "~" for c in self.endpoint)):
                 raise ValueError(f"http backend needs a model and an http(s) URL: {self.endpoint!r}")
         if self.kind == "replay" and not self.transcript_path:
             raise ValueError("replay backend requires a transcript path")
@@ -121,12 +125,16 @@ class HttpBackend(Backend):
         from urllib.error import HTTPError
         from urllib.request import Request, urlopen
 
-        body = json.dumps({"model": self.spec.model,
-                           "messages": [{"role": m.role, "content": m.content} for m in messages],
-                           "temperature": self.spec.temperature}).encode()
-        request = Request(self.spec.endpoint, body, {"Content-Type": "application/json"})  # a POST
+        body = {
+            "model": self.spec.model,
+            "messages": [{"role": m.role, "content": m.content} for m in messages],
+            "temperature": self.spec.temperature,
+        }
+        request = Request(self.spec.endpoint, json.dumps(body).encode(),
+                          {"Content-Type": "application/json"})  # a POST
         if api_key := os.environ.get("COGRULES_API_KEY"):
-            request.add_header("Authorization", f"Bearer {api_key}")
+            # sent to the endpoint only, not to where a redirect points
+            request.add_unredirected_header("Authorization", f"Bearer {api_key}")
         last_err: Exception | None = None
         for attempt in range(self.spec.retries + 1):
             if attempt:
@@ -193,9 +201,11 @@ class RecordingBackend(Backend):
 
     def complete(self, messages: list[ChatMessage]) -> ChatMessage:
         reply = self.inner.complete(messages)
-        rec = {"request_hash": request_hash(self.model, messages),
-               "request": [{"role": m.role, "content": m.content} for m in messages],
-               "response": reply.content}
+        rec = {
+            "request_hash": request_hash(self.model, messages),
+            "request": [{"role": m.role, "content": m.content} for m in messages],
+            "response": reply.content,
+        }
         with self.path.open("a") as fh:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
         return reply

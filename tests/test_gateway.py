@@ -50,15 +50,16 @@ class TestSpecs:
     @pytest.mark.parametrize("endpoint", [
         "stub", "localhost:8080/v1", "ftp://host/v1", "file:///tmp/x", "http://", "http:///v1",
         "http://host:port/v1", "http://host:70000/v1", "http://host:0/v1", "http://host/a b",
-        "http://host/\x00", "http://host/\x7f", "http://hôst/v1", " http://host/v1"])
+        "http://host/\x00", "http://host/\x7f", "http://hôst/v1", " http://host/v1",
+        "https://user:pw@host/v1", "http://user@host/v1", "http://@host/v1"])
     def test_a_malformed_http_endpoint_is_refused(self, endpoint):
         # "stub" was accepted, then retried as a transport fault on every call
-        with pytest.raises(ValueError, match=r"http\(s\) URL|[Pp]ort"):
+        with pytest.raises(ValueError, match=r"^http backend needs a model and an http\(s\) URL: "):
             BackendSpec(kind="http", endpoint=endpoint, model="m")
 
     @pytest.mark.parametrize("endpoint", [
         "http://127.0.0.1:8080/v1/chat/completions", "https://api.example.com/v1/chat/completions",
-        "HTTP://host/v1", "http://[::1]:8000/v1", "https://user:pw@host/v1?x=1%20y"])
+        "HTTP://host/v1", "http://[::1]:8000/v1", "https://host:65535/v1?x=1%20y"])
     def test_an_http_endpoint_is_accepted(self, endpoint):
         assert BackendSpec(kind="http", endpoint=endpoint, model="m").endpoint == endpoint
 
@@ -206,10 +207,11 @@ SHORT_BODIES = {"cut": (200, OK), "stall_in_body": (503, b"busy")}
 
 
 class Loopback(ThreadingHTTPServer):
-    """A server on 127.0.0.1 that answers each POST with the next of
-    `replies` and records what it received. A reply is a status (200 with a
-    completion of "ok", any other with the text "busy"), a (status, body
-    bytes) pair, or one of the breakages "drop" (close without answering),
+    """A server on 127.0.0.1 that answers each POST or GET with the next of
+    `replies` and records what it received (a GET's body as None). A reply
+    is a status (200 with a completion of "ok", any other with the text
+    "busy"), a (status, body bytes) pair, a (status, body bytes, headers)
+    triple, or one of the breakages "drop" (close without answering),
     "cut" (a 200 whose body stops short of its length), "stall" (answer
     nothing) and "stall_in_body" (a 503 whose body stops part way). A stall
     ends when the server closes, or after 2 s, long past a test's timeout."""
@@ -220,27 +222,37 @@ class Loopback(ThreadingHTTPServer):
         super().__init__(("127.0.0.1", 0), LoopbackHandler)
         self.url = f"http://127.0.0.1:{self.server_port}/v1/chat/completions"
         self.replies: list = []
-        self.received: list[tuple[str, str, Message, dict]] = []
+        self.received: list[tuple[str, str, Message, dict | None]] = []
         self.closing = threading.Event()
 
 
 class LoopbackHandler(BaseHTTPRequestHandler):
     def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.answer(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+
+    def do_GET(self):  # a followed redirect
+        self.answer(None)
+
+    def answer(self, body):
         self.server.received.append((self.command, self.path, self.headers, body))
         reply = self.server.replies.pop(0)
         if reply == "stall":
             self.server.closing.wait(2)
         if reply in ("drop", "stall"):
             return
+        headers: dict[str, str] = {}
+        short = isinstance(reply, str) and reply in SHORT_BODIES
         if isinstance(reply, tuple):
-            status, data = reply
-        elif reply in SHORT_BODIES:
+            status, data, *more = reply
+            headers = more[0] if more else headers
+        elif short:
             status, data = SHORT_BODIES[reply]
         else:
             status, data = reply, OK if reply == 200 else b"busy"
         self.send_response(status)
-        self.send_header("Content-Length", str(len(data) + 10 * (reply in SHORT_BODIES)))
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data) + 10 * short))
         self.end_headers()
         self.wfile.write(data)
         if reply == "stall_in_body":
@@ -406,6 +418,18 @@ class TestHttp:
         assert Session().backend(http_spec(server)).complete(msgs("x")).content == "ok"
         [(_, _, headers, _)] = server.received
         assert headers["Authorization"] == (key and f"Bearer {key}")
+
+    @pytest.mark.parametrize("status", [301, 302, 303])
+    def test_the_api_key_is_not_sent_where_a_redirect_points(self, server, monkeypatch, status):
+        # the target may be another host, or plain http
+        monkeypatch.setenv("COGRULES_API_KEY", "secret")
+        server.replies += [(status, b"", {"Location": "/elsewhere"}), 200]
+        assert Session().backend(http_spec(server)).complete(msgs("x")).content == "ok"
+        [(method, path, headers, _), (method2, path2, headers2, body2)] = server.received
+        assert (method, path, headers["Authorization"]) == (
+            "POST", "/v1/chat/completions", "Bearer secret")
+        assert (method2, path2, headers2["Authorization"], body2) == (
+            "GET", "/elsewhere", None, None)
 
     def test_every_response_is_closed(self, server, sleeps, monkeypatch):
         # an HTTPError is also the open error response; keeping each response
