@@ -112,8 +112,9 @@ def read_section(cls, name: str, obj, /, **parse):
     `bool`, `int` (not a bool) and `float` (or an int) need that JSON type; a `Path` is a
     string, and `X | None` an X. Any other value, an unknown or missing key, a non-object,
     or a null where the default is not None, is a ValueError naming the section and the
-    key. `parse[key]`, at any depth, converts a non-null value once read, or reads a
-    nested section itself."""
+    key, and a ValueError that `cls` itself raises is given the section's name.
+    `parse[key]`, at any depth, converts a non-null value once read, or reads a nested
+    section itself."""
     if not isinstance(obj, dict):
         raise ValueError(f"section {name!r}: not a JSON object")
     hints, required, nullable = _fields(cls)
@@ -135,7 +136,10 @@ def read_section(cls, name: str, obj, /, **parse):
             if key in parse:
                 value = parse[key](value)
         values[key] = value
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as e:  # refused by the class's own check
+        raise ValueError(f"section {name!r}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -264,7 +268,7 @@ class ProductionRule:
         pre = self.preconditions
         for _, cmp, _ in pre:
             if cmp not in ("=", "!="):
-                raise ValueError(f"section 'rule': comparator {cmp!r} is not '=' or '!='")
+                raise ValueError(f"comparator {cmp!r} is not '=' or '!='")
         must_not = frozenset((f, v) for f, c, v in pre if c != "=")
         object.__setattr__(self, "must", frozenset((f, v) for f, c, v in pre if c == "="))
         object.__setattr__(self, "must_not", must_not)

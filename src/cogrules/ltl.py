@@ -8,72 +8,156 @@ preserves the surface form the user wrote.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import itemgetter
 
 
 class Ltl:
-    """Base class for all formula nodes. Instances are immutable."""
+    """Base class for all formula nodes. A node is immutable: setting or
+    deleting a field raises FrozenInstanceError. Two nodes are equal when they
+    are of one class and their fields are equal, left to right; a node hashes
+    as the tuple of its fields, so equal nodes hash alike, and it copies and
+    pickles as its class called with its fields. Each field is set once, in
+    `__init__`, through its slot's descriptor."""
 
     __slots__ = ()
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign {type(value).__name__} to field {name!r}")
 
-@dataclass(frozen=True, slots=True)
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 class TrueConst(Ltl):
-    pass
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}()"
+
+    def __reduce__(self):
+        return self.__class__, ()
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Ltl):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if not is_atom_name(self.name):
-            raise ValueError(f"invalid atom name: {self.name!r}")
+    def __init__(self, name: str):
+        if not is_atom_name(name):
+            raise ValueError(f"invalid atom name: {name!r}")
+        _set_name(self, name)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
 
-@dataclass(frozen=True, slots=True)
-class Not(Ltl):
-    operand: Ltl
+    def __hash__(self):
+        return hash((self.name,))
 
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(name={self.name!r})"
 
-@dataclass(frozen=True, slots=True)
-class And(Ltl):
-    left: Ltl
-    right: Ltl
-
-
-@dataclass(frozen=True, slots=True)
-class Or(Ltl):
-    left: Ltl
-    right: Ltl
-
-
-@dataclass(frozen=True, slots=True)
-class Implies(Ltl):
-    left: Ltl
-    right: Ltl
+    def __reduce__(self):
+        return self.__class__, (self.name,)
 
 
-@dataclass(frozen=True, slots=True)
-class Next(Ltl):
-    operand: Ltl
+class _Unary(Ltl):
+    """A node with one operand."""
+
+    __slots__ = ("operand",)
+    __match_args__ = ("operand",)
+
+    def __init__(self, operand: Ltl):
+        _set_operand(self, operand)
+
+    def __eq__(self, other):
+        # as tuples, as a dataclass compares: an operand shared by both is equal by identity
+        if other.__class__ is self.__class__:
+            return (self.operand,) == (other.operand,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.operand,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(operand={self.operand!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.operand,)
 
 
-@dataclass(frozen=True, slots=True)
-class Until(Ltl):
-    left: Ltl
-    right: Ltl
+class _Binary(Ltl):
+    """A node with a left and a right operand."""
+
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Ltl, right: Ltl):
+        _set_left(self, left)
+        _set_right(self, right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(left={self.left!r}, right={self.right!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.left, self.right)
 
 
-@dataclass(frozen=True, slots=True)
-class Finally(Ltl):
-    operand: Ltl
+_set_name = Atom.name.__set__
+_set_operand = _Unary.operand.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class Globally(Ltl):
-    operand: Ltl
+class Not(_Unary):
+    __slots__ = ()
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Next(_Unary):
+    __slots__ = ()
+
+
+class Until(_Binary):
+    __slots__ = ()
+
+
+class Finally(_Unary):
+    __slots__ = ()
+
+
+class Globally(_Unary):
+    __slots__ = ()
 
 
 TRUE = TrueConst()

@@ -2,11 +2,13 @@
 brute-force cosine dedup, direct-summation JS divergence, a Fraction-based
 smoothed BLEU, per-slot marginals summed over action pairs, the LTL
 normal form stated directly, the episodes file written a record at a
-time, and the conflict set checked a precondition at a time. Deliberately
-written against the textbook definitions, not the package code paths."""
+time, the conflict set checked a precondition at a time, and the LTL
+nodes as frozen dataclasses. Deliberately written against the textbook
+definitions, not the package code paths."""
 
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from cogrules import ltl
@@ -182,3 +184,78 @@ def match_oracle(state, rules):
         return feature in feats and (feats[feature] == value) == (cmp == "=")
     return sorted((r for r in rules if all(holds(*p) for p in r.preconditions)),
                   key=lambda r: r.name)
+
+
+# The LTL node classes as frozen, slotted dataclasses: equality, hashing,
+# repr and positional matching as `dataclasses` generates them, which the
+# package's hand-written nodes promise to keep.
+
+@dataclass(frozen=True, slots=True)
+class TrueConst:
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class Atom:
+    name: str
+
+    def __post_init__(self):
+        if not ltl.is_atom_name(self.name):
+            raise ValueError(f"invalid atom name: {self.name!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class Not:
+    operand: object
+
+
+@dataclass(frozen=True, slots=True)
+class And:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True, slots=True)
+class Or:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True, slots=True)
+class Implies:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True, slots=True)
+class Next:
+    operand: object
+
+
+@dataclass(frozen=True, slots=True)
+class Until:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True, slots=True)
+class Finally:
+    operand: object
+
+
+@dataclass(frozen=True, slots=True)
+class Globally:
+    operand: object
+
+
+NODE_TWINS = {ltl.TrueConst: TrueConst, ltl.Atom: Atom, ltl.Not: Not, ltl.And: And,
+              ltl.Or: Or, ltl.Implies: Implies, ltl.Next: Next, ltl.Until: Until,
+              ltl.Finally: Finally, ltl.Globally: Globally}
+
+
+def dataclass_twin(f):
+    """`f` rebuilt from the dataclass twins of its node classes."""
+    twin = NODE_TWINS[type(f)]
+    if isinstance(f, ltl.Atom):
+        return twin(f.name)
+    return twin(*(dataclass_twin(getattr(f, name)) for name in twin.__match_args__))

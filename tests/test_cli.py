@@ -160,7 +160,8 @@ class TestTranslateCompile:
             "--text", "Brake when the gap closes.",
             "--initial", "G (front_gap_closing -> brake)")
         assert (code, out) == (1, "")
-        assert err == "error: http backend needs a model and an http(s) URL: 'stub'\n"
+        assert err == ("error: section 'config.critic_tree.revisor': "
+                       "http backend needs a model and an http(s) URL: 'stub'\n")
 
     def test_compile_viable_writes_store(self, tmp_path, capsys):
         cfg = write_pipeline_config(tmp_path)
@@ -751,6 +752,23 @@ class TestRunAll:
         err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
         assert f"error: section {named.format(dir=tmp_path)} is not " in err, err
 
+    @pytest.mark.parametrize("path,value,section,refusal", [
+        (("config", "critic_tree", "revisor"), {"kind": "http", "endpoint": "stub", "model": "m"},
+         "config.critic_tree.revisor", "http backend needs a model and an http(s) URL: 'stub'"),
+        (("config", "grounding"), {"kind": "http", "endpoint": "http://h/v1"},
+         "config.grounding", "http backend needs a model and an http(s) URL: 'http://h/v1'"),
+        (("config", "scenario", "trigger_low"), 12, "config.scenario",
+         "trigger steps must satisfy 0 <= trigger_low <= trigger_high"),
+        (("config", "eval", "top_k"), 0, "config.eval", "eval.top_k must be >= 1")],
+        ids=["revisor-stub-endpoint", "grounding-no-model", "scenario-trigger", "eval-top_k"])
+    def test_run_all_names_the_section_whose_class_refuses_a_value(
+            self, tmp_path, capsys, model_calls, path, value, section, refusal):
+        inputs = run_all_inputs(tmp_path, scenario=path[:2] == ("config", "scenario"))
+        *outer, last = path
+        nested(inputs, outer)[last] = value
+        err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
+        assert err == f"error: section {section!r}: {refusal}\n", err
+
     @pytest.mark.parametrize("key,value,refusal", [
         ("scenario", {"archetype": "highway_cut_in"},
          "keys 'episodes' and 'scenario' may not both be set"),
@@ -802,7 +820,8 @@ class TestRunAll:
         else:
             kb[slot] = [*kb[slot], name]
         err = run_all_refuses(tmp_path, capsys, model_calls, inputs)
-        assert err.startswith(f"error: {name!r} is not an atom name"), err
+        assert err.startswith(f"error: section {str(tmp_path / 'kb.json')!r}: "
+                              f"{name!r} is not an atom name"), err
 
     @pytest.mark.parametrize("value,named", [
         (5, "'state'"), ({"front_gap_closing": [1]}, "'state'"), ("x", "'state'")],

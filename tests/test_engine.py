@@ -8,7 +8,7 @@ import pytest
 from cogrules.engine import (ActionPair, SLOTS, RuleSet, WorldState, decide,
                              decision_distribution, match, pick, select,
                              selection_probabilities, slot_marginals)
-from cogrules.knowledge import ProductionRule
+from cogrules.knowledge import ProductionRule, read_section
 from oracles import match_oracle, summed_marginals
 
 SQRT2 = math.sqrt(2)
@@ -422,7 +422,7 @@ class TestMatchOracle:
     @pytest.mark.parametrize("cmp", [">", "<", "==", "approximately"])
     def test_a_rule_built_in_code_refuses_a_third_comparator(self, cmp):
         # else `match` would read any comparator but '=' as '!='
-        with pytest.raises(ValueError, match=f"^section 'rule': comparator {cmp!r} is not "
+        with pytest.raises(ValueError, match=f"^comparator {cmp!r} is not "
                            "'=' or '!='$"):
             ProductionRule("r", (("a", cmp, 1),), ActionPair("brake"))
 
@@ -502,3 +502,26 @@ class TestRuleSet:
         expected = selection_probabilities([10.0, 0.0], SQRT2)
         assert decision_distribution(state, rule_set, SQRT2) == \
             {"brake/none": expected[0], "keep/none": expected[1]}
+
+
+@dataclasses.dataclass
+class Digit:
+    n: int
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("n must be >= 0")
+        if self.n > 9:
+            raise TypeError("n must be a digit")
+
+
+class TestReadSection:
+    def test_a_value_error_of_the_class_names_the_section(self):
+        with pytest.raises(ValueError, match=r"^section 'digit': n must be >= 0$") as refused:
+            read_section(Digit, "digit", {"n": -1})
+        assert refused.value.__suppress_context__  # one error, not two chained
+
+    def test_any_other_error_of_the_class_passes_unchanged(self):
+        with pytest.raises(TypeError, match=r"^n must be a digit$"):
+            read_section(Digit, "digit", {"n": 10})
+        assert read_section(Digit, "digit", {"n": 7}) == Digit(7)

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
 
@@ -6,7 +9,90 @@ from hypothesis import given, settings, strategies as st
 
 from cogrules import ltl
 from conftest import random_formula
-from oracles import canonical_oracle
+import oracles
+from oracles import canonical_oracle, dataclass_twin
+
+
+def _positional(f, ns):
+    """The class name and fields of `f`, read by a positional match on each
+    node class of the namespace `ns` (`ltl`, or the dataclass twins)."""
+    match f:
+        case ns.TrueConst():
+            return "TrueConst", ()
+        case ns.Atom(name):
+            return "Atom", (name,)
+        case ns.Not(g):
+            return "Not", (_positional(g, ns),)
+        case ns.Next(g):
+            return "Next", (_positional(g, ns),)
+        case ns.Finally(g):
+            return "Finally", (_positional(g, ns),)
+        case ns.Globally(g):
+            return "Globally", (_positional(g, ns),)
+        case ns.And(l, r):
+            return "And", (_positional(l, ns), _positional(r, ns))
+        case ns.Or(l, r):
+            return "Or", (_positional(l, ns), _positional(r, ns))
+        case ns.Implies(l, r):
+            return "Implies", (_positional(l, ns), _positional(r, ns))
+        case ns.Until(l, r):
+            return "Until", (_positional(l, ns), _positional(r, ns))
+    raise AssertionError(f"no case matched {f!r}")
+
+
+_A, _B = ltl.Atom("a"), ltl.Atom("b")
+_EACH_CLASS = [  # one node of each class, with the names of its fields
+    (ltl.TRUE, ()), (_A, ("name",)),
+    *((cls(_A), ("operand",)) for cls in (ltl.Not, ltl.Next, ltl.Finally, ltl.Globally)),
+    *((cls(_A, _B), ("left", "right")) for cls in (ltl.And, ltl.Or, ltl.Implies, ltl.Until))]
+
+
+class TestNodeContract:
+    """The nodes compare, hash, print, match, copy and refuse change as the
+    frozen dataclasses in `oracles` do."""
+
+    def test_nodes_agree_with_their_dataclass_twins(self):
+        rng = random.Random(35)
+        trees = [ltl.TRUE, ltl.parse("false"), _A, _B, ltl.Atom("ped_x")]
+        trees += [random_formula(rng, 1 + i % 6) for i in range(5_000)]
+        shuffled = trees[:]
+        rng.shuffle(shuffled)
+        rebuilt = [ltl.parse(ltl.to_string(f)) for f in trees]  # equal, mostly not identical
+        for f, g in [*zip(trees, shuffled), *zip(trees, rebuilt)]:
+            tf, tg = dataclass_twin(f), dataclass_twin(g)
+            assert (f == g, f != g) == (tf == tg, tf != tg), (f, g)
+            assert hash(f) == hash(tf)
+            assert repr(f) == repr(tf)
+            assert _positional(f, ltl) == _positional(tf, oracles)
+
+    @pytest.mark.parametrize("node,fields", _EACH_CLASS,
+                             ids=[type(node).__name__ for node, _ in _EACH_CLASS])
+    def test_each_class_copies_pickles_and_refuses_change(self, node, fields):
+        copies = [copy.copy(node), copy.deepcopy(node)]
+        copies += [pickle.loads(pickle.dumps(node, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert type(c) is type(node) and c == node and hash(c) == hash(node)
+        for name in (*fields, "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, _B)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+        assert type(node).__match_args__ == fields
+        assert node.__eq__(dataclass_twin(node)) is NotImplemented
+        assert not hasattr(node, "__dict__")
+
+    def test_equal_fields_of_two_classes_are_not_equal(self):
+        assert ltl.And(_A, _B) != ltl.Or(_A, _B)
+        assert ltl.Not(_A) != ltl.Next(_A)
+        assert ltl.And(_A, _B) != oracles.And(_A, _B)
+        assert hash(ltl.TRUE) == hash(())
+
+    def test_a_bad_atom_name_is_refused_with_the_same_text(self):
+        with pytest.raises(ValueError, match=r"^invalid atom name: '1x'$"):
+            ltl.Atom("1x")
+        with pytest.raises(ValueError, match=r"^invalid atom name: '1x'$"):
+            oracles.Atom("1x")
 
 
 class TestParse:
