@@ -27,6 +27,8 @@ class ChatMessage:
     def __post_init__(self):
         if self.role not in ("system", "user", "assistant"):
             raise ValueError(f"bad role {self.role!r}")
+        if not isinstance(self.content, str):
+            raise ValueError(f"content must be a string, not {type(self.content).__name__}")
         if self.role in ("user", "assistant") and not self.content:
             raise ValueError("user/assistant content must be nonempty")
 
@@ -92,13 +94,16 @@ class ProtocolError(GatewayError):
     pass
 
 
+def _message_json(m: ChatMessage) -> str:
+    return f'{{"content":{_json_string(m.content)},"role":{_json_string(m.role)}}}'
+
+
 def request_hash(model: str, messages: list[ChatMessage]) -> str:
     """The replay key: sha256 of the compact, sorted-key, ASCII-escaped JSON
     `{"messages":[{"content":…,"role":…},…],"model":…}`, the bytes
     `json.dumps(..., sort_keys=True, separators=(",", ":"))` writes, built
     here by concatenation."""
-    body = ",".join(f'{{"content":{_json_string(m.content)},"role":{_json_string(m.role)}}}'
-                    for m in messages)
+    body = ",".join(map(_message_json, messages))
     payload = f'{{"messages":[{body}],"model":{_json_string(model)}}}'
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -164,14 +169,17 @@ class HttpBackend(Backend):
 class ReplayBackend(Backend):
     """Serves recorded responses keyed by request hash, in recorded order
     for repeated identical requests. Misses fail loudly. `queues` is the
-    transcript's parse, shared with every replay backend of the session."""
+    transcript's parse, shared with every replay backend of the session,
+    and `key(model, messages)` is a request's `request_hash`."""
 
-    def __init__(self, spec: BackendSpec, queues: dict[str, list[str]]):
+    def __init__(self, spec: BackendSpec, queues: dict[str, list[str]],
+                 key: Callable[[str, list[ChatMessage]], str]):
         self.spec = spec
         self._queues = queues
+        self._key = key
 
     def complete(self, messages: list[ChatMessage]) -> ChatMessage:
-        h = request_hash(self.spec.model, messages)
+        h = self._key(self.spec.model, messages)
         queue = self._queues.get(h)
         if not queue:
             preview = messages[-1].content[:120]
@@ -215,10 +223,28 @@ class Session:
     """Builds every backend of one run. Each transcript is read once, and
     all replay backends over it pop from the same queues, so a run replays
     its calls in the order they were recorded, even when roles share a
-    model name."""
+    model name. Replay keys come from the session's `request_hash`."""
 
     def __init__(self):
         self._transcripts: dict[Path, dict[str, list[str]]] = {}
+        # (role, content) of a request's first message -> sha256 of the key's bytes up to it
+        self._openings: dict[tuple[str, str], hashlib._Hash] = {}
+
+    def request_hash(self, model: str, messages: list[ChatMessage]) -> str:
+        """`request_hash(model, messages)`. The hash of a key's bytes up to the
+        first message of a request of two or more is computed once per distinct
+        first message, and copied for each request that opens with it."""
+        if len(messages) < 2:
+            return request_hash(model, messages)
+        first = messages[0]
+        opening = self._openings.get((first.role, first.content))
+        if opening is None:
+            opening = self._openings[first.role, first.content] = hashlib.sha256(
+                f'{{"messages":[{_message_json(first)}'.encode())
+        state = opening.copy()
+        rest = "".join([f",{_message_json(m)}" for m in messages[1:]])
+        state.update(f'{rest}],"model":{_json_string(model)}}}'.encode())
+        return state.hexdigest()
 
     def _queues(self, path: Path) -> dict[str, list[str]]:
         if path not in self._transcripts:
@@ -239,7 +265,8 @@ class Session:
         if spec.kind == "http":
             backend = HttpBackend(spec)
         elif spec.kind == "replay":
-            backend = ReplayBackend(spec, self._queues(Path(spec.transcript_path).resolve()))
+            backend = ReplayBackend(spec, self._queues(Path(spec.transcript_path).resolve()),
+                                    self.request_hash)
         else:
             backend = ScriptedBackend(spec)
         if spec.record_path:

@@ -32,17 +32,29 @@ def load_json(path: str | Path):
         raise ValueError(f"{path}: {e}") from None
 
 
+_scan_value = json.JSONDecoder().scan_once  # json.loads' own C scanner, without its wrapper
+
+
 def read_jsonl(path: str | Path):
     """(line number, JSON value) for each nonblank line of file `path`, counted
     from 1; a syntax error is a ValueError naming the file and the line. Lines
-    end at "\n" only: JSON strings may hold U+2028, U+2029 and U+0085 raw."""
+    end at "\n" only: JSON strings may hold U+2028, U+2029 and U+0085 raw.
+    A line that is one JSON value and nothing else is scanned once; any other
+    line (blank, with whitespace, a BOM or extra data around its value, or not
+    JSON) goes through `json.loads`, which takes or refuses it as it would alone."""
     for n, line in enumerate(Path(path).read_text().split("\n"), 1):
-        if line.strip():
+        try:
+            value, end = _scan_value(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                continue
             try:
                 value = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path} line {n}: {e.msg} at column {e.colno}") from None
-            yield n, value
+        yield n, value
 
 
 # the exact JSON types each scalar annotation takes (a bool is not an int), and its name

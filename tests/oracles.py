@@ -2,14 +2,16 @@
 brute-force cosine dedup, direct-summation JS divergence, a Fraction-based
 smoothed BLEU, per-slot marginals summed over action pairs, the LTL
 normal form stated directly, the episodes file written a record at a
-time, the conflict set checked a precondition at a time, and the LTL
-nodes as frozen dataclasses. Deliberately written against the textbook
-definitions, not the package code paths."""
+time, the conflict set checked a precondition at a time, the LTL
+nodes as frozen dataclasses, and a JSON Lines file read by `json.loads`
+a line at a time. Deliberately written against the textbook definitions,
+not the package code paths."""
 
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from cogrules import ltl
 
@@ -171,6 +173,18 @@ def episodes_jsonl_oracle(episodes):
                       "subject": episode.subject_id}
             lines.append(json.dumps(record, sort_keys=True) + "\n")
     return "".join(lines)
+
+
+def read_jsonl_oracle(path):
+    """(line number, value) for each nonblank line, every line through
+    `json.loads`; a syntax error is a ValueError naming the file and the line."""
+    for n, line in enumerate(Path(path).read_text().split("\n"), 1):
+        if line.strip():
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path} line {n}: {e.msg} at column {e.colno}") from None
+            yield n, value
 
 
 def match_oracle(state, rules):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 
@@ -8,8 +9,8 @@ import pytest
 from cogrules.engine import (ActionPair, SLOTS, RuleSet, WorldState, decide,
                              decision_distribution, match, pick, select,
                              selection_probabilities, slot_marginals)
-from cogrules.knowledge import ProductionRule, read_section
-from oracles import match_oracle, summed_marginals
+from cogrules.knowledge import ProductionRule, read_jsonl, read_section
+from oracles import match_oracle, read_jsonl_oracle, summed_marginals
 
 SQRT2 = math.sqrt(2)
 
@@ -525,3 +526,75 @@ class TestReadSection:
         with pytest.raises(TypeError, match=r"^n must be a digit$"):
             read_section(Digit, "digit", {"n": 10})
         assert read_section(Digit, "digit", {"n": 7}) == Digit(7)
+
+
+def read_outcome(reader, path):
+    """The (line number, value) pairs a reader yields, as their repr (so NaN
+    equals NaN and 1 differs from 1.0 and True), and its error message or None."""
+    items = []
+    try:
+        for item in reader(path):
+            items.append(item)
+    except ValueError as e:
+        return repr(items), str(e)
+    return repr(items), None
+
+
+class TestReadJsonl:
+    """`read_jsonl` yields what `json.loads` a line at a time yields, or
+    raises its error message, for any file."""
+
+    # a string may hold U+2028, U+2029 and U+0085 raw: a record ends at "\n" only
+    TEXT = ["x", "é", "中", "😀", '"', "\\", "\t", "\u2028", "\u2029", "\u0085", " "]
+    NUMBERS = [0, -1, 7, 2 ** 70, 1.5, -0.0, 1e300, float("nan"), float("inf"), float("-inf")]
+    # neither a value alone nor a blank line: whitespace, a BOM or extra data around
+    # a value, a raw control character in a string, or no JSON at all
+    ODD = ["{} x", "1 2", "[] []", "Infinity x", "nul", "{", "[1,]", '{"a" 1}', "'a'",
+           '"\\x"', '"a\tb"', "\ufeff", "\ufeff{}", "\x85", "\u2028", "\x1c"]
+    BLANK = ["", " ", "\t", " \t ", "\r"]
+
+    def random_value(self, rng, depth=0):
+        kind = rng.randrange(5 if depth < 3 else 3)
+        if kind == 0:
+            return rng.choice([None, True, False])
+        if kind == 1:
+            return rng.choice(self.NUMBERS)
+        if kind == 2:
+            return "".join(rng.choice(self.TEXT) for _ in range(rng.randint(0, 4)))
+        if kind == 3:
+            return [self.random_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+        return {self.random_value(rng, 3): self.random_value(rng, depth + 1)
+                for _ in range(rng.randint(0, 3))}
+
+    def random_line(self, rng):
+        text = json.dumps(self.random_value(rng), ensure_ascii=rng.random() < 0.5,
+                          separators=rng.choice([None, (",", ":")]))
+        kind = rng.randrange(8)
+        if kind == 0:
+            return rng.choice(self.BLANK)
+        if kind == 1:
+            return rng.choice(self.ODD)
+        if kind == 2:  # leading or trailing spaces and tabs
+            return rng.choice(["", " ", "\t"]) + text + rng.choice(["", " ", "\t "])
+        if kind == 3:
+            return "\ufeff" + text
+        return text
+
+    def test_random_files(self, tmp_path):
+        rng = random.Random(36)
+        path = tmp_path / "f.jsonl"
+        for _ in range(1500):
+            lines = [self.random_line(rng) for _ in range(rng.randint(0, 6))]
+            end = rng.choice(["\n", "\r\n"])
+            text = end.join(lines) + rng.choice(["", end])  # with or without a final newline
+            path.write_text(text, encoding="utf-8")
+            assert read_outcome(read_jsonl, path) == read_outcome(read_jsonl_oracle, path), text
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", " \n\t\n", "{}", "{}\n", ' {"a": 1}\t\n', "\t[1] \n", "{}\r\n[2]\r\n",
+        "\ufeff{}\n", "{}\n{} x\n", "1 2", "NaN\n-Infinity\n", '"\u2028\u2029\u0085"\n',
+        '{"a": [1, 2.5, true, null]}\n{\n', '"a\tb"'])
+    def test_edge_cases(self, tmp_path, text):
+        path = tmp_path / "f.jsonl"
+        path.write_text(text, encoding="utf-8")
+        assert read_outcome(read_jsonl, path) == read_outcome(read_jsonl_oracle, path)

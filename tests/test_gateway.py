@@ -1,7 +1,9 @@
 import hashlib
 import http.client
+import itertools
 import json
 import random
+import re
 import socket
 import threading
 from email.message import Message
@@ -191,6 +193,34 @@ class TestRequestHash:
             assert request_hash(model, messages) == self.reference(model, messages)
 
 
+class TestSessionRequestHash:
+    """A session hashes each distinct opening message once and copies that
+    state per request; the key must still be `request_hash`'s."""
+
+    def test_equals_sorted_compact_json_dumps(self):
+        rng = random.Random(36)
+        pieces = TestRequestHash()
+        openings = [ChatMessage("system", pieces.random_text(rng, allow_empty=False))
+                    for _ in range(3)] + [ChatMessage("system", "")]
+        # the same text opening as another role is another opening
+        openings.append(ChatMessage("user", openings[0].content))
+        models = ["critic_a", pieces.random_text(rng, allow_empty=True)]
+        session = Session()
+        for _ in range(500):
+            model = rng.choice(models)
+            first = rng.choice(openings)
+            if rng.random() < 0.3:  # equal to an opening, built apart
+                first = ChatMessage(first.role, "".join(list(first.content)))
+            if rng.random() < 0.2:  # one-message requests, hashed whole
+                messages = [rng.choice([first, *msgs(pieces.random_text(rng, False))])]
+            else:
+                messages = [first] + [
+                    ChatMessage(rng.choice(("user", "assistant")), pieces.random_text(rng, False))
+                    for _ in range(rng.randint(1, 3))]
+            assert session.request_hash(model, messages) == pieces.reference(model, messages)
+        assert session.request_hash("m", []) == pieces.reference("m", [])
+
+
 class TestRecording:
     def test_record_then_replay(self, tmp_path):
         inner = ScriptedBackend(scripted_spec(lambda m: f"echo:{m[-1].content}"))
@@ -199,6 +229,38 @@ class TestRecording:
         out1 = rec.complete(msgs("one")).content
         replay = Session().backend(BackendSpec(kind="replay", transcript_path=str(path)))
         assert replay.complete(msgs("one")).content == out1
+
+    def test_requests_that_share_an_opening_replay_as_recorded(self, tmp_path):
+        rng = random.Random(37)
+        replies = itertools.count()
+        inner = ScriptedBackend(scripted_spec(lambda m: f"r{next(replies)}:{m[-1].content}"))
+        path = tmp_path / "rec.jsonl"
+        system = ChatMessage("system", 'Judge "G (a -> b)".\n\u2028é\\')
+        requests = []
+        for _ in range(60):  # repeats included: each replays in recorded order
+            model = rng.choice(["critic", "revisor"])
+            user = [ChatMessage("user", rng.choice(["G a", "F b", "中文", "x\ty"]))]
+            requests.append((model, [system, *user] if rng.random() < 0.8 else user))
+        recorded = [RecordingBackend(inner, model, path).complete(m).content
+                    for model, m in requests]
+        queues = {}
+        for line in path.read_text().splitlines():
+            rec = json.loads(line)
+            queues.setdefault(rec["request_hash"], []).append(rec["response"])
+
+        session = Session()
+        replay = {model: session.backend(BackendSpec(kind="replay", model=model,
+                                                     transcript_path=str(path)))
+                  for model in ("critic", "revisor")}
+        assert session._queues(path.resolve()) == queues
+        assert [replay[model].complete(m).content for model, m in requests] == recorded
+        assert not any(session._queues(path.resolve()).values())  # every response served
+
+        model, messages = requests[0]
+        h = request_hash(model, messages)
+        with pytest.raises(ReplayMiss, match=re.escape(
+                f"no recorded response for hash {h[:12]} ({messages[-1].content[:120]!r})")):
+            replay[model].complete(messages)
 
 
 OK = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
@@ -320,6 +382,15 @@ class TestHttp:
         server.replies.append((200, json.dumps(
             {"choices": [{"message": {"content": content}}]}).encode()))
         with pytest.raises(ProtocolError, match="^malformed completion body: "):
+            Session().backend(http_spec(server)).complete(msgs("x"))
+
+    @pytest.mark.parametrize("content", [5, True, ["G a"], {"text": "G a"}])
+    def test_content_that_is_no_string_is_protocol_error(self, server, content):
+        # was accepted, and the run died later on `.content.strip()`
+        server.replies.append((200, json.dumps(
+            {"choices": [{"message": {"content": content}}]}).encode()))
+        with pytest.raises(ProtocolError, match="^malformed completion body: content must be "
+                           f"a string, not {type(content).__name__}$"):
             Session().backend(http_spec(server)).complete(msgs("x"))
 
     def test_rate_limit_then_success(self, server, sleeps):
