@@ -54,10 +54,10 @@ def cmd_compile(args) -> int:
     store = compiler.RuleStore(read_rules(args.rules) if args.rules else [])
     outcome = compiler.compile_formula(ltl.parse(args.formula), cfg.kb, store)
     out = {"outcome": outcome.tag}
-    if isinstance(outcome, compiler.Viable):
+    if outcome.rule is not None:
         out["rule"] = outcome.rule.to_json()
-    elif isinstance(outcome, compiler.DuplicatedContent):
-        out["existing"] = outcome.existing
+    elif outcome.similarity is not None:
+        out["existing"] = outcome.detail
         out["similarity"] = outcome.similarity
     else:
         out["detail"] = outcome.detail

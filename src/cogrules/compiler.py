@@ -32,41 +32,20 @@ class GroundingError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# outcomes, each with a tag and a one-line detail
-
-@dataclass(frozen=True)
-class Viable:
-    rule: ProductionRule
-    tag = "Viable"
-    detail = ""
-
-
-@dataclass(frozen=True)
-class FormatMismatch:
-    detail: str
-    tag = "FormatMismatch"
-
-
-@dataclass(frozen=True)
-class DuplicatedContent:
-    existing: str
-    similarity: float
-    tag = "DuplicatedContent"
-
-    @property
-    def detail(self) -> str:
-        return self.existing
-
-
-@dataclass(frozen=True)
-class InferenceError:
-    detail: str
-    tag = "InferenceError"
-
-
-CompileOutcome = Viable | FormatMismatch | DuplicatedContent | InferenceError
+# outcomes
 
 OUTCOME_TAGS = ("Viable", "FormatMismatch", "DuplicatedContent", "InferenceError")
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """One compile outcome, tagged by the paper's taxonomy. `detail` is a
+    refusal's reason or the name of the rule a duplicate repeats, `rule` a
+    Viable outcome's stored rule and `similarity` a duplicate's cosine."""
+    tag: str
+    detail: str = ""
+    rule: ProductionRule | None = None
+    similarity: float | None = None
 
 
 def outcome_report(outcomes: list) -> dict[str, int]:
@@ -206,7 +185,7 @@ class RuleStore:
 
 
 def dedup_check(candidate: ProductionRule, store: RuleStore, *,
-                threshold: float = DUPLICATION_THRESHOLD) -> DuplicatedContent | None:
+                threshold: float = DUPLICATION_THRESHOLD) -> Outcome | None:
     """None means the candidate is novel; `store`'s rules and index are only
     read. Exact body duplicates are rejected regardless of name similarity;
     otherwise the stored name of highest cosine with the candidate's name,
@@ -216,7 +195,7 @@ def dedup_check(candidate: ProductionRule, store: RuleStore, *,
         return None
     existing = store._by_body.get(candidate.body_key())
     if existing is not None:
-        return DuplicatedContent(existing=existing, similarity=1.0)
+        return Outcome("DuplicatedContent", existing, similarity=1.0)
     postings, norms2 = store._postings, store._norms2
     cand_vec = store.embedding.embed(candidate.name)
     packed = sum(count * postings.get(bucket, 0) for bucket, count in cand_vec.items())
@@ -229,7 +208,7 @@ def dedup_check(candidate: ProductionRule, store: RuleStore, *,
             best_dot, best_norm2, name = dot, norm2, rule.name
     similarity = best_dot / math.sqrt(sum(c * c for c in cand_vec.values()) * best_norm2)
     if similarity >= threshold:
-        return DuplicatedContent(existing=name, similarity=similarity)
+        return Outcome("DuplicatedContent", name, similarity=similarity)
     return None
 
 
@@ -237,24 +216,24 @@ def dedup_check(candidate: ProductionRule, store: RuleStore, *,
 # compile pipeline
 
 def compile_formula(formula: ltl.Ltl, kb: KnowledgeBase, store: RuleStore, *,
-                    provenance: dict | None = None) -> CompileOutcome:
+                    provenance: dict | None = None) -> Outcome:
     """classify -> ground -> dry-run load -> dedup -> insert."""
     verdict = ltl.classify(formula)
     if isinstance(verdict, ltl.InferenceError):
-        return InferenceError(verdict.reason)
+        return Outcome("InferenceError", verdict.reason)
     try:
         preconditions, effects = ground(verdict, kb)
     except GroundingError as e:
-        return InferenceError(str(e))
+        return Outcome("InferenceError", str(e))
     rule = ProductionRule(name=name_rule(preconditions, effects),
                           preconditions=preconditions, effects=effects,
                           provenance=provenance or {"formula": ltl.to_string(formula)})
     try:
         validate_rule(rule, kb)
     except RuleValidationError as e:
-        return FormatMismatch(str(e))
+        return Outcome("FormatMismatch", str(e))
     dup = dedup_check(rule, store)
     if dup is not None:
         return dup
     store.add(rule)
-    return Viable(rule)
+    return Outcome("Viable", rule=rule)

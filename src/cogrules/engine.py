@@ -11,7 +11,7 @@ import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
-from .knowledge import NO_ACTION, SLOTS, ActionPair, ProductionRule, Value
+from .knowledge import NO_ACTION, NONE, SLOTS, ActionPair, ProductionRule, Value
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def decide(candidates: tuple[list[int], ...], rules: RuleSet, sigma: float,
 
 
 def action_pair_key(longitudinal: str | None, lateral: str | None) -> str:
-    return f"{longitudinal or 'none'}/{lateral or 'none'}"
+    return f"{longitudinal or NONE}/{lateral or NONE}"
 
 
 def _softmaxes(state: WorldState, rules: RuleSet, sigma: float

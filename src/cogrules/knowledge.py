@@ -16,6 +16,7 @@ from pathlib import Path
 from .ltl import is_atom_name
 
 PASS = "pass"  # a rules file's spelling of an empty effect slot
+NONE = "none"  # a decision key's spelling of an empty effect slot (`engine.action_pair_key`)
 
 LONGITUDINAL = "longitudinal"
 LATERAL = "lateral"
@@ -161,6 +162,10 @@ class ActionPair:
     longitudinal: str | None = None
     lateral: str | None = None
 
+    def __post_init__(self):
+        if NONE in (self.longitudinal, self.lateral):
+            raise ValueError(f"action name {NONE!r} is reserved for an empty effect slot")
+
     def slot(self, name: str) -> str | None:
         return self.longitudinal if name == LONGITUDINAL else self.lateral
 
@@ -207,8 +212,9 @@ class KnowledgeBase:
             raise ValueError("action vocabularies must be nonempty")
         if set(self.longitudinal_actions) & set(self.lateral_actions):
             raise ValueError("action vocabularies must be disjoint")
-        if PASS in self.longitudinal_actions or PASS in self.lateral_actions:
-            raise ValueError(f"action name {PASS!r} is reserved for an empty effect slot")
+        for reserved in (PASS, NONE):
+            if reserved in self.longitudinal_actions or reserved in self.lateral_actions:
+                raise ValueError(f"action name {reserved!r} is reserved for an empty effect slot")
         for name in (*self.longitudinal_actions, *self.lateral_actions, *self.groundings):
             if not is_atom_name(name):  # else no formula could name it
                 raise ValueError(f"{name!r} is not an atom name: an ASCII identifier other "

@@ -109,7 +109,7 @@ class Segment:  # one corpus record
 class SegmentResult:
     segment_id: str
     refined: str
-    outcome: compiler.CompileOutcome
+    outcome: compiler.Outcome
 
 
 def read_corpus(records: list, cfg: PipelineConfig) -> list[Segment]:
@@ -156,12 +156,12 @@ def formalize_corpus(texts: list[dict], cfg: PipelineConfig,
                 prompt = grounding_template.format(formula=refined, atoms=atoms)
                 grounded_text = grounding_backend.complete([ChatMessage("user", prompt)]).content.strip()
         except GatewayError as e:
-            results.append(SegmentResult(seg.id, "",
-                                         compiler.FormatMismatch(f"gateway failure: {e}")))
+            results.append(SegmentResult(
+                seg.id, "", compiler.Outcome("FormatMismatch", f"gateway failure: {e}")))
             continue
         formula = tree.parse(grounded_text)  # the tree has parsed most of these already
         if isinstance(formula, ltl.ParseError):
-            outcome = compiler.FormatMismatch(f"unparseable formula: {formula}")
+            outcome = compiler.Outcome("FormatMismatch", f"unparseable formula: {formula}")
         else:
             outcome = compiler.compile_formula(
                 formula, cfg.kb, store,

@@ -89,8 +89,12 @@ class ReferencePolicy:
     weights: list[float] = field(default_factory=list)
 
     def __post_init__(self):
+        if not self.tables:
+            raise ValueError("a policy needs at least one decision table")
         if not self.weights:
             self.weights = [1.0 / len(self.tables)] * len(self.tables)
+        if len(self.weights) != len(self.tables):
+            raise ValueError("a policy needs one mixture weight per decision table")
         if any(w < 0 for w in self.weights):
             raise ValueError("mixture weights must be >= 0")
         if abs(sum(self.weights) - 1.0) > 1e-9:

@@ -10,6 +10,8 @@ import pytest
 
 from cogrules import ltl
 from cogrules.gateway import SCRIPT_REGISTRY, BackendSpec, CriticEnsembleSpec, register_script
+from cogrules.trainer import train
+from oracles import train_oracle
 
 _counter = itertools.count()
 
@@ -150,3 +152,15 @@ def no_network(monkeypatch):
     def guard(*args, **kwargs):
         raise AssertionError("network access attempted")
     monkeypatch.setattr(urllib.request, "urlopen", guard)
+
+
+def assert_train_matches_oracle(rules, episodes, cfg) -> list:
+    """`train`'s utilities and curve equal the oracle's bit for bit; returns
+    the oracle's draws."""
+    trained, curve = train(rules, episodes, cfg)
+    utilities, oracle_curve, draws = train_oracle(rules, episodes, cfg)
+    assert [u.hex() for u in trained.utilities] == [u.hex() for u in utilities]
+    assert [(float(p.agreement).hex(), p.mean_utility.hex()) for p in curve] == \
+        [(float(a).hex(), m.hex()) for a, m in oracle_curve]
+    assert [p.epoch for p in curve] == list(range(cfg.epochs))
+    return draws

@@ -3,12 +3,14 @@ brute-force cosine dedup, direct-summation JS divergence, a Fraction-based
 smoothed BLEU, per-slot marginals summed over action pairs, the LTL
 normal form stated directly, the episodes file written a record at a
 time, the conflict set checked a precondition at a time, the LTL
-nodes as frozen dataclasses, and a JSON Lines file read by `json.loads`
-a line at a time. Deliberately written against the textbook definitions,
-not the package code paths."""
+nodes as frozen dataclasses, a JSON Lines file read by `json.loads` a
+line at a time, and the training loop written out step by step.
+Deliberately written against the textbook definitions, not the package
+code paths."""
 
 import json
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -198,6 +200,79 @@ def match_oracle(state, rules):
         return feature in feats and (feats[feature] == value) == (cmp == "=")
     return sorted((r for r in rules if all(holds(*p) for p in r.preconditions)),
                   key=lambda r: r.name)
+
+
+def train_oracle(rules, episodes, cfg):
+    """The training loop from its definitions, with no `RuleSet`, plan or
+    cache: (utilities, [(agreement, mean utility)] per epoch, the names of
+    the rules that filled each cycle's two slots, None for an empty slot).
+
+    Every utility starts at `cfg.initial_utility`, and one `random.Random`
+    seeded with `cfg.seed` shuffles the episodes once an epoch and draws
+    each softmax. Each step of an episode is one cycle: its conflict set is
+    `match_oracle`'s; the longitudinal candidates compete first, and a
+    winner with a lateral effect fills both slots; only if the lateral slot
+    is still empty do the rules with a lateral effect compete for it. A
+    softmax over utilities U_i picks rule i with probability
+    exp(U_i / sigma) / sum_j exp(U_j / sigma), computed with the largest
+    U / sigma subtracted, and draws by the first cumulative sum past one
+    `rng.random()` (the last rule if none is). Then, per slot, the filler's
+    firing joins the slot's pending firings; when the reference names the
+    slot's action, the slot is compared: the reward R is the positive one if
+    the filler's action is the reference's, else the negative one, each
+    pending firing at time t gets r = R - decay * (now - t) and the update
+    U <- U + alpha * (r - U), in firing order, and the slot's pending
+    firings are cleared. Agreement is the share of compared slots that hit."""
+    rng = random.Random(cfg.seed)
+    utilities = [cfg.initial_utility] * len(rules)
+    curve, draws = [], []
+
+    def draw(candidates):
+        m = max(utilities[i] for i in candidates) / cfg.sigma
+        terms = [math.exp(utilities[i] / cfg.sigma - m) for i in candidates]
+        total = sum(terms)
+        x, cumulative = rng.random(), 0.0
+        for i, term in zip(candidates, terms):
+            cumulative += term / total
+            if x < cumulative:
+                return i
+        return candidates[-1]
+
+    for _ in range(cfg.epochs):
+        order = list(range(len(episodes)))
+        rng.shuffle(order)
+        agreed = compared = 0
+        for e in order:
+            pending = {"longitudinal": [], "lateral": []}
+            for state, ref in episodes[e].steps:
+                conflict = [next(i for i, r in enumerate(rules) if r is hit)
+                            for hit in match_oracle(state, rules)]
+                lon = [i for i in conflict if rules[i].effects.longitudinal is not None]
+                lat = [i for i in conflict if rules[i].effects.lateral is not None]
+                fillers = {"longitudinal": draw(lon) if lon else None, "lateral": None}
+                winner = fillers["longitudinal"]
+                if winner is not None and rules[winner].effects.lateral is not None:
+                    fillers["lateral"] = winner
+                elif lat:
+                    fillers["lateral"] = draw(lat)
+                draws.append([None if i is None else rules[i].name for i in fillers.values()])
+                for slot, filler in fillers.items():
+                    if filler is not None:
+                        pending[slot].append((state.t, filler))
+                    wanted = getattr(ref, slot)
+                    if wanted is None:
+                        continue
+                    hit = filler is not None and getattr(rules[filler].effects, slot) == wanted
+                    compared += 1
+                    agreed += hit
+                    reward = cfg.reward_positive if hit else cfg.reward_negative
+                    for t, i in pending[slot]:
+                        r = reward - cfg.decay * (state.t - t)
+                        utilities[i] = utilities[i] + cfg.learning_rate * (r - utilities[i])
+                    pending[slot] = []
+        curve.append((agreed / compared if compared else 0.0,
+                      sum(utilities) / len(rules) if rules else 0.0))
+    return utilities, curve, draws
 
 
 # The LTL node classes as frozen, slotted dataclasses: equality, hashing,

@@ -206,6 +206,32 @@ class TestTranslateCompile:
         assert code == 0
         assert json.loads(out)["outcome"] == "InferenceError"
 
+    def test_compile_prints_each_outcome_in_full(self, tmp_path, capsys):
+        cfg = write_pipeline_config(tmp_path)
+        out_dir = tmp_path / "compiled"
+        name = "if_front_gap_closing_eq_true__then_long_brake"
+        expected = [
+            (["--formula", "G (front_gap_closing -> brake)", "--out", str(out_dir)],
+             {"outcome": "Viable",
+              "rule": {"effects": {"lateral": "pass", "longitudinal": "brake"},
+                       "name": name,
+                       "preconditions": [["front_gap_closing", "=", True]],
+                       "provenance": {"formula": "G ((front_gap_closing -> brake))"},
+                       "utility": 0.0}}),
+            (["--formula", "G (front_gap_closing -> brake)",
+              "--rules", str(out_dir / "rules.json")],
+             {"outcome": "DuplicatedContent", "existing": name, "similarity": 1.0}),
+            (["--formula", "G (speed_high & speed_low -> brake)"],
+             {"outcome": "FormatMismatch",
+              "detail": "contradictory assertions on 'speed_band'"}),
+            (["--formula", "F brake"],
+             {"outcome": "InferenceError", "detail": "Finally"}),
+        ]
+        for argv, payload in expected:
+            code, out, err = run_cli(capsys, "compile", "--config", str(cfg), *argv)
+            assert (code, err) == (0, "")
+            assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
 
 class TestDataTrainEval:
     def test_gen_train_eval_round_trip(self, tmp_path, capsys):
@@ -302,6 +328,44 @@ class TestDataTrainEval:
         assert out == ""
         assert err.startswith("error: ") and "'pass'" in err
         assert not (tmp_path / "trained").exists()
+
+    @pytest.mark.parametrize("vocabulary", ["longitudinal_actions", "lateral_actions"])
+    def test_a_kb_action_may_not_be_named_none(self, tmp_path, capsys, vocabulary):
+        # a decision key spells an empty slot "none": an action of that name
+        # and an empty slot would share one key
+        gen_data(tmp_path, capsys)
+        kb_path = tmp_path / "data" / "kb.json"
+        kb = json.loads(kb_path.read_text())
+        kb[vocabulary].append("none")
+        kb_path.write_text(json.dumps(kb))
+        code, out, err = run_on_rules(tmp_path, capsys, "train", [a_rule()])
+        assert (code, out) == (1, "")
+        assert err == (f"error: section '{kb_path}': action name 'none' is reserved "
+                       "for an empty effect slot\n"), err
+        assert not (tmp_path / "trained").exists()
+
+    @pytest.mark.parametrize("slot", ["longitudinal", "lateral"])
+    def test_eval_refuses_a_rule_effect_named_none(self, tmp_path, capsys, slot):
+        gen_data(tmp_path, capsys)
+        code, out, err = run_on_rules(tmp_path, capsys, "eval",
+                                      [a_rule(), a_rule(name="s", effects={slot: "none"})])
+        assert (code, out) == (1, "")
+        assert err == (f"error: {tmp_path / 'rules.json'} rule 2: section 'rule.effects': "
+                       "action name 'none' is reserved for an empty effect slot\n"), err
+
+    @pytest.mark.parametrize("slot", ["longitudinal", "lateral"])
+    def test_eval_refuses_an_episode_reference_named_none(self, tmp_path, capsys, slot):
+        gen_data(tmp_path, capsys)
+        episodes = tmp_path / "data" / "episodes.jsonl"
+        lines = episodes.read_text().splitlines()
+        step = json.loads(lines[2])
+        step["reference"][slot] = "none"
+        lines[2] = json.dumps(step)
+        episodes.write_text("\n".join(lines) + "\n")
+        code, out, err = run_on_rules(tmp_path, capsys, "eval", [a_rule()])
+        assert (code, out) == (1, "")
+        assert err == (f"error: section '{episodes} line 3.reference': "
+                       "action name 'none' is reserved for an empty effect slot\n"), err
 
     @pytest.mark.parametrize("command", ["eval", "train", "compile"])
     def test_rules_file_with_an_unknown_key_exit_one(self, tmp_path, capsys, command):

@@ -9,10 +9,9 @@ from fractions import Fraction
 import pytest
 
 from cogrules import compiler, ltl
-from cogrules.compiler import (EMBEDDING_DIMENSION, DuplicatedContent,
-                               FormatMismatch, HashedTrigramEmbedding, InferenceError,
-                               RuleStore, Viable, compile_formula, dedup_check,
-                               ground, name_rule, outcome_report)
+from cogrules.compiler import (EMBEDDING_DIMENSION, HashedTrigramEmbedding, Outcome,
+                               RuleStore, compile_formula, dedup_check, ground,
+                               name_rule, outcome_report)
 from cogrules.knowledge import (ActionPair, FeatureDomain, Grounding, KnowledgeBase,
                                 ProductionRule, RuleValidationError, read_rules, validate_rule,
                                 write_rules)
@@ -202,8 +201,7 @@ class TestDedup:
         twin = make_rule([("a", "=", 1)], {"longitudinal": "brake"},
                          name="completely_different_name")
         hit = dedup_check(twin, RuleStore([rule]))
-        assert isinstance(hit, DuplicatedContent)
-        assert hit.similarity == 1.0
+        assert hit == Outcome("DuplicatedContent", rule.name, similarity=1.0)
 
     def test_matches_bruteforce_oracle(self):
         provider = HashedTrigramEmbedding()
@@ -233,7 +231,7 @@ class TestDedup:
             same_body = [r.name for r in store_rules
                          if r.body_key() == candidate.body_key()]
             if same_body:
-                assert got == DuplicatedContent(same_body[0], 1.0)
+                assert got == Outcome("DuplicatedContent", same_body[0], similarity=1.0)
                 continue
             if not store_rules:
                 assert got is None
@@ -250,7 +248,7 @@ class TestDedup:
             name, sim = best.name, exact_cosine(cand, fresh.embed(best.name))
             if sim >= threshold:
                 duplicates += 1
-                assert got == DuplicatedContent(name, sim)
+                assert got == Outcome("DuplicatedContent", name, similarity=sim)
             else:
                 assert got is None
         assert duplicates > 0
@@ -267,7 +265,7 @@ class TestDedup:
         assert 0.5 < sim < 1.0
         for rules in ([later, smaller], [smaller, later]):
             assert dedup_check(candidate, RuleStore(rules), threshold=0.5) == \
-                DuplicatedContent("ababba", sim)
+                Outcome("DuplicatedContent", "ababba", similarity=sim)
 
     def test_first_rule_with_equal_body_is_reported(self):
         first = make_rule([("a", "=", 1)], {"longitudinal": "brake"}, name="zz_first")
@@ -277,7 +275,7 @@ class TestDedup:
         store.add(second)
         for s in (store, RuleStore([first, second])):
             assert dedup_check(candidate, s) == \
-                DuplicatedContent("zz_first", 1.0)
+                Outcome("DuplicatedContent", "zz_first", similarity=1.0)
 
     def test_a_rule_is_stored_only_through_add(self):
         # a rule appended to the rules behind `add` would never be indexed, and
@@ -292,7 +290,8 @@ class TestDedup:
         assert store.rules == (first,) and list(store) == [first] and len(store) == 1
         store.add(second)
         assert store.rules == (first, second) and store.rules[1] is second
-        assert dedup_check(second, store) == DuplicatedContent("if_b_then_keep", 1.0)
+        assert dedup_check(second, store) == Outcome("DuplicatedContent", "if_b_then_keep",
+                                                     similarity=1.0)
 
     def test_body_key_orders_values_of_two_types_and_keeps_true_and_1_apart(self):
         mixed = [("a", "=", True), ("a", "=", "x"), ("a", "=", 1), ("b", "!=", 2)]
@@ -319,7 +318,7 @@ class TestDedup:
         assert len(grown) > 5
         for _ in range(200):
             outcome = compile_formula(random_formula(), kb, RuleStore())
-            if isinstance(outcome, Viable):
+            if outcome.tag == "Viable":
                 assert dedup_check(outcome.rule, grown) == dedup_check(outcome.rule, built)
 
 
@@ -385,19 +384,21 @@ class TestKnowledgeBaseRefusals:
 class TestCompile:
     def test_finally_is_inference_error(self, kb):
         outcome = compile_formula(ltl.parse("F cut_in_ahead"), kb, RuleStore())
-        assert isinstance(outcome, InferenceError)
+        assert outcome == Outcome("InferenceError", "Finally")
 
     def test_viable_with_zero_initial_utility(self, kb):
-        outcome = compile_formula(ltl.parse("G (cut_in_ahead -> decelerate)"),
-                                  kb, RuleStore())
-        assert isinstance(outcome, Viable)
+        store = RuleStore()
+        outcome = compile_formula(ltl.parse("G (cut_in_ahead -> decelerate)"), kb, store)
+        assert outcome == Outcome("Viable", rule=store.rules[0])
         assert outcome.rule.utility == 0.0
 
     def test_second_compile_is_duplicate(self, kb):
         store = RuleStore()
         f = ltl.parse("G (cut_in_ahead -> decelerate)")
-        assert isinstance(compile_formula(f, kb, store), Viable)
-        assert isinstance(compile_formula(f, kb, store), DuplicatedContent)
+        first = compile_formula(f, kb, store)
+        assert first.tag == "Viable"
+        assert compile_formula(f, kb, store) == Outcome("DuplicatedContent", first.rule.name,
+                                                        similarity=1.0)
 
     @pytest.mark.parametrize("formula,detail", [
         ("G (cut_in_ahead -> !decelerate)",
@@ -409,12 +410,12 @@ class TestCompile:
         ids=["negated-action", "two-longitudinal-actions", "two-lateral-actions"])
     def test_an_ungroundable_consequent_is_inference_error(self, kb, formula, detail):
         outcome = compile_formula(ltl.parse(formula), kb, RuleStore())
-        assert outcome == InferenceError(detail)
+        assert outcome == Outcome("InferenceError", detail)
 
     def test_unknown_atom_is_inference_error(self, kb):
         outcome = compile_formula(ltl.parse("G (martian -> brake)"), kb,
                                   RuleStore())
-        assert isinstance(outcome, InferenceError)
+        assert outcome.tag == "InferenceError"
         assert "martian" in outcome.detail
 
     def test_loader_failure_without_repair_is_format_mismatch(self, kb):
@@ -422,14 +423,14 @@ class TestCompile:
         kb.groundings["fast"] = Grounding("speed_band", "=", "high")
         outcome = compile_formula(ltl.parse("G ((slow & fast) -> brake)"), kb,
                                   RuleStore())
-        assert isinstance(outcome, FormatMismatch)
+        assert outcome.tag == "FormatMismatch"
 
     def test_provenance_and_threshold_are_keyword_only(self, kb):
         store = RuleStore()
         f = ltl.parse("G (cut_in_ahead -> decelerate)")
         with pytest.raises(TypeError):
             compile_formula(f, kb, store, {"segment": "0"})
-        assert isinstance(compile_formula(f, kb, store, provenance={"segment": "0"}), Viable)
+        assert compile_formula(f, kb, store, provenance={"segment": "0"}).tag == "Viable"
         with pytest.raises(TypeError):
             dedup_check(store.rules[0], store, 0.5)
         assert dedup_check(store.rules[0], store, threshold=0.5).similarity == 1.0
@@ -440,8 +441,7 @@ class TestCompile:
         compile_formula(f, kb, store)
         extra = ltl.parse("G (speed_low -> accelerate)")
         compile_formula(extra, kb, store)
-        assert isinstance(compile_formula(f, kb, store),
-                          DuplicatedContent)
+        assert compile_formula(f, kb, store).tag == "DuplicatedContent"
 
 
 class TestOutcomeReport:
@@ -451,7 +451,8 @@ class TestOutcomeReport:
 
     def test_counts(self):
         rule = make_rule([("a", "=", 1)], {"longitudinal": "brake"})
-        outcomes = [Viable(rule), Viable(rule), InferenceError("Finally")]
+        outcomes = [Outcome("Viable", rule=rule), Outcome("Viable", rule=rule),
+                    Outcome("InferenceError", "Finally")]
         report = outcome_report(outcomes)
         assert report["Viable"] == 2
         assert report["InferenceError"] == 1
@@ -459,13 +460,14 @@ class TestOutcomeReport:
 
     def test_order_independent(self):
         rule = make_rule([("a", "=", 1)], {"longitudinal": "brake"})
-        outcomes = [Viable(rule), InferenceError("x"), FormatMismatch("y"),
-                    DuplicatedContent("z", 0.95)]
+        outcomes = [Outcome("Viable", rule=rule), Outcome("InferenceError", "x"),
+                    Outcome("FormatMismatch", "y"),
+                    Outcome("DuplicatedContent", "z", similarity=0.95)]
         shuffled = list(reversed(outcomes))
         assert outcome_report(outcomes) == outcome_report(shuffled)
 
     def test_csv_round_trip(self, tmp_path):
-        report = outcome_report([InferenceError("x")])
+        report = outcome_report([Outcome("InferenceError", "x")])
         path = tmp_path / "r.csv"
         compiler.write_outcome_csv(report, path)
         lines = path.read_text().strip().splitlines()

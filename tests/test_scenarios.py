@@ -125,3 +125,17 @@ class TestGenerate:
         tables = [DecisionTable(rows=[]), DecisionTable(rows=[], default=ActionPair("brake", None))]
         with pytest.raises(ValueError, match=">= 0"):
             ReferencePolicy(tables=tables, weights=[1.5, -0.5])
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [1.0, 0.0], [1.0]],
+                             ids=["more", "more-with-zero", "fewer"])
+    def test_a_weight_count_other_than_the_table_count_is_rejected(self, weights):
+        # an extra weight was drawn as a table index that does not exist
+        tables = [DecisionTable(rows=[])] * (1 if len(weights) > 1 else 2)
+        with pytest.raises(ValueError, match="one mixture weight per decision table"):
+            ReferencePolicy(tables=tables, weights=weights)
+
+    def test_a_policy_without_a_table_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one decision table"):
+            ReferencePolicy(tables=[])
+        with pytest.raises(ValueError, match="at least one decision table"):
+            ReferencePolicy(tables=[], weights=[1.0])

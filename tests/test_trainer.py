@@ -17,6 +17,7 @@ from cogrules.trainer import (Episode, EpisodeSchemaError, StepRecord,
                               episodes_to_jsonl, evaluate_agreement,
                               reward_decompose, train, utility_update,
                               validate_episodes)
+from conftest import assert_train_matches_oracle
 from oracles import episodes_jsonl_oracle
 
 SQRT2 = math.sqrt(2)
@@ -320,6 +321,63 @@ class TestEpisodeIo:
                               ActionPair("warp", None))])
         with pytest.raises(EpisodeSchemaError):
             validate_episodes([bad], kb)
+
+
+def random_training_case(rng):
+    """Rules, episodes and a config for one `train` run: rules that share
+    names or bodies, with one effect, both or none, and no precondition or
+    several over bool, int and str values; references with empty slots and
+    actions no rule takes; step times that repeat or skip; `sigma` from tiny
+    to large, `decay` from 0 to large, and from 0 to 4 epochs."""
+    values = [True, False, 1, 0, 2, "lo", "hi"]
+    features = ["gap", "speed", "signal"]
+    lon, lat = [None, "brake", "keep", "accelerate"], [None, "keep_lane", "change_left"]
+    rules = [rule(rng.choice(["a", "b", "if_gap", "r"]),
+                  [(rng.choice(features), rng.choice(["=", "!="]), rng.choice(values))
+                   for _ in range(rng.choice([0, 1, 1, 2, 3]))],
+                  longitudinal=rng.choice(lon), lateral=rng.choice(lat))
+             for _ in range(rng.randint(0, 8))]
+    rules += [dataclasses.replace(r)  # an equal rule at another position
+              for r in rng.sample(rules, min(len(rules), rng.randint(0, 2)))]
+    make = shared_states()
+    episodes = []
+    for _ in range(rng.randint(1, 4)):
+        t, steps = 0, []
+        for _ in range(rng.randint(1, 8)):
+            state = {f: rng.choice(values) for f in rng.sample(features, rng.randint(0, 3))}
+            steps.append((make(state, t), ActionPair(rng.choice(lon), rng.choice(lat))))
+            t += rng.choice([0, 1, 1, 3])
+        episodes.append(Episode(steps))
+    cfg = TrainConfig(learning_rate=rng.choice([2e-4, 0.1, 0.5, 1.0]),
+                      decay=rng.choice([0.0, 0.01, 1.0, 50.0]),
+                      sigma=rng.choice([1e-3, 0.05, SQRT2, 10.0, 1e3]),
+                      initial_utility=rng.choice([0.0, -2.5, 7.0]),
+                      reward_positive=rng.choice([10.0, 1.0, 3.7]),
+                      reward_negative=rng.choice([0.0, -1.0, 2.0]),
+                      epochs=rng.randint(0, 4), seed=rng.randrange(2**32))
+    return rules, episodes, cfg
+
+
+class TestTrainOracle:
+    def test_train_equals_the_oracle_on_seeded_cases(self):
+        rng = random.Random(1414)
+        compared = 0
+        for _ in range(300):
+            rules, episodes, cfg = random_training_case(rng)
+            draws = assert_train_matches_oracle(rules, episodes, cfg)
+            compared += any(name is not None for pair in draws for name in pair)
+        assert compared > 150  # most cases draw a rule
+
+    def test_a_winner_with_both_effects_fills_both_slots(self):
+        # else the lateral candidates, this rule among them, compete
+        gap = [("front_gap_closing", "=", True)]
+        rules = [rule("both", gap, "brake", "keep_lane"), rule("keep", gap, "keep"),
+                 rule("lat", gap, None, "change_left")]
+        cfg = TrainConfig(learning_rate=0.5, decay=0.25, sigma=10.0, epochs=4, seed=2)
+        episode = one_state_episode(8, ref=("brake", "keep_lane"))
+        draws = assert_train_matches_oracle(rules, [episode], cfg)
+        assert {tuple(d) for d in draws} == {("both", "both"), ("keep", "both"),
+                                             ("keep", "lat")}
 
 
 def random_episodes(rng, make):
