@@ -11,13 +11,13 @@ import math
 import sys
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
 from . import ltl
 from .knowledge import (ActionPair, KnowledgeBase, Precondition, ProductionRule,
                         RuleValidationError, validate_rule)
+from .record import Record
 
 DUPLICATION_THRESHOLD = 0.9
 EMBEDDING_DIMENSION = 256
@@ -37,15 +37,19 @@ class GroundingError(ValueError):
 OUTCOME_TAGS = ("Viable", "FormatMismatch", "DuplicatedContent", "InferenceError")
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
     """One compile outcome, tagged by the paper's taxonomy. `detail` is a
     refusal's reason or the name of the rule a duplicate repeats, `rule` a
     Viable outcome's stored rule and `similarity` a duplicate's cosine."""
-    tag: str
-    detail: str = ""
-    rule: ProductionRule | None = None
-    similarity: float | None = None
+
+    __slots__ = ("tag", "detail", "rule", "similarity")
+
+    def __init__(self, tag: str, detail: str = "", rule: ProductionRule | None = None,
+                 similarity: float | None = None):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "similarity", similarity)
 
 
 def outcome_report(outcomes: list) -> dict[str, int]:

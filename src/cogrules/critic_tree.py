@@ -7,11 +7,12 @@ depth budget runs out (fallback: the root revision).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ltl
 from .engine import pick
 from .gateway import Backend, BackendSpec, ChatMessage, CriticEnsembleSpec, Session
+from .record import Record
 
 TEMPLATES = {
     # minimal-knowledge prompt variant
@@ -32,26 +33,30 @@ TEMPLATES = {
 }
 
 
-@dataclass
-class CriticVerdict:
-    approved: bool
-    feedback: str = ""
+class CriticVerdict(Record):
+    __slots__ = ("approved", "feedback")
 
-    def __post_init__(self):
-        if not self.approved and not self.feedback:
+    def __init__(self, approved: bool, feedback: str = ""):
+        if not approved and not feedback:
             raise ValueError("disapproval requires feedback")
+        object.__setattr__(self, "approved", approved)
+        object.__setattr__(self, "feedback", feedback)
 
 
-@dataclass
 class TreeNode:
-    node_id: int
-    formula_text: str
-    context: list[ChatMessage]
-    depth: int
-    parent: int | None = None
-    children: list[int] = field(default_factory=list)
-    parse_ok: bool = True
-    verdicts: list[CriticVerdict] = field(default_factory=list)
+    __slots__ = ("node_id", "formula_text", "context", "depth", "parent", "children",
+                 "parse_ok", "verdicts")
+
+    def __init__(self, node_id: int, formula_text: str, context: list[ChatMessage], depth: int,
+                 parent: int | None = None, parse_ok: bool = True):
+        self.node_id = node_id
+        self.formula_text = formula_text
+        self.context = context
+        self.depth = depth
+        self.parent = parent
+        self.children: list[int] = []
+        self.parse_ok = parse_ok
+        self.verdicts: list[CriticVerdict] = []
 
 
 @dataclass
@@ -68,13 +73,16 @@ class CriticTreeConfig:
             raise ValueError("max_depth must be >= 0")
 
 
-@dataclass
 class TreeTrace:
     """The nodes in breadth-first creation order are the whole record; the
     call counters and the returned formula are derived from them."""
-    nodes: list[TreeNode]
-    returned_node: int | None = None
-    fallback: bool = False
+
+    __slots__ = ("nodes", "returned_node", "fallback")
+
+    def __init__(self):
+        self.nodes: list[TreeNode] = []
+        self.returned_node: int | None = None
+        self.fallback = False
 
     @property
     def returned(self) -> str:
@@ -180,7 +188,7 @@ class CriticTree:
     def run(self, text: str, initial: str) -> tuple[str, TreeTrace]:
         if not text:
             raise ValueError("text must be nonempty")
-        trace = TreeTrace(nodes=[])
+        trace = TreeTrace()
         self._parsed.clear()  # kept across runs, the memo would grow with the corpus for little reuse
         root_context = [
             self._revisor_system,

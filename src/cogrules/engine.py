@@ -9,15 +9,18 @@ import json
 import math
 import random
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .knowledge import NO_ACTION, NONE, SLOTS, ActionPair, ProductionRule, Value
+from .record import Record
 
 
-@dataclass(frozen=True)
-class WorldState:
-    features: tuple[tuple[str, Value], ...]
-    t: int = 0
+class WorldState(Record):
+    __slots__ = ("features", "t")
+
+    def __init__(self, features: tuple[tuple[str, Value], ...], t: int = 0):
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "t", t)
 
     @classmethod
     def make(cls, features: dict[str, Value], t: int = 0) -> "WorldState":

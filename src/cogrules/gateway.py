@@ -17,20 +17,21 @@ from typing import Callable
 from urllib.parse import urlsplit
 
 from .knowledge import read_jsonl
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ChatMessage:
-    role: str  # system | user | assistant
-    content: str
+class ChatMessage(Record):
+    __slots__ = ("role", "content")
 
-    def __post_init__(self):
-        if self.role not in ("system", "user", "assistant"):
-            raise ValueError(f"bad role {self.role!r}")
-        if not isinstance(self.content, str):
-            raise ValueError(f"content must be a string, not {type(self.content).__name__}")
-        if self.role in ("user", "assistant") and not self.content:
+    def __init__(self, role: str, content: str):  # role: system | user | assistant
+        if role not in ("system", "user", "assistant"):
+            raise ValueError(f"bad role {role!r}")
+        if not isinstance(content, str):
+            raise ValueError(f"content must be a string, not {type(content).__name__}")
+        if role in ("user", "assistant") and not content:
             raise ValueError("user/assistant content must be nonempty")
+        object.__setattr__(self, "role", role)
+        object.__setattr__(self, "content", content)
 
 
 ScriptFn = Callable[[list[ChatMessage]], str]

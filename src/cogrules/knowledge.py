@@ -163,8 +163,9 @@ class ActionPair:
     lateral: str | None = None
 
     def __post_init__(self):
-        if NONE in (self.longitudinal, self.lateral):
-            raise ValueError(f"action name {NONE!r} is reserved for an empty effect slot")
+        for reserved in (PASS, NONE):
+            if reserved in (self.longitudinal, self.lateral):
+                raise ValueError(f"action name {reserved!r} is reserved for an empty effect slot")
 
     def slot(self, name: str) -> str | None:
         return self.longitudinal if name == LONGITUDINAL else self.lateral

@@ -8,25 +8,18 @@ preserves the surface form the user wrote.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from operator import itemgetter
 
+from .record import Record
 
-class Ltl:
-    """Base class for all formula nodes. A node is immutable: setting or
-    deleting a field raises FrozenInstanceError. Two nodes are equal when they
-    are of one class and their fields are equal, left to right; a node hashes
-    as the tuple of its fields, so equal nodes hash alike, and it copies and
-    pickles as its class called with its fields. Each field is set once, in
-    `__init__`, through its slot's descriptor."""
+
+class Ltl(Record):
+    """Base class for all formula nodes, which are records: immutable, equal
+    when of one class with equal fields, and hashed, printed, copied and
+    pickled by their fields. The node classes write out the record methods
+    per arity, for speed, and set each field through its slot's descriptor."""
 
     __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign {type(value).__name__} to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class TrueConst(Ltl):
@@ -405,15 +398,19 @@ def canonicalize(f: Ltl) -> Ltl:
 Literal = tuple[str, bool]  # (atom name, polarity: True = positive)
 
 
-@dataclass(frozen=True)
-class Convertible:
-    antecedent: tuple[Literal, ...]
-    consequent: tuple[Literal, ...]
+class Convertible(Record):
+    __slots__ = ("antecedent", "consequent")
+
+    def __init__(self, antecedent: tuple[Literal, ...], consequent: tuple[Literal, ...]):
+        object.__setattr__(self, "antecedent", antecedent)
+        object.__setattr__(self, "consequent", consequent)
 
 
-@dataclass(frozen=True)
-class InferenceError:
-    reason: str
+class InferenceError(Record):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
 ConvertibilityVerdict = Convertible | InferenceError

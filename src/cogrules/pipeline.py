@@ -105,11 +105,13 @@ class Segment:  # one corpus record
     initial: str | None = None
 
 
-@dataclass
 class SegmentResult:
-    segment_id: str
-    refined: str
-    outcome: compiler.Outcome
+    __slots__ = ("segment_id", "refined", "outcome")
+
+    def __init__(self, segment_id: str, refined: str, outcome: compiler.Outcome):
+        self.segment_id = segment_id
+        self.refined = refined
+        self.outcome = outcome
 
 
 def read_corpus(records: list, cfg: PipelineConfig) -> list[Segment]:

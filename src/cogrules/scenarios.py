@@ -6,7 +6,7 @@ drivers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .knowledge import ActionPair, FeatureDomain, Grounding, KnowledgeBase, Value
 from .engine import WorldState, pick, shared_states
@@ -69,11 +69,15 @@ def scenario_kb(archetype: str) -> KnowledgeBase:
                          groundings=groundings)
 
 
-@dataclass
 class DecisionTable:
     """First-match condition table; total via the default row."""
-    rows: list[tuple[dict[str, Value], ActionPair]]
-    default: ActionPair = ActionPair("keep", "keep_lane")
+
+    __slots__ = ("rows", "default")
+
+    def __init__(self, rows: list[tuple[dict[str, Value], ActionPair]],
+                 default: ActionPair = ActionPair("keep", "keep_lane")):
+        self.rows = rows
+        self.default = default
 
     def action(self, state: WorldState) -> ActionPair:
         feats = state.as_dict()
@@ -83,22 +87,22 @@ class DecisionTable:
         return self.default
 
 
-@dataclass
 class ReferencePolicy:
-    tables: list[DecisionTable]
-    weights: list[float] = field(default_factory=list)
+    __slots__ = ("tables", "weights")
 
-    def __post_init__(self):
-        if not self.tables:
+    def __init__(self, tables: list[DecisionTable], weights: list[float] | None = None):
+        if not tables:
             raise ValueError("a policy needs at least one decision table")
-        if not self.weights:
-            self.weights = [1.0 / len(self.tables)] * len(self.tables)
-        if len(self.weights) != len(self.tables):
+        if not weights:
+            weights = [1.0 / len(tables)] * len(tables)
+        if len(weights) != len(tables):
             raise ValueError("a policy needs one mixture weight per decision table")
-        if any(w < 0 for w in self.weights):
+        if any(w < 0 for w in weights):
             raise ValueError("mixture weights must be >= 0")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+        if abs(sum(weights) - 1.0) > 1e-9:
             raise ValueError("mixture weights must sum to 1")
+        self.tables = tables
+        self.weights = weights
 
 
 @dataclass

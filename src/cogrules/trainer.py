@@ -16,6 +16,7 @@ from typing import Callable
 from .engine import RuleSet, WorldState, decide, shared_states, slot_marginals
 from .knowledge import (SLOTS, ActionPair, KnowledgeBase, ProductionRule, Value, read_jsonl,
                         read_section)
+from .record import Record
 
 
 @dataclass
@@ -40,15 +41,16 @@ class TrainConfig:
             raise ValueError("sigma must be > 0")
 
 
-@dataclass
 class Episode:
-    steps: list[tuple[WorldState, ActionPair]]
-    scenario_id: str = ""
-    subject_id: str = ""
+    __slots__ = ("steps", "scenario_id", "subject_id")
 
-    def __post_init__(self):
-        if not self.steps:
+    def __init__(self, steps: list[tuple[WorldState, ActionPair]], scenario_id: str = "",
+                 subject_id: str = ""):
+        if not steps:
             raise ValueError("episode must be nonempty")
+        self.steps = steps
+        self.scenario_id = scenario_id
+        self.subject_id = subject_id
 
 
 @dataclass
@@ -188,11 +190,13 @@ def utility_update(u_prev: float, r: float, alpha: float) -> float:
     return u_prev + alpha * (r - u_prev)
 
 
-@dataclass
-class CurvePoint:
-    epoch: int
-    agreement: float
-    mean_utility: float
+class CurvePoint(Record):
+    __slots__ = ("epoch", "agreement", "mean_utility")
+
+    def __init__(self, epoch: int, agreement: float, mean_utility: float):
+        object.__setattr__(self, "epoch", epoch)
+        object.__setattr__(self, "agreement", agreement)
+        object.__setattr__(self, "mean_utility", mean_utility)
 
 
 def curve_to_csv(curve: list[CurvePoint], path: str | Path) -> None:

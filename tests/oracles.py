@@ -3,8 +3,9 @@ brute-force cosine dedup, direct-summation JS divergence, a Fraction-based
 smoothed BLEU, per-slot marginals summed over action pairs, the LTL
 normal form stated directly, the episodes file written a record at a
 time, the conflict set checked a precondition at a time, the LTL
-nodes as frozen dataclasses, a JSON Lines file read by `json.loads` a
-line at a time, and the training loop written out step by step.
+nodes and the records built only in code as dataclasses, a JSON Lines
+file read by `json.loads` a line at a time, and the training loop
+written out step by step.
 Deliberately written against the textbook definitions, not the package
 code paths."""
 
@@ -348,3 +349,65 @@ def dataclass_twin(f):
     if isinstance(f, ltl.Atom):
         return twin(f.name)
     return twin(*(dataclass_twin(getattr(f, name)) for name in twin.__match_args__))
+
+
+# The records the package builds only in code, as the dataclasses they were
+# declared as: equality, hashing and repr as `dataclasses` generates them,
+# and the same refusals, which the package's `record.Record` classes keep.
+# CriticVerdict and CurvePoint were mutable dataclasses, which no caller
+# changed; as records they are frozen, so their twins are too.
+
+@dataclass(frozen=True)
+class Outcome:
+    tag: str
+    detail: str = ""
+    rule: object = None
+    similarity: float | None = None
+
+
+@dataclass(frozen=True)
+class CriticVerdict:
+    approved: bool
+    feedback: str = ""
+
+    def __post_init__(self):
+        if not self.approved and not self.feedback:
+            raise ValueError("disapproval requires feedback")
+
+
+@dataclass(frozen=True)
+class WorldState:
+    features: tuple
+    t: int = 0
+
+
+@dataclass(frozen=True)
+class ChatMessage:
+    role: str
+    content: str
+
+    def __post_init__(self):
+        if self.role not in ("system", "user", "assistant"):
+            raise ValueError(f"bad role {self.role!r}")
+        if not isinstance(self.content, str):
+            raise ValueError(f"content must be a string, not {type(self.content).__name__}")
+        if self.role in ("user", "assistant") and not self.content:
+            raise ValueError("user/assistant content must be nonempty")
+
+
+@dataclass(frozen=True)
+class Convertible:
+    antecedent: tuple
+    consequent: tuple
+
+
+@dataclass(frozen=True)
+class InferenceError:
+    reason: str
+
+
+@dataclass(frozen=True)
+class CurvePoint:
+    epoch: int
+    agreement: float
+    mean_utility: float

@@ -367,6 +367,28 @@ class TestDataTrainEval:
         assert err == (f"error: section '{episodes} line 3.reference': "
                        "action name 'none' is reserved for an empty effect slot\n"), err
 
+    @pytest.mark.parametrize("slot", ["longitudinal", "lateral"])
+    def test_eval_refuses_an_episode_reference_named_pass(self, tmp_path, capsys, slot):
+        # a rules file's spelling of an empty slot; an episodes file writes null,
+        # and a reference read as an action named pass could never agree
+        gen_data(tmp_path, capsys)
+        episodes = tmp_path / "data" / "episodes.jsonl"
+        lines = episodes.read_text().splitlines()
+        step = json.loads(lines[1])
+        step["reference"][slot] = "pass"
+        lines[1] = json.dumps(step)
+        episodes.write_text("\n".join(lines) + "\n")
+        rules = [a_rule(effects={"longitudinal": "brake", "lateral": "pass"})]
+        code, out, err = run_on_rules(tmp_path, capsys, "eval", rules)
+        assert (code, out) == (1, "")
+        assert err == (f"error: section '{episodes} line 2.reference': "
+                       "action name 'pass' is reserved for an empty effect slot\n"), err
+        step["reference"][slot] = None  # the same file spelling it null evaluates
+        lines[1] = json.dumps(step)
+        episodes.write_text("\n".join(lines) + "\n")
+        code, out, err = run_on_rules(tmp_path, capsys, "eval", rules)
+        assert (code, err) == (0, "") and "mean_js" in json.loads(out)
+
     @pytest.mark.parametrize("command", ["eval", "train", "compile"])
     def test_rules_file_with_an_unknown_key_exit_one(self, tmp_path, capsys, command):
         gen_data(tmp_path, capsys)

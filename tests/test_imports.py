@@ -153,3 +153,24 @@ def test_cli_and_pipeline_import_neither_numpy_nor_http():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.split() == ["[]", str(sys.flags.dont_write_bytecode)]
+
+
+READ_CLASSES = {"PipelineConfig", "EvalConfig", "TrainConfig", "CriticTreeConfig",
+                "CriticEnsembleSpec", "BackendSpec", "ScenarioSpec", "KnowledgeBase",
+                "FeatureDomain", "Grounding", "ProductionRule", "ActionPair", "Segment",
+                "StepRecord"}
+
+
+def test_only_the_classes_read_from_json_are_dataclasses():
+    # `read_section` reads its classes' fields through `dataclasses`; a record
+    # built only in code is a plain class, whose creation costs every process
+    # far less at import
+    script = ("import dataclasses, sys, cogrules.pipeline, cogrules.cli\n"
+              "print(*sorted({c.__qualname__ for name, m in list(sys.modules.items())\n"
+              "               if name.split('.')[0] == 'cogrules' for c in vars(m).values()\n"
+              "               if isinstance(c, type) and c.__module__ == name\n"
+              "               and dataclasses.is_dataclass(c)}))")
+    env = {"PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert set(out.stdout.split()) == READ_CLASSES
