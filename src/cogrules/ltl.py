@@ -16,103 +16,42 @@ from .record import Record
 class Ltl(Record):
     """Base class for all formula nodes, which are records: immutable, equal
     when of one class with equal fields, and hashed, printed, copied and
-    pickled by their fields. The node classes write out the record methods
-    per arity, for speed, and set each field through its slot's descriptor."""
+    pickled by their fields. The node classes set each field through its
+    slot's descriptor."""
 
     __slots__ = ()
 
 
 class TrueConst(Ltl):
     __slots__ = ()
-    __match_args__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}()"
-
-    def __reduce__(self):
-        return self.__class__, ()
 
 
 class Atom(Ltl):
     __slots__ = ("name",)
-    __match_args__ = ("name",)
 
     def __init__(self, name: str):
         if not is_atom_name(name):
             raise ValueError(f"invalid atom name: {name!r}")
         _set_name(self, name)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(name={self.name!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.name,)
-
 
 class _Unary(Ltl):
     """A node with one operand."""
 
     __slots__ = ("operand",)
-    __match_args__ = ("operand",)
 
     def __init__(self, operand: Ltl):
         _set_operand(self, operand)
-
-    def __eq__(self, other):
-        # as tuples, as a dataclass compares: an operand shared by both is equal by identity
-        if other.__class__ is self.__class__:
-            return (self.operand,) == (other.operand,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.operand,))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(operand={self.operand!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.operand,)
 
 
 class _Binary(Ltl):
     """A node with a left and a right operand."""
 
     __slots__ = ("left", "right")
-    __match_args__ = ("left", "right")
 
     def __init__(self, left: Ltl, right: Ltl):
         _set_left(self, left)
         _set_right(self, right)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.left, self.right))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(left={self.left!r}, right={self.right!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.left, self.right)
 
 
 _set_name = Atom.name.__set__

@@ -264,10 +264,11 @@ def train(rules: list[ProductionRule], episodes: list[Episode],
 
 
 def evaluate_agreement(rules: RuleSet, episodes: list[Episode],
-                       sigma: float) -> dict[str, float]:
+                       sigma: float) -> dict[str, float | None]:
     """Frozen-utility expected agreement rate per slot: each step scores the
     probability, under the distribution `decide` samples from, that the
-    slot's action is the reference action. The marginals are computed once
+    slot's action is the reference action. A slot that no step has a
+    reference for is unmeasured: None. The marginals are computed once
     per features tuple, which `shared_states` shares among equal states."""
     # keyed on the ids of the features tuples, all alive in `episodes`
     marginals: dict[int, tuple[dict[str | None, float], ...]] = {}
@@ -285,4 +286,4 @@ def evaluate_agreement(rules: RuleSet, episodes: list[Episode],
                 compared[slot] += 1
                 agreed[slot] += dist.get(ref_action, 0.0)
     # rounding can carry a sum of softmax probabilities an ulp past 1
-    return {s: (min(1.0, agreed[s] / compared[s]) if compared[s] else 0.0) for s in SLOTS}
+    return {s: (min(1.0, agreed[s] / compared[s]) if compared[s] else None) for s in SLOTS}

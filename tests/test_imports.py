@@ -129,6 +129,47 @@ def test_private_name_checker_reports_only_unread_names():
         "line 1: _B", "line 2: _C", "line 4: _f", "line 8: _K", "line 11: _m"]
 
 
+RECORD_METHODS = {"__eq__", "__hash__", "__repr__", "__reduce__", "__match_args__"}
+
+
+def hand_written_record_methods(source: str) -> list[str]:
+    """'line L: Class.name' for each record method, or `__match_args__`, that
+    a class body defines; `record.Record` builds them for each record class
+    from its fields."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"line {node.lineno}: {cls.name}.{name}" for name in names
+                      if name in RECORD_METHODS]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_class_writes_out_the_record_methods(path):
+    assert hand_written_record_methods(path.read_text()) == []
+
+
+def test_record_method_checker_reports_only_class_bodies():
+    source = ("class A:\n    __slots__ = ()\n    __match_args__ = ('x',)\n"
+              "    def __eq__(self, other):\n        return True\n"
+              "    def __init_subclass__(cls):\n"
+              "        def __hash__(self):\n            return 0\n"
+              "        cls.__hash__ = __hash__\n"
+              "    class B:\n        __repr__: object = repr\n"
+              "def __reduce__(self):\n    return ()\n")
+    assert hand_written_record_methods(source) == [
+        "line 3: A.__match_args__", "line 4: A.__eq__", "line 11: B.__repr__"]
+
+
 def test_the_package_imports_only_the_standard_library():
     # cogrules declares no runtime dependency
     found = []

@@ -15,6 +15,7 @@ from cogrules.critic_tree import CriticVerdict
 from cogrules.engine import WorldState
 from cogrules.gateway import ChatMessage
 from cogrules.knowledge import ActionPair, ProductionRule
+from cogrules.record import Record
 from cogrules.trainer import CurvePoint
 import oracles
 
@@ -87,6 +88,7 @@ EACH_CLASS = [  # one record of each class, by keyword, with the names of its fi
                          ids=[type(record).__name__ for record, _ in EACH_CLASS])
 def test_each_class_copies_pickles_and_refuses_change(record, fields):
     assert type(record).__slots__ == fields
+    assert type(record).__match_args__ == fields
     copies = [copy.copy(record), copy.deepcopy(record)]
     copies += [pickle.loads(pickle.dumps(record, protocol))
                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
@@ -98,6 +100,21 @@ def test_each_class_copies_pickles_and_refuses_change(record, fields):
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(record, name)
     assert not hasattr(record, "__dict__")
+
+
+def test_fields_are_the_slots_of_the_class_and_its_bases_base_first():
+    class Base(Record):
+        __slots__ = ("x",)
+
+    class Derived(Base):
+        __slots__ = ("y", "z")
+
+    record = Derived.__new__(Derived)
+    for name, value in zip(("x", "y", "z"), (1, 2, 3)):
+        object.__setattr__(record, name, value)
+    assert Derived.__match_args__ == ("x", "y", "z")
+    assert record.__reduce__() == (Derived, (1, 2, 3))
+    assert repr(record) == f"{Derived.__qualname__}(x=1, y=2, z=3)"
 
 
 @pytest.mark.parametrize("cls,twin,values", [

@@ -226,11 +226,12 @@ class TestEvaluate:
     def test_perfect_imitation(self):
         r = rule("r", [("front_gap_closing", "=", True)], longitudinal="brake")
         agreement = evaluate_agreement(RuleSet([r]), [one_state_episode(20)], SQRT2)
-        assert agreement["longitudinal"] == 1.0
+        # no step has a lateral reference, so lateral is unmeasured, not 0.0
+        assert agreement == {"longitudinal": 1.0, "lateral": None}
 
     def test_empty_rule_set(self):
         agreement = evaluate_agreement(RuleSet([]), [one_state_episode(20)], SQRT2)
-        assert agreement["longitudinal"] == 0.0
+        assert agreement == {"longitudinal": 0.0, "lateral": None}
 
     def test_equal_utility_coin_flip(self):
         rules = [rule("agree", [("front_gap_closing", "=", True)],
